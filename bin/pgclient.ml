@@ -283,20 +283,20 @@ let run_inject addr mode stall timeout =
     let describe, expect_reply =
       match mode with
       | `Garbage ->
-        Robust.Fault.send_garbage_frame fd;
+        Serve.Fault.send_garbage_frame fd;
         ("garbage frame", true)
       | `Truncate ->
-        Robust.Fault.send_truncated_frame fd payload;
+        Serve.Fault.send_truncated_frame fd payload;
         (* leave the torn frame hanging: the daemon's io deadline fires *)
         ("truncated frame", true)
       | `Oversized ->
-        Robust.Fault.send_oversized_header fd;
+        Serve.Fault.send_oversized_header fd;
         ("oversized header", true)
       | `Stall ->
-        Robust.Fault.send_stalled_frame ~stall ~chunk:4 fd payload;
+        Serve.Fault.send_stalled_frame ~stall ~chunk:4 fd payload;
         ("drip-fed frame", true)
       | `Disconnect ->
-        Robust.Fault.disconnect_mid_request fd payload;
+        Serve.Fault.disconnect_mid_request fd payload;
         ("mid-request disconnect", false)
       | `None -> assert false
     in

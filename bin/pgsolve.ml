@@ -72,8 +72,7 @@ let solver_arg =
     & opt (enum Proto.solver_names) Proto.Powerrchol
     & info [ "solver"; "s" ] ~docv:"SOLVER" ~doc)
 
-let report_result r =
-  Format.printf "%a@." Powerrchol.Pipeline.pp_result r
+let report_result r = Format.printf "%a@." Powerrchol.Solver.pp_result r
 
 (* ---- generate ---- *)
 
@@ -107,11 +106,23 @@ let generate_cmd =
 
 (* ---- problem loading shared by solve/compare ---- *)
 
-(* Raw (name, A, b) triple: used by --robust/--diagnose, which must see a
+(* Every MatrixMarket file the CLI reads (--mtx, --rhs) goes through here:
+   a file that cannot be read or parsed is a one-line report and exit 1,
+   never an uncaught exception. *)
+let read_checked read path =
+  try read path with
+  | Sparse.Matrix_market.Parse_error msg ->
+    Printf.eprintf "pgsolve: %s: %s\n" path msg;
+    exit 1
+  | Sys_error msg ->
+    Printf.eprintf "pgsolve: %s\n" msg;
+    exit 1
+
+(* Raw (name, A, b) triple, unvalidated: --robust/--diagnose must see a
    possibly-corrupted matrix BEFORE SDDM validation rejects it. [b], when
    given, is the first --rhs column (already loaded by the caller). *)
-let load_mtx_raw ?b path =
-  let a = Sparse.Matrix_market.read path in
+let load_mtx ?b path =
+  let a = read_checked Sparse.Matrix_market.read path in
   let n, _ = Sparse.Csc.dims a in
   let b =
     match b with
@@ -122,19 +133,6 @@ let load_mtx_raw ?b path =
   in
   (Filename.basename path, a, b)
 
-(* --robust/--diagnose promise structured failure handling: a file that
-   cannot be read or parsed is a clean exit-1 report there, never an
-   uncaught exception (the legacy plain path keeps its historical
-   behavior). *)
-let load_mtx_checked ?b path =
-  try load_mtx_raw ?b path with
-  | Sparse.Matrix_market.Parse_error msg ->
-    Printf.eprintf "pgsolve: %s: %s\n" path msg;
-    exit 1
-  | Sys_error msg ->
-    Printf.eprintf "pgsolve: %s\n" msg;
-    exit 1
-
 let load_problem ?b netlist mtx case scale =
   match (netlist, mtx, case) with
   | Some path, None, None ->
@@ -143,9 +141,13 @@ let load_problem ?b netlist mtx case scale =
       Powergrid.Netlist.to_problem ~name:(Filename.basename path) parsed
     in
     problem
-  | None, Some path, None ->
-    let name, a, b = load_mtx_raw ?b path in
-    Sddm.Problem.of_matrix ~name ~a ~b
+  | None, Some path, None -> (
+    let name, a, b = load_mtx ?b path in
+    match Sddm.Problem.of_matrix ~name ~a ~b with
+    | problem -> problem
+    | exception Invalid_argument msg ->
+      Printf.eprintf "pgsolve: %s\n" msg;
+      exit 1)
   | None, None, Some id ->
     let c = Powergrid.Suite.find ~scale id in
     c.Powergrid.Suite.build ()
@@ -216,6 +218,16 @@ let emit_telemetry ~profile ~metrics_json ~trace record =
       Printf.printf "[trace written: %s (%d events dropped)]\n" path dropped
     else Printf.printf "[trace written: %s]\n" path
 
+(* Run [f] as is, or under Solver.with_obs with the telemetry emitted when
+   any of --profile / --metrics-json / --trace asked for it. *)
+let observed ~profile ~metrics_json ~trace ~meta_of f =
+  if profile || metrics_json <> None || trace <> None then begin
+    let v, record = Powerrchol.Solver.with_obs ~meta_of f in
+    emit_telemetry ~profile ~metrics_json ~trace record;
+    v
+  end
+  else f ()
+
 let solve_cmd =
   let budget =
     Arg.(
@@ -279,7 +291,9 @@ let solve_cmd =
   let run netlist mtx rhs case scale solver_tag rtol seed budget robust
       diagnose profile metrics_json trace domains =
     apply_domains domains;
-    let instrument = profile || metrics_json <> None || trace <> None in
+    let observed ~meta_of f =
+      observed ~profile ~metrics_json ~trace ~meta_of f
+    in
     (* arm tracing before the instrumented run so the span begin/end
        events of the whole solve land in the ring buffers *)
     if trace <> None then Obs.set_tracing true;
@@ -289,7 +303,7 @@ let solve_cmd =
       match rhs with
       | None -> None
       | Some path ->
-        let cols = Sparse.Matrix_market.read_vectors path in
+        let cols = read_checked Sparse.Matrix_market.read_vectors path in
         if Array.length cols = 0 then begin
           prerr_endline "--rhs file has no columns";
           exit 2
@@ -316,7 +330,7 @@ let solve_cmd =
       let report =
         match mtx with
         | Some path ->
-          let _, a, b = load_mtx_checked ?b path in
+          let _, a, b = load_mtx ?b path in
           Robust.Diagnose.run ~a ~b
         | None ->
           Robust.Diagnose.of_problem (load_problem ?b netlist mtx case scale)
@@ -328,29 +342,25 @@ let solve_cmd =
       let r =
         match mtx with
         | Some path ->
-          let name, a, b = load_mtx_checked ?b path in
-          if instrument then begin
-            let r, record =
-              Powerrchol.Pipeline.solve_matrix_robust_profiled ~rtol ~seed
-                ~name ~a ~b ()
-            in
-            emit_telemetry ~profile ~metrics_json ~trace record;
-            r
-          end
-          else Powerrchol.Pipeline.solve_matrix_robust ~rtol ~seed ~name ~a ~b ()
+          let name, a, b = load_mtx ?b path in
+          let n, _ = Sparse.Csc.dims a in
+          observed
+            ~meta_of:
+              (Powerrchol.Solver.robust_meta_of ~case:name ~n
+                 ~nnz:(Sparse.Csc.nnz a))
+            (fun () ->
+              Powerrchol.Solver.solve_matrix_robust ~rtol ~seed ~name ~a ~b ())
         | None ->
           let problem = load_problem ?b netlist mtx case scale in
           Printf.printf "%s\n" (Sddm.Problem.describe problem);
-          if instrument then begin
-            let r, record =
-              Powerrchol.Solver.solve_robust_profiled ~rtol ~seed problem
-            in
-            emit_telemetry ~profile ~metrics_json ~trace record;
-            r
-          end
-          else Powerrchol.Pipeline.solve_robust ~rtol ~seed problem
+          observed
+            ~meta_of:
+              (Powerrchol.Solver.robust_meta_of
+                 ~case:problem.Sddm.Problem.name ~n:(Sddm.Problem.n problem)
+                 ~nnz:(Sddm.Problem.nnz problem))
+            (fun () -> Powerrchol.Solver.solve_robust ~rtol ~seed problem)
       in
-      Format.printf "%a@." Powerrchol.Pipeline.pp_robust r;
+      Format.printf "%a@." Powerrchol.Solver.pp_robust r;
       if not (Powerrchol.Solver.robust_ok r) then exit 1
     end
     else begin
@@ -368,23 +378,16 @@ let solve_cmd =
           (prepared, Powerrchol.Solver.solve_many ~rtol prepared cols)
         in
         let prepared, results =
-          if instrument then begin
-            let (prepared, results), record =
-              Powerrchol.Solver.with_obs
-                ~meta_of:(fun ((prepared : Powerrchol.Solver.prepared), _) ->
-                  [
-                    ("mode", Obs.Json.Str "batched");
-                    ("solver", Obs.Json.Str prepared.Powerrchol.Solver.solver_name);
-                    ("case", Obs.Json.Str problem.Sddm.Problem.name);
-                    ("n", Obs.Json.Int (Sddm.Problem.n problem));
-                    ("rhs_columns", Obs.Json.Int k);
-                  ])
-                solve_batch
-            in
-            emit_telemetry ~profile ~metrics_json ~trace record;
-            (prepared, results)
-          end
-          else solve_batch ()
+          observed
+            ~meta_of:(fun ((prepared : Powerrchol.Solver.prepared), _) ->
+              [
+                ("mode", Obs.Json.Str "batched");
+                ("solver", Obs.Json.Str prepared.Powerrchol.Solver.solver_name);
+                ("case", Obs.Json.Str problem.Sddm.Problem.name);
+                ("n", Obs.Json.Int (Sddm.Problem.n problem));
+                ("rhs_columns", Obs.Json.Int k);
+              ])
+            solve_batch
         in
         let t_prepare =
           prepared.Powerrchol.Solver.t_reorder
@@ -418,12 +421,9 @@ let solve_cmd =
         then exit 1
       | None ->
       let r =
-        if instrument then begin
-          let r, record = Powerrchol.Solver.run_profiled ~rtol solver problem in
-          emit_telemetry ~profile ~metrics_json ~trace record;
-          r
-        end
-        else Powerrchol.Solver.run ~rtol solver problem
+        observed
+          ~meta_of:(Powerrchol.Solver.result_meta problem)
+          (fun () -> Powerrchol.Solver.run ~rtol solver problem)
       in
       report_result r;
       if r.Powerrchol.Solver.converged && netlist = None && mtx = None then begin

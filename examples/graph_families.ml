@@ -20,7 +20,7 @@ let () =
     (fun id ->
       let case = Powergrid.Suite.find ~scale:0.25 id in
       let problem = case.Powergrid.Suite.build () in
-      let r = Powerrchol.Pipeline.solve problem in
+      let r = Powerrchol.Solver.run (Powerrchol.Solver.powerrchol ()) problem in
       let mnnz = float_of_int (Sddm.Problem.nnz problem) /. 1e6 in
       Format.printf "%-12s %-14s %9d %9d | %5d %9.3f %9.3f%s@."
         case.Powergrid.Suite.id case.Powergrid.Suite.analog_of

@@ -56,6 +56,6 @@ let () =
     in
     problem := widen !problem indices 1.5
   done;
-  let final = Powerrchol.Pipeline.solve !problem in
+  let final = Powerrchol.Solver.run (Powerrchol.Solver.powerrchol ()) !problem in
   Format.printf "@.final worst drop after strengthening: %.5f V@."
     (Sparse.Vec.norm_inf final.Powerrchol.Solver.x)

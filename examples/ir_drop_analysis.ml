@@ -14,8 +14,8 @@ let () =
   Format.printf "grid: %s@." (Sddm.Problem.describe problem);
 
   (* --- full solve --- *)
-  let result = Powerrchol.Pipeline.solve problem in
-  Format.printf "@.%a@.@." Powerrchol.Pipeline.pp_result result;
+  let result = Powerrchol.Solver.run (Powerrchol.Solver.powerrchol ()) problem in
+  Format.printf "@.%a@.@." Powerrchol.Solver.pp_result result;
 
   (* the drop formulation's solution vector is the IR drop per node *)
   let report =
@@ -30,8 +30,8 @@ let () =
     "@.after merging %d via/strap resistors: %d -> %d unknowns@."
     merged.Powergrid.Merge.n_merged_edges (Sddm.Problem.n problem)
     (Sddm.Problem.n mp);
-  let merged_result = Powerrchol.Pipeline.solve mp in
-  Format.printf "%a@.@." Powerrchol.Pipeline.pp_result merged_result;
+  let merged_result = Powerrchol.Solver.run (Powerrchol.Solver.powerrchol ()) mp in
+  Format.printf "%a@.@." Powerrchol.Solver.pp_result merged_result;
   let expanded = Powergrid.Merge.expand merged merged_result.Powerrchol.Solver.x in
   Format.printf "max drop, full grid   : %.4f V@."
     (Sparse.Vec.norm_inf result.Powerrchol.Solver.x);

@@ -34,11 +34,14 @@ let () =
   Sys.remove rhs_path;
   Sys.rmdir dir;
 
-  let result = Powerrchol.Pipeline.solve_matrix ~name:"from-mtx" ~a ~b () in
-  Format.printf "@.%a@.@." Powerrchol.Pipeline.pp_result result;
+  let result =
+    Powerrchol.Solver.run (Powerrchol.Solver.powerrchol ())
+      (Sddm.Problem.of_matrix ~name:"from-mtx" ~a ~b)
+  in
+  Format.printf "@.%a@.@." Powerrchol.Solver.pp_result result;
 
   (* confirm the round trip changed nothing *)
-  let original = Powerrchol.Pipeline.solve problem in
+  let original = Powerrchol.Solver.run (Powerrchol.Solver.powerrchol ()) problem in
   Format.printf "round-trip solution deviation: %.2e@."
     (Sparse.Vec.max_abs_diff result.Powerrchol.Solver.x
        original.Powerrchol.Solver.x)

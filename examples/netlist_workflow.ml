@@ -30,8 +30,8 @@ let () =
     (List.length fixed_voltage);
 
   (* voltage formulation: unknowns are absolute node voltages *)
-  let result = Powerrchol.Pipeline.solve problem in
-  Format.printf "@.%a@.@." Powerrchol.Pipeline.pp_result result;
+  let result = Powerrchol.Solver.run (Powerrchol.Solver.powerrchol ()) problem in
+  Format.printf "@.%a@.@." Powerrchol.Solver.pp_result result;
 
   (* lowest node voltage = worst IR drop *)
   let worst = ref (0, infinity) in
@@ -46,7 +46,10 @@ let () =
 
   (* cross-check with the generator's native drop formulation *)
   let drop_problem = Powergrid.Generate.circuit_to_problem ~name:"drop" circuit in
-  let drop = Powerrchol.Pipeline.solve ~rtol:1e-10 drop_problem in
+  let drop =
+    Powerrchol.Solver.run ~rtol:1e-10 (Powerrchol.Solver.powerrchol ())
+      drop_problem
+  in
   let vdd = circuit.Powergrid.Generate.vdd in
   let max_err = ref 0.0 in
   Array.iteri

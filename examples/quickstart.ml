@@ -30,8 +30,10 @@ let () =
   let problem = Sddm.Problem.of_graph ~name:"quickstart" ~graph ~d ~b in
 
   (* 3. Solve: Alg. 4 reordering + LT-RChol preconditioner + PCG. *)
-  let result = Powerrchol.Pipeline.solve ~rtol:1e-10 problem in
-  Format.printf "%a@.@." Powerrchol.Pipeline.pp_result result;
+  let result =
+    Powerrchol.Solver.run ~rtol:1e-10 (Powerrchol.Solver.powerrchol ()) problem
+  in
+  Format.printf "%a@.@." Powerrchol.Solver.pp_result result;
 
   Format.printf "node voltages (V):@.";
   for y = 0 to 2 do

@@ -36,12 +36,17 @@ let () =
   (* tolerance sweep: the preconditioner is built once and reused *)
   Format.printf "@.tolerance sweep (PowerRChol, preconditioner reused):@.";
   let solver = Powerrchol.Solver.powerrchol () in
-  let prepared = solver.Powerrchol.Solver.prepare problem in
+  let prepared = Powerrchol.Solver.prepare solver problem in
+  let t_prepare =
+    prepared.Powerrchol.Solver.t_reorder +. prepared.Powerrchol.Solver.t_precond
+  in
+  Format.printf "  prepare (reorder + factor): %.3f s@." t_prepare;
   List.iter
     (fun tol ->
-      let r = Powerrchol.Solver.iterate ~rtol:tol solver prepared problem in
-      Format.printf "  rtol %.0e: %3d iterations, %.3f s iterate, true \
-                     residual %.2e@."
+      let r = Powerrchol.Solver.solve_prepared ~rtol:tol prepared in
+      Format.printf "  rtol %.0e: %3d iterations, %.3f s iterate, %.3f s \
+                     total, true residual %.2e@."
         tol r.Powerrchol.Solver.iterations r.Powerrchol.Solver.t_iterate
+        (t_prepare +. r.Powerrchol.Solver.t_iterate)
         r.Powerrchol.Solver.residual)
     [ 1e-3; 1e-6; 1e-9; 1e-12 ]

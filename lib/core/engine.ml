@@ -1,8 +1,8 @@
 (* Prepared-handle cache keyed by a cheap structural fingerprint, plus the
    versioned session layer for incremental re-solves (ECO flow).
 
-   The factor-once / solve-many call sites (Pipeline, Transient,
-   Sensitivity, the CLI batch path) all funnel through here so that two
+   The factor-once / solve-many call sites (Transient, Sensitivity, the
+   CLI batch path, the pgserve daemon) all funnel through here so that two
    independent consumers asking for "powerrchol on this problem" share one
    reordering + factorization. The key deliberately ignores the right-hand
    side: a factorization depends only on the matrix (graph + excess
@@ -30,9 +30,10 @@ type stats = {
 
 (* FNV-1a, 64-bit. Structural but cheap: one pass over the edge list and
    the excess diagonal. Collisions additionally need matching (n, nnz,
-   config), and a stale hit still solves *some* SDDM system with a
-   verified residual downstream — the blast radius is a wrong answer that
-   fails verification, not silent corruption. *)
+   config), but nothing downstream catches one: Solver.solve_prepared
+   iterates and verifies against the cached handle's own problem, not the
+   caller's, so a collision returns a verified answer to the wrong system.
+   The key is a cache hint, not a proof of identity. *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
@@ -354,10 +355,7 @@ module Session = struct
   let build ~seed ~buckets ~heavy_factor problem =
     let g = problem.Sddm.Problem.graph in
     let t0 = Unix.gettimeofday () in
-    let perm =
-      Obs.span "reorder" (fun () ->
-          Ordering.Partitioned.order ~heavy_factor g)
-    in
+    let perm = Solver.powerrchol_order ~heavy_factor g in
     let t1 = Unix.gettimeofday () in
     let upd =
       Obs.span "factor" (fun () ->

@@ -2,14 +2,20 @@
     {!Session} layer for incremental re-solves (the ECO flow).
 
     The factor-once / solve-many workload appears at several independent
-    call sites — {!Pipeline.solve} per matrix, {!Transient.prepare} for the
-    shifted backward-Euler system, {!Sensitivity.of_objective} for primal
-    and adjoint solves, and the CLI batch path. They all key preparations
+    call sites — {!Transient.dc_drop} for the unshifted DC system,
+    {!Sensitivity.of_objective} for primal and adjoint solves, the CLI
+    batch path and the pgserve daemon. They all key preparations
     here by a cheap structural fingerprint (solver config, [n], [nnz], an
     FNV-1a checksum over the graph edges and excess diagonal — {e not} the
     right-hand side, since a factorization is RHS-independent), so asking
     twice for the same solver on the same system pays one reordering and
     one factorization.
+
+    The fingerprint is a cache hint, not a proof of identity: a collision
+    hands back another system's handle, and {!Solver.solve_prepared}
+    verifies against that handle's own problem, so the caller receives a
+    verified answer to the wrong system. Callers that cannot tolerate this
+    should prepare through {!Solver.prepare} directly.
 
     The cache is FIFO with a small default capacity ({!default_capacity});
     handles hold O(factor nnz) floats, so the cap bounds memory, and the

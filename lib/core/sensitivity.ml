@@ -28,7 +28,9 @@ let of_objective ?rtol ?(seed = Solver.default_seed) p ~c =
   { d_edges; d_pads; objective = Sparse.Vec.dot c x }
 
 let worst_node_drop ?rtol ?seed p =
-  let primal = Pipeline.solve ?rtol ?seed p in
+  let primal =
+    Solver.solve_prepared ?rtol ~b:p.Sddm.Problem.b (Engine.powerrchol ?seed p)
+  in
   let worst = ref 0 in
   let px = primal.Solver.x in
   Sparse.Vec.iteri (fun i v -> if v > px.{!worst} then worst := i) px;

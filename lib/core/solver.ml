@@ -56,8 +56,8 @@ let make_prepared ~solver_name problem ~precond ~t_reorder ~t_precond
 let prepare solver problem =
   Obs.span "prepare" (fun () -> solver.prepare problem)
 
-let solve_prepared_ws ?rtol ?(max_iter = 500) ?deadline ?x0 ?(history = false)
-    ?(condition = false) ?b ~workspace (p : prepared) =
+let solve_prepared_ws ?rtol ?(max_iter = 500) ?deadline ?x0 ?b ~workspace
+    (p : prepared) =
   let problem = p.problem in
   let n = Sddm.Problem.n problem in
   let b = match b with Some b -> b | None -> problem.Sddm.Problem.b in
@@ -80,9 +80,10 @@ let solve_prepared_ws ?rtol ?(max_iter = 500) ?deadline ?x0 ?(history = false)
   let t0 = now () in
   let pcg =
     Obs.span "pcg" (fun () ->
-        Krylov.Pcg.solve_into ?rtol ~max_iter ?deadline ~history ~condition
-          ~warm_start ~workspace ~x ~a:problem.Sddm.Problem.a ~b
-          ~precond:p.precond ())
+        Krylov.Pcg.solve_operator_into ?rtol ~max_iter ?deadline ~warm_start
+          ~workspace ~x
+          ~apply_a:(Sparse.Csc.spmv_sym_into problem.Sddm.Problem.a)
+          ~b ~precond:p.precond ())
   in
   let t_iterate = now () -. t0 in
   {
@@ -104,13 +105,10 @@ let solve_prepared_ws ?rtol ?(max_iter = 500) ?deadline ?x0 ?(history = false)
     factor_nnz = p.factor_nnz;
   }
 
-let solve_prepared ?rtol ?max_iter ?deadline ?x0 ?history ?condition ?b
-    (p : prepared) =
-  solve_prepared_ws ?rtol ?max_iter ?deadline ?x0 ?history ?condition ?b
-    ~workspace:p.workspace p
+let solve_prepared ?rtol ?max_iter ?deadline ?x0 ?b (p : prepared) =
+  solve_prepared_ws ?rtol ?max_iter ?deadline ?x0 ?b ~workspace:p.workspace p
 
-let solve_many ?rtol ?max_iter ?deadline ?history ?condition (p : prepared) bs
-    =
+let solve_many ?rtol ?max_iter ?deadline (p : prepared) bs =
   let pool = Par.default () in
   let nb = Array.length bs in
   let obs = Obs.enabled () in
@@ -125,9 +123,7 @@ let solve_many ?rtol ?max_iter ?deadline ?history ?condition (p : prepared) bs
     let r =
       Obs.span
         (Printf.sprintf "solve#%d" k)
-        (fun () ->
-          solve_prepared_ws ?rtol ?max_iter ?deadline ?history ?condition ~b
-            ~workspace p)
+        (fun () -> solve_prepared_ws ?rtol ?max_iter ?deadline ~b ~workspace p)
     in
     if obs then Obs.observe "solve_seconds" (Obs.now () -. t0);
     r
@@ -153,33 +149,19 @@ let solve_many ?rtol ?max_iter ?deadline ?history ?condition (p : prepared) bs
         Array.map (function Some r -> r | None -> assert false) results
       end)
 
-let iterate ?rtol ?(max_iter = 500) ?deadline solver prepared problem =
-  let n = Sddm.Problem.n problem in
-  let t0 = now () in
-  let pcg =
-    Obs.span "pcg" (fun () ->
-        Krylov.Pcg.solve_into ?rtol ~max_iter ?deadline ~history:true
-          ~condition:true ~warm_start:false ~workspace:prepared.workspace
-          ~x:(Sparse.Vec.create n) ~a:problem.Sddm.Problem.a
-          ~b:problem.Sddm.Problem.b ~precond:prepared.precond ())
-  in
-  let t_iterate = now () -. t0 in
-  {
-    solver = solver.name;
-    x = pcg.Krylov.Pcg.x;
-    iterations = pcg.Krylov.Pcg.iterations;
-    status = pcg.Krylov.Pcg.status;
-    converged = pcg.Krylov.Pcg.converged;
-    residual = Sddm.Problem.residual_norm problem pcg.Krylov.Pcg.x;
-    t_reorder = prepared.t_reorder;
-    t_precond = prepared.t_precond;
-    t_iterate;
-    t_total = prepared.t_reorder +. prepared.t_precond +. t_iterate;
-    factor_nnz = prepared.factor_nnz;
-  }
-
+(* The one-shot path: a fresh preparation, one prepared solve, and the
+   handle's preparation times folded back so t_total is the full cost.
+   It calls [solver.prepare] rather than {!prepare} so a profiled run keeps
+   reorder / factor / pcg as its top-level phase spans. *)
 let run ?rtol ?max_iter ?deadline solver problem =
-  iterate ?rtol ?max_iter ?deadline solver (solver.prepare problem) problem
+  let p = solver.prepare problem in
+  let r = solve_prepared ?rtol ?max_iter ?deadline p in
+  {
+    r with
+    t_reorder = p.t_reorder;
+    t_precond = p.t_precond;
+    t_total = p.t_reorder +. p.t_precond +. r.t_iterate;
+  }
 
 (* ---- orderings ---- *)
 
@@ -248,27 +230,26 @@ let lt_rchol ?(ordering = Amd) ?(buckets = Factor.Lt_rchol.default_buckets)
 
 let default_heavy_factor = 10.0
 
-(* The paper's preparation with an optional precomputed Alg. 4
-   permutation: reordering is deterministic and seed-independent, so a
-   caller holding the permutation (the robust reseed rungs) skips straight
-   to the factorization. *)
+(* Partitioned = recursive bisection with Alg. 4 degree sort inside each
+   block: same local fill behavior as plain Alg. 4, but the elimination
+   tree gains independent branches so the multicore factorization has
+   subtrees to schedule (DESIGN.md §15). *)
+let powerrchol_order ?(heavy_factor = default_heavy_factor) g =
+  Obs.span "reorder" (fun () -> Ordering.Partitioned.order ~heavy_factor g)
+
+(* The paper's preparation with an optional precomputed permutation:
+   reordering is deterministic and seed-independent, so a caller holding
+   the permutation (the robust reseed rungs) skips straight to the
+   factorization. *)
 let powerrchol_prepare ?(buckets = Factor.Lt_rchol.default_buckets)
-    ?(heavy_factor = default_heavy_factor) ?(seed = default_seed) ?perm
-    problem =
+    ?heavy_factor ?(seed = default_seed) ?perm problem =
   let g = problem.Sddm.Problem.graph in
   let t0 = now () in
   let perm, t_reorder =
     match perm with
     | Some perm -> (perm, 0.0)
     | None ->
-      (* Partitioned = recursive bisection with Alg. 4 degree sort inside
-         each block: same local fill behavior as plain Alg. 4, but the
-         elimination tree gains independent branches so the multicore
-         factorization has subtrees to schedule (DESIGN.md §15). *)
-      let perm =
-        Obs.span "reorder" (fun () ->
-            Ordering.Partitioned.order ~heavy_factor g)
-      in
+      let perm = powerrchol_order ?heavy_factor g in
       (perm, now () -. t0)
   in
   let t1 = now () in
@@ -403,27 +384,15 @@ and robust_outcome =
 
 let robust_ok r = match r.outcome with Robust_solved _ -> true | _ -> false
 
-let rung_of_solver ?name ?deadline ~rtol ~max_iter solver =
-  {
-    Robust.Fallback.name =
-      (match name with Some n -> n | None -> solver.name);
-    solve =
-      (fun problem ->
-        let r = run ~rtol ~max_iter ?deadline solver problem in
-        {
-          Robust.Fallback.x = r.x;
-          iterations = r.iterations;
-          note = Krylov.Pcg.status_to_string r.status;
-        });
-  }
-
-let rung_of_prepared ?deadline ~name ~rtol ~max_iter prepare_fn =
+(* A fallback rung over any preparation function: prepare, solve, report.
+   Exceptions from the preparation (factorization breakdowns) are
+   classified by Robust.Fallback.run like any rung failure. *)
+let rung ?deadline ~rtol ~max_iter ~name prepare_fn =
   {
     Robust.Fallback.name;
     solve =
       (fun problem ->
-        let p = prepare_fn problem in
-        let r = solve_prepared ~rtol ~max_iter ?deadline p in
+        let r = solve_prepared ~rtol ~max_iter ?deadline (prepare_fn problem) in
         {
           Robust.Fallback.x = r.x;
           iterations = r.iterations;
@@ -434,9 +403,10 @@ let rung_of_prepared ?deadline ~name ~rtol ~max_iter prepare_fn =
 (* Deterministic seed derivation for the reseed-and-retry rungs. *)
 let reseed seed i = seed + (1000003 * (i + 1))
 
-let robust_rungs ?(seed = default_seed) ?(retries = 2) ?deadline ~rtol
-    ~max_iter () =
-  (* The reseed rungs reuse the Alg. 4 permutation computed by the first
+(* The default chain: powerrchol -> reseed-and-retry x retries ->
+   rchol(amd) -> jacobi -> direct. *)
+let robust_rungs ~seed ~retries ?deadline ~rtol ~max_iter () =
+  (* The reseed rungs reuse the permutation computed by the first
      powerrchol rung: reordering is deterministic and seed-independent, so
      a reseed only needs to re-run the (randomized) factorization. The
      memo keys by physical problem identity, so on disconnected grids each
@@ -448,17 +418,16 @@ let robust_rungs ?(seed = default_seed) ?(retries = 2) ?deadline ~rtol
       Obs.count "robust/perm_reuse" 1;
       perm
     | _ ->
-      let perm =
-        Obs.span "reorder" (fun () ->
-            Ordering.Degree_sort.order ~heavy_factor:default_heavy_factor
-              problem.Sddm.Problem.graph)
-      in
+      let perm = powerrchol_order problem.Sddm.Problem.graph in
       memo := Some (problem, perm);
       perm
   in
   let powerrchol_rung ~name seed =
-    rung_of_prepared ?deadline ~name ~rtol ~max_iter (fun problem ->
+    rung ?deadline ~rtol ~max_iter ~name (fun problem ->
         powerrchol_prepare ~seed ~perm:(perm_for problem) problem)
+  in
+  let baseline solver =
+    rung ?deadline ~rtol ~max_iter ~name:solver.name solver.prepare
   in
   powerrchol_rung ~name:"powerrchol" seed
   :: List.init retries (fun i ->
@@ -466,9 +435,9 @@ let robust_rungs ?(seed = default_seed) ?(retries = 2) ?deadline ~rtol
            ~name:(Printf.sprintf "powerrchol(reseed %d)" (i + 1))
            (reseed seed i))
   @ [
-      rung_of_solver ?deadline ~rtol ~max_iter (rchol ~ordering:Amd ~seed ());
-      rung_of_solver ?deadline ~rtol ~max_iter (jacobi ());
-      rung_of_solver ?deadline ~rtol ~max_iter (direct ());
+      baseline (rchol ~ordering:Amd ~seed ());
+      baseline (jacobi ());
+      baseline (direct ());
     ]
 
 let solve_robust ?(rtol = 1e-6) ?(max_iter = 500) ?(seed = default_seed)
@@ -565,6 +534,30 @@ let solve_robust ?(rtol = 1e-6) ?(max_iter = 500) ?(seed = default_seed)
     end
   end
 
+let solve_matrix_robust ?rtol ?max_iter ?seed ?retries ?(name = "matrix") ~a
+    ~b () =
+  (* Diagnose the raw pair BEFORE validation so corrupted input yields the
+     structured report instead of an exception out of [Problem.of_matrix]. *)
+  let diagnostics = Robust.Diagnose.run ~a ~b in
+  if Robust.Diagnose.has_fatal diagnostics then
+    {
+      diagnostics;
+      outcome =
+        Robust_rejected
+          {
+            reasons =
+              List.map Robust.Diagnose.issue_to_string
+                (Robust.Diagnose.fatal_issues diagnostics);
+          };
+    }
+  else
+    match Sddm.Problem.of_matrix ~name ~a ~b with
+    | problem -> solve_robust ?rtol ?max_iter ?seed ?retries problem
+    | exception Invalid_argument msg ->
+      (* diagnostics missed what validation caught: still a structured
+         rejection, with the validator's message as the reason *)
+      { diagnostics; outcome = Robust_rejected { reasons = [ msg ] } }
+
 (* ---- telemetry ---- *)
 
 (* A profiled run owns the global Obs store for its duration: reset,
@@ -602,11 +595,6 @@ let result_meta problem (r : result) =
     ("domains", Obs.Json.Int (Par.effective_domains ()));
   ]
 
-let run_profiled ?rtol ?max_iter solver problem =
-  with_obs
-    ~meta_of:(result_meta problem)
-    (fun () -> run ?rtol ?max_iter solver problem)
-
 let robust_meta_of ~case ~n ~nnz (r : robust_result) =
   let common =
     [
@@ -639,17 +627,6 @@ let robust_meta_of ~case ~n ~nnz (r : robust_result) =
       ("outcome", Obs.Json.Str "exhausted");
       ("failed_rungs", Obs.Json.Int (List.length attempts));
     ]
-
-let robust_meta problem =
-  robust_meta_of
-    ~case:problem.Sddm.Problem.name
-    ~n:(Sddm.Problem.n problem)
-    ~nnz:(Sddm.Problem.nnz problem)
-
-let solve_robust_profiled ?rtol ?max_iter ?seed ?retries ?deadline problem =
-  with_obs
-    ~meta_of:(robust_meta problem)
-    (fun () -> solve_robust ?rtol ?max_iter ?seed ?retries ?deadline problem)
 
 (* Deterministic one-line rendering of the whole robust run: diagnostic
    summary, every failed rung with its reason, and the final verdict. Used
@@ -684,3 +661,36 @@ let robust_trace r =
      add_attempts attempts;
      Buffer.add_string buf "exhausted: no rung produced a verified solution");
   Buffer.contents buf
+
+let pp_result fmt r =
+  Format.fprintf fmt
+    "@[<v>solver     : %s@,converged  : %b (%d iterations, residual %.3e)@,\
+     status     : %s@,\
+     reordering : %.3f s@,factorize  : %.3f s (factor nnz %d)@,\
+     iteration  : %.3f s@,total      : %.3f s@]"
+    r.solver r.converged r.iterations r.residual
+    (Krylov.Pcg.status_to_string r.status)
+    r.t_reorder r.t_precond r.factor_nnz r.t_iterate r.t_total
+
+let pp_robust fmt r =
+  Format.fprintf fmt "@[<v>%a@," Robust.Diagnose.pp_report r.diagnostics;
+  let attempts_block attempts =
+    List.iter
+      (fun (a : Robust.Fallback.attempt) ->
+        Format.fprintf fmt "  ✗ %s: %s@," a.Robust.Fallback.rung
+          (Robust.Fallback.failure_to_string a.Robust.Fallback.failure))
+      attempts
+  in
+  (match r.outcome with
+   | Robust_solved { winner; iterations; residual; attempts; _ } ->
+     attempts_block attempts;
+     Format.fprintf fmt
+       "  ✓ recovered by %s: %d iterations, verified residual %.3e" winner
+       iterations residual
+   | Robust_rejected { reasons } ->
+     Format.fprintf fmt "rejected by pre-flight diagnostics:@,";
+     List.iter (fun m -> Format.fprintf fmt "  ✗ %s@," m) reasons
+   | Robust_exhausted { attempts } ->
+     attempts_block attempts;
+     Format.fprintf fmt "  ✗ fallback chain exhausted");
+  Format.fprintf fmt "@]"

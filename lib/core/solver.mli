@@ -58,22 +58,20 @@ val make_prepared :
 
 val solve_prepared :
   ?rtol:float -> ?max_iter:int -> ?deadline:float -> ?x0:Sparse.Vec.t ->
-  ?history:bool -> ?condition:bool -> ?b:Sparse.Vec.t -> prepared -> result
+  ?b:Sparse.Vec.t -> prepared -> result
 (** [solve_prepared p] runs PCG against the prepared factorization.
     [b] defaults to the right-hand side of the prepared problem; pass a
     different [b] (of the same dimension) to solve the same matrix for a
     new load vector. [deadline] (absolute wall-clock instant, {!Obs.now}
     clock) cancels the iteration cooperatively — see [Pcg.solve].
-    [history] and [condition] default to [false] — the
-    batched path does not build the O(iterations) diagnostics.
 
     {b Marginal-cost semantics:} the returned [t_reorder]/[t_precond] are
     0 and [t_total = t_iterate]; the one-time preparation cost lives on
     the handle. [residual] is verified against the actual [b] solved. *)
 
 val solve_many :
-  ?rtol:float -> ?max_iter:int -> ?deadline:float -> ?history:bool ->
-  ?condition:bool -> prepared -> Sparse.Vec.t array -> result array
+  ?rtol:float -> ?max_iter:int -> ?deadline:float -> prepared ->
+  Sparse.Vec.t array -> result array
 (** [solve_many p bs] amortizes one factorization over a batch of
     right-hand sides. With one domain (or a busy pool) the batch runs
     sequentially on the handle's workspace; with more domains it is
@@ -94,15 +92,13 @@ val solve_many :
 val run :
   ?rtol:float -> ?max_iter:int -> ?deadline:float -> t -> Sddm.Problem.t ->
   result
-(** Prepare, iterate, time, and verify — the one-shot path. [rtol]
-    defaults to 1e-6 and [max_iter] to 500, the paper's settings. *)
-
-val iterate :
-  ?rtol:float -> ?max_iter:int -> ?deadline:float -> t -> prepared ->
-  Sddm.Problem.t -> result
-(** Reuse a preparation against [problem]'s matrix and rhs (used by the
-    Fig. 2 tolerance sweep). Unlike {!solve_prepared} the result carries
-    the preparation times and [t_total] includes them. *)
+(** The one-shot path: [solver.prepare] then {!solve_prepared}, with the
+    handle's [t_reorder]/[t_precond] folded back into the result so
+    [t_total = t_reorder + t_precond + t_iterate]. [rtol] defaults to
+    1e-6 and [max_iter] to 500, the paper's settings. To reuse one
+    preparation across tolerances or right-hand sides, call {!prepare}
+    once and {!solve_prepared} per solve, adding the handle's times where
+    a full-cost total is wanted. *)
 
 (** {1 Solver constructors}
 
@@ -132,9 +128,16 @@ val powerrchol_prepare :
   ?buckets:int -> ?heavy_factor:float -> ?seed:int ->
   ?perm:Sparse.Perm.t -> Sddm.Problem.t -> prepared
 (** The paper's preparation with an optional precomputed permutation
-    (partitioned Alg. 4 by default). Reordering is deterministic and
+    (default: {!powerrchol_order}). Reordering is deterministic and
     seed-independent, so a caller that already holds the permutation (the
     robust reseed rungs) skips straight to the randomized factorization. *)
+
+val powerrchol_order : ?heavy_factor:float -> Sddm.Graph.t -> Sparse.Perm.t
+(** The ordering every powerrchol preparation uses — partitioned Alg. 4
+    ([Ordering.Partitioned], [heavy_factor] defaulting to
+    {!default_heavy_factor}) under the Obs span ["reorder"]. Shared by
+    {!powerrchol_prepare}, the robust chain's powerrchol rungs and
+    {!Engine.Session}. *)
 
 val rchol : ?ordering:ordering -> ?seed:int -> unit -> t
 (** Original RChol (Alg. 1) preconditioner; default AMD ordering, the
@@ -177,7 +180,13 @@ val default_heavy_factor : float
     deterministic fallback chain
     [powerrchol -> reseed-and-retry xk -> rchol(amd) -> jacobi -> direct]
     whose every rung is verified against the {e true} residual. A bad input
-    yields a structured report — never a silent wrong answer. *)
+    yields a structured report — never a silent wrong answer.
+
+    The powerrchol rung prepares exactly like {!powerrchol}, so on a
+    healthy connected system it wins with the same solution {!run} gives.
+    Its reseed-and-retry rungs share that rung's permutation (memoized by
+    physical problem identity): a reseed re-runs only the randomized
+    factorization. *)
 
 type robust_result = {
   diagnostics : Robust.Diagnose.report;  (** the pre-flight report *)
@@ -215,55 +224,51 @@ val solve_robust :
 val robust_ok : robust_result -> bool
 (** True iff the outcome is [Robust_solved]. *)
 
-val robust_rungs :
-  ?seed:int -> ?retries:int -> ?deadline:float -> rtol:float ->
-  max_iter:int -> unit -> Robust.Fallback.rung list
-(** The default escalation chain, exposed for custom {!Robust.Fallback}
-    policies. The powerrchol rung and its reseed-and-retry rungs share one
-    Alg. 4 permutation per problem (computed by whichever rung runs first,
-    memoized by physical problem identity) — a reseed re-runs only the
-    randomized factorization. *)
-
-val rung_of_prepared :
-  ?deadline:float -> name:string -> rtol:float -> max_iter:int ->
-  (Sddm.Problem.t -> prepared) -> Robust.Fallback.rung
-(** Build a fallback rung from a preparation function — the hook through
-    which rungs accept (and share) prepared handles. Exceptions raised by
-    the preparation (factorization breakdowns) are classified by
-    {!Robust.Fallback.run} like any rung failure. *)
-
 val robust_trace : robust_result -> string
 (** Deterministic one-line trace: diagnostics summary, each failed rung
     with its reason, final verdict. *)
 
+val solve_matrix_robust :
+  ?rtol:float -> ?max_iter:int -> ?seed:int -> ?retries:int ->
+  ?name:string -> a:Sparse.Csc.t -> b:Sparse.Vec.t -> unit -> robust_result
+(** Like {!solve_robust} but accepts a raw, possibly corrupted matrix: the
+    pre-flight diagnostics run {e before} SDDM validation, so NaN entries,
+    asymmetry, lost dominance, zero rows, and floating islands come back as
+    a structured [Robust_rejected] report instead of an exception. *)
+
+val pp_result : Format.formatter -> result -> unit
+(** One-paragraph human-readable report (phase times, iterations,
+    residual). *)
+
+val pp_robust : Format.formatter -> robust_result -> unit
+(** Human-readable diagnostic report plus fallback trace. *)
+
 (** {1 Telemetry}
 
-    Profiled variants enable the {!Obs} layer for the duration of one
-    solve and return the captured record alongside the result: phase
-    spans ([reorder] / [factor] / [pcg] with sub-spans for the bucket
-    sort, target-array merge, and triangular solves), counters (sampled
-    clique edges, fill-in nonzeros, [precond_nnz_ratio], PCG iterations,
-    fallback escalations), and a meta header whose [iterations], [status]
-    and phase times mirror the {!result}. *)
-
-val run_profiled :
-  ?rtol:float -> ?max_iter:int -> t -> Sddm.Problem.t ->
-  result * Obs.record
-
-val solve_robust_profiled :
-  ?rtol:float -> ?max_iter:int -> ?seed:int -> ?retries:int ->
-  ?deadline:float -> Sddm.Problem.t -> robust_result * Obs.record
+    {!with_obs} enables the {!Obs} layer for the duration of one plain
+    call and returns the captured record alongside its value: phase spans
+    ([reorder] / [factor] / [pcg] with sub-spans for the bucket sort,
+    target-array merge, and triangular solves), counters (sampled clique
+    edges, fill-in nonzeros, [precond_nnz_ratio], PCG iterations, fallback
+    escalations), and the meta header [meta_of] derives from the value.
+    A profiled one-shot solve is
+    [with_obs ~meta_of:(result_meta problem) (fun () -> run solver problem)];
+    a profiled robust solve passes {!robust_meta_of}. *)
 
 val with_obs :
   meta_of:('a -> (string * Obs.Json.t) list) -> (unit -> 'a) ->
   'a * Obs.record
-(** Building block for profiled entry points over other solve paths
-    (e.g. {!Pipeline.solve_matrix_robust_profiled}): reset and enable the
-    {!Obs} store, run the thunk, capture the record with [meta_of]'s
-    header, and restore the previous enabled state (also on exception). *)
+(** Reset and enable the {!Obs} store, run the thunk, capture the record
+    with [meta_of]'s header, and restore the previous enabled state (also
+    on exception). *)
+
+val result_meta : Sddm.Problem.t -> result -> (string * Obs.Json.t) list
+(** Meta header for a {!result}: solver, case, dimensions, iterations,
+    status, residual and the phase times, mirroring the result. *)
 
 val robust_meta_of :
   case:string -> n:int -> nnz:int -> robust_result ->
   (string * Obs.Json.t) list
-(** The meta header {!solve_robust_profiled} attaches, for callers that
-    only have the raw matrix dimensions (no {!Sddm.Problem.t}). *)
+(** Meta header for a {!robust_result}: outcome, winner, iterations,
+    residual and failed rungs. Takes the raw dimensions so callers holding
+    only a matrix (no {!Sddm.Problem.t}) can use it. *)

@@ -82,7 +82,11 @@ let dc_drop t =
     Sddm.Problem.of_graph ~name:"transient-dc" ~graph:dc_problem.Sddm.Problem.graph
       ~d ~b:t.b_dc
   in
-  let r = Pipeline.solve ~rtol:t.rtol g_problem in
+  (* b passed explicitly: the cached handle may have been prepared from an
+     equal-matrix problem with a different right-hand side *)
+  let r =
+    Solver.solve_prepared ~rtol:t.rtol ~b:t.b_dc (Engine.powerrchol g_problem)
+  in
   r.Solver.x
 
 let simulate t ~steps ~waveform =
@@ -112,8 +116,9 @@ let simulate t ~steps ~waveform =
        and the handle's workspace supplies the r/z/p/q iteration vectors —
        the march allocates no n-sized arrays per step *)
     let res =
-      Krylov.Pcg.solve_into ~rtol:t.rtol ~warm_start:true
-        ~workspace:prepared.Solver.workspace ~x:v ~a ~b:rhs
+      Krylov.Pcg.solve_operator_into ~rtol:t.rtol ~warm_start:true
+        ~workspace:prepared.Solver.workspace ~x:v
+        ~apply_a:(Sparse.Csc.spmv_sym_into a) ~b:rhs
         ~precond:prepared.Solver.precond ()
     in
     assert (res.Krylov.Pcg.x == v);

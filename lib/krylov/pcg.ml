@@ -311,9 +311,9 @@ let solve_ws ?(rtol = 1e-6) ?(max_iter = 500) ?(stall_window = 200) ?deadline
     }
   end
 
-let solve_operator ?rtol ?max_iter ?stall_window ?deadline ?x0
-    ?(history = true) ?(condition = true) ~n ~apply_a ~b ~precond () =
-  let ws = Workspace.create n in
+let solve ?rtol ?max_iter ?stall_window ?deadline ?x0 ?(history = true)
+    ?(condition = true) ~a ~b ~precond () =
+  let n = Sparse.Vec.length b in
   let x, warm_start =
     match x0 with
     | Some v ->
@@ -324,26 +324,13 @@ let solve_operator ?rtol ?max_iter ?stall_window ?deadline ?x0
       (Sparse.Vec.copy v, true)
     | None -> (Sparse.Vec.create n, false)
   in
-  solve_ws ?rtol ?max_iter ?stall_window ?deadline ~history ~condition
-    ~warm_start ~ws ~x ~apply_a ~b ~precond ()
-
-let solve ?rtol ?max_iter ?stall_window ?deadline ?x0 ?history ?condition ~a
-    ~b ~precond () =
-  let n = Sparse.Vec.length b in
   (* Gather form: every caller hands a symmetric (SDDM/SPD) matrix, and
      the gather kernel is the one that parallelizes race-free. *)
-  let apply_a x y = Sparse.Csc.spmv_sym_into a x y in
-  solve_operator ?rtol ?max_iter ?stall_window ?deadline ?x0 ?history
-    ?condition ~n ~apply_a ~b ~precond ()
+  solve_ws ?rtol ?max_iter ?stall_window ?deadline ~history ~condition
+    ~warm_start ~ws:(Workspace.create n) ~x
+    ~apply_a:(Sparse.Csc.spmv_sym_into a) ~b ~precond ()
 
 let solve_operator_into ?rtol ?max_iter ?stall_window ?deadline
-    ?(history = false) ?(condition = false) ?(warm_start = true) ~workspace
-    ~x ~apply_a ~b ~precond () =
-  solve_ws ?rtol ?max_iter ?stall_window ?deadline ~history ~condition
-    ~warm_start ~ws:workspace ~x ~apply_a ~b ~precond ()
-
-let solve_into ?rtol ?max_iter ?stall_window ?deadline ?history ?condition
-    ?warm_start ~workspace ~x ~a ~b ~precond () =
-  let apply_a v y = Sparse.Csc.spmv_sym_into a v y in
-  solve_operator_into ?rtol ?max_iter ?stall_window ?deadline ?history
-    ?condition ?warm_start ~workspace ~x ~apply_a ~b ~precond ()
+    ?(warm_start = true) ~workspace ~x ~apply_a ~b ~precond () =
+  solve_ws ?rtol ?max_iter ?stall_window ?deadline ~history:false
+    ~condition:false ~warm_start ~ws:workspace ~x ~apply_a ~b ~precond ()

@@ -10,11 +10,12 @@
     a stalled iteration ([Stagnated]) — the robustness layer
     ([Robust.Fallback]) escalates on the latter two.
 
-    Two entry styles:
-    - {!solve} / {!solve_operator} allocate their own buffers per call —
-      convenient for one-shot solves;
-    - {!solve_into} / {!solve_operator_into} iterate inside a caller-owned
-      {!Workspace.t} and write the solution into a caller-owned [x] —
+    Two entry points:
+    - {!solve} allocates its own buffers per call — convenient for
+      one-shot solves, and the only one that can track the residual
+      history and the condition estimate;
+    - {!solve_operator_into} iterates inside a caller-owned
+      {!Workspace.t} and writes the solution into a caller-owned [x] —
       the factor-once / solve-many path (transient marches, batched RHS)
       where the loop must not allocate any n-sized array.
 
@@ -50,7 +51,7 @@ val pp_status : Format.formatter -> status -> unit
 
 type result = {
   x : Sparse.Vec.t;
-      (** the solution. For the [_into] variants this is {e physically}
+      (** the solution. For {!solve_operator_into} this is {e physically}
           the caller's buffer (useful for zero-allocation assertions). *)
   iterations : int;  (** true count of completed iterations at exit *)
   status : status;
@@ -100,33 +101,19 @@ val solve :
     and the Lanczos coefficient lists. If [b] is zero the zero solution is
     returned immediately. *)
 
-val solve_operator :
-  ?rtol:float -> ?max_iter:int -> ?stall_window:int -> ?deadline:float ->
-  ?x0:Sparse.Vec.t -> ?history:bool -> ?condition:bool ->
-  n:int -> apply_a:(Sparse.Vec.t -> Sparse.Vec.t -> unit) ->
-  b:Sparse.Vec.t -> precond:Precond.t -> unit -> result
-(** Matrix-free variant of {!solve}: [apply_a x y] computes [y <- A x]. *)
-
-val solve_into :
-  ?rtol:float -> ?max_iter:int -> ?stall_window:int -> ?deadline:float ->
-  ?history:bool -> ?condition:bool -> ?warm_start:bool ->
-  workspace:Workspace.t -> x:Sparse.Vec.t ->
-  a:Sparse.Csc.t -> b:Sparse.Vec.t -> precond:Precond.t -> unit -> result
-(** In-place solve for the factor-once / solve-many path. All iteration
-    vectors come from [workspace]; the solution is written into [x]
-    (result.[x] is physically that buffer). With [warm_start] (default
-    [true]) the entry content of [x] is the initial guess; with
-    [~warm_start:false] [x] is zeroed first and the initial residual
-    computation skips one operator application. [history] and [condition]
-    default to [false]: the march allocates nothing proportional to n or
-    to the iteration count. [deadline] behaves as in {!solve}. Raises
-    [Invalid_argument] when [b], [x] and the workspace dimensions
-    disagree. *)
-
 val solve_operator_into :
   ?rtol:float -> ?max_iter:int -> ?stall_window:int -> ?deadline:float ->
-  ?history:bool -> ?condition:bool -> ?warm_start:bool ->
-  workspace:Workspace.t -> x:Sparse.Vec.t ->
+  ?warm_start:bool -> workspace:Workspace.t -> x:Sparse.Vec.t ->
   apply_a:(Sparse.Vec.t -> Sparse.Vec.t -> unit) ->
   b:Sparse.Vec.t -> precond:Precond.t -> unit -> result
-(** Matrix-free variant of {!solve_into}. *)
+(** Matrix-free, in-place solve for the factor-once / solve-many path:
+    [apply_a x y] computes [y <- A x] (pass [Sparse.Csc.spmv_sym_into a]
+    for a stored symmetric matrix). All iteration vectors come from
+    [workspace]; the solution is written into [x] (result.[x] is
+    physically that buffer). With [warm_start] (default [true]) the entry
+    content of [x] is the initial guess; with [~warm_start:false] [x] is
+    zeroed first and the initial residual computation skips one operator
+    application. No residual history or condition estimate is kept, so
+    the loop allocates nothing proportional to n or to the iteration
+    count. [deadline] behaves as in {!solve}. Raises [Invalid_argument]
+    when [b], [x] and the workspace dimensions disagree. *)

@@ -58,10 +58,11 @@ val run :
     once expired the remaining rungs are recorded as {!Timed_out} attempts
     instead of being run — a bounded chain can no longer spin past the
     budget its caller set. Rungs should additionally propagate the same
-    deadline into their own iteration loops (see [Pcg.solve ?deadline]) so
-    a single rung cannot overshoot either. Without [deadline] the engine is
-    fully deterministic. Unknown exceptions (Out_of_memory, ...) are
-    re-raised, not swallowed. *)
+    deadline into their own iteration loops (the default chain's rungs
+    pass it to [Solver.solve_prepared ?deadline], which hands it to the
+    PCG loop) so a single rung cannot overshoot either. Without [deadline]
+    the engine is fully deterministic. Unknown exceptions (Out_of_memory,
+    ...) are re-raised, not swallowed. *)
 
 val succeeded : outcome -> bool
 

@@ -123,7 +123,9 @@ let test_parallel_edges () =
   let a2 = Sddm.Graph.to_sddm g2 d in
   Alcotest.(check (float 1e-12)) "coalesced equivalence" 0.0
     (Sparse.Csc.frobenius_diff p.Sddm.Problem.a a2);
-  let r = Powerrchol.Pipeline.solve ~rtol:1e-10 p in
+  let r =
+    Powerrchol.Solver.run ~rtol:1e-10 (Powerrchol.Solver.powerrchol ()) p
+  in
   Alcotest.(check bool) "solves" true r.Powerrchol.Solver.converged
 
 (* ---- complete graph (dense row blocks) ---- *)
@@ -160,7 +162,7 @@ let test_long_path () =
   let b = Sparse.Vec.make n 1e-6 in
   let p = Sddm.Problem.of_graph ~name:"path" ~graph ~d ~b in
   (* trees factor exactly: one PCG iteration expected *)
-  let r = Powerrchol.Pipeline.solve p in
+  let r = Powerrchol.Solver.run (Powerrchol.Solver.powerrchol ()) p in
   Alcotest.(check bool)
     (Printf.sprintf "long path in %d iterations" r.Powerrchol.Solver.iterations)
     true
@@ -175,7 +177,7 @@ let test_big_star () =
   d.(0) <- 1.0;
   let b = Sparse.Vec.make n 1e-6 in
   let p = Sddm.Problem.of_graph ~name:"star" ~graph ~d ~b in
-  let r = Powerrchol.Pipeline.solve p in
+  let r = Powerrchol.Solver.run (Powerrchol.Solver.powerrchol ()) p in
   Alcotest.(check bool) "big star converges" true r.Powerrchol.Solver.converged
 
 (* ---- zero rhs through the full pipeline ---- *)
@@ -186,7 +188,7 @@ let test_zero_rhs_pipeline () =
     Sddm.Problem.of_graph ~name:"zero" ~graph:p0.Sddm.Problem.graph
       ~d:p0.Sddm.Problem.d ~b:(Sparse.Vec.create 50)
   in
-  let r = Powerrchol.Pipeline.solve p in
+  let r = Powerrchol.Solver.run (Powerrchol.Solver.powerrchol ()) p in
   Alcotest.(check bool) "zero in, zero out" true
     (r.Powerrchol.Solver.converged
     && Sparse.Vec.norm_inf r.Powerrchol.Solver.x = 0.0)
@@ -195,8 +197,12 @@ let test_zero_rhs_pipeline () =
 
 let test_seed_independence_of_solution () =
   let p = Test_util.random_problem ~seed:953 ~n:400 ~m:1500 in
-  let r1 = Powerrchol.Pipeline.solve ~rtol:1e-10 ~seed:1 p in
-  let r2 = Powerrchol.Pipeline.solve ~rtol:1e-10 ~seed:2 p in
+  let r1 =
+    Powerrchol.Solver.run ~rtol:1e-10 (Powerrchol.Solver.powerrchol ~seed:1 ()) p
+  in
+  let r2 =
+    Powerrchol.Solver.run ~rtol:1e-10 (Powerrchol.Solver.powerrchol ~seed:2 ()) p
+  in
   Alcotest.(check bool) "both converge" true
     (r1.Powerrchol.Solver.converged && r2.Powerrchol.Solver.converged);
   let scale = Sparse.Vec.norm_inf r1.Powerrchol.Solver.x in
@@ -208,11 +214,15 @@ let test_seed_independence_of_solution () =
 
 let test_tolerance_extremes () =
   let p = Test_util.random_problem ~seed:957 ~n:100 ~m:300 in
-  let loose = Powerrchol.Pipeline.solve ~rtol:0.5 p in
+  let loose =
+    Powerrchol.Solver.run ~rtol:0.5 (Powerrchol.Solver.powerrchol ()) p
+  in
   Alcotest.(check bool) "loose tolerance quick" true
     (loose.Powerrchol.Solver.converged
     && loose.Powerrchol.Solver.iterations <= 2);
-  let tight = Powerrchol.Pipeline.solve ~rtol:1e-13 p in
+  let tight =
+    Powerrchol.Solver.run ~rtol:1e-13 (Powerrchol.Solver.powerrchol ()) p
+  in
   Alcotest.(check bool) "tight tolerance achievable" true
     (tight.Powerrchol.Solver.residual < 1e-12)
 

@@ -3,7 +3,6 @@
 
 module Solver = Powerrchol.Solver
 module Engine = Powerrchol.Engine
-module Pipeline = Powerrchol.Pipeline
 
 let grid_problem ?(nx = 20) ?(ny = 20) ?(seed = 4242) () =
   let spec = Powergrid.Generate.default ~nx ~ny ~seed in
@@ -24,11 +23,16 @@ let test_solve_many_bit_identical () =
   let n = Sddm.Problem.n p in
   let rng = Rng.create 99 in
   let bs = Array.init 4 (fun _ -> random_rhs ~rng n) in
-  (* reference: full pipeline per right-hand side *)
-  let reference = Array.map (fun b -> Pipeline.solve (with_b p b)) bs in
+  (* reference: one cached preparation + prepared solve per right-hand
+     side, b passed explicitly since the handle may carry another rhs *)
+  let reference =
+    Array.map
+      (fun b -> Solver.solve_prepared ~b (Engine.powerrchol (with_b p b)))
+      bs
+  in
   (* fresh engine so the batch pays its own (cached) preparation *)
   Engine.clear ();
-  let _, batch = Pipeline.solve_many p bs in
+  let batch = Solver.solve_many (Engine.powerrchol p) bs in
   Array.iteri
     (fun j (r : Solver.result) ->
       let ref_r = reference.(j) in
@@ -112,9 +116,9 @@ let test_engine_capacity () =
 (* ---- transient march: trajectory + allocation discipline ---- *)
 
 let test_transient_matches_reference () =
-  (* the refactored march (one workspace, solve_into, no per-step blit)
-     must reproduce the pre-refactor trajectory: PCG over the same shifted
-     system with x0-copy semantics, step by step *)
+  (* the refactored march (one workspace, solve_operator_into, no per-step
+     blit) must reproduce the pre-refactor trajectory: PCG over the same
+     shifted system with x0-copy semantics, step by step *)
   let spec = Powergrid.Generate.default ~nx:14 ~ny:14 ~seed:2024 in
   let circuit = Powergrid.Generate.generate_circuit spec in
   let h = 1e-10 and steps = 25 and rtol = 1e-8 in
@@ -183,21 +187,22 @@ let test_march_allocation_bound () =
 
 (* ---- in-place PCG contract ---- *)
 
-let test_solve_into_caller_buffer () =
+let test_solve_operator_into_caller_buffer () =
   let p = grid_problem ~nx:6 ~ny:6 ~seed:4040 () in
   let n = Sddm.Problem.n p in
   let prepared = Solver.powerrchol_prepare p in
   let ws = Krylov.Pcg.Workspace.create n in
   let x = Sparse.Vec.create n in
   let res =
-    Krylov.Pcg.solve_into ~workspace:ws ~x ~a:p.Sddm.Problem.a
+    Krylov.Pcg.solve_operator_into ~workspace:ws ~x
+      ~apply_a:(Sparse.Csc.spmv_sym_into p.Sddm.Problem.a)
       ~b:p.Sddm.Problem.b ~precond:prepared.Solver.precond ()
   in
   Alcotest.(check bool) "result.x is physically the caller buffer" true
     (res.Krylov.Pcg.x == x);
-  Alcotest.(check bool) "history off by default" true
+  Alcotest.(check bool) "no residual history kept" true
     (res.Krylov.Pcg.history = [||]);
-  Alcotest.(check (float 0.0)) "condition tracking off by default" 1.0
+  Alcotest.(check (float 0.0)) "no condition tracking" 1.0
     res.Krylov.Pcg.condition_estimate;
   Alcotest.(check bool) "converged" true res.Krylov.Pcg.converged
 
@@ -442,6 +447,24 @@ let test_robust_trace_deterministic () =
        (List.length attempts >= 3)
    | _ -> Alcotest.fail "expected Robust_solved")
 
+let test_robust_powerrchol_rung_is_powerrchol () =
+  (* on a clean connected system the first rung wins, and it prepares
+     exactly like Solver.powerrchol: same ordering, same seed discipline,
+     so the same solution bit for bit. The grid is large enough (> 1024
+     nodes) for the partitioned ordering to bisect, so it differs from a
+     plain Alg. 4 degree sort. *)
+  let p = grid_problem ~nx:40 ~ny:40 ~seed:6060 () in
+  let seed = 77 in
+  let r = Solver.solve_robust ~seed p in
+  let reference = Solver.run (Solver.powerrchol ~seed ()) p in
+  match r.Solver.outcome with
+  | Solver.Robust_solved { x; winner; attempts; _ } ->
+    Alcotest.(check string) "winner" "powerrchol" winner;
+    Alcotest.(check int) "no failed attempts" 0 (List.length attempts);
+    Alcotest.(check bool) "x bit-identical to Solver.run powerrchol" true
+      (x = reference.Solver.x)
+  | _ -> Alcotest.fail "expected Robust_solved"
+
 let () =
   Alcotest.run "engine"
     [
@@ -469,7 +492,7 @@ let () =
       ( "pcg-into",
         [
           Alcotest.test_case "caller buffer identity" `Quick
-            test_solve_into_caller_buffer;
+            test_solve_operator_into_caller_buffer;
           Alcotest.test_case "identity precond validates" `Quick
             test_precond_identity_validates;
         ] );
@@ -477,6 +500,8 @@ let () =
         [
           Alcotest.test_case "trace deterministic with shared perm" `Quick
             test_robust_trace_deterministic;
+          Alcotest.test_case "powerrchol rung matches Solver.run" `Quick
+            test_robust_powerrchol_rung_is_powerrchol;
         ] );
       ( "session",
         [

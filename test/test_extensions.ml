@@ -1,82 +1,5 @@
-(* Tests for the extension layer: SDD reduction, adjoint sensitivity, and
-   incremental (ECO) re-solves. *)
-
-module Csc = Sparse.Csc
-
-(* ---- SDD reduction ---- *)
-
-let random_sdd ~seed ~n =
-  (* symmetric diagonally dominant with mixed-sign off-diagonals *)
-  let rng = Rng.create seed in
-  let dense = Array.make_matrix n n 0.0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Rng.float rng < 0.25 then begin
-        let v = Rng.float rng -. 0.5 in
-        dense.(i).(j) <- v;
-        dense.(j).(i) <- v
-      end
-    done
-  done;
-  for i = 0 to n - 1 do
-    let off = ref 0.0 in
-    for j = 0 to n - 1 do
-      if j <> i then off := !off +. Float.abs dense.(i).(j)
-    done;
-    dense.(i).(i) <- !off +. 0.1 +. Rng.float rng
-  done;
-  Csc.of_dense dense
-
-let test_is_sdd () =
-  let a = random_sdd ~seed:1001 ~n:15 in
-  Alcotest.(check bool) "random sdd recognized" true (Powerrchol.Sdd.is_sdd a);
-  let not_dd = Csc.of_dense [| [| 1.0; 2.0 |]; [| 2.0; 1.0 |] |] in
-  Alcotest.(check bool) "not dominant rejected" false
-    (Powerrchol.Sdd.is_sdd not_dd);
-  let asym = Csc.of_dense [| [| 2.0; 1.0 |]; [| 0.0; 2.0 |] |] in
-  Alcotest.(check bool) "asymmetric rejected" false (Powerrchol.Sdd.is_sdd asym)
-
-let test_sdd_solve_matches_dense () =
-  let n = 25 in
-  let a = random_sdd ~seed:1003 ~n in
-  let rng = Rng.create 1005 in
-  let b = Array.init n (fun _ -> Rng.float rng -. 0.5) in
-  let x, r = Powerrchol.Sdd.solve ~rtol:1e-12 ~a ~b:(Test_util.vec b) () in
-  Alcotest.(check bool) "doubled system converged" true
-    r.Powerrchol.Solver.converged;
-  let x_ref = Test_util.dense_solve (Csc.to_dense a) b in
-  Alcotest.(check bool) "matches dense solve" true
-    (Sparse.Vec.max_abs_diff x (Test_util.vec x_ref) < 1e-8)
-
-let test_sdd_reduce_of_sddm_is_two_copies () =
-  (* a matrix that is already SDDM: the doubled system is block diagonal
-     with two copies, and recovery returns the original solution *)
-  let p = Test_util.random_problem ~seed:1007 ~n:20 ~m:50 in
-  let doubled = Powerrchol.Sdd.reduce p.Sddm.Problem.a ~b:p.Sddm.Problem.b in
-  Alcotest.(check int) "doubled size" 40 (Sddm.Problem.n doubled);
-  let x, _ = Powerrchol.Sdd.solve ~rtol:1e-12 ~a:p.Sddm.Problem.a ~b:p.Sddm.Problem.b () in
-  let direct = Factor.Chol.solve p.Sddm.Problem.a p.Sddm.Problem.b in
-  Alcotest.(check bool) "recovers original solution" true
-    (Sparse.Vec.max_abs_diff x direct < 1e-8)
-
-let test_sdd_rejects_non_sdd () =
-  let a = Csc.of_dense [| [| 1.0; 2.0 |]; [| 2.0; 1.0 |] |] in
-  Alcotest.(check bool) "raises" true
-    (match Powerrchol.Sdd.reduce a ~b:(Test_util.vec [| 1.0; 1.0 |]) with
-     | _ -> false
-     | exception Invalid_argument _ -> true)
-
-let prop_sdd_solve =
-  QCheck.Test.make ~name:"sdd doubling solves random SDD systems" ~count:30
-    QCheck.(pair (int_bound 10000) (int_range 3 25))
-    (fun (seed, n) ->
-      let a = random_sdd ~seed ~n in
-      let rng = Rng.create (seed + 9) in
-      let b = Array.init n (fun _ -> Rng.float rng -. 0.5) in
-      let x, _ = Powerrchol.Sdd.solve ~rtol:1e-12 ~a ~b:(Test_util.vec b) () in
-      let x_ref = Test_util.vec (Test_util.dense_solve (Csc.to_dense a) b) in
-      Sparse.Vec.max_abs_diff x x_ref
-      < 1e-6 *. (1.0 +. Sparse.Vec.norm_inf x_ref))
+(* Tests for the extension layer: adjoint sensitivity and incremental (ECO)
+   re-solves. *)
 
 (* ---- adjoint sensitivity ---- *)
 
@@ -165,9 +88,10 @@ let test_eco_preconditioner_reuse () =
   let p =
     Powergrid.Generate.generate (Powergrid.Generate.default ~nx:40 ~ny:40 ~seed:1021)
   in
-  let solver = Powerrchol.Solver.powerrchol () in
-  let prepared = solver.Powerrchol.Solver.prepare p in
-  let baseline = Powerrchol.Solver.iterate solver prepared p in
+  let prepared =
+    Powerrchol.Solver.prepare (Powerrchol.Solver.powerrchol ()) p
+  in
+  let baseline = Powerrchol.Solver.solve_prepared prepared in
   (* ECO: perturb 10 edges *)
   let g = Sddm.Graph.coalesce p.Sddm.Problem.graph in
   let rng = Rng.create 1023 in
@@ -186,33 +110,27 @@ let test_eco_preconditioner_reuse () =
     Sddm.Problem.of_graph ~name:"eco" ~graph:g2 ~d:p.Sddm.Problem.d
       ~b:p.Sddm.Problem.b
   in
-  let eco = Powerrchol.Solver.iterate solver prepared p2 in
-  Alcotest.(check bool) "eco re-solve converged" true
-    eco.Powerrchol.Solver.converged;
+  (* the stale preconditioner against the edited matrix *)
+  let eco =
+    Krylov.Pcg.solve ~a:p2.Sddm.Problem.a ~b:p2.Sddm.Problem.b
+      ~precond:prepared.Powerrchol.Solver.precond ()
+  in
+  Alcotest.(check bool) "eco re-solve converged" true eco.Krylov.Pcg.converged;
   Alcotest.(check bool)
     (Printf.sprintf "stale preconditioner still cheap (%d vs %d baseline)"
-       eco.Powerrchol.Solver.iterations baseline.Powerrchol.Solver.iterations)
+       eco.Krylov.Pcg.iterations baseline.Powerrchol.Solver.iterations)
     true
-    (eco.Powerrchol.Solver.iterations
+    (eco.Krylov.Pcg.iterations
      <= (2 * baseline.Powerrchol.Solver.iterations) + 10);
   (* and the answer is right *)
   let direct = Factor.Chol.solve p2.Sddm.Problem.a p2.Sddm.Problem.b in
   Alcotest.(check bool) "eco solution correct" true
-    (Sparse.Vec.max_abs_diff eco.Powerrchol.Solver.x direct
+    (Sparse.Vec.max_abs_diff eco.Krylov.Pcg.x direct
      < 1e-4 *. Sparse.Vec.norm_inf direct)
 
 let () =
   Alcotest.run "extensions"
     [
-      ( "sdd",
-        [
-          Alcotest.test_case "is_sdd" `Quick test_is_sdd;
-          Alcotest.test_case "matches dense" `Quick test_sdd_solve_matches_dense;
-          Alcotest.test_case "sddm embeds trivially" `Quick
-            test_sdd_reduce_of_sddm_is_two_copies;
-          Alcotest.test_case "rejects non-sdd" `Quick test_sdd_rejects_non_sdd;
-        ]
-        @ Test_util.qcheck [ prop_sdd_solve ] );
       ( "sensitivity",
         [
           Alcotest.test_case "matches finite differences" `Quick

@@ -152,41 +152,6 @@ let test_chol_diag_matrix () =
   Test_util.check_vec ~eps:1e-12 "sqrt diag" [| 2.0; 3.0 |]
     (Factor.Lower.diag l)
 
-(* ---- LDL ---- *)
-
-let test_ldl_matches_chol () =
-  let a = spd_problem ~seed:415 ~n:40 ~m:110 in
-  let f = Factor.Ldl.factorize a in
-  let via_ldl = Factor.Ldl.to_cholesky f in
-  let direct = Factor.Chol.factorize a in
-  Alcotest.(check bool) "L_ldl sqrt(D) = L_chol" true
-    (Csc.frobenius_diff (Factor.Lower.to_csc via_ldl)
-       (Factor.Lower.to_csc direct)
-     < 1e-10)
-
-let test_ldl_solve () =
-  let p = Test_util.random_problem ~seed:416 ~n:35 ~m:90 in
-  let x = Factor.Ldl.solve p.Sddm.Problem.a p.Sddm.Problem.b in
-  Alcotest.(check bool) "residual tiny" true
-    (Sddm.Problem.residual_norm p x < 1e-12)
-
-let test_ldl_unit_diagonal () =
-  let a = spd_problem ~seed:418 ~n:25 ~m:70 in
-  let f = Factor.Ldl.factorize a in
-  Sparse.Vec.iteri
-    (fun _ v -> Alcotest.(check (float 0.0)) "unit diag" 1.0 v)
-    (Factor.Lower.diag f.Factor.Ldl.l);
-  Array.iter
-    (fun v -> Alcotest.(check bool) "positive pivot" true (v > 0.0))
-    f.Factor.Ldl.d
-
-let test_ldl_rejects_indefinite () =
-  let a = Csc.of_dense [| [| 1.0; -2.0 |]; [| -2.0; 1.0 |] |] in
-  Alcotest.(check bool) "raises" true
-    (match Factor.Ldl.factorize a with
-     | _ -> false
-     | exception Factor.Ldl.Not_positive_definite _ -> true)
-
 (* ---- IChol ---- *)
 
 let test_ichol_zero_drop_is_exact () =
@@ -787,14 +752,6 @@ let () =
             test_chol_solve_matches_dense;
           Alcotest.test_case "rejects indefinite" `Quick test_chol_not_pd;
           Alcotest.test_case "diagonal matrix" `Quick test_chol_diag_matrix;
-        ] );
-      ( "ldl",
-        [
-          Alcotest.test_case "matches cholesky" `Quick test_ldl_matches_chol;
-          Alcotest.test_case "solve" `Quick test_ldl_solve;
-          Alcotest.test_case "unit diagonal" `Quick test_ldl_unit_diagonal;
-          Alcotest.test_case "rejects indefinite" `Quick
-            test_ldl_rejects_indefinite;
         ] );
       ( "ichol",
         [

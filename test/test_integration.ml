@@ -1,5 +1,5 @@
-(* Cross-module integration: every solver on shared problems, pipeline
-   entry points, solution agreement with the direct solver. *)
+(* Cross-module integration: every solver on shared problems, the one-shot
+   and prepared solve paths, solution agreement with the direct solver. *)
 
 let grid_problem =
   lazy (Powergrid.Generate.generate (Powergrid.Generate.default ~nx:40 ~ny:40 ~seed:901))
@@ -67,32 +67,57 @@ let test_timing_fields_sane () =
   Alcotest.(check bool) "factor nnz positive" true
     (r.Powerrchol.Solver.factor_nnz > 0)
 
+let powerrchol = Powerrchol.Solver.powerrchol ()
+
 let test_pipeline_solve () =
   let p = Lazy.force grid_problem in
-  let r = Powerrchol.Pipeline.solve ~rtol:1e-8 p in
+  let r = Powerrchol.Solver.run ~rtol:1e-8 powerrchol p in
   Alcotest.(check bool) "pipeline converged" true r.Powerrchol.Solver.converged;
   Alcotest.(check bool) "pipeline residual" true
     (r.Powerrchol.Solver.residual < 1e-7);
   (* pp_result does not raise *)
-  ignore (Format.asprintf "%a" Powerrchol.Pipeline.pp_result r)
+  ignore (Format.asprintf "%a" Powerrchol.Solver.pp_result r)
 
 let test_pipeline_solve_matrix () =
   let p = Lazy.force grid_problem in
   let r =
-    Powerrchol.Pipeline.solve_matrix ~a:p.Sddm.Problem.a ~b:p.Sddm.Problem.b ()
+    Powerrchol.Solver.run powerrchol
+      (Sddm.Problem.of_matrix ~name:"matrix" ~a:p.Sddm.Problem.a
+         ~b:p.Sddm.Problem.b)
   in
   Alcotest.(check bool) "matrix entry point" true r.Powerrchol.Solver.converged
 
 let test_prepare_reuse () =
   let p = Lazy.force grid_problem in
-  let solver = Powerrchol.Solver.powerrchol () in
-  let prepared = solver.Powerrchol.Solver.prepare p in
-  let r1 = Powerrchol.Solver.iterate ~rtol:1e-3 solver prepared p in
-  let r2 = Powerrchol.Solver.iterate ~rtol:1e-9 solver prepared p in
+  let prepared = Powerrchol.Solver.prepare powerrchol p in
+  let r1 = Powerrchol.Solver.solve_prepared ~rtol:1e-3 prepared in
+  let r2 = Powerrchol.Solver.solve_prepared ~rtol:1e-9 prepared in
   Alcotest.(check bool) "looser tolerance, fewer iterations" true
     (r1.Powerrchol.Solver.iterations < r2.Powerrchol.Solver.iterations);
   Alcotest.(check bool) "tight tolerance met" true
     (r2.Powerrchol.Solver.residual < 1e-8)
+
+let test_run_is_prepare_then_solve () =
+  (* run = prepare + solve_prepared with the handle's preparation times
+     folded back: same solution bit for bit, full-cost total *)
+  let p = Lazy.force grid_problem in
+  let r = Powerrchol.Solver.run powerrchol p in
+  let prepared = Powerrchol.Solver.prepare powerrchol p in
+  let rp = Powerrchol.Solver.solve_prepared prepared in
+  Alcotest.(check bool) "x bit-identical" true
+    (r.Powerrchol.Solver.x = rp.Powerrchol.Solver.x);
+  Alcotest.(check int) "same iterations" rp.Powerrchol.Solver.iterations
+    r.Powerrchol.Solver.iterations;
+  Alcotest.(check bool) "prepared solve reports marginal cost" true
+    (rp.Powerrchol.Solver.t_reorder = 0.0
+     && rp.Powerrchol.Solver.t_precond = 0.0
+     && rp.Powerrchol.Solver.t_total = rp.Powerrchol.Solver.t_iterate);
+  Alcotest.(check bool) "run reports preparation times" true
+    (r.Powerrchol.Solver.t_reorder > 0.0 && r.Powerrchol.Solver.t_precond > 0.0);
+  Alcotest.(check (float 0.0)) "t_total = t_reorder + t_precond + t_iterate"
+    (r.Powerrchol.Solver.t_reorder +. r.Powerrchol.Solver.t_precond
+     +. r.Powerrchol.Solver.t_iterate)
+    r.Powerrchol.Solver.t_total
 
 let test_determinism_across_runs () =
   let p = Lazy.force grid_problem in
@@ -114,7 +139,7 @@ let test_merged_pipeline () =
   (* the Fig. 1 composition: merge + powerrchol, expanded solution close *)
   let p = Lazy.force grid_problem in
   let m = Powergrid.Merge.merge p in
-  let r = Powerrchol.Pipeline.solve m.Powergrid.Merge.problem in
+  let r = Powerrchol.Solver.run powerrchol m.Powergrid.Merge.problem in
   Alcotest.(check bool) "merged solve converged" true r.Powerrchol.Solver.converged;
   let expanded = Powergrid.Merge.expand m r.Powerrchol.Solver.x in
   let direct = Factor.Chol.solve p.Sddm.Problem.a p.Sddm.Problem.b in
@@ -141,7 +166,8 @@ let test_solve_matrix_rejects_non_sddm () =
   let bad = Sparse.Csc.of_dense [| [| 1.0; 0.5 |]; [| 0.5; 1.0 |] |] in
   Alcotest.(check bool) "rejected" true
     (match
-       Powerrchol.Pipeline.solve_matrix ~a:bad ~b:(Test_util.vec [| 1.0; 1.0 |]) ()
+       Sddm.Problem.of_matrix ~name:"bad" ~a:bad
+         ~b:(Test_util.vec [| 1.0; 1.0 |])
      with
      | _ -> false
      | exception Invalid_argument _ -> true)
@@ -175,6 +201,8 @@ let () =
           Alcotest.test_case "solve" `Quick test_pipeline_solve;
           Alcotest.test_case "solve_matrix" `Quick test_pipeline_solve_matrix;
           Alcotest.test_case "prepare reuse" `Quick test_prepare_reuse;
+          Alcotest.test_case "run is prepare + solve_prepared" `Quick
+            test_run_is_prepare_then_solve;
           Alcotest.test_case "merged pipeline" `Quick test_merged_pipeline;
           Alcotest.test_case "solve_matrix rejects non-SDDM" `Quick
             test_solve_matrix_rejects_non_sddm;

@@ -98,7 +98,8 @@ let test_solve_operator_matches_matrix () =
   let a = p.Sddm.Problem.a and b = p.Sddm.Problem.b in
   let r1 = Krylov.Pcg.solve ~a ~b ~precond:(Krylov.Precond.identity 25) () in
   let r2 =
-    Krylov.Pcg.solve_operator ~n:25
+    Krylov.Pcg.solve_operator_into
+      ~workspace:(Krylov.Pcg.Workspace.create 25) ~x:(Vec.create 25)
       ~apply_a:(fun x y -> Csc.spmv_into a x y)
       ~b ~precond:(Krylov.Precond.identity 25) ()
   in
@@ -129,56 +130,6 @@ let test_true_residual_matches () =
     true
     (Float.abs (true_rel -. res.Krylov.Pcg.relative_residual)
      < 1e-8 +. (0.5 *. true_rel))
-
-(* ---- Chebyshev ---- *)
-
-let well_conditioned_problem ~seed ~n ~m =
-  (* strong ground conductance everywhere keeps kappa small so plain
-     Chebyshev converges quickly *)
-  let g, _ = Test_util.random_sddm ~seed ~n ~m in
-  let d = Array.make n 2.0 in
-  let rng = Rng.create (seed + 3) in
-  let b = Vec.init n (fun _ -> Rng.float rng -. 0.5) in
-  Sddm.Problem.of_graph ~name:"wc" ~graph:g ~d ~b
-
-let test_cheby_converges () =
-  let p = well_conditioned_problem ~seed:521 ~n:200 ~m:600 in
-  let r = Krylov.Cheby.solve ~rtol:1e-8 ~a:p.Sddm.Problem.a ~b:p.Sddm.Problem.b () in
-  Alcotest.(check bool)
-    (Printf.sprintf "converged in %d" r.Krylov.Cheby.iterations)
-    true r.Krylov.Cheby.converged;
-  Alcotest.(check bool) "true residual" true
-    (Sddm.Problem.residual_norm p r.Krylov.Cheby.x < 1e-7)
-
-let test_cheby_matches_pcg_solution () =
-  let p = well_conditioned_problem ~seed:523 ~n:100 ~m:300 in
-  let rc = Krylov.Cheby.solve ~rtol:1e-10 ~a:p.Sddm.Problem.a ~b:p.Sddm.Problem.b () in
-  let rp =
-    Krylov.Pcg.solve ~rtol:1e-12 ~a:p.Sddm.Problem.a ~b:p.Sddm.Problem.b
-      ~precond:(Krylov.Precond.jacobi p.Sddm.Problem.a) ()
-  in
-  Alcotest.(check bool) "same solution" true
-    (Sparse.Vec.max_abs_diff rc.Krylov.Cheby.x rp.Krylov.Pcg.x
-     < 1e-6 *. (1.0 +. Sparse.Vec.norm_inf rp.Krylov.Pcg.x))
-
-let test_cheby_bounds_estimate () =
-  let p = well_conditioned_problem ~seed:527 ~n:150 ~m:400 in
-  let lmin, lmax = Krylov.Cheby.estimate_bounds p.Sddm.Problem.a in
-  Alcotest.(check bool)
-    (Printf.sprintf "0 < %.3f <= %.3f" lmin lmax)
-    true
-    (lmin > 0.0 && lmin <= lmax);
-  (* Jacobi-scaled SDDM spectrum lies in (0, 2]; the power-method upper
-     estimate (inflated 5%) must stay near that *)
-  Alcotest.(check bool) "lambda_max sane" true (lmax <= 2.2)
-
-let test_cheby_zero_rhs () =
-  let p = well_conditioned_problem ~seed:529 ~n:20 ~m:40 in
-  let r =
-    Krylov.Cheby.solve ~a:p.Sddm.Problem.a ~b:(Vec.create 20) ()
-  in
-  Alcotest.(check bool) "trivial" true
-    (r.Krylov.Cheby.converged && r.Krylov.Cheby.iterations = 0)
 
 (* ---- additive Schwarz ---- *)
 
@@ -263,68 +214,6 @@ let test_condition_better_preconditioner_smaller_kappa () =
     true
     (k_exact < 1.5 && k_exact < k_jacobi)
 
-(* ---- MINRES ---- *)
-
-let test_minres_small_exact () =
-  let a =
-    Sparse.Csc.of_dense
-      [| [| 4.0; -1.0; 0.0 |]; [| -1.0; 3.0; -1.0 |]; [| 0.0; -1.0; 5.0 |] |]
-  in
-  let b = Test_util.vec [| 1.0; 2.0; 3.0 |] in
-  let r =
-    Krylov.Minres.solve ~rtol:1e-12 ~a ~b ~precond:(Krylov.Precond.identity 3) ()
-  in
-  Alcotest.(check bool) "exact in n steps" true
-    (r.Krylov.Minres.converged && r.Krylov.Minres.iterations <= 3);
-  Alcotest.(check bool) "true residual" true
-    (r.Krylov.Minres.relative_residual < 1e-10)
-
-let test_minres_matches_pcg () =
-  let p = Test_util.random_problem ~seed:531 ~n:150 ~m:450 in
-  let pc = Krylov.Precond.jacobi p.Sddm.Problem.a in
-  let rm =
-    Krylov.Minres.solve ~rtol:1e-10 ~a:p.Sddm.Problem.a ~b:p.Sddm.Problem.b
-      ~precond:pc ()
-  in
-  let rp =
-    Krylov.Pcg.solve ~rtol:1e-10 ~max_iter:2000 ~a:p.Sddm.Problem.a
-      ~b:p.Sddm.Problem.b ~precond:pc ()
-  in
-  Alcotest.(check bool) "both converge" true
-    (rm.Krylov.Minres.converged && rp.Krylov.Pcg.converged);
-  Alcotest.(check bool) "same solution" true
-    (Sparse.Vec.max_abs_diff rm.Krylov.Minres.x rp.Krylov.Pcg.x
-     < 1e-6 *. (1.0 +. Sparse.Vec.norm_inf rp.Krylov.Pcg.x))
-
-let test_minres_with_factor_preconditioner () =
-  let p = Test_util.random_problem ~seed:537 ~n:300 ~m:900 in
-  let g = p.Sddm.Problem.graph in
-  let perm = Ordering.Degree_sort.order g in
-  let gp = Sddm.Graph.permute g perm in
-  let dp =
-    let d = p.Sddm.Problem.d in
-    Array.init (Array.length perm) (fun k -> d.(perm.(k)))
-  in
-  let l = Factor.Lt_rchol.factorize ~rng:(Rng.create 1) gp ~d:dp in
-  let pc = Krylov.Precond.of_factor ~perm l in
-  let rm =
-    Krylov.Minres.solve ~a:p.Sddm.Problem.a ~b:p.Sddm.Problem.b ~precond:pc ()
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "preconditioned minres converges (%d)"
-       rm.Krylov.Minres.iterations)
-    true
-    (rm.Krylov.Minres.converged && rm.Krylov.Minres.iterations < 100)
-
-let test_minres_zero_rhs () =
-  let p = Test_util.random_problem ~seed:541 ~n:10 ~m:20 in
-  let r =
-    Krylov.Minres.solve ~a:p.Sddm.Problem.a ~b:(Vec.create 10)
-      ~precond:(Krylov.Precond.identity 10) ()
-  in
-  Alcotest.(check bool) "trivial" true
-    (r.Krylov.Minres.converged && r.Krylov.Minres.iterations = 0)
-
 let prop_pcg_solves_random_sddm =
   QCheck.Test.make ~name:"pcg solves random SDDM systems" ~count:60
     QCheck.(triple (int_bound 10000) (int_range 3 40) (int_bound 100))
@@ -376,21 +265,6 @@ let () =
             test_condition_known_spectrum;
           Alcotest.test_case "preconditioner ranking" `Quick
             test_condition_better_preconditioner_smaller_kappa;
-        ] );
-      ( "minres",
-        [
-          Alcotest.test_case "small exact" `Quick test_minres_small_exact;
-          Alcotest.test_case "matches pcg" `Quick test_minres_matches_pcg;
-          Alcotest.test_case "factor preconditioner" `Quick
-            test_minres_with_factor_preconditioner;
-          Alcotest.test_case "zero rhs" `Quick test_minres_zero_rhs;
-        ] );
-      ( "chebyshev",
-        [
-          Alcotest.test_case "converges" `Quick test_cheby_converges;
-          Alcotest.test_case "matches pcg" `Quick test_cheby_matches_pcg_solution;
-          Alcotest.test_case "bounds estimate" `Quick test_cheby_bounds_estimate;
-          Alcotest.test_case "zero rhs" `Quick test_cheby_zero_rhs;
         ] );
       ("property", Test_util.qcheck [ prop_pcg_solves_random_sddm ]);
     ]

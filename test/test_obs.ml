@@ -688,9 +688,16 @@ let grid_problem () =
   let b = Sparse.Vec.init n (fun _ -> Rng.float rng -. 0.5) in
   Sddm.Problem.of_graph ~name:"obs-mesh" ~graph:g ~d ~b
 
+(* The profiled one-shot solve: the plain Solver.run under Solver.with_obs. *)
+let profiled_run ?rtol problem =
+  Powerrchol.Solver.with_obs
+    ~meta_of:(Powerrchol.Solver.result_meta problem)
+    (fun () ->
+      Powerrchol.Solver.run ?rtol (Powerrchol.Solver.powerrchol ()) problem)
+
 let test_profiled_solve_matches_result () =
   let problem = grid_problem () in
-  let r, record = Powerrchol.Pipeline.solve_profiled ~rtol:1e-8 problem in
+  let r, record = profiled_run ~rtol:1e-8 problem in
   Alcotest.(check bool) "solve converged" true r.Powerrchol.Solver.converged;
   Alcotest.(check int) "meta iterations = result iterations"
     r.Powerrchol.Solver.iterations (meta_int record "iterations");
@@ -731,7 +738,7 @@ let test_profiled_breakdown_matches_result () =
       ~d:clean.Sddm.Problem.d
       ~b:(Robust.Fault.inject_nan_rhs ~row:7 clean.Sddm.Problem.b)
   in
-  let r, record = Powerrchol.Pipeline.solve_profiled problem in
+  let r, record = profiled_run problem in
   (match r.Powerrchol.Solver.status with
    | Krylov.Pcg.Breakdown (Krylov.Pcg.Nonfinite _) -> ()
    | s ->
@@ -750,7 +757,13 @@ let test_robust_profiled_counts_escalations () =
   (* On a healthy input the profiled robust path must report a solved
      outcome and no fallback-rung escalations. *)
   let problem = grid_problem () in
-  let r, record = Powerrchol.Solver.solve_robust_profiled problem in
+  let r, record =
+    Powerrchol.Solver.with_obs
+      ~meta_of:
+        (Powerrchol.Solver.robust_meta_of ~case:problem.Sddm.Problem.name
+           ~n:(Sddm.Problem.n problem) ~nnz:(Sddm.Problem.nnz problem))
+      (fun () -> Powerrchol.Solver.solve_robust problem)
+  in
   Alcotest.(check bool) "solved" true (Powerrchol.Solver.robust_ok r);
   Alcotest.(check string) "outcome meta" "solved" (meta_str record "outcome");
   (match List.assoc_opt "robust/escalations" record.Obs.counters with

@@ -103,7 +103,7 @@ let test_generate_heavy_vias () =
 let test_solution_physical () =
   (* drops are nonnegative and bounded by the supply *)
   let p = Powergrid.Generate.generate small_spec in
-  let r = Powerrchol.Pipeline.solve p in
+  let r = Powerrchol.Solver.run (Powerrchol.Solver.powerrchol ()) p in
   Alcotest.(check bool) "converged" true r.Powerrchol.Solver.converged;
   Sparse.Vec.iteri
     (fun _ v -> Alcotest.(check bool) "drop >= 0" true (v >= -1e-9))
@@ -236,8 +236,8 @@ let test_dual_rail_total_collapse () =
   let spec = Powergrid.Generate.default ~nx:16 ~ny:16 ~seed:827 in
   let dual = Powergrid.Generate.generate_dual spec in
   let vp, gp = Powergrid.Generate.dual_to_problems dual in
-  let rv = Powerrchol.Pipeline.solve vp in
-  let rg = Powerrchol.Pipeline.solve gp in
+  let rv = Powerrchol.Solver.run (Powerrchol.Solver.powerrchol ()) vp in
+  let rg = Powerrchol.Solver.run (Powerrchol.Solver.powerrchol ()) gp in
   Alcotest.(check bool) "both converge" true
     (rv.Powerrchol.Solver.converged && rg.Powerrchol.Solver.converged);
   Array.iter

@@ -124,7 +124,11 @@ let test_split_components_matches_dense () =
   let parts =
     Array.to_list comps
     |> List.map (fun (c : Robust.Diagnose.component) ->
-           let r = Powerrchol.Pipeline.solve ~rtol:1e-10 c.problem in
+           let r =
+             Powerrchol.Solver.run ~rtol:1e-10
+               (Powerrchol.Solver.powerrchol ())
+               c.problem
+           in
            (c, r.Powerrchol.Solver.x))
   in
   let x = Robust.Diagnose.assemble ~n:(Sddm.Problem.n p) parts in
@@ -157,7 +161,9 @@ let good_rung =
     Robust.Fallback.name = "good";
     solve =
       (fun p ->
-        let r = Powerrchol.Pipeline.solve ~rtol:1e-8 p in
+        let r =
+          Powerrchol.Solver.run ~rtol:1e-8 (Powerrchol.Solver.powerrchol ()) p
+        in
         { Robust.Fallback.x = r.Powerrchol.Solver.x;
           iterations = r.Powerrchol.Solver.iterations;
           note = Krylov.Pcg.status_to_string r.Powerrchol.Solver.status });
@@ -250,7 +256,7 @@ let test_trace_deterministic () =
 (* ---- fault matrix: every fault is caught or recovered ---- *)
 
 let solve_matrix_robust_of a b =
-  Powerrchol.Pipeline.solve_matrix_robust ~rtol:1e-6 ~name:"faulted" ~a ~b ()
+  Powerrchol.Solver.solve_matrix_robust ~rtol:1e-6 ~name:"faulted" ~a ~b ()
 
 let test_fault_nan_entry () =
   let a, b = healthy_pair () in

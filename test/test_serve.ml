@@ -282,19 +282,6 @@ let test_pcg_deadline_mid_loop () =
     Alcotest.failf "wanted Timed_out/Converged, got %s"
       (Krylov.Pcg.status_to_string s)
 
-let test_minres_deadline () =
-  let a = Csc.of_dense [| [| 4.0; -1.0 |]; [| -1.0; 3.0 |] |] in
-  let res =
-    Krylov.Minres.solve ~deadline:(Obs.now () -. 1.0) ~a ~b:(Test_util.vec [| 1.0; 2.0 |])
-      ~precond:(Krylov.Precond.identity 2) ()
-  in
-  match res.Krylov.Minres.status with
-  | Krylov.Minres.Timed_out { iteration } ->
-    Alcotest.(check int) "cancelled before iterating" 0 iteration
-  | s ->
-    Alcotest.failf "wanted Timed_out, got %s"
-      (Krylov.Minres.status_to_string s)
-
 let test_fallback_deadline_skips_rungs () =
   let p = Test_util.random_problem ~seed:613 ~n:30 ~m:80 in
   let ran = ref 0 in
@@ -602,7 +589,7 @@ let test_daemon_survives_fault_injection () =
       let payload = Proto.request_to_string Proto.Ping in
       (* garbage payload: typed bad-request reply, connection survives *)
       let fd = connect () in
-      Robust.Fault.send_garbage_frame fd;
+      Serve.Fault.send_garbage_frame fd;
       (match Proto.read_frame ~deadline:(Obs.now () +. 5.0) fd with
        | Ok s -> (
          match Proto.response_of_string s with
@@ -629,7 +616,7 @@ let test_daemon_survives_fault_injection () =
       Serve.Client.close fd;
       (* torn frame left hanging: the io deadline reaps the connection *)
       let fd = connect () in
-      Robust.Fault.send_truncated_frame fd payload;
+      Serve.Fault.send_truncated_frame fd payload;
       (match Proto.read_frame ~deadline:(Obs.now () +. 5.0) fd with
        | Error (Proto.Closed | Proto.Truncated _) -> ()
        | Error e ->
@@ -640,7 +627,7 @@ let test_daemon_survives_fault_injection () =
       ping_alive "torn frame";
       (* hostile length header: bounded rejection, never an allocation *)
       let fd = connect () in
-      Robust.Fault.send_oversized_header fd;
+      Serve.Fault.send_oversized_header fd;
       (match Proto.read_frame ~deadline:(Obs.now () +. 5.0) fd with
        | Ok s -> (
          match Proto.response_of_string s with
@@ -653,11 +640,11 @@ let test_daemon_survives_fault_injection () =
       ping_alive "oversized header";
       (* disconnect mid-request *)
       let fd = connect () in
-      Robust.Fault.disconnect_mid_request fd payload;
+      Serve.Fault.disconnect_mid_request fd payload;
       ping_alive "mid-request disconnect";
       (* drip-fed frame slower than the io budget: reaped, daemon alive *)
       let fd = connect () in
-      Robust.Fault.send_stalled_frame ~stall:0.06 ~chunk:1 fd
+      Serve.Fault.send_stalled_frame ~stall:0.06 ~chunk:1 fd
         (String.sub payload 0 8);
       Serve.Client.close fd;
       ping_alive "stalled frame")
@@ -1201,8 +1188,6 @@ let () =
           Alcotest.test_case "pcg expired deadline" `Quick test_pcg_deadline;
           Alcotest.test_case "pcg mid-loop cancellation" `Quick
             test_pcg_deadline_mid_loop;
-          Alcotest.test_case "minres expired deadline" `Quick
-            test_minres_deadline;
           Alcotest.test_case "fallback skips rungs" `Quick
             test_fallback_deadline_skips_rungs;
         ] );
