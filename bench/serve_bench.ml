@@ -199,8 +199,8 @@ let run () =
       Fun.protect
         ~finally:(fun () -> Serve.Daemon.stop daemon)
         (fun () ->
-          (* warmup populates the Engine cache so the window measures the
-             factor-once / solve-many steady state *)
+          (* warmup fills the daemon's problem table so the window
+             measures the factor-once / solve-many steady state *)
           warmup addr req;
           let tallies, elapsed =
             load_window ~addr ~req ~window:seconds ~clients

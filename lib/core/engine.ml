@@ -2,8 +2,8 @@
    versioned session layer for incremental re-solves (ECO flow).
 
    The factor-once / solve-many call sites (Transient, Sensitivity, the
-   CLI batch path, the pgserve daemon) all funnel through here so that two
-   independent consumers asking for "powerrchol on this problem" share one
+   CLI batch path) all funnel through here so that two independent
+   consumers asking for "powerrchol on this problem" share one
    reordering + factorization. The key deliberately ignores the right-hand
    side: a factorization depends only on the matrix (graph + excess
    diagonal), the solver configuration, and the seed.

@@ -3,13 +3,12 @@
 
     The factor-once / solve-many workload appears at several independent
     call sites — {!Transient.dc_drop} for the unshifted DC system,
-    {!Sensitivity.of_objective} for primal and adjoint solves, the CLI
-    batch path and the pgserve daemon. They all key preparations
-    here by a cheap structural fingerprint (solver config, [n], [nnz], an
-    FNV-1a checksum over the graph edges and excess diagonal — {e not} the
-    right-hand side, since a factorization is RHS-independent), so asking
-    twice for the same solver on the same system pays one reordering and
-    one factorization.
+    {!Sensitivity.of_objective} for primal and adjoint solves, and the CLI
+    batch path. They all key preparations here by a cheap structural
+    fingerprint (solver config, [n], [nnz], an FNV-1a checksum over the
+    graph edges and excess diagonal — {e not} the right-hand side, since a
+    factorization is RHS-independent), so asking twice for the same
+    solver on the same system pays one reordering and one factorization.
 
     The fingerprint is a cache hint, not a proof of identity: a collision
     hands back another system's handle, and {!Solver.solve_prepared}
@@ -24,8 +23,8 @@
     hits count ["engine/hit"]. The cumulative statistics are additionally
     published as Obs gauges ([engine/hits], [engine/misses],
     [engine/evictions], [engine/live_handles]), refreshed on every cache
-    operation, so a profiled run or the pgserve metrics endpoint can
-    report them without reaching into this module.
+    operation, so a profiled run can report them without reaching into
+    this module.
 
     Not thread-safe — like the rest of the library, one solve at a time. *)
 

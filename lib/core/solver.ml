@@ -405,7 +405,7 @@ let reseed seed i = seed + (1000003 * (i + 1))
 
 (* The default chain: powerrchol -> reseed-and-retry x retries ->
    rchol(amd) -> jacobi -> direct. *)
-let robust_rungs ~seed ~retries ?deadline ~rtol ~max_iter () =
+let robust_rungs ?prepared ~seed ~retries ?deadline ~rtol ~max_iter () =
   (* The reseed rungs reuse the permutation computed by the first
      powerrchol rung: reordering is deterministic and seed-independent, so
      a reseed only needs to re-run the (randomized) factorization. The
@@ -422,14 +422,19 @@ let robust_rungs ~seed ~retries ?deadline ~rtol ~max_iter () =
       memo := Some (problem, perm);
       perm
   in
-  let powerrchol_rung ~name seed =
+  (* A caller's handle serves only the system it was prepared for, so on a
+     disconnected grid, where the rungs see islands, the first rung
+     prepares like the others. *)
+  let powerrchol_rung ?prepared ~name seed =
     rung ?deadline ~rtol ~max_iter ~name (fun problem ->
-        powerrchol_prepare ~seed ~perm:(perm_for problem) problem)
+        match prepared with
+        | Some (p : prepared) when p.problem == problem -> p
+        | _ -> powerrchol_prepare ~seed ~perm:(perm_for problem) problem)
   in
   let baseline solver =
     rung ?deadline ~rtol ~max_iter ~name:solver.name solver.prepare
   in
-  powerrchol_rung ~name:"powerrchol" seed
+  powerrchol_rung ?prepared ~name:"powerrchol" seed
   :: List.init retries (fun i ->
          powerrchol_rung
            ~name:(Printf.sprintf "powerrchol(reseed %d)" (i + 1))
@@ -441,7 +446,7 @@ let robust_rungs ~seed ~retries ?deadline ~rtol ~max_iter () =
     ]
 
 let solve_robust ?(rtol = 1e-6) ?(max_iter = 500) ?(seed = default_seed)
-    ?(retries = 2) ?deadline problem =
+    ?(retries = 2) ?deadline ?prepared problem =
   let diagnostics = Robust.Diagnose.of_problem problem in
   if Robust.Diagnose.has_fatal diagnostics then
     {
@@ -455,7 +460,9 @@ let solve_robust ?(rtol = 1e-6) ?(max_iter = 500) ?(seed = default_seed)
           };
     }
   else begin
-    let rungs = robust_rungs ~seed ~retries ?deadline ~rtol ~max_iter () in
+    let rungs =
+      robust_rungs ?prepared ~seed ~retries ?deadline ~rtol ~max_iter ()
+    in
     let comps = Robust.Diagnose.split_components problem in
     if Array.length comps = 1 then begin
       let o = Robust.Fallback.run ~rtol ?deadline ~rungs problem in

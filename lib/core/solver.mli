@@ -182,8 +182,9 @@ val default_heavy_factor : float
     whose every rung is verified against the {e true} residual. A bad input
     yields a structured report — never a silent wrong answer.
 
-    The powerrchol rung prepares exactly like {!powerrchol}, so on a
-    healthy connected system it wins with the same solution {!run} gives.
+    The powerrchol rung prepares exactly like {!powerrchol} (or solves
+    with a caller's handle from it), so on a healthy connected system it
+    wins with the same solution {!run} gives.
     Its reseed-and-retry rungs share that rung's permutation (memoized by
     physical problem identity): a reseed re-runs only the randomized
     factorization. *)
@@ -212,14 +213,22 @@ and robust_outcome =
 
 val solve_robust :
   ?rtol:float -> ?max_iter:int -> ?seed:int -> ?retries:int ->
-  ?deadline:float -> Sddm.Problem.t -> robust_result
+  ?deadline:float -> ?prepared:prepared -> Sddm.Problem.t -> robust_result
 (** [rtol] defaults to 1e-6, [max_iter] to 500, [seed] to {!default_seed},
     [retries] (reseed-and-retry rungs) to 2. [deadline] (absolute
     wall-clock instant) bounds the {e whole chain}: it is propagated into
     every rung's PCG loop and checked between rungs, so an expired budget
     surfaces as [Timed_out] attempts instead of further escalation.
     Without [deadline], deterministic given [seed]: two runs produce
-    identical outcomes and byte-identical {!robust_trace}s. *)
+    identical outcomes and byte-identical {!robust_trace}s.
+
+    [prepared] lends the first rung an existing handle instead of a fresh
+    preparation. It must come from [powerrchol ~seed ()] with default
+    buckets and heavy factor, so the outcome is the one the chain reaches
+    without it. The rung uses it only when its [problem] is physically
+    the one passed here and that system is one island
+    ([diagnostics.components = 1]); the islands of a disconnected grid
+    are other systems, and prepare afresh. *)
 
 val robust_ok : robust_result -> bool
 (** True iff the outcome is [Robust_solved]. *)

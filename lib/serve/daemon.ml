@@ -51,12 +51,25 @@ type stats = {
   mutable io_errors : int;
 }
 
+(* The problem table: one entry per request spec, keyed by what the spec
+   names. A suite case is its id and exact scale; a MatrixMarket file is
+   its path and a digest of its bytes, so a rewritten file is a new key.
+   An entry holds the built problem, its prepared handles by (solver,
+   seed) and its ECO sessions by seed. *)
+type key = Case_key of string * float | Mtx_key of string * Digest.t
+
+type entry = {
+  problem : Sddm.Problem.t;
+  handles : (Proto.solver * int, Powerrchol.Solver.prepared) Hashtbl.t;
+  sessions : (int, Powerrchol.Engine.Session.t) Hashtbl.t;
+}
+
 type t = {
   config : config;
   listen_fd : Unix.file_descr;
   lock : Mutex.t;  (* guards stats, counters, histograms below *)
   solve_lock : Mutex.t;
-      (* the single solve lane: the Engine cache and solver internals are
+      (* the single solve lane: the problem table and solver internals are
          not thread-safe, so admitted jobs run one at a time (intra-solve
          parallelism comes from the Par pool) *)
   stats : stats;
@@ -67,11 +80,17 @@ type t = {
   mutable active_conns : int;
   mutable inflight : int;  (* admitted-but-unfinished solve/diagnose jobs *)
   mutable accept_thread : Thread.t option;
-  sessions : (string, Powerrchol.Engine.Session.t) Hashtbl.t;
-      (* ECO sessions keyed by (spec, seed); bounded by max_sessions.
-         Created/used only while holding the solve lane; the table itself
-         is mutated under [lock] so metrics can read its size. *)
-  mutable session_order : string list;  (* FIFO eviction order, oldest last *)
+  table : (key, entry) Hashtbl.t;
+      (* read and written only while holding the solve lane; every write,
+         and the fields below, also under [lock], so metrics can read
+         them from any thread *)
+  mutable handle_order : (key * (Proto.solver * int)) list;
+      (* every handle in the table, most recently used first *)
+  mutable session_order : (key * int) list;
+      (* every session in the table, newest first *)
+  mutable hits : int;  (* Solve lookups that found their handle *)
+  mutable misses : int;
+  mutable evictions : int;  (* handles dropped by the LRU cap *)
   (* request ids: boot tag + monotonic sequence, minted per frame *)
   boot_tag : string;
   mutable req_seq : int;
@@ -241,27 +260,152 @@ let access_line ~id ~op ~resp ~bytes_in ~bytes_out ~t_recv =
          ("latency_ms", Float ((Obs.now () -. t_recv) *. 1000.0));
        ])
 
-(* ---- problem construction ---- *)
+(* ---- the problem table ---- *)
 
-let build_problem = function
-  | Proto.Case { id; scale } -> (
-    match Powergrid.Suite.find ~scale id with
-    | c -> Ok (c.Powergrid.Suite.build ())
-    | exception Not_found -> Error (Printf.sprintf "unknown suite case %S" id)
-    )
-  | Proto.Mtx { path } -> (
-    try
-      let a = Sparse.Matrix_market.read path in
+(* The raw (A, b) of a MatrixMarket file, b a fixed pseudo-random load.
+   The file must still digest to [digest] after the read, so a file
+   rewritten mid-read never enters the table under its old key. *)
+let read_mtx path digest =
+  try
+    let a = Sparse.Matrix_market.read path in
+    if Digest.file path <> digest then
+      Error (Printf.sprintf "%s changed while it was read" path)
+    else begin
       let n, _ = Sparse.Csc.dims a in
       let rng = Rng.create 1 in
-      let b = Sparse.Vec.init n (fun _ -> Rng.float rng -. 0.5) in
-      Ok (Sddm.Problem.of_matrix ~name:(Filename.basename path) ~a ~b)
-    with
-    | Sys_error msg
-    | Sparse.Matrix_market.Parse_error msg
-    | Failure msg
-    | Invalid_argument msg ->
-      Error msg)
+      Ok (a, Sparse.Vec.init n (fun _ -> Rng.float rng -. 0.5))
+    end
+  with
+  | Sys_error msg
+  | Sparse.Matrix_market.Parse_error msg
+  | Failure msg
+  | Invalid_argument msg ->
+    Error msg
+
+let build = function
+  | Case_key (id, scale) -> (
+    match Powergrid.Suite.find ~scale id with
+    | c -> Ok (c.Powergrid.Suite.build ())
+    | exception Not_found -> Error (Printf.sprintf "unknown suite case %S" id))
+  | Mtx_key (path, digest) ->
+    Result.bind (read_mtx path digest) (fun (a, b) ->
+        try Ok (Sddm.Problem.of_matrix ~name:(Filename.basename path) ~a ~b)
+        with Invalid_argument msg -> Error msg)
+
+(* A spec's table key. Every spec passes through here, so this is where
+   the scale cap is checked. *)
+let key_of_spec t = function
+  | Proto.Case { id; scale } ->
+    if scale <= t.config.scale_cap then Ok (Case_key (id, scale))
+    else begin
+      bump t (fun s -> s.rejected <- s.rejected + 1);
+      Error
+        (Proto.Rejected
+           {
+             reason =
+               Printf.sprintf "bad-request: scale exceeds this daemon's cap %g"
+                 t.config.scale_cap;
+           })
+    end
+  | Proto.Mtx { path } -> (
+    match Digest.file path with
+    | digest -> Ok (Mtx_key (path, digest))
+    | exception Sys_error reason -> Error (Proto.Failed { reason }))
+
+(* A key's problem: its entry's on a hit, else a fresh build, which enters
+   the table once a handle or a session is added to it. *)
+let problem_of t key =
+  match Hashtbl.find_opt t.table key with
+  | Some e -> Ok e.problem
+  | None -> Result.map_error (fun reason -> Proto.Failed { reason }) (build key)
+
+let resolve t spec =
+  Result.bind (key_of_spec t spec) (fun key ->
+      Result.map (fun problem -> (key, problem)) (problem_of t key))
+
+(* The writers below hold [lock] as well as the solve lane. *)
+
+let entry_for t key problem =
+  match Hashtbl.find_opt t.table key with
+  | Some e -> e
+  | None ->
+    let e =
+      { problem; handles = Hashtbl.create 4; sessions = Hashtbl.create 2 }
+    in
+    Hashtbl.replace t.table key e;
+    e
+
+(* An entry that holds neither a handle nor a session leaves the table. *)
+let drop_if_empty t key e =
+  if Hashtbl.length e.handles = 0 && Hashtbl.length e.sessions = 0 then
+    Hashtbl.remove t.table key
+
+(* The last element of an order list longer than [cap], and the rest. *)
+let past_cap cap order =
+  if List.length order <= cap then None
+  else
+    match List.rev order with
+    | [] -> None
+    | last :: rest -> Some (last, List.rev rest)
+
+(* Look a handle up, counting a hit or a miss; a hit becomes the most
+   recently used handle. *)
+let find_handle t key hkey =
+  let found =
+    Option.bind (Hashtbl.find_opt t.table key) (fun e ->
+        Hashtbl.find_opt e.handles hkey)
+  in
+  locked t (fun () ->
+      (match found with
+       | Some _ ->
+         t.hits <- t.hits + 1;
+         t.handle_order <-
+           (key, hkey) :: List.filter (( <> ) (key, hkey)) t.handle_order
+       | None -> t.misses <- t.misses + 1);
+      found)
+
+(* Enter a fresh handle. Past Engine.default_capacity handles in the
+   whole table, the least recently used one is dropped. *)
+let add_handle t key problem hkey prepared =
+  locked t (fun () ->
+      Hashtbl.replace (entry_for t key problem).handles hkey prepared;
+      t.handle_order <- (key, hkey) :: t.handle_order;
+      Option.iter
+        (fun ((key, hkey), rest) ->
+          t.handle_order <- rest;
+          let e = Hashtbl.find t.table key in
+          Hashtbl.remove e.handles hkey;
+          t.evictions <- t.evictions + 1;
+          drop_if_empty t key e)
+        (past_cap Powerrchol.Engine.default_capacity t.handle_order))
+
+(* The entry's ECO session for [seed], opened on first use. Opening one
+   past max_sessions closes the oldest (FIFO); a later update on that
+   spec opens a fresh one. *)
+let find_session t key problem seed =
+  match
+    Option.bind (Hashtbl.find_opt t.table key) (fun e ->
+        Hashtbl.find_opt e.sessions seed)
+  with
+  | Some s -> s
+  | None ->
+    let s = Powerrchol.Engine.Session.create ~seed problem in
+    let evicted =
+      locked t (fun () ->
+          Hashtbl.replace (entry_for t key problem).sessions seed s;
+          t.session_order <- (key, seed) :: t.session_order;
+          Option.map
+            (fun ((key, seed), rest) ->
+              t.session_order <- rest;
+              let e = Hashtbl.find t.table key in
+              let victim = Hashtbl.find e.sessions seed in
+              Hashtbl.remove e.sessions seed;
+              drop_if_empty t key e;
+              victim)
+            (past_cap t.config.max_sessions t.session_order))
+    in
+    Option.iter Powerrchol.Engine.Session.close evicted;
+    s
 
 let solver_of_tag ~seed = function
   | Proto.Powerrchol -> Powerrchol.Solver.powerrchol ~seed ()
@@ -272,27 +416,22 @@ let solver_of_tag ~seed = function
   | Proto.Amg -> Powerrchol.Solver.amg_pcg ()
   | Proto.Direct -> Powerrchol.Solver.direct ()
 
-(* All preparations go through the Engine cache; the config string carries
-   the seed, the one parameter baked into the solver closures that their
-   names do not encode. *)
-let prepare_cached ~tag ~seed problem =
-  match tag with
-  | Proto.Powerrchol -> Powerrchol.Engine.powerrchol ~seed problem
-  | tag ->
-    Powerrchol.Engine.prepare
-      ~config:(Printf.sprintf "seed=%d" seed)
-      (solver_of_tag ~seed tag) problem
-
 (* ---- request execution (already admitted, holding the solve lane) ---- *)
 
 let elapsed_ms t_recv = (Obs.now () -. t_recv) *. 1000.0
 
 let exec_solve t ~t_recv ~spec ~tag ~rtol ~seed ~deadline ~robust ~want_x =
-  match build_problem spec with
-  | Error reason -> Proto.Failed { reason }
-  | Ok problem ->
+  match resolve t spec with
+  | Error resp -> resp
+  | Ok (key, problem) ->
     if robust then begin
-      let r = Powerrchol.Solver.solve_robust ~rtol ~seed ?deadline problem in
+      (* the chain's first rung is this seed's powerrchol preparation:
+         lend it the entry's handle, but never prepare one outside the
+         chain, so a factorization breakdown still escalates *)
+      let prepared = find_handle t key (Proto.Powerrchol, seed) in
+      let r =
+        Powerrchol.Solver.solve_robust ~rtol ~seed ?deadline ?prepared problem
+      in
       match r.Powerrchol.Solver.outcome with
       | Powerrchol.Solver.Robust_solved
           { x; winner; iterations; residual; attempts } ->
@@ -309,7 +448,12 @@ let exec_solve t ~t_recv ~spec ~tag ~rtol ~seed ~deadline ~robust ~want_x =
                    (List.length attempts));
             converged = true;
             t_solve_ms = elapsed_ms t_recv;
-            cache_hit = false;
+            (* a solved one-island system ran the first rung, which used
+               the handle *)
+            cache_hit =
+              Option.is_some prepared
+              && r.Powerrchol.Solver.diagnostics.Robust.Diagnose.components
+                 = 1;
             x = (if want_x then Some (Sparse.Vec.to_array x) else None);
           }
       | Powerrchol.Solver.Robust_rejected { reasons } ->
@@ -339,9 +483,15 @@ let exec_solve t ~t_recv ~spec ~tag ~rtol ~seed ~deadline ~robust ~want_x =
             }
     end
     else begin
-      let hits0 = Powerrchol.Engine.hits () in
-      let p = prepare_cached ~tag ~seed problem in
-      let cache_hit = Powerrchol.Engine.hits () > hits0 in
+      let hkey = (tag, seed) in
+      let p, cache_hit =
+        match find_handle t key hkey with
+        | Some p -> (p, true)
+        | None ->
+          let p = Powerrchol.Solver.prepare (solver_of_tag ~seed tag) problem in
+          add_handle t key problem hkey p;
+          (p, false)
+      in
       let r =
         Powerrchol.Solver.solve_prepared ~rtol ~max_iter:t.config.max_iter
           ?deadline p
@@ -366,48 +516,11 @@ let exec_solve t ~t_recv ~spec ~tag ~rtol ~seed ~deadline ~robust ~want_x =
           }
     end
 
-(* ---- ECO sessions ---- *)
-
-let session_key spec seed =
-  match spec with
-  | Proto.Case { id; scale } -> Printf.sprintf "case:%s@%g#%d" id scale seed
-  | Proto.Mtx { path } -> Printf.sprintf "mtx:%s#%d" path seed
-
-(* Find or open the session for (spec, seed). Runs while holding the solve
-   lane; the table mutation itself is under [lock] so Health can read the
-   open-session count from any thread. *)
-let find_session t ~spec ~seed =
-  let key = session_key spec seed in
-  match locked t (fun () -> Hashtbl.find_opt t.sessions key) with
-  | Some s -> Ok s
-  | None -> (
-    match build_problem spec with
-    | Error reason -> Error reason
-    | Ok problem ->
-      let s = Powerrchol.Engine.Session.create ~seed problem in
-      let evicted =
-        locked t (fun () ->
-            Hashtbl.replace t.sessions key s;
-            t.session_order <- key :: t.session_order;
-            if Hashtbl.length t.sessions > t.config.max_sessions then begin
-              match List.rev t.session_order with
-              | oldest :: _ ->
-                let victim = Hashtbl.find_opt t.sessions oldest in
-                Hashtbl.remove t.sessions oldest;
-                t.session_order <-
-                  List.filter (fun k -> k <> oldest) t.session_order;
-                victim
-              | [] -> None
-            end
-            else None)
-      in
-      Option.iter Powerrchol.Engine.Session.close evicted;
-      Ok s)
-
 let exec_update t ~t_recv ~spec ~edits ~rtol ~seed ~deadline ~want_x =
-  match find_session t ~spec ~seed with
-  | Error reason -> Proto.Failed { reason }
-  | Ok session -> (
+  match resolve t spec with
+  | Error resp -> resp
+  | Ok (key, problem) -> (
+    let session = find_session t key problem seed in
     match Powerrchol.Engine.Session.update session edits with
     | exception Invalid_argument reason -> Proto.Failed { reason }
     | report ->
@@ -444,31 +557,19 @@ let exec_update t ~t_recv ~spec ~edits ~rtol ~seed ~deadline ~want_x =
                 else None);
            }))
 
-let exec_diagnose spec =
+let exec_diagnose t spec =
   let report =
-    match spec with
-    | Proto.Case _ -> (
-      match build_problem spec with
-      | Error reason -> Error reason
-      | Ok problem -> Ok (Robust.Diagnose.of_problem problem))
-    | Proto.Mtx { path } -> (
-      (* raw read: diagnosis must see the matrix BEFORE SDDM validation
-         would reject it *)
-      try
-        let a = Sparse.Matrix_market.read path in
-        let n, _ = Sparse.Csc.dims a in
-        let rng = Rng.create 1 in
-        let b = Sparse.Vec.init n (fun _ -> Rng.float rng -. 0.5) in
-        Ok (Robust.Diagnose.run ~a ~b)
-      with
-      | Sys_error msg
-      | Sparse.Matrix_market.Parse_error msg
-      | Failure msg
-      | Invalid_argument msg ->
-        Error msg)
+    Result.bind (key_of_spec t spec) (function
+      | Mtx_key (path, digest) as key when not (Hashtbl.mem t.table key) -> (
+        (* raw read: diagnosis must see the matrix BEFORE SDDM validation
+           would reject it *)
+        match read_mtx path digest with
+        | Ok (a, b) -> Ok (Robust.Diagnose.run ~a ~b)
+        | Error reason -> Error (Proto.Failed { reason }))
+      | key -> Result.map Robust.Diagnose.of_problem (problem_of t key))
   in
   match report with
-  | Error reason -> Proto.Failed { reason }
+  | Error resp -> resp
   | Ok report ->
     Proto.Diagnosed
       {
@@ -569,7 +670,8 @@ let metrics t =
               s.failed,
               s.timed_out ),
             (s.shed, s.rejected, s.bad_request, s.io_errors),
-            (t.inflight, Hashtbl.length t.sessions) ),
+            (t.inflight, List.length t.session_order),
+            (t.hits, t.misses, t.evictions, List.length t.handle_order) ),
           List
             [
               window_json t ~now ~label:"1m" ~span_s:60.0;
@@ -597,11 +699,10 @@ let metrics t =
   let ( (accepted_conns, rejected_conns, active_conns),
         (requests, solved, unconverged, updated, diagnosed, failed, timed_out),
         (shed, rejected, bad_request, io_errors),
-        (inflight, open_sessions) ) =
+        (inflight, open_sessions),
+        (hits, misses, evictions, live_handles) ) =
     snapshot
   in
-  let hits = Powerrchol.Engine.hits () in
-  let misses = Powerrchol.Engine.misses () in
   Obj
     [
       (* v2 = the exact v1 field set (paths and types unchanged, so v1
@@ -636,6 +737,7 @@ let metrics t =
             ("capacity", Int t.config.queue_capacity);
             ("inflight", Int inflight);
           ] );
+      (* the problem table's handles, under the block's v1 name *)
       ( "engine",
         Obj
           [
@@ -645,8 +747,8 @@ let metrics t =
               Float
                 (if hits + misses = 0 then 0.0
                  else float_of_int hits /. float_of_int (hits + misses)) );
-            ("evictions", Int (Powerrchol.Engine.evictions ()));
-            ("live_handles", Int (Powerrchol.Engine.live_handles ()));
+            ("evictions", Int evictions);
+            ("live_handles", Int live_handles);
           ] );
       ( "sessions",
         Obj
@@ -788,6 +890,17 @@ let dispatch t ~t_recv ~req_id req =
   locked t (fun () ->
       t.stats.requests <- t.stats.requests + 1;
       Obs.Window.add t.w_requests 1.0);
+  let admitted ?deadline_ms f =
+    let deadline =
+      Option.map (fun ms -> t_recv +. (ms /. 1000.0)) deadline_ms
+    in
+    let resp =
+      run_admitted t ~t_recv ~req_id ~deadline (fun () -> f deadline)
+    in
+    count_outcome t resp;
+    record_latency t t_recv;
+    (resp, false)
+  in
   match req with
   | Proto.Ping -> (Proto.Pong, false)
   | Proto.Health -> (Proto.Health_report (metrics t), false)
@@ -800,71 +913,16 @@ let dispatch t ~t_recv ~req_id req =
       bump t (fun s -> s.rejected <- s.rejected + 1);
       (Proto.Rejected { reason = "shutdown disabled on this daemon" }, false)
     end
-  | Proto.Diagnose { spec } ->
-    let resp = run_admitted t ~t_recv ~req_id ~deadline:None (fun () ->
-        exec_diagnose spec)
-    in
-    count_outcome t resp;
-    record_latency t t_recv;
-    (resp, false)
+  | Proto.Diagnose { spec } -> admitted (fun _ -> exec_diagnose t spec)
   | Proto.Solve { spec; solver = tag; rtol; seed; deadline_ms; robust; want_x }
     ->
-    let scale_ok =
-      match spec with
-      | Proto.Case { scale; _ } -> scale <= t.config.scale_cap
-      | Proto.Mtx _ -> true
-    in
-    if not scale_ok then begin
-      bump t (fun s -> s.rejected <- s.rejected + 1);
-      ( Proto.Rejected
-          {
-            reason =
-              Printf.sprintf "bad-request: scale exceeds this daemon's cap %g"
-                t.config.scale_cap;
-          },
-        false )
-    end
-    else begin
-      let rtol = Float.max rtol t.config.rtol_cap in
-      let deadline = Option.map (fun ms -> t_recv +. (ms /. 1000.0)) deadline_ms in
-      let resp =
-        run_admitted t ~t_recv ~req_id ~deadline (fun () ->
-            exec_solve t ~t_recv ~spec ~tag ~rtol ~seed ~deadline ~robust
-              ~want_x)
-      in
-      count_outcome t resp;
-      record_latency t t_recv;
-      (resp, false)
-    end
+    let rtol = Float.max rtol t.config.rtol_cap in
+    admitted ?deadline_ms (fun deadline ->
+        exec_solve t ~t_recv ~spec ~tag ~rtol ~seed ~deadline ~robust ~want_x)
   | Proto.Update { spec; edits; rtol; seed; deadline_ms; want_x } ->
-    let scale_ok =
-      match spec with
-      | Proto.Case { scale; _ } -> scale <= t.config.scale_cap
-      | Proto.Mtx _ -> true
-    in
-    if not scale_ok then begin
-      bump t (fun s -> s.rejected <- s.rejected + 1);
-      ( Proto.Rejected
-          {
-            reason =
-              Printf.sprintf "bad-request: scale exceeds this daemon's cap %g"
-                t.config.scale_cap;
-          },
-        false )
-    end
-    else begin
-      let rtol = Float.max rtol t.config.rtol_cap in
-      let deadline =
-        Option.map (fun ms -> t_recv +. (ms /. 1000.0)) deadline_ms
-      in
-      let resp =
-        run_admitted t ~t_recv ~req_id ~deadline (fun () ->
-            exec_update t ~t_recv ~spec ~edits ~rtol ~seed ~deadline ~want_x)
-      in
-      count_outcome t resp;
-      record_latency t t_recv;
-      (resp, false)
-    end
+    let rtol = Float.max rtol t.config.rtol_cap in
+    admitted ?deadline_ms (fun deadline ->
+        exec_update t ~t_recv ~spec ~edits ~rtol ~seed ~deadline ~want_x)
 
 (* Poll for readability in short slices so a draining daemon closes idle
    connections within a tick instead of sitting out the full idle
@@ -1083,8 +1141,12 @@ let start config =
           active_conns = 0;
           inflight = 0;
           accept_thread = None;
-          sessions = Hashtbl.create 8;
+          table = Hashtbl.create 16;
+          handle_order = [];
           session_order = [];
+          hits = 0;
+          misses = 0;
+          evictions = 0;
           boot_tag = make_boot_tag ();
           req_seq = 0;
           w_requests = Obs.Window.create ();

@@ -1,8 +1,16 @@
 (** The pgserve daemon core: a fault-tolerant solver server.
 
-    One {!t} multiplexes many concurrent client connections onto the
-    process-wide {!Powerrchol.Engine} preparation cache. The design goal
-    is that {e no client behavior can crash, hang, or wedge the daemon}:
+    One {!t} multiplexes many concurrent client connections onto its own
+    problem table. The table has one entry per request spec: a suite case
+    by id and exact scale, a MatrixMarket file by path and a digest of its
+    bytes. An entry holds the built problem, its prepared handles by
+    (solver, seed) and its ECO sessions by seed, so a warm request is a
+    table lookup and a PCG solve, with no rebuild and no re-factorization.
+    Handles are capped at {!Powerrchol.Engine.default_capacity} across
+    the table and evicted least-recently-used; sessions are capped at
+    [max_sessions] and evicted FIFO; an entry holding neither is dropped.
+    The design goal is that {e no client behavior can crash, hang, or
+    wedge the daemon}:
 
     - {b Framed I/O} uses {!Proto.read_frame} / {!Proto.write_frame}:
       partial reads, EINTR, torn frames, garbage headers, and oversized
@@ -20,7 +28,7 @@
       requests run to completion, handler threads notice within a poll
       tick, and {!stop} returns once every connection has drained.
 
-    Solves are serialized through one internal lock (the Engine cache and
+    Solves are serialized through one internal lock (the problem table and
     solver internals are not thread-safe; intra-solve parallelism comes
     from the {!Par} pool), so [queue_capacity] is the whole backlog bound.
 
@@ -53,8 +61,8 @@ type config = {
           [rtol=1e-300] cannot pin the solve lane *)
   max_iter : int;  (** PCG iteration budget per solve *)
   scale_cap : float;
-      (** upper bound on accepted suite-case scales — bounds per-request
-          memory and time *)
+      (** upper bound on accepted suite-case scales, for every request
+          naming a case — bounds per-request memory and time *)
   max_sessions : int;
       (** concurrently open ECO sessions ({!Proto.Update} state); beyond
           this the oldest session is closed FIFO — a later update on its
@@ -111,8 +119,9 @@ val stop : t -> unit
 val metrics : t -> Obs.Json.t
 (** Snapshot of the daemon's counters: connections
     (accepted/active/rejected), request outcomes
-    (solved/updated/failed/timed_out/shed/bad_request/io_errors), Engine
-    cache statistics (hits/misses/hit_rate/evictions/live_handles), open
+    (solved/updated/failed/timed_out/shed/bad_request/io_errors), problem
+    table statistics in the [engine] block (Solve lookups that found or
+    missed their handle, hit_rate, LRU evictions, live_handles), open
     ECO session count and capacity, queue occupancy, service-time and
     queue-wait latency histograms (with derived p50/p95/p99), uptime,
     rolling 1m/5m/15m windows (req/s, fallback rate, errors, windowed

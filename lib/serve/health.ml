@@ -199,11 +199,11 @@ let prom_metrics v =
         (float_of_int v.queue_capacity);
       g "pgserve_inflight" "Admitted-but-unfinished jobs"
         (float_of_int v.inflight);
-      c "pgserve_engine_hits_total" "Engine preparation-cache hits"
+      c "pgserve_engine_hits_total" "Problem-table handle hits"
         v.engine_hits;
-      c "pgserve_engine_misses_total" "Engine preparation-cache misses"
+      c "pgserve_engine_misses_total" "Problem-table handle misses"
         v.engine_misses;
-      g "pgserve_engine_hit_rate" "Engine cache hit rate (lifetime)"
+      g "pgserve_engine_hit_rate" "Problem-table hit rate (lifetime)"
         v.engine_hit_rate;
       g "pgserve_sessions_open" "Open ECO sessions"
         (float_of_int v.sessions_open);

@@ -32,6 +32,21 @@ check() {
   fi
 }
 
+# check_cached DESCRIPTION -- cmd args...: like check with exit 0, and the
+# answer must also come from a cached factorization
+check_cached() {
+  desc="$1"
+  shift 2
+  out=$("$@" 2>&1)
+  actual=$?
+  if [ "$actual" -eq 0 ] && printf '%s\n' "$out" | grep -q ", cached factorization"; then
+    note "ok: $desc (exit 0, cached factorization)"
+  else
+    note "FAIL: $desc: exit $actual, wanted 0 and a cached factorization: $out"
+    fail=1
+  fi
+}
+
 cleanup() {
   [ -n "${SERVE_PID:-}" ] && kill "$SERVE_PID" 2>/dev/null
   rm -f "$SOCK"
@@ -56,7 +71,7 @@ fi
 # the happy path
 check "ping" 0 -- "$PGCLIENT" ping -c "$ADDR"
 check "solve pg01" 0 -- "$PGCLIENT" solve --case pg01 --scale 0.05 -c "$ADDR"
-check "solve again (cached factorization)" 0 -- \
+check_cached "solve again (cached factorization)" -- \
   "$PGCLIENT" solve --case pg01 --scale 0.05 -c "$ADDR"
 check "robust solve" 0 -- \
   "$PGCLIENT" solve --case pg01 --scale 0.05 --robust -c "$ADDR"

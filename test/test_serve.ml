@@ -132,6 +132,35 @@ let test_decode_rejects_garbage () =
       | Ok _ -> Alcotest.failf "decoder accepted garbage: %S" s)
     bad
 
+(* Random bytes, truncations and 1-3-byte mutations of every encoding
+   above: both decoders answer Ok or Error, and never raise. *)
+let prop_decoders_total =
+  let open QCheck.Gen in
+  let encoding =
+    oneofl
+      (List.map Proto.request_to_string all_requests
+      @ List.map Proto.response_to_string all_responses)
+  in
+  let truncated =
+    encoding >>= fun s ->
+    int_bound (String.length s) >|= fun k -> String.sub s 0 k
+  in
+  let mutated =
+    encoding >>= fun s ->
+    list_size (int_range 1 3) (pair (int_bound (String.length s - 1)) char)
+    >|= fun edits ->
+    let b = Bytes.of_string s in
+    List.iter (fun (i, c) -> Bytes.set b i c) edits;
+    Bytes.to_string b
+  in
+  QCheck.Test.make ~name:"decoders are total on fuzzed bytes" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       (oneof [ string_size (int_bound 64); truncated; mutated ]))
+    (fun s ->
+      (match Proto.request_of_string s with Ok _ | Error _ -> ());
+      (match Proto.response_of_string s with Ok _ | Error _ -> ());
+      true)
+
 (* ---- framed I/O on a socketpair ---- *)
 
 let with_socketpair f =
@@ -431,7 +460,7 @@ let test_daemon_ping_solve_cache () =
            (Array.length x > 0)
        | r ->
          Alcotest.failf "solve answered %s" (Proto.response_to_string r));
-      (* same fingerprint again: the Engine cache must serve it *)
+      (* same spec again: the daemon's problem table must serve it *)
       (match call_ok addr solve_req with
        | Proto.Solved { cache_hit; converged; _ } ->
          Alcotest.(check bool) "second solve converges" true converged;
@@ -818,6 +847,147 @@ let test_daemon_shutdown_disabled () =
       | Proto.Pong -> ()
       | r -> Alcotest.failf "ping answered %s" (Proto.response_to_string r))
 
+(* ---- the daemon's problem table ---- *)
+
+(* (cache_hit, x) of a converged solve *)
+let solved addr req =
+  match call_ok addr req with
+  | Proto.Solved { converged = true; cache_hit; x; _ } -> (cache_hit, x)
+  | r -> Alcotest.failf "solve answered %s" (Proto.response_to_string r)
+
+let engine_counts addr =
+  match call_ok addr Proto.Health with
+  | Proto.Health_report doc -> (
+    match Serve.Health.of_json doc with
+    | Ok v -> (v.Serve.Health.engine_hits, v.Serve.Health.engine_misses)
+    | Error e -> Alcotest.failf "health report failed to parse: %s" e)
+  | r -> Alcotest.failf "health answered %s" (Proto.response_to_string r)
+
+let test_daemon_table_per_daemon () =
+  (* another daemon in this process solving the spec first must not
+     warm a fresh daemon's table *)
+  let req = Proto.solve (Proto.Case { id = "pg01"; scale = 0.05 }) in
+  with_daemon (fun _t addr -> ignore (solved addr req));
+  with_daemon (fun _t addr ->
+      Alcotest.(check bool) "first solve misses" false (fst (solved addr req));
+      Alcotest.(check (pair int int))
+        "hits, misses" (0, 1) (engine_counts addr);
+      Alcotest.(check bool) "repeat hits" true (fst (solved addr req));
+      Alcotest.(check (pair int int))
+        "hits, misses after the repeat" (1, 1) (engine_counts addr))
+
+let test_daemon_lru_keeps_touched_handle () =
+  with_daemon (fun _t addr ->
+      let spec = Proto.Case { id = "pg01"; scale = 0.05 } in
+      let hit seed = fst (solved addr (Proto.solve ~seed spec)) in
+      ignore (hit 100);
+      for seed = 1 to Powerrchol.Engine.default_capacity do
+        Alcotest.(check bool) (Printf.sprintf "seed %d is new" seed) false
+          (hit seed);
+        Alcotest.(check bool)
+          (Printf.sprintf "touched handle cached after seed %d" seed)
+          true (hit 100)
+      done)
+
+(* A grounded chain: diagonal [diag], -1 between neighbours. *)
+let chain_mtx ~diag n =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "%%MatrixMarket matrix coordinate real symmetric\n";
+  Printf.bprintf buf "%d %d %d\n" n n ((2 * n) - 1);
+  for i = 1 to n do
+    Printf.bprintf buf "%d %d %.1f\n" i i diag;
+    if i < n then Printf.bprintf buf "%d %d -1.0\n" (i + 1) i
+  done;
+  Buffer.contents buf
+
+let test_daemon_mtx_rewrite_misses () =
+  let before = chain_mtx ~diag:3.0 40 and after = chain_mtx ~diag:5.0 40 in
+  Alcotest.(check int) "same byte length" (String.length before)
+    (String.length after);
+  with_temp_file before (fun path ->
+      with_daemon (fun _t addr ->
+          let req = Proto.solve ~want_x:true (Proto.Mtx { path }) in
+          let x_of = function
+            | Some x -> Sparse.Vec.of_array x
+            | None -> Alcotest.fail "solution vector missing"
+          in
+          let a_old = Sparse.Matrix_market.read path in
+          let hit, x_old = solved addr req in
+          Alcotest.(check bool) "first solve misses" false hit;
+          Alcotest.(check bool) "repeat hits" true (fst (solved addr req));
+          Out_channel.with_open_text path (fun oc -> output_string oc after);
+          let a_new = Sparse.Matrix_market.read path in
+          let hit, x_new = solved addr req in
+          Alcotest.(check bool) "rewritten file misses" false hit;
+          (* both answers solve the same load: A_new x_new = A_old x_old *)
+          let b = Csc.spmv a_old (x_of x_old) in
+          let relres a x =
+            Sparse.Vec.norm2 (Sparse.Vec.sub b (Csc.spmv a (x_of x)))
+            /. Sparse.Vec.norm2 b
+          in
+          let r = relres a_new x_new in
+          Alcotest.(check bool)
+            (Printf.sprintf "x solves the new matrix (%.2e)" r)
+            true (r < 1e-5);
+          Alcotest.(check bool) "the old x does not" true
+            (relres a_new x_old > 1e-2)))
+
+let test_daemon_robust_reuses_handle () =
+  let spec = Proto.Case { id = "pg01"; scale = 0.05 } in
+  let robust = Proto.solve ~robust:true ~want_x:true spec in
+  let bits = Option.map (Array.map Int64.bits_of_float) in
+  let reused =
+    with_daemon (fun _t addr ->
+        ignore (solved addr (Proto.solve spec));
+        let hit, x = solved addr robust in
+        Alcotest.(check bool) "robust solve reports the reuse" true hit;
+        bits x)
+  in
+  let fresh =
+    with_daemon (fun _t addr ->
+        let hit, x = solved addr robust in
+        Alcotest.(check bool) "nothing to reuse on a fresh daemon" false hit;
+        bits x)
+  in
+  Alcotest.(check bool) "x present" true (reused <> None);
+  Alcotest.(check bool) "x bit-identical to the fresh robust solve" true
+    (reused = fresh)
+
+let test_daemon_diagnose_scale_cap () =
+  with_daemon
+    ~tweak:(fun c -> { c with Serve.Daemon.scale_cap = 0.01 })
+    (fun _t addr ->
+      match
+        call_ok addr
+          (Proto.Diagnose { spec = Proto.Case { id = "pg01"; scale = 0.05 } })
+      with
+      | Proto.Rejected { reason } ->
+        Alcotest.(check string) "typed bad request" "bad-request:"
+          (String.sub reason 0 (min 12 (String.length reason)))
+      | r ->
+        Alcotest.failf "over-cap diagnose answered %s"
+          (Proto.response_to_string r))
+
+let test_daemon_sessions_keyed_by_exact_scale () =
+  (* equal to six significant digits, yet 25x25 and 26x26 grids *)
+  with_daemon (fun _t addr ->
+      let update scale =
+        match
+          call_ok addr
+            (Proto.update ~want_x:true
+               ~edits:[ Sddm.Edit.Set_load { node = 3; amps = 0.02 } ]
+               (Proto.Case { id = "pg01"; scale }))
+        with
+        | Proto.Updated { session; converged = true; x = Some x; _ } ->
+          (session, Array.length x)
+        | r -> Alcotest.failf "update answered %s" (Proto.response_to_string r)
+      in
+      let s1, n1 = update 0.05586776 in
+      let s2, n2 = update 0.05586778 in
+      Alcotest.(check int) "first grid" 674 n1;
+      Alcotest.(check bool) "second spec opens its own session" true (s1 <> s2);
+      Alcotest.(check int) "second grid" 725 n2)
+
 (* ---- monitoring surface: v2 health, access log, metrics listener ---- *)
 
 let read_lines path =
@@ -1170,7 +1340,8 @@ let () =
             test_response_round_trip;
           Alcotest.test_case "garbage rejected" `Quick
             test_decode_rejects_garbage;
-        ] );
+        ]
+        @ Test_util.qcheck [ prop_decoders_total ] );
       ( "framing",
         [
           Alcotest.test_case "round trip" `Quick test_frame_round_trip;
@@ -1221,6 +1392,21 @@ let () =
             test_daemon_graceful_drain;
           Alcotest.test_case "shutdown disabled by default" `Quick
             test_daemon_shutdown_disabled;
+        ] );
+      ( "table",
+        [
+          Alcotest.test_case "one table per daemon" `Quick
+            test_daemon_table_per_daemon;
+          Alcotest.test_case "LRU keeps a touched handle" `Quick
+            test_daemon_lru_keeps_touched_handle;
+          Alcotest.test_case "rewritten mtx misses" `Quick
+            test_daemon_mtx_rewrite_misses;
+          Alcotest.test_case "robust solve reuses the handle" `Quick
+            test_daemon_robust_reuses_handle;
+          Alcotest.test_case "diagnose obeys the scale cap" `Quick
+            test_daemon_diagnose_scale_cap;
+          Alcotest.test_case "sessions keyed by exact scale" `Quick
+            test_daemon_sessions_keyed_by_exact_scale;
         ] );
       ( "monitoring",
         [
