@@ -71,7 +71,6 @@ let run () =
       Hashtbl.replace rungs rung
         (1 + Option.value ~default:0 (Hashtbl.find_opt rungs rung)))
     scenarios;
-  Session.close session;
   let rung_count r = Option.value ~default:0 (Hashtbl.find_opt rungs r) in
   let amortized = (!t_update +. !t_solve) /. float_of_int count in
   let ratio = amortized /. t_full in

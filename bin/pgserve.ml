@@ -2,7 +2,7 @@
 
    Listens on a Unix or TCP socket speaking the length-prefixed JSON
    protocol of lib/proto, multiplexing concurrent solve/diagnose requests
-   onto the Engine preparation cache with bounded admission control,
+   onto the daemon's problem table with bounded admission control,
    per-request deadlines, and graceful drain on SIGINT/SIGTERM (or a
    Shutdown request when --allow-shutdown is set).
 

@@ -369,12 +369,11 @@ let solve_cmd =
       let solver = solver_of_tag ~seed solver_tag in
       match batch with
       | Some cols ->
-        (* factor once through the Engine cache, then solve every column
-           against the same preparation *)
+        (* factor once, then solve every column against the same
+           preparation *)
         let k = Array.length cols in
-        let config = Printf.sprintf "seed=%d" seed in
         let solve_batch () =
-          let prepared = Powerrchol.Engine.prepare ~config solver problem in
+          let prepared = Powerrchol.Solver.prepare solver problem in
           (prepared, Powerrchol.Solver.solve_many ~rtol prepared cols)
         in
         let prepared, results =
@@ -563,6 +562,7 @@ let edit_storm_cmd =
     let rung_counts = Hashtbl.create 4 in
     let t_updates = ref 0.0 and t_solves = ref 0.0 in
     let iterations = ref 0 and worst_residual = ref 0.0 in
+    let unconverged = ref 0 in
     Array.iter
       (fun sc ->
         let report = Powerrchol.Engine.update session sc.Powergrid.Eco.edits in
@@ -575,11 +575,12 @@ let edit_storm_cmd =
         t_solves := !t_solves +. (Unix.gettimeofday () -. t1);
         iterations := !iterations + r.Powerrchol.Solver.iterations;
         worst_residual := Float.max !worst_residual r.Powerrchol.Solver.residual;
-        if not r.Powerrchol.Solver.converged then
+        if not r.Powerrchol.Solver.converged then begin
+          incr unconverged;
           Printf.printf "  scenario %d (%s): DID NOT CONVERGE\n"
-            sc.Powergrid.Eco.index sc.Powergrid.Eco.label)
+            sc.Powergrid.Eco.index sc.Powergrid.Eco.label
+        end)
       scenarios;
-    S.close session;
     let n = Array.length scenarios in
     Printf.printf "rungs taken:";
     List.iter
@@ -598,9 +599,13 @@ let edit_storm_cmd =
        residual %.2e\n"
       amortized
       (amortized /. t_baseline)
-      t_baseline !worst_residual
+      t_baseline !worst_residual;
+    if !unconverged > 0 then exit 1
   in
-  let doc = "ECO edit storm against a versioned solver session." in
+  let doc =
+    "ECO edit storm against a versioned solver session. Exits 1 if any \
+     re-solve did not converge."
+  in
   Cmd.v (Cmd.info "edit-storm" ~doc)
     Term.(const run $ nx $ ny $ seed_arg $ rtol_arg $ count $ domains_arg)
 

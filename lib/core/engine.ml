@@ -1,161 +1,10 @@
-(* Prepared-handle cache keyed by a cheap structural fingerprint, plus the
-   versioned session layer for incremental re-solves (ECO flow).
+(* Versioned sessions for incremental re-solves (ECO flow): an editable
+   system with its ordering, an updatable factorization and a version,
+   revalidated after each edit batch by the cheapest correct rung.
 
-   The factor-once / solve-many call sites (Transient, Sensitivity, the
-   CLI batch path) all funnel through here so that two independent
-   consumers asking for "powerrchol on this problem" share one
-   reordering + factorization. The key deliberately ignores the right-hand
-   side: a factorization depends only on the matrix (graph + excess
-   diagonal), the solver configuration, and the seed.
-
-   A {!Session.t} extends the cache with a mutable notion of identity: it
-   owns an editable matrix, its ordering, an updatable factorization, and
-   a monotonically increasing version. Each update re-registers the
-   session's handle under the new version, so the cache key space is
-   version-aware and stale handles are evicted instead of aliased. *)
-
-type key = {
-  config : string;  (* solver name + parameters, e.g. "powerrchol;seed=..." *)
-  n : int;
-  nnz : int;
-  version : int;  (* session edit version; 0 for immutable preparations *)
-  checksum : int64;  (* FNV-1a over edges and excess diagonal *)
-}
-
-type stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
-
-(* FNV-1a, 64-bit. Structural but cheap: one pass over the edge list and
-   the excess diagonal. Collisions additionally need matching (n, nnz,
-   config), but nothing downstream catches one: Solver.solve_prepared
-   iterates and verifies against the cached handle's own problem, not the
-   caller's, so a collision returns a verified answer to the wrong system.
-   The key is a cache hint, not a proof of identity. *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let mix h x = Int64.mul (Int64.logxor h x) fnv_prime
-
-let mix_int h i = mix h (Int64.of_int i)
-let mix_float h f = mix h (Int64.bits_of_float f)
-
-let fingerprint ~config problem =
-  let h = ref (mix_int fnv_offset (Sddm.Problem.n problem)) in
-  Sddm.Graph.iter_edges problem.Sddm.Problem.graph (fun u v w ->
-      h := mix_float (mix_int (mix_int !h u) v) w);
-  Array.iter (fun d -> h := mix_float !h d) problem.Sddm.Problem.d;
-  {
-    config;
-    n = Sddm.Problem.n problem;
-    nnz = Sddm.Problem.nnz problem;
-    version = 0;
-    checksum = !h;
-  }
-
-(* FIFO eviction: entries are pushed front, dropped from the back. The
-   cache is small (prepared handles hold O(factor_nnz) floats) and the
-   workloads that matter revisit the same handful of systems, so FIFO is
-   as good as LRU here and simpler to reason about deterministically. *)
-let default_capacity = 8
-let capacity = ref default_capacity
-let cache : (key * Solver.prepared) list ref = ref []
-let stats = { hits = 0; misses = 0; evictions = 0 }
-
-let hits () = stats.hits
-let misses () = stats.misses
-let evictions () = stats.evictions
-let live_handles () = List.length !cache
-
-(* Satellite observability: the four cache statistics as gauges, refreshed
-   on every cache operation so any capture sees current values. *)
-let publish_stats () =
-  if Obs.enabled () then begin
-    Obs.gauge "engine/hits" (float_of_int stats.hits);
-    Obs.gauge "engine/misses" (float_of_int stats.misses);
-    Obs.gauge "engine/evictions" (float_of_int stats.evictions);
-    Obs.gauge "engine/live_handles" (float_of_int (List.length !cache))
-  end
-
-(* Keep the first [k] entries; everything past them is an eviction. *)
-let evict_beyond k entries =
-  let rec go k = function
-    | [] -> []
-    | rest when k = 0 ->
-      stats.evictions <- stats.evictions + List.length rest;
-      []
-    | e :: rest -> e :: go (k - 1) rest
-  in
-  go k entries
-
-let set_capacity c =
-  if c < 0 then invalid_arg "Engine.set_capacity: negative capacity";
-  capacity := c;
-  cache := evict_beyond c !cache;
-  publish_stats ()
-
-let clear () =
-  cache := [];
-  publish_stats ()
-
-let reset_stats () =
-  stats.hits <- 0;
-  stats.misses <- 0;
-  stats.evictions <- 0
-
-let insert key prepared =
-  if !capacity > 0 then begin
-    cache := (key, prepared) :: evict_beyond (!capacity - 1) !cache;
-    publish_stats ()
-  end
-
-(* Drop every version of [config] (a session re-registering under a new
-   version, or a closing session); counted as evictions when requested. *)
-let remove_config ~count_evictions config =
-  let before = List.length !cache in
-  cache := List.filter (fun (k, _) -> k.config <> config) !cache;
-  if count_evictions then
-    stats.evictions <- stats.evictions + (before - List.length !cache);
-  publish_stats ()
-
-let lookup key = List.assoc_opt key !cache
-
-let prepare_keyed ~key prepare_fn problem =
-  match lookup key with
-  | Some prepared ->
-    stats.hits <- stats.hits + 1;
-    Obs.count "engine/hit" 1;
-    publish_stats ();
-    prepared
-  | None ->
-    stats.misses <- stats.misses + 1;
-    Obs.count "engine/miss" 1;
-    let prepared =
-      Obs.span "prepare" (fun () -> prepare_fn problem)
-    in
-    insert key prepared;
-    prepared
-
-let prepare ?(config = "") (solver : Solver.t) problem =
-  let config = solver.Solver.name ^ ";" ^ config in
-  prepare_keyed ~key:(fingerprint ~config problem) solver.Solver.prepare
-    problem
-
-let powerrchol ?buckets ?heavy_factor ?(seed = Solver.default_seed) problem =
-  let config =
-    Printf.sprintf "powerrchol;seed=%d;buckets=%s;heavy=%s" seed
-      (match buckets with Some b -> string_of_int b | None -> "default")
-      (match heavy_factor with
-       | Some f -> Printf.sprintf "%.17g" f
-       | None -> "default")
-  in
-  prepare_keyed
-    ~key:(fingerprint ~config problem)
-    (fun problem ->
-      Solver.powerrchol_prepare ?buckets ?heavy_factor ~seed problem)
-    problem
+   Nothing here is shared between callers. A session, like a
+   Solver.prepared handle, belongs to whoever created it and goes away
+   when they drop it. *)
 
 (* ------------------------------------------------------------------ *)
 (* Dense k x k LU with partial pivoting — the Woodbury core of the
@@ -329,25 +178,6 @@ module Session = struct
 
   let next_id = ref 0
 
-  let session_config s =
-    Printf.sprintf "session=%d;powerrchol;seed=%d;buckets=%d;heavy=%.17g"
-      s.id s.seed s.buckets s.heavy_factor
-
-  let register s =
-    let key =
-      {
-        config = session_config s;
-        n = Sddm.Problem.n (Sddm.Edit.problem s.state);
-        nnz = Sddm.Problem.nnz (Sddm.Edit.problem s.state);
-        version = s.version;
-        checksum = Int64.of_int s.id;
-      }
-    in
-    (* one live handle per session: the previous version's entry is stale
-       by construction, so replacing it is an eviction, not a leak *)
-    remove_config ~count_evictions:(s.version > 0) (session_config s);
-    insert key s.prepared
-
   (* The session's preparation: partitioned ordering + LT-RChol
      factorization, identical (bit-for-bit, same seed discipline) to
      [Solver.powerrchol_prepare], but through the updatable factorization
@@ -384,33 +214,29 @@ module Session = struct
       build ~seed ~buckets ~heavy_factor (Sddm.Edit.problem state)
     in
     incr next_id;
-    let s =
-      {
-        id = !next_id;
-        seed;
-        buckets;
-        heavy_factor;
-        max_fraction;
-        low_rank_max;
-        state;
-        version = 0;
-        perm;
-        pinv = Sparse.Perm.inverse perm;
-        upd;
-        prepared;
-        base_precond = prepared.Solver.precond;
-        pending = Hashtbl.create 32;
-      }
-    in
-    register s;
-    s
+    {
+      id = !next_id;
+      seed;
+      buckets;
+      heavy_factor;
+      max_fraction;
+      low_rank_max;
+      state;
+      version = 0;
+      perm;
+      pinv = Sparse.Perm.inverse perm;
+      upd;
+      prepared;
+      base_precond = prepared.Solver.precond;
+      pending = Hashtbl.create 32;
+    }
 
   let id s = s.id
   let version s = s.version
   let problem s = Sddm.Edit.problem s.state
   let prepared s = s.prepared
 
-  let close s = remove_config ~count_evictions:false (session_config s)
+  let close _ = ()
 
   let add_pending s i j dv =
     let key = (min i j, max i j) in
@@ -582,7 +408,6 @@ module Session = struct
             [ skip ~rung:"local" ~reason; skip ~rung:"low-rank" ~reason ] )
       end
     in
-    register s;
     Obs.count "engine/update" 1;
     Obs.count (Printf.sprintf "engine/update/%s" (rung_name rung)) 1;
     {
@@ -604,3 +429,7 @@ module Session = struct
 end
 
 let update = Session.update
+
+let prepare ?config:_ solver problem = Solver.prepare solver problem
+
+let clear () = ()

@@ -1,69 +1,12 @@
-(** Process-wide cache of {!Solver.prepared} handles, plus the versioned
-    {!Session} layer for incremental re-solves (the ECO flow).
+(** Versioned sessions for incremental re-solves (the ECO flow).
 
-    The factor-once / solve-many workload appears at several independent
-    call sites — {!Transient.dc_drop} for the unshifted DC system,
-    {!Sensitivity.of_objective} for primal and adjoint solves, and the CLI
-    batch path. They all key preparations here by a cheap structural
-    fingerprint (solver config, [n], [nnz], an FNV-1a checksum over the
-    graph edges and excess diagonal — {e not} the right-hand side, since a
-    factorization is RHS-independent), so asking twice for the same
-    solver on the same system pays one reordering and one factorization.
-
-    The fingerprint is a cache hint, not a proof of identity: a collision
-    hands back another system's handle, and {!Solver.solve_prepared}
-    verifies against that handle's own problem, so the caller receives a
-    verified answer to the wrong system. Callers that cannot tolerate this
-    should prepare through {!Solver.prepare} directly.
-
-    The cache is FIFO with a small default capacity ({!default_capacity});
-    handles hold O(factor nnz) floats, so the cap bounds memory, and the
-    workloads that benefit revisit the same few systems. Misses run the
-    preparation under the Obs span ["prepare"] and count ["engine/miss"];
-    hits count ["engine/hit"]. The cumulative statistics are additionally
-    published as Obs gauges ([engine/hits], [engine/misses],
-    [engine/evictions], [engine/live_handles]), refreshed on every cache
-    operation, so a profiled run can report them without reaching into
-    this module.
+    Nothing in this module is shared between callers: a {!Session.t}, like
+    a {!Solver.prepared} handle, belongs to whoever created it and goes
+    away when they drop it. A caller that solves one system many times
+    keeps the handle {!Solver.prepare} returned and passes it to
+    {!Solver.solve_prepared} / {!Solver.solve_many}.
 
     Not thread-safe — like the rest of the library, one solve at a time. *)
-
-val prepare : ?config:string -> Solver.t -> Sddm.Problem.t -> Solver.prepared
-(** [prepare ?config solver problem] returns a cached handle when the
-    fingerprint matches a previous call, otherwise runs [solver.prepare].
-    [config] must encode every parameter baked into the solver closure
-    (seed, buckets, …) that the solver's [name] does not; two solvers with
-    equal name+config must prepare identically. *)
-
-val powerrchol :
-  ?buckets:int -> ?heavy_factor:float -> ?seed:int -> Sddm.Problem.t ->
-  Solver.prepared
-(** The paper's solver through the cache, with the config string derived
-    from the actual parameters — the safe entry point for powerrchol
-    preparations (no config-string discipline required of the caller). *)
-
-val default_capacity : int
-
-val set_capacity : int -> unit
-(** Resize the cache, evicting oldest entries if shrinking. [0] disables
-    caching (every call prepares afresh). *)
-
-val clear : unit -> unit
-(** Drop all cached handles (e.g. between benchmark phases so timings
-    don't observe cross-phase reuse). Does not reset the hit/miss
-    counters. *)
-
-val hits : unit -> int
-val misses : unit -> int
-
-val evictions : unit -> int
-(** Handles dropped by capacity pressure, {!set_capacity} shrinks, or a
-    session re-registering under a new version. *)
-
-val live_handles : unit -> int
-(** Prepared handles currently held by the cache. *)
-
-val reset_stats : unit -> unit
 
 (** {1 Versioned sessions}
 
@@ -85,8 +28,8 @@ val reset_stats : unit -> unit
       itself stays stale; deltas accumulate until a later update
       succeeds with a deeper rung.
     - {!Session.Full} — fallback that re-prepares from scratch exactly
-      as {!powerrchol} would (bit-for-bit: same ordering, same seed
-      discipline), preserving the PCG workspace so warm-started
+      as {!Solver.powerrchol_prepare} would (bit-for-bit: same ordering,
+      same seed discipline), preserving the PCG workspace so warm-started
       iteration state survives.
 
     Rung selection is automatic; rungs ruled out by policy are recorded
@@ -94,12 +37,7 @@ val reset_stats : unit -> unit
     fallback engine's unattempted-rung convention. After any update
     sequence the active preconditioner preconditions the {e edited}
     matrix — {!Session.solve} always verifies the true residual through
-    {!Solver.solve_prepared}.
-
-    Each session registers its current handle in the cache under a
-    version-aware key, replacing (and counting as eviction of) the
-    previous version's entry, so stale handles cannot alias fresh
-    ones. *)
+    {!Solver.solve_prepared}. *)
 
 module Session : sig
   type t
@@ -129,8 +67,7 @@ module Session : sig
       bounds the Woodbury rung's support size. *)
 
   val id : t -> int
-  (** Process-unique session id (also the cache checksum, so sessions
-      never collide with fingerprinted immutable preparations). *)
+  (** Process-unique session id. *)
 
   val version : t -> int
   (** Starts at [0]; incremented by every {!update}. *)
@@ -140,7 +77,7 @@ module Session : sig
       in-place-patching contract). *)
 
   val prepared : t -> Solver.prepared
-  (** The session's current handle — also reachable through the cache. *)
+  (** The session's current handle. *)
 
   val update : t -> Sddm.Edit.t list -> update_report
   (** Apply the edits and revalidate. Raises [Invalid_argument] (before
@@ -156,11 +93,22 @@ module Session : sig
       marginal-cost semantics as {!Solver.solve_prepared}. *)
 
   val close : t -> unit
-  (** Drop the session's cache entry. The session record itself is inert
-      afterwards (solving still works; it just no longer holds a cache
-      slot). *)
+  (** Does nothing: a session holds no shared resource. Kept, like
+      {!prepare} and {!clear}, only because [bench/ledger] still calls
+      it. *)
 end
 
 val update : Session.t -> Sddm.Edit.t list -> Session.update_report
 (** Alias for {!Session.update} — the engine-level entry point named in
     the ECO flow. *)
+
+(** {1 Benchmark-ledger stubs}
+
+    [bench/ledger] still calls these names. They keep their types and
+    share nothing between calls: {!prepare} prepares afresh every time. *)
+
+val prepare : ?config:string -> Solver.t -> Sddm.Problem.t -> Solver.prepared
+(** {!Solver.prepare}; [config] is ignored. *)
+
+val clear : unit -> unit
+(** Does nothing. *)

@@ -21,12 +21,14 @@ type gradient = {
 
 val of_objective :
   ?rtol:float -> ?seed:int -> Sddm.Problem.t -> c:Sparse.Vec.t -> gradient
-(** [of_objective p ~c] computes phi = c^T x and its gradient. *)
+(** [of_objective p ~c] computes phi = c^T x and its gradient. Raises
+    [Invalid_argument] if [c] is not of the system's dimension. *)
 
 val worst_node_drop :
   ?rtol:float -> ?seed:int -> Sddm.Problem.t -> int * gradient
 (** Solves, finds the worst-drop node [w], and returns [(w, gradient)] for
-    the objective [x_w]. *)
+    the objective [x_w]. One factorization serves the primal and the
+    adjoint solve. *)
 
 val most_critical_edges : Sddm.Problem.t -> gradient -> int -> (int * int * float * float) list
 (** [most_critical_edges p g k] lists the [k] edges whose conductance

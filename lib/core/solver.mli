@@ -5,12 +5,11 @@
     by PCG iteration ([T_i], [N_i]). The benchmark tables are produced by
     running the same problems through each [t].
 
-    Since this layer was refactored around the factor-once / solve-many
-    workload, a {!prepared} value is a first-class, reusable handle: keep
-    it and call {!solve_prepared} / {!solve_many} for every new right-hand
-    side — the reordering and factorization are paid exactly once. See
-    {!Engine} for the fingerprint cache that shares handles across
-    independent call sites. *)
+    A {!prepared} value is a first-class, reusable handle for the
+    factor-once / solve-many workload: keep it and call {!solve_prepared} /
+    {!solve_many} for every new right-hand side — the reordering and
+    factorization are paid exactly once. Nothing caches handles behind the
+    caller's back; reuse means holding on to the value. *)
 
 type prepared = {
   solver_name : string;  (** name of the solver that built the handle *)

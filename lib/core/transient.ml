@@ -8,6 +8,7 @@ type t = {
   h : float;
   t_prepare : float;
   rtol : float;
+  seed : int;
 }
 
 (* The current shifted problem: re-read per use, because a pattern-growing
@@ -65,6 +66,7 @@ let prepare ?(rtol = 1e-6) ?(seed = Solver.default_seed)
     h;
     t_prepare = Unix.gettimeofday () -. t0;
     rtol;
+    seed;
   }
 
 let update t edits = Engine.Session.update t.session edits
@@ -82,15 +84,13 @@ let dc_drop t =
     Sddm.Problem.of_graph ~name:"transient-dc" ~graph:dc_problem.Sddm.Problem.graph
       ~d ~b:t.b_dc
   in
-  (* b passed explicitly: the cached handle may have been prepared from an
-     equal-matrix problem with a different right-hand side *)
-  let r =
-    Solver.solve_prepared ~rtol:t.rtol ~b:t.b_dc (Engine.powerrchol g_problem)
-  in
-  r.Solver.x
+  let prepared = Solver.powerrchol_prepare ~seed:t.seed g_problem in
+  (Solver.solve_prepared ~rtol:t.rtol prepared).Solver.x
 
 let simulate t ~steps ~waveform =
-  assert (steps > 0);
+  if steps <= 0 then
+    invalid_arg
+      (Printf.sprintf "Transient.simulate: steps %d must be > 0" steps);
   (* capture the session's current preparation and matrix once per march:
      updates between marches are picked up here, updates mid-march are
      not a supported interleaving (the library is single-threaded) *)
@@ -150,12 +150,21 @@ let simulate t ~steps ~waveform =
 module Waveform = struct
   let step time = if time >= 0.0 then 1.0 else 0.0
 
-  let pulse ~period ~duty time =
-    assert (period > 0.0 && duty >= 0.0 && duty <= 1.0);
-    let phase = Float.rem time period /. period in
-    if phase < duty then 1.0 else 0.0
+  let pulse ~period ~duty =
+    if not (period > 0.0 && duty >= 0.0 && duty <= 1.0) then
+      invalid_arg
+        (Printf.sprintf
+           "Transient.Waveform.pulse: period %g must be > 0 and duty %g in \
+            [0, 1]"
+           period duty);
+    fun time ->
+      let phase = Float.rem time period /. period in
+      if phase < duty then 1.0 else 0.0
 
-  let ramp ~rise time =
-    assert (rise > 0.0);
-    if time <= 0.0 then 0.0 else if time >= rise then 1.0 else time /. rise
+  let ramp ~rise =
+    if not (rise > 0.0) then
+      invalid_arg
+        (Printf.sprintf "Transient.Waveform.ramp: rise %g must be > 0" rise);
+    fun time ->
+      if time <= 0.0 then 0.0 else if time >= rise then 1.0 else time /. rise
 end

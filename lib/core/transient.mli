@@ -42,8 +42,9 @@ val prepare :
   ?rtol:float -> ?seed:int -> circuit:Powergrid.Generate.circuit -> h:float -> unit -> t
 (** [prepare ~circuit ~h ()] builds the backward-Euler operator
     [G + C/h] for step size [h] (seconds) and factors it with the
-    PowerRChol pipeline (Alg. 4 + LT-RChol). Raises [Invalid_argument] if
-    the circuit has no capacitance at all (use DC analysis instead). *)
+    PowerRChol pipeline (Alg. 4 + LT-RChol) with [seed]. Raises
+    [Invalid_argument] if [h <= 0] or the circuit has no capacitance at
+    all (use DC analysis instead). *)
 
 val problem : t -> Sddm.Problem.t
 (** The current shifted backward-Euler system [G + C/h]. Re-read after
@@ -64,11 +65,13 @@ val simulate :
   t -> steps:int -> waveform:(float -> float) -> result
 (** [simulate t ~steps ~waveform] marches [steps] backward-Euler steps
     from the all-zero drop state. [waveform time] scales the DC load
-    vector at each step (values in [0, inf); 1 = full DC load). *)
+    vector at each step (values in [0, inf); 1 = full DC load). Raises
+    [Invalid_argument] if [steps <= 0]. *)
 
 val dc_drop : t -> Sparse.Vec.t
 (** Steady-state drop under full load, for comparing transient peaks
-    against the DC answer. *)
+    against the DC answer. Prepares the unshifted system afresh with the
+    seed given to {!prepare}. *)
 
 (** Common load waveforms. *)
 module Waveform : sig
@@ -77,8 +80,10 @@ module Waveform : sig
 
   val pulse : period:float -> duty:float -> float -> float
   (** Clock-gated block: 1 during the first [duty] fraction of each
-      period, 0 otherwise. *)
+      period, 0 otherwise. Raises [Invalid_argument] unless [period > 0]
+      and [0 <= duty <= 1]. *)
 
   val ramp : rise:float -> float -> float
-  (** Linear ramp from 0 to 1 over [rise] seconds. *)
+  (** Linear ramp from 0 to 1 over [rise] seconds. Raises
+      [Invalid_argument] unless [rise > 0]. *)
 end

@@ -305,8 +305,6 @@ let apply_preconditioner l ~perm ~scratch r z =
     done
   end
 
-let col_nnz l j = l.col_ptr.%(j + 1) - l.col_ptr.%(j)
-
 (* Per-slot cached column buffer, grown geometrically and kept on the
    factor: the ECO loop refactors the same closure sizes over and over,
    so after the first call the scratch is hot. *)

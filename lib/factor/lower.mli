@@ -110,16 +110,14 @@ val apply_preconditioner :
     available; sequential otherwise. Raises [Invalid_argument] on length
     mismatches. *)
 
-val col_nnz : t -> int -> int
-(** Stored entries of one column (diagonal included). *)
-
 val refactor_columns :
   t -> cols:int array -> emit:(int -> Sparse.Vec.t -> unit) -> unit
 (** [refactor_columns l ~cols ~emit] overwrites the stored {e values} of
     each listed column in place, keeping the pattern: for each column [j]
-    of [cols] in order, [emit j buf] must fill [buf.(0 .. col_nnz - 1)]
-    with the new values in stored order (diagonal first, strictly
-    positive — checked). A column's storage is updated before the next
+    of [cols] in order, [emit j buf] must fill [buf.(0 .. k - 1)], [k]
+    being column [j]'s stored entry count (diagonal included), with the
+    new values in stored order (diagonal first, strictly positive —
+    checked). A column's storage is updated before the next
     column's [emit] runs, so [emit] may read already-refactored columns.
     The cached diagonal and the schedule's row-form values are co-updated
     through {!schedule}'s [pos_in_row] map; because the pattern is

@@ -23,8 +23,6 @@ let status_to_string = function
     Printf.sprintf "stagnated at iteration %d (best residual %.3e)" iteration
       best_residual
 
-let pp_status fmt s = Format.pp_print_string fmt (status_to_string s)
-
 type result = {
   x : Sparse.Vec.t;
   iterations : int;

@@ -47,7 +47,6 @@ type status =
           budgeted fallback chains *)
 
 val status_to_string : status -> string
-val pp_status : Format.formatter -> status -> unit
 
 type result = {
   x : Sparse.Vec.t;

@@ -1519,8 +1519,6 @@ let record_to_text r =
   end;
   Buffer.contents buf
 
-let pp_record fmt r = Format.pp_print_string fmt (record_to_text r)
-
 (* ------------------------------------------------------------------ *)
 (* Trace export *)
 

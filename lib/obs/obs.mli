@@ -290,8 +290,6 @@ val record_to_text : record -> string
 (** Human-readable report: meta lines, then the span tree indented by
     depth, then counters, then histogram percentiles. *)
 
-val pp_record : Format.formatter -> record -> unit
-
 (** {1 Event traces}
 
     When {!tracing} is armed, spans additionally log timestamped

@@ -62,8 +62,6 @@ let issue_to_string = function
        are solvable independently"
       components largest
 
-let pp_issue fmt i = Format.pp_print_string fmt (issue_to_string i)
-
 let pp_report fmt r =
   Format.fprintf fmt "@[<v>matrix: n = %d, nnz = %d, %d component%s@," r.n
     r.nnz r.components (plural r.components);
@@ -79,8 +77,6 @@ let pp_report fmt r =
       r.issues;
     Format.fprintf fmt "@]"
   end
-
-let report_to_string r = Format.asprintf "%a" pp_report r
 
 let ok r = r.issues = []
 let fatal_issues r = List.filter (fun i -> severity i = Fatal) r.issues

@@ -59,9 +59,7 @@ val has_fatal : report -> bool
 val fatal_issues : report -> issue list
 
 val issue_to_string : issue -> string
-val pp_issue : Format.formatter -> issue -> unit
 val pp_report : Format.formatter -> report -> unit
-val report_to_string : report -> string
 
 (** {1 Island splitting} *)
 

@@ -364,8 +364,12 @@ let find_handle t key hkey =
        | None -> t.misses <- t.misses + 1);
       found)
 
-(* Enter a fresh handle. Past Engine.default_capacity handles in the
-   whole table, the least recently used one is dropped. *)
+(* Handles hold O(factor nnz) floats, so the table keeps at most this
+   many across all entries. *)
+let max_handles = 8
+
+(* Enter a fresh handle. Past max_handles handles in the whole table, the
+   least recently used one is dropped. *)
 let add_handle t key problem hkey prepared =
   locked t (fun () ->
       Hashtbl.replace (entry_for t key problem).handles hkey prepared;
@@ -377,10 +381,10 @@ let add_handle t key problem hkey prepared =
           Hashtbl.remove e.handles hkey;
           t.evictions <- t.evictions + 1;
           drop_if_empty t key e)
-        (past_cap Powerrchol.Engine.default_capacity t.handle_order))
+        (past_cap max_handles t.handle_order))
 
 (* The entry's ECO session for [seed], opened on first use. Opening one
-   past max_sessions closes the oldest (FIFO); a later update on that
+   past max_sessions drops the oldest (FIFO); a later update on that
    spec opens a fresh one. *)
 let find_session t key problem seed =
   match
@@ -390,21 +394,16 @@ let find_session t key problem seed =
   | Some s -> s
   | None ->
     let s = Powerrchol.Engine.Session.create ~seed problem in
-    let evicted =
-      locked t (fun () ->
-          Hashtbl.replace (entry_for t key problem).sessions seed s;
-          t.session_order <- (key, seed) :: t.session_order;
-          Option.map
-            (fun ((key, seed), rest) ->
-              t.session_order <- rest;
-              let e = Hashtbl.find t.table key in
-              let victim = Hashtbl.find e.sessions seed in
-              Hashtbl.remove e.sessions seed;
-              drop_if_empty t key e;
-              victim)
-            (past_cap t.config.max_sessions t.session_order))
-    in
-    Option.iter Powerrchol.Engine.Session.close evicted;
+    locked t (fun () ->
+        Hashtbl.replace (entry_for t key problem).sessions seed s;
+        t.session_order <- (key, seed) :: t.session_order;
+        Option.iter
+          (fun ((key, seed), rest) ->
+            t.session_order <- rest;
+            let e = Hashtbl.find t.table key in
+            Hashtbl.remove e.sessions seed;
+            drop_if_empty t key e)
+          (past_cap t.config.max_sessions t.session_order));
     s
 
 let solver_of_tag ~seed = function

@@ -6,9 +6,9 @@
     bytes. An entry holds the built problem, its prepared handles by
     (solver, seed) and its ECO sessions by seed, so a warm request is a
     table lookup and a PCG solve, with no rebuild and no re-factorization.
-    Handles are capped at {!Powerrchol.Engine.default_capacity} across
-    the table and evicted least-recently-used; sessions are capped at
-    [max_sessions] and evicted FIFO; an entry holding neither is dropped.
+    Handles are capped at {!max_handles} across the table and evicted
+    least-recently-used; sessions are capped at [max_sessions] and
+    evicted FIFO; an entry holding neither is dropped.
     The design goal is that {e no client behavior can crash, hang, or
     wedge the daemon}:
 
@@ -86,6 +86,10 @@ val default_config : Proto.addr -> config
     artificial delay, shutdown disabled, rtol capped at 1e-14, 500
     iterations, scale capped at 1.0, 4 sessions, no metrics listener,
     no access log, 10 MiB rotation bound. *)
+
+val max_handles : int
+(** Prepared handles the problem table holds across all entries (8);
+    past it the least recently used one is dropped. *)
 
 type t
 

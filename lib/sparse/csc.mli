@@ -74,9 +74,6 @@ val spmv_sym_into : t -> Vec.t -> Vec.t -> unit
     symmetric input (same per-row term order). Raises [Invalid_argument]
     when [a] is not square or the vector lengths disagree. *)
 
-val spmv_sym : t -> Vec.t -> Vec.t
-(** Allocating wrapper around {!spmv_sym_into}. *)
-
 val spmv_t : t -> Vec.t -> Vec.t
 (** [spmv_t a x] is [a^T * x]. *)
 

@@ -20,10 +20,6 @@ let inverse p =
   done;
   inv
 
-let compose p q =
-  assert (Array.length p = Array.length q);
-  Array.map (fun i -> q.(i)) p
-
 let apply_vec p (x : Vec.t) : Vec.t =
   assert (Array.length p = Vec.length x);
   Vec.init (Array.length p) (fun k -> Vec.get x p.(k))

@@ -16,11 +16,6 @@ val is_valid : t -> bool
 val inverse : t -> t
 (** [inverse p] satisfies [(inverse p).(p.(k)) = k]. *)
 
-val compose : t -> t -> t
-(** [compose p q] applies [q] first, then [p]: the result [r] satisfies
-    [r.(k) = q.(p.(k))], i.e. reordering by [r] is reordering by [q]
-    followed by reordering by [p]. *)
-
 val apply_vec : t -> Vec.t -> Vec.t
 (** [apply_vec p x] builds the reordered vector [y] with [y.(k) = x.(p.(k))]
     — the action of [P] on [x]. *)

@@ -30,5 +30,5 @@ val disconnect_island :
 (** Cut the last [island] vertices (default 4) off from the rest of the
     graph. [grounded = true] (default) keeps every island vertex tied to
     ground: the result is valid but disconnected, recoverable via
-    {!Diagnose.split_components}. [grounded = false] produces a floating
+    {!Robust.Diagnose.split_components}. [grounded = false] produces a floating
     pure-Laplacian island: singular, must be rejected by diagnostics. *)

@@ -1,5 +1,5 @@
-(* Prepared-solve engine tests: factor once / solve many semantics, the
-   fingerprint cache, workspace reuse, and the zero-allocation march. *)
+(* Prepared-solve engine tests: factor once / solve many semantics,
+   workspace reuse, versioned sessions, and the zero-allocation march. *)
 
 module Solver = Powerrchol.Solver
 module Engine = Powerrchol.Engine
@@ -18,21 +18,18 @@ let random_rhs ~rng n = Sparse.Vec.init n (fun _ -> Rng.float rng -. 0.5)
 (* ---- solve_many vs per-RHS full solves ---- *)
 
 let test_solve_many_bit_identical () =
-  Engine.clear ();
   let p = grid_problem () in
   let n = Sddm.Problem.n p in
   let rng = Rng.create 99 in
   let bs = Array.init 4 (fun _ -> random_rhs ~rng n) in
-  (* reference: one cached preparation + prepared solve per right-hand
-     side, b passed explicitly since the handle may carry another rhs *)
+  (* reference: one fresh preparation + prepared solve per right-hand
+     side *)
   let reference =
     Array.map
-      (fun b -> Solver.solve_prepared ~b (Engine.powerrchol (with_b p b)))
+      (fun b -> Solver.solve_prepared (Solver.powerrchol_prepare (with_b p b)))
       bs
   in
-  (* fresh engine so the batch pays its own (cached) preparation *)
-  Engine.clear ();
-  let batch = Solver.solve_many (Engine.powerrchol p) bs in
+  let batch = Solver.solve_many (Solver.powerrchol_prepare p) bs in
   Array.iteri
     (fun j (r : Solver.result) ->
       let ref_r = reference.(j) in
@@ -47,17 +44,16 @@ let test_solve_many_bit_identical () =
         (Printf.sprintf "rhs %d converged" j)
         true r.Solver.converged)
     batch;
-  (* and the engine path agrees with a from-scratch, cache-free solve *)
+  (* and the batch agrees with the one-shot Solver.run *)
   let fresh =
     Solver.run (Solver.powerrchol ()) (with_b p bs.(0))
   in
-  Alcotest.(check bool) "engine matches uncached Solver.run" true
+  Alcotest.(check bool) "batch matches Solver.run" true
     (fresh.Solver.x = batch.(0).Solver.x)
 
 let test_prepared_reuse_identical () =
-  Engine.clear ();
   let p = grid_problem ~seed:5151 () in
-  let prepared = Engine.powerrchol p in
+  let prepared = Solver.powerrchol_prepare p in
   let solves = Array.init 3 (fun _ -> Solver.solve_prepared prepared) in
   Array.iter
     (fun (r : Solver.result) ->
@@ -72,46 +68,6 @@ let test_prepared_reuse_identical () =
       Alcotest.(check (float 0.0)) "marginal cost: no factor time" 0.0
         r.Solver.t_precond)
     solves
-
-(* ---- engine cache ---- *)
-
-let test_engine_cache_hit () =
-  Engine.clear ();
-  Engine.reset_stats ();
-  let p = grid_problem ~seed:6161 () in
-  let p1 = Engine.powerrchol p in
-  let p2 = Engine.powerrchol p in
-  Alcotest.(check bool) "second prepare is the same handle" true (p1 == p2);
-  (* the fingerprint ignores b: an equal-matrix problem with a different
-     rhs reuses the factorization *)
-  let n = Sddm.Problem.n p in
-  let p3 = Engine.powerrchol (with_b p (Sparse.Vec.make n 1.0)) in
-  Alcotest.(check bool) "different rhs, same matrix: cache hit" true
-    (p1 == p3);
-  Alcotest.(check int) "one miss" 1 (Engine.misses ());
-  Alcotest.(check int) "two hits" 2 (Engine.hits ())
-
-let test_engine_distinguishes_config () =
-  Engine.clear ();
-  let p = grid_problem ~seed:7171 () in
-  let a = Engine.powerrchol ~seed:1 p in
-  let b = Engine.powerrchol ~seed:2 p in
-  Alcotest.(check bool) "different seed, different handle" true (not (a == b));
-  let c = Engine.powerrchol ~seed:1 p in
-  Alcotest.(check bool) "seed 1 again: cached" true (a == c)
-
-let test_engine_capacity () =
-  Engine.clear ();
-  Engine.set_capacity 1;
-  let p1 = grid_problem ~nx:8 ~ny:8 ~seed:1 () in
-  let p2 = grid_problem ~nx:9 ~ny:9 ~seed:2 () in
-  let h1 = Engine.powerrchol p1 in
-  let _h2 = Engine.powerrchol p2 in
-  (* p1 was evicted by p2 under capacity 1 *)
-  let h1' = Engine.powerrchol p1 in
-  Alcotest.(check bool) "evicted handle re-prepared" true (not (h1 == h1'));
-  Engine.set_capacity Engine.default_capacity;
-  Engine.clear ()
 
 (* ---- transient march: trajectory + allocation discipline ---- *)
 
@@ -251,7 +207,6 @@ let find_edge_of p =
   match !e with Some uv -> uv | None -> Alcotest.fail "no edges"
 
 let test_session_rhs_only_rung () =
-  Engine.clear ();
   let p = grid_problem ~nx:12 ~ny:12 ~seed:8101 () in
   let s = Session.create p in
   let h0 = Session.prepared s in
@@ -268,11 +223,9 @@ let test_session_rhs_only_rung () =
     (Printf.sprintf "matches scratch (diff %.3e)"
        (max_abs_diff r.Solver.x ref_r.Solver.x))
     true
-    (max_abs_diff r.Solver.x ref_r.Solver.x < 1e-6);
-  Session.close s
+    (max_abs_diff r.Solver.x ref_r.Solver.x < 1e-6)
 
 let test_session_local_rung_matches_scratch () =
-  Engine.clear ();
   let p = grid_problem ~nx:16 ~ny:16 ~seed:8202 () in
   (* max_fraction 1.0: the etree-local rung always gets the budget, so a
      value-only edit must take it *)
@@ -302,11 +255,9 @@ let test_session_local_rung_matches_scratch () =
     (Printf.sprintf "matches scratch (diff %.3e)"
        (max_abs_diff r.Solver.x ref_r.Solver.x))
     true
-    (max_abs_diff r.Solver.x ref_r.Solver.x < 1e-5);
-  Session.close s
+    (max_abs_diff r.Solver.x ref_r.Solver.x < 1e-5)
 
 let test_session_low_rank_rung () =
-  Engine.clear ();
   let p = grid_problem ~nx:16 ~ny:16 ~seed:8303 () in
   (* max_fraction 0: the local rung's budget is one column, so any real
      edit overflows it and the small-support Woodbury rung must catch *)
@@ -351,11 +302,9 @@ let test_session_low_rank_rung () =
     (Printf.sprintf "accumulated matches scratch (diff %.3e)"
        (max_abs_diff r2.Solver.x ref2.Solver.x))
     true
-    (max_abs_diff r2.Solver.x ref2.Solver.x < 1e-5);
-  Session.close s
+    (max_abs_diff r2.Solver.x ref2.Solver.x < 1e-5)
 
 let test_session_full_rung_bit_identical () =
-  Engine.clear ();
   let p = grid_problem ~nx:12 ~ny:12 ~seed:8404 () in
   let s = Session.create p in
   let ws0 = (Session.prepared s).Solver.workspace in
@@ -374,11 +323,9 @@ let test_session_full_rung_bit_identical () =
   Alcotest.(check bool) "bit-identical to scratch" true
     (r.Solver.x = ref_r.Solver.x);
   Alcotest.(check int) "same iterations" ref_r.Solver.iterations
-    r.Solver.iterations;
-  Session.close s
+    r.Solver.iterations
 
 let test_session_edit_storm_stays_correct () =
-  Engine.clear ();
   let spec = Powergrid.Generate.default ~nx:20 ~ny:20 ~seed:8505 in
   let circuit = Powergrid.Generate.generate_circuit spec in
   let p = Powergrid.Generate.circuit_to_problem ~name:"storm" circuit in
@@ -404,26 +351,7 @@ let test_session_edit_storm_stays_correct () =
            true_res)
         true
         (r.Solver.converged && true_res <= 1e-5))
-    scenarios;
-  Session.close s
-
-let test_session_cache_versioning () =
-  Engine.clear ();
-  Engine.reset_stats ();
-  let p = grid_problem ~nx:10 ~ny:10 ~seed:8606 () in
-  let live0 = Engine.live_handles () in
-  let s = Session.create ~max_fraction:1.0 p in
-  Alcotest.(check int) "session holds one handle" (live0 + 1)
-    (Engine.live_handles ());
-  let ev0 = Engine.evictions () in
-  let u, v = find_edge_of p in
-  ignore (Engine.update s [ Sddm.Edit.Scale_conductance { u; v; factor = 2.0 } ]);
-  Alcotest.(check int) "still one handle after update" (live0 + 1)
-    (Engine.live_handles ());
-  Alcotest.(check bool) "old version evicted" true (Engine.evictions () > ev0);
-  Session.close s;
-  Alcotest.(check int) "closed session releases its handle" live0
-    (Engine.live_handles ())
+    scenarios
 
 (* ---- robust chain determinism with shared permutation ---- *)
 
@@ -475,13 +403,6 @@ let () =
           Alcotest.test_case "prepared handle reuse" `Quick
             test_prepared_reuse_identical;
         ] );
-      ( "cache",
-        [
-          Alcotest.test_case "hit on same matrix" `Quick test_engine_cache_hit;
-          Alcotest.test_case "config separates entries" `Quick
-            test_engine_distinguishes_config;
-          Alcotest.test_case "capacity eviction" `Quick test_engine_capacity;
-        ] );
       ( "transient",
         [
           Alcotest.test_case "march matches reference" `Quick
@@ -514,7 +435,5 @@ let () =
             test_session_full_rung_bit_identical;
           Alcotest.test_case "edit storm stays correct" `Quick
             test_session_edit_storm_stays_correct;
-          Alcotest.test_case "cache versioning" `Quick
-            test_session_cache_versioning;
         ] );
     ]

@@ -80,6 +80,35 @@ let test_objective_linear_form () =
     (Float.abs (grad.Powerrchol.Sensitivity.objective -. total)
      < 1e-8 *. (1.0 +. Float.abs total))
 
+let test_worst_node_one_factorization () =
+  (* the primal and the adjoint solve share one preparation *)
+  let p =
+    Powergrid.Generate.generate
+      (Powergrid.Generate.default ~nx:10 ~ny:10 ~seed:1013)
+  in
+  let _, record =
+    Powerrchol.Solver.with_obs ~meta_of:(fun _ -> []) (fun () ->
+        Powerrchol.Sensitivity.worst_node_drop p)
+  in
+  let is_factor (s : Obs.span_stat) =
+    List.hd (List.rev (String.split_on_char '/' s.Obs.path)) = "factor"
+  in
+  let calls =
+    List.fold_left
+      (fun acc s -> if is_factor s then acc + s.Obs.calls else acc)
+      0 record.Obs.spans
+  in
+  Alcotest.(check int) "factor span entered once" 1 calls
+
+let test_objective_length_checked () =
+  let p = Test_util.random_problem ~seed:1019 ~n:60 ~m:150 in
+  Alcotest.(check bool) "short objective rejected" true
+    (match
+       Powerrchol.Sensitivity.of_objective p ~c:(Sparse.Vec.make 59 1.0)
+     with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
+
 (* ---- incremental (ECO) re-solve ---- *)
 
 let test_eco_preconditioner_reuse () =
@@ -139,6 +168,10 @@ let () =
           Alcotest.test_case "critical edges sorted" `Quick
             test_critical_edges_sorted;
           Alcotest.test_case "linear objective" `Quick test_objective_linear_form;
+          Alcotest.test_case "worst node: one factorization" `Quick
+            test_worst_node_one_factorization;
+          Alcotest.test_case "objective length checked" `Quick
+            test_objective_length_checked;
         ] );
       ( "eco",
         [

@@ -729,14 +729,14 @@ let test_profiled_solve_matches_result () =
   Alcotest.(check bool) "obs disabled after profiled run" false (Obs.enabled ())
 
 let test_profiled_breakdown_matches_result () =
-  (* NaN injected into the rhs (Robust.Fault): PCG must exit with a typed
+  (* NaN injected into the rhs (Fault): PCG must exit with a typed
      Nonfinite breakdown, and the telemetry must mirror that result
      rather than report a healthy solve. *)
   let clean = grid_problem () in
   let problem =
     Sddm.Problem.of_graph ~name:"obs-nan-rhs" ~graph:clean.Sddm.Problem.graph
       ~d:clean.Sddm.Problem.d
-      ~b:(Robust.Fault.inject_nan_rhs ~row:7 clean.Sddm.Problem.b)
+      ~b:(Fault.inject_nan_rhs ~row:7 clean.Sddm.Problem.b)
   in
   let r, record = profiled_run problem in
   (match r.Powerrchol.Solver.status with

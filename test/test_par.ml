@@ -403,8 +403,8 @@ let test_solve_many_parallel_matches_seq () =
   let bs = Array.init 7 (fun _ -> random_rhs ~rng n) in
   (* poison two right-hand sides: the batch must report per-solve typed
      breakdowns without disturbing its healthy neighbors *)
-  bs.(2) <- Robust.Fault.inject_nan_rhs ~row:5 bs.(2);
-  bs.(5) <- Robust.Fault.inject_nan_rhs ~row:0 bs.(5);
+  bs.(2) <- Fault.inject_nan_rhs ~row:5 bs.(2);
+  bs.(5) <- Fault.inject_nan_rhs ~row:0 bs.(5);
   let prepared = Solver.powerrchol_prepare p in
   let seq = Solver.solve_many prepared bs in
   let par = with_domains 3 (fun () -> Solver.solve_many prepared bs) in
@@ -435,7 +435,7 @@ let test_solve_many_stress_mixed_outcomes () =
   let n = Sddm.Problem.n p in
   let rng = Rng.create 73 in
   let bs = Array.init 9 (fun _ -> random_rhs ~rng n) in
-  bs.(4) <- Robust.Fault.inject_nan_rhs ~row:(n / 2) bs.(4);
+  bs.(4) <- Fault.inject_nan_rhs ~row:(n / 2) bs.(4);
   let prepared = Solver.powerrchol_prepare p in
   let seq = Solver.solve_many ~max_iter:3 prepared bs in
   let par =

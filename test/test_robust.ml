@@ -103,7 +103,7 @@ let test_diagnose_clean () =
 
 let test_diagnose_issue_counts () =
   let a, b = healthy_pair () in
-  let a = Robust.Fault.inject_nan ~entry:5 (Robust.Fault.inject_nan ~entry:2 a) in
+  let a = Fault.inject_nan ~entry:5 (Fault.inject_nan ~entry:2 a) in
   let report = Robust.Diagnose.run ~a ~b in
   let found =
     List.exists
@@ -116,7 +116,7 @@ let test_diagnose_issue_counts () =
   Alcotest.(check bool) "fatal" true (Robust.Diagnose.has_fatal report)
 
 let test_split_components_matches_dense () =
-  let p = Robust.Fault.disconnect_island ~island:5 ~grounded:true (mesh_problem ()) in
+  let p = Fault.disconnect_island ~island:5 ~grounded:true (mesh_problem ()) in
   let report = Robust.Diagnose.of_problem p in
   Alcotest.(check int) "two components" 2 report.Robust.Diagnose.components;
   let comps = Robust.Diagnose.split_components p in
@@ -260,27 +260,27 @@ let solve_matrix_robust_of a b =
 
 let test_fault_nan_entry () =
   let a, b = healthy_pair () in
-  let r = solve_matrix_robust_of (Robust.Fault.inject_nan a) b in
+  let r = solve_matrix_robust_of (Fault.inject_nan a) b in
   Alcotest.(check bool) "rejected" true (is_rejected r)
 
 let test_fault_nan_rhs () =
   let a, b = healthy_pair () in
-  let r = solve_matrix_robust_of a (Robust.Fault.inject_nan_rhs b) in
+  let r = solve_matrix_robust_of a (Fault.inject_nan_rhs b) in
   Alcotest.(check bool) "rejected" true (is_rejected r)
 
 let test_fault_broken_dominance () =
   let a, b = healthy_pair () in
-  let r = solve_matrix_robust_of (Robust.Fault.break_dominance ~row:10 a) b in
+  let r = solve_matrix_robust_of (Fault.break_dominance ~row:10 a) b in
   Alcotest.(check bool) "rejected" true (is_rejected r)
 
 let test_fault_zero_row () =
   let a, b = healthy_pair () in
-  let r = solve_matrix_robust_of (Robust.Fault.zero_row ~row:7 a) b in
+  let r = solve_matrix_robust_of (Fault.zero_row ~row:7 a) b in
   Alcotest.(check bool) "rejected" true (is_rejected r)
 
 let test_fault_weight_scale () =
   let a, b = healthy_pair () in
-  let r = solve_matrix_robust_of (Robust.Fault.corrupt_weight_scale ~row:5 a) b in
+  let r = solve_matrix_robust_of (Fault.corrupt_weight_scale ~row:5 a) b in
   Alcotest.(check bool) "rejected" true (is_rejected r)
 
 let test_fault_none_solves () =
@@ -291,7 +291,7 @@ let test_fault_none_solves () =
   Alcotest.(check bool) "verified residual" true (solved_residual r <= 1e-6)
 
 let test_fault_grounded_island_recovers () =
-  let p = Robust.Fault.disconnect_island ~island:6 ~grounded:true (mesh_problem ()) in
+  let p = Fault.disconnect_island ~island:6 ~grounded:true (mesh_problem ()) in
   let r = Powerrchol.Solver.solve_robust ~rtol:1e-8 p in
   (match r.Powerrchol.Solver.outcome with
    | Powerrchol.Solver.Robust_solved { x; residual; _ } ->
@@ -312,7 +312,7 @@ let test_fault_grounded_island_recovers () =
 
 let test_fault_floating_island_rejected () =
   let p =
-    Robust.Fault.disconnect_island ~island:6 ~grounded:false (mesh_problem ())
+    Fault.disconnect_island ~island:6 ~grounded:false (mesh_problem ())
   in
   let r = Powerrchol.Solver.solve_robust p in
   match r.Powerrchol.Solver.outcome with

@@ -881,7 +881,7 @@ let test_daemon_lru_keeps_touched_handle () =
       let spec = Proto.Case { id = "pg01"; scale = 0.05 } in
       let hit seed = fst (solved addr (Proto.solve ~seed spec)) in
       ignore (hit 100);
-      for seed = 1 to Powerrchol.Engine.default_capacity do
+      for seed = 1 to Serve.Daemon.max_handles do
         Alcotest.(check bool) (Printf.sprintf "seed %d is new" seed) false
           (hit seed);
         Alcotest.(check bool)
@@ -1164,10 +1164,23 @@ let test_access_log_one_line_per_request () =
 let test_access_log_rotation () =
   (* a cap smaller than a handful of lines forces a rotation: FILE is
      renamed to FILE.1 and the live log starts over *)
-  with_access_log_daemon ~max_bytes:400 (fun _t addr log ->
+  with_access_log_daemon ~max_bytes:400 (fun t addr log ->
       for _ = 1 to 6 do
         ignore (call_ok addr Proto.Ping)
       done;
+      (* a request's line is written after its response frame, so the
+         last one may still be rotating the files when the call returns;
+         once no connection is open, every line is written *)
+      let idle () =
+        match
+          Option.bind
+            (Obs.Json.member "connections" (Serve.Daemon.metrics t))
+            (Obs.Json.member "active")
+        with
+        | Some (Obs.Json.Int 0) -> true
+        | _ -> false
+      in
+      wait_for idle;
       wait_for (fun () ->
           Sys.file_exists (log ^ ".1") && read_lines log <> []);
       Alcotest.(check bool) "rotated file exists" true

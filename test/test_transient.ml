@@ -101,6 +101,61 @@ let test_requires_capacitance () =
      | _ -> false
      | exception Invalid_argument _ -> true)
 
+let test_dc_drop_uses_seed () =
+  (* dc_drop factors the unshifted system with the seed given to prepare:
+     bit-identical to a seed-7 solve of that system, not the default-seed
+     one *)
+  let spec = Powergrid.Generate.default ~nx:14 ~ny:14 ~seed:2024 in
+  let circuit = Powergrid.Generate.generate_circuit spec in
+  let h = 1e-10 and rtol = 1e-6 in
+  let t = Powerrchol.Transient.prepare ~rtol ~seed:7 ~circuit ~h () in
+  (* the unshifted system, rebuilt from the shifted one as dc_drop does *)
+  let shifted = Powerrchol.Transient.problem t in
+  let cap_over_h = Array.make (Sddm.Problem.n shifted) 0.0 in
+  Array.iter
+    (fun (node, farads) ->
+      cap_over_h.(node) <- cap_over_h.(node) +. (farads /. h))
+    circuit.Powergrid.Generate.caps;
+  let d = Array.mapi (fun i di -> di -. cap_over_h.(i)) shifted.Sddm.Problem.d in
+  let b =
+    (Powergrid.Generate.circuit_to_problem ~name:"dc" circuit).Sddm.Problem.b
+  in
+  let dc =
+    Sddm.Problem.of_graph ~name:"ref-dc" ~graph:shifted.Sddm.Problem.graph ~d ~b
+  in
+  let solve seed =
+    let prepared = Powerrchol.Solver.powerrchol_prepare ~seed dc in
+    (Powerrchol.Solver.solve_prepared ~rtol prepared).Powerrchol.Solver.x
+  in
+  let x = Powerrchol.Transient.dc_drop t in
+  Alcotest.(check bool) "bit-identical to the seed-7 solve" true (x = solve 7);
+  Alcotest.(check bool) "differs from the default-seed solve" true
+    (x <> solve Powerrchol.Solver.default_seed)
+
+let test_rejects_nonpositive_steps () =
+  let t =
+    Powerrchol.Transient.prepare ~circuit:(tiny_circuit ~cap:1.0) ~h:0.1 ()
+  in
+  Alcotest.(check bool) "steps = 0 rejected" true
+    (match
+       Powerrchol.Transient.simulate t ~steps:0
+         ~waveform:Powerrchol.Transient.Waveform.step
+     with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
+
+let test_waveform_arguments_checked () =
+  let module W = Powerrchol.Transient.Waveform in
+  let rejected f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "pulse period 0" true
+    (rejected (fun () -> W.pulse ~period:0.0 ~duty:0.5 0.25));
+  Alcotest.(check bool) "pulse duty > 1" true
+    (rejected (fun () -> W.pulse ~period:1.0 ~duty:1.5 0.25));
+  Alcotest.(check bool) "ramp rise 0" true
+    (rejected (fun () -> W.ramp ~rise:0.0 1.0))
+
 let test_waveforms () =
   let module W = Powerrchol.Transient.Waveform in
   Alcotest.(check (float 0.0)) "step before" 0.0 (W.step (-1.0));
@@ -149,9 +204,17 @@ let () =
             test_warm_start_efficiency;
           Alcotest.test_case "needs capacitance" `Quick
             test_requires_capacitance;
+          Alcotest.test_case "dc_drop uses the seed" `Quick
+            test_dc_drop_uses_seed;
+          Alcotest.test_case "rejects nonpositive steps" `Quick
+            test_rejects_nonpositive_steps;
         ] );
       ( "waveforms",
-        [ Alcotest.test_case "shapes" `Quick test_waveforms ] );
+        [
+          Alcotest.test_case "shapes" `Quick test_waveforms;
+          Alcotest.test_case "arguments checked" `Quick
+            test_waveform_arguments_checked;
+        ] );
       ( "netlist",
         [
           Alcotest.test_case "capacitor roundtrip" `Quick
