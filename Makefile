@@ -1,5 +1,6 @@
-.PHONY: build check check-par test test-robust bench-smoke bench-kernels \
-  trace-smoke serve-smoke eco-smoke monitor-smoke fmt fmt-check clean
+.PHONY: build check check-par check-idx64 test test-robust bench-smoke \
+  bench-kernels trace-smoke serve-smoke eco-smoke monitor-smoke fmt \
+  fmt-check clean
 
 build:
 	dune build
@@ -14,6 +15,13 @@ test: check
 # (a no-op widening on the 4.14 sequential fallback) — the CI 5.1 leg.
 check-par:
 	POWERRCHOL_DOMAINS=2 dune runtest --force
+
+# Full build and suite again with the native-word index backend
+# (lib/sparse/dune selects it from POWERRCHOL_IDX64) — the CI 5.1 leg.
+# The next plain `dune build` recompiles the default int32 backend.
+check-idx64:
+	POWERRCHOL_IDX64=1 dune build @all
+	POWERRCHOL_IDX64=1 dune runtest --force
 
 # Only the robustness / fault-injection suite.
 test-robust:

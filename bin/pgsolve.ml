@@ -498,6 +498,17 @@ let transient_cmd =
   in
   let run nx ny seed rtol step steps period duty domains =
     apply_domains domains;
+    (* the library rejects a bad --step, --steps, --period or --duty with
+       Invalid_argument: a one-line report and exit 1 *)
+    let checked f =
+      try f ()
+      with Invalid_argument msg ->
+        Printf.eprintf "pgsolve: %s\n" msg;
+        exit 1
+    in
+    let waveform =
+      checked (fun () -> Powerrchol.Transient.Waveform.pulse ~period ~duty)
+    in
     let spec = Powergrid.Generate.default ~nx ~ny ~seed in
     let circuit = Powergrid.Generate.generate_circuit spec in
     Printf.printf "grid: %d nodes, %d decap sites; h = %.3g s, %d steps
@@ -505,9 +516,13 @@ let transient_cmd =
       circuit.Powergrid.Generate.n_nodes
       (Array.length circuit.Powergrid.Generate.caps)
       step steps;
-    let t = Powerrchol.Transient.prepare ~rtol ~seed ~circuit ~h:step () in
-    let waveform = Powerrchol.Transient.Waveform.pulse ~period ~duty in
-    let res = Powerrchol.Transient.simulate t ~steps ~waveform in
+    let t =
+      checked (fun () ->
+          Powerrchol.Transient.prepare ~rtol ~seed ~circuit ~h:step ())
+    in
+    let res =
+      checked (fun () -> Powerrchol.Transient.simulate t ~steps ~waveform)
+    in
     Printf.printf
       "prepare %.3f s; march %.3f s; %d PCG iterations (%.1f per step)
 "

@@ -181,16 +181,23 @@ let schedule l =
 let par_solve_min = 4096
 let level_min_cols = 256
 
+(* The per-nonzero index read of the four solves below, built from the
+   index backend's two primitives: unlike [Idx.get] and [.%()] it stays
+   inline when the library is compiled with -opaque. [k] must be in
+   bounds. *)
+let[@inline] at a k = Idx.to_int (Idx.unsafe_get_elt a k)
+
 let solve_in_place l (x : Vec.t) =
   if Vec.length x <> l.n then
     invalid_arg "Lower.solve_in_place: vector length does not match factor";
+  let col_ptr = l.col_ptr and rows = l.rows in
   for j = 0 to l.n - 1 do
-    let lo = l.col_ptr.%(j) in
+    let lo = at col_ptr j in
     let xj = x.{j} /. Vec.get l.vals lo in
     x.{j} <- xj;
     if xj <> 0.0 then
-      for k = lo + 1 to l.col_ptr.%(j + 1) - 1 do
-        let i = Idx.unsafe_get l.rows k in
+      for k = lo + 1 to at col_ptr (j + 1) - 1 do
+        let i = at rows k in
         Vec.unsafe_set x i
           (Vec.unsafe_get x i -. (Vec.unsafe_get l.vals k *. xj))
       done
@@ -200,14 +207,12 @@ let solve_transpose_in_place l (x : Vec.t) =
   if Vec.length x <> l.n then
     invalid_arg
       "Lower.solve_transpose_in_place: vector length does not match factor";
+  let col_ptr = l.col_ptr and rows = l.rows in
   for j = l.n - 1 downto 0 do
-    let lo = l.col_ptr.%(j) in
+    let lo = at col_ptr j in
     let acc = ref x.{j} in
-    for k = lo + 1 to l.col_ptr.%(j + 1) - 1 do
-      acc :=
-        !acc
-        -. (Vec.unsafe_get l.vals k
-            *. Vec.unsafe_get x (Idx.unsafe_get l.rows k))
+    for k = lo + 1 to at col_ptr (j + 1) - 1 do
+      acc := !acc -. (Vec.unsafe_get l.vals k *. Vec.unsafe_get x (at rows k))
     done;
     x.{j} <- !acc /. Vec.get l.vals lo
   done
@@ -226,13 +231,13 @@ let solve_in_place_sched l ~pool (x : Vec.t) =
       ~hi:s.level_ptr.(lvl + 1) (fun clo chi ->
         for idx = clo to chi - 1 do
           let i = order.(idx) in
-          let hi_k = row_ptr.%(i + 1) in
+          let hi_k = at row_ptr (i + 1) in
           let acc = ref x.{i} in
-          for k = row_ptr.%(i) to hi_k - 2 do
+          for k = at row_ptr i to hi_k - 2 do
             acc :=
               !acc
               -. (Vec.unsafe_get row_vals k
-                  *. Vec.unsafe_get x (Idx.unsafe_get row_cols k))
+                  *. Vec.unsafe_get x (at row_cols k))
           done;
           x.{i} <- !acc /. Vec.get row_vals (hi_k - 1)
         done)
@@ -256,13 +261,11 @@ let solve_transpose_in_place_sched l ~pool (x : Vec.t) =
       ~hi:s.level_ptr.(lvl + 1) (fun clo chi ->
         for idx = clo to chi - 1 do
           let j = order.(idx) in
-          let lo = col_ptr.%(j) in
+          let lo = at col_ptr j in
           let acc = ref x.{j} in
-          for k = lo + 1 to col_ptr.%(j + 1) - 1 do
+          for k = lo + 1 to at col_ptr (j + 1) - 1 do
             acc :=
-              !acc
-              -. (Vec.unsafe_get vals k
-                  *. Vec.unsafe_get x (Idx.unsafe_get rows k))
+              !acc -. (Vec.unsafe_get vals k *. Vec.unsafe_get x (at rows k))
           done;
           x.{j} <- !acc /. Vec.get vals lo
         done)

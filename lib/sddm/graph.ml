@@ -49,14 +49,32 @@ let iter_edges g f =
     f g.us.(e) g.vs.(e) g.ws.(e)
   done
 
-(* Coalesce parallel edges: sort by (u,v) with a key, then sum runs. *)
+(* Stable counting sort of the edge ids in [src] by [key.(e)], a vertex:
+   O(n + m), and edges with equal keys keep their order in [src]. *)
+let counting_sort ~n key src =
+  let start = Array.make (n + 1) 0 in
+  Array.iter (fun e -> start.(key.(e) + 1) <- start.(key.(e) + 1) + 1) src;
+  for x = 1 to n do
+    start.(x) <- start.(x) + start.(x - 1)
+  done;
+  let dst = Array.make (Array.length src) 0 in
+  Array.iter
+    (fun e ->
+      let x = key.(e) in
+      dst.(start.(x)) <- e;
+      start.(x) <- start.(x) + 1)
+    src;
+  dst
+
+(* Coalesce parallel edges: order the edge ids by (u,v), then sum runs.
+   Sorting by v and then, stably, by u is a radix sort on the pair, so
+   the copies of a pair stay in input order and are summed in it. *)
 let coalesce g =
   if g.coalesced then g
   else begin
     let m = n_edges g in
-    let order = Array.init m (fun e -> e) in
-    let key e = (g.us.(e), g.vs.(e)) in
-    Array.sort (fun a b -> compare (key a) (key b)) order;
+    let by_v = counting_sort ~n:g.n g.vs (Array.init m (fun e -> e)) in
+    let order = counting_sort ~n:g.n g.us by_v in
     let us = Array.make m 0 and vs = Array.make m 0 and ws = Array.make m 0.0 in
     let out = ref 0 in
     let k = ref 0 in

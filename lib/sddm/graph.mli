@@ -22,7 +22,9 @@ val edge : t -> int -> int * int * float
 val iter_edges : t -> (int -> int -> float -> unit) -> unit
 
 val coalesce : t -> t
-(** Merge parallel edges by summing weights. *)
+(** Merge parallel edges by summing weights. The result lists its edges
+    in ascending [(u, v)] order, one per distinct pair, and sums the
+    copies of a pair in their input order. O(n + m). *)
 
 (** {1 Adjacency view}
 

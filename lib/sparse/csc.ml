@@ -166,15 +166,21 @@ let get a i j =
   in
   bisect lo hi
 
+(* The per-nonzero index read of the SpMV kernels, built from the
+   backend's two primitives: unlike [Idx.get] it stays inline when the
+   library is compiled with -opaque. [k] must be in bounds. *)
+let[@inline] at a k = Idx.to_int (Idx.unsafe_get_elt a k)
+
 let spmv_into a x y =
-  assert (Vec.length x = a.n_cols && Vec.length y = a.n_rows);
+  if Vec.length x <> a.n_cols || Vec.length y <> a.n_rows then
+    invalid_arg "Csc.spmv_into: vector lengths must match the matrix";
   Vec.fill y 0.0;
-  let row_idx = a.row_idx and values = a.values in
+  let col_ptr = a.col_ptr and row_idx = a.row_idx and values = a.values in
   for j = 0 to a.n_cols - 1 do
     let xj = Vec.get x j in
     if xj <> 0.0 then
-      for k = a.col_ptr.%(j) to a.col_ptr.%(j + 1) - 1 do
-        let i = Idx.unsafe_get row_idx k in
+      for k = at col_ptr j to at col_ptr (j + 1) - 1 do
+        let i = at row_idx k in
         Vec.unsafe_set y i (Vec.unsafe_get y i +. (Vec.unsafe_get values k *. xj))
       done
   done
@@ -202,11 +208,9 @@ let spmv_sym_into a x y =
   let body lo hi =
     for i = lo to hi - 1 do
       let acc = ref 0.0 in
-      for k = col_ptr.%(i) to col_ptr.%(i + 1) - 1 do
+      for k = at col_ptr i to at col_ptr (i + 1) - 1 do
         acc :=
-          !acc
-          +. (Vec.unsafe_get values k
-              *. Vec.unsafe_get x (Idx.unsafe_get row_idx k))
+          !acc +. (Vec.unsafe_get values k *. Vec.unsafe_get x (at row_idx k))
       done;
       Vec.unsafe_set y i !acc
     done

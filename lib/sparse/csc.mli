@@ -62,7 +62,10 @@ val spmv : t -> Vec.t -> Vec.t
 (** [spmv a x] allocates [a * x]. *)
 
 val spmv_into : t -> Vec.t -> Vec.t -> unit
-(** [spmv_into a x y] computes [y <- a * x] without allocating. *)
+(** [spmv_into a x y] computes [y <- a * x] without allocating. Raises
+    [Invalid_argument] when [x] is not [n_cols] long or [y] not [n_rows]
+    long; the check is not an assertion, so it holds under [-noassert]
+    too. *)
 
 val spmv_sym_into : t -> Vec.t -> Vec.t -> unit
 (** [spmv_sym_into a x y] computes [y <- a * x] for a {e symmetric} [a] in

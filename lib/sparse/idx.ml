@@ -12,16 +12,12 @@ let to_array a = Array.init (length a) (get a)
 
 let copy a =
   let b = make (length a) in
-  for i = 0 to length a - 1 do
-    unsafe_set b i (unsafe_get a i)
-  done;
+  Bigarray.Array1.blit a b;
   b
 
 let blit ~src ~dst =
   if length src <> length dst then invalid_arg "Idx.blit: length mismatch";
-  for i = 0 to length src - 1 do
-    unsafe_set dst i (unsafe_get src i)
-  done
+  Bigarray.Array1.blit src dst
 
 let sub (a : t) ofs len : t = Bigarray.Array1.sub a ofs len
 

@@ -8,29 +8,29 @@
     at the API; the narrow build's constructors must guard against
     overflow with {!check_index_capacity}. *)
 
-type t
+include module type of struct
+  include Idx_backend
+end
+(** The selected backend:
+    - [t] is its Bigarray type, exposed so that the primitives below
+      compile to an inline load at every call site;
+    - [elt] is the stored element, [int32] or [int];
+    - [bits] is the index width of this build, 32 or 64, and
+      [bytes_per_index] its storage in bytes;
+    - [max_index] is the largest value an element can hold;
+    - [get]/[set] are bounds-checked accessors on plain [int];
+    - [make n] is a zero-filled array of length [n].
 
-val bits : int
-(** Index width of this build: 32 or 64. *)
+    [unsafe_get_elt a k] reads element [k] without a bounds check, and
+    [to_int] widens it; both are [external]s. The hot sparse kernels
+    ({!Csc.spmv_into}, {!Csc.spmv_sym_into} and the triangular solves of
+    [Factor.Lower]) read every pointer and row index as
+    [to_int (unsafe_get_elt a k)], which stays inline even when the
+    library is compiled with [-opaque], whereas [get] and [.%()] are
+    function calls across the module boundary. Cold code keeps [get] and
+    [.%()]: they check bounds, and their cost is not per nonzero of a
+    solve. *)
 
-val bytes_per_index : int
-
-val max_index : int
-(** Largest value representable by this build's index element. *)
-
-val length : t -> int
-val get : t -> int -> int
-val set : t -> int -> int -> unit
-
-val unsafe_get : t -> int -> int
-(** No bounds check; the caller must have validated the index. *)
-
-val unsafe_set : t -> int -> int -> unit
-
-val make : int -> t
-(** [make n] is a zero-filled index array of length [n]. *)
-
-val fill : t -> int -> unit
 val init : int -> (int -> int) -> t
 val of_array : int array -> t
 val to_array : t -> int array

@@ -35,6 +35,85 @@ let test_lower_solves () =
   Factor.Lower.solve_transpose_in_place l y;
   Test_util.check_vec ~eps:1e-12 "backward" [| 5.0; 5.0; 2.0 |] y
 
+(* The SpMV kernels and the triangular solves read their indices through
+   the index backend's primitives. Check each against a dense product
+   formed here from the stored entries, read with [Idx.get], on a factor
+   of a small generated grid. The bound is componentwise: any summation
+   order lands within a few ulps of |M| |v|, and a misread index does
+   not. *)
+let test_kernels_dense_reference () =
+  let spec = Powergrid.Generate.default ~nx:16 ~ny:16 ~seed:5151 in
+  let p =
+    Powergrid.Generate.circuit_to_problem ~name:"dense-ref"
+      (Powergrid.Generate.generate_circuit spec)
+  in
+  let n = Sddm.Problem.n p in
+  Alcotest.(check bool) "grid has at most 300 nodes" true (n <= 300);
+  let dense_of col_ptr rows vals =
+    let m = Array.make_matrix n n 0.0 in
+    for j = 0 to n - 1 do
+      for k = Sparse.Idx.get col_ptr j to Sparse.Idx.get col_ptr (j + 1) - 1 do
+        let i = Sparse.Idx.get rows k in
+        m.(i).(j) <- m.(i).(j) +. Vec.get vals k
+      done
+    done;
+    m
+  in
+  let a = p.Sddm.Problem.a in
+  let dense_a = dense_of a.Csc.col_ptr a.Csc.row_idx a.Csc.values in
+  let l =
+    Factor.Lt_rchol.factorize ~rng:(Rng.create 7) p.Sddm.Problem.graph
+      ~d:p.Sddm.Problem.d
+  in
+  let dense_l =
+    dense_of l.Factor.Lower.col_ptr l.Factor.Lower.rows l.Factor.Lower.vals
+  in
+  let dense_lt = Test_util.dense_transpose dense_l in
+  (* [want] must equal [m v] *)
+  let check_product name m v want =
+    let v = Test_util.arr v and want = Test_util.arr want in
+    Array.iteri
+      (fun i row ->
+        let sum = ref 0.0 and mag = ref 0.0 in
+        Array.iteri
+          (fun j mij ->
+            sum := !sum +. (mij *. v.(j));
+            mag := !mag +. Float.abs (mij *. v.(j)))
+          row;
+        if Float.abs (!sum -. want.(i)) > 1e-12 *. !mag then
+          Alcotest.failf "%s: row %d gives %.17g, dense reference %.17g" name
+            i want.(i) !sum)
+      m
+  in
+  let rng = Rng.create 11 in
+  let b = Vec.init n (fun _ -> Rng.float rng -. 0.5) in
+  let y = Vec.create n in
+  Csc.spmv_into a b y;
+  check_product "spmv_into" dense_a b y;
+  Csc.spmv_sym_into a b y;
+  check_product "spmv_sym_into" dense_a b y;
+  let pool = Par.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Par.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun (name, solve, m) ->
+          let x = Vec.copy b in
+          solve x;
+          check_product name m x b)
+        [
+          ("solve_in_place", Factor.Lower.solve_in_place l, dense_l);
+          ( "solve_transpose_in_place",
+            Factor.Lower.solve_transpose_in_place l,
+            dense_lt );
+          ( "solve_in_place_sched",
+            Factor.Lower.solve_in_place_sched l ~pool,
+            dense_l );
+          ( "solve_transpose_in_place_sched",
+            Factor.Lower.solve_transpose_in_place_sched l ~pool,
+            dense_lt );
+        ])
+
 let test_lower_multiply_roundtrip () =
   let l = sample_lower () in
   let a = Factor.Lower.multiply l in
@@ -730,6 +809,8 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_lower_validation;
           Alcotest.test_case "triangular solves" `Quick test_lower_solves;
+          Alcotest.test_case "kernels match a dense reference" `Quick
+            test_kernels_dense_reference;
           Alcotest.test_case "multiply" `Quick test_lower_multiply_roundtrip;
           Alcotest.test_case "csc roundtrip" `Quick test_lower_csc_roundtrip;
           Alcotest.test_case "precondition (identity perm)" `Quick

@@ -136,6 +136,61 @@ let prop_coalesce_idempotent =
       G.n_edges c1 = G.n_edges c2
       && Csc.frobenius_diff (G.laplacian c1) (G.laplacian c2) = 0.0)
 
+(* Reference coalesce: a stable sort of the edge ids by (u, v), then each
+   run summed in input order. *)
+let reference_coalesce g =
+  let sorted = Array.init (G.n_edges g) (G.edge g) in
+  Array.stable_sort
+    (fun (u, v, _) (u', v', _) -> compare (u, v) (u', v'))
+    sorted;
+  let out = ref [] in
+  Array.iter
+    (fun (u, v, w) ->
+      match !out with
+      | (u', v', acc) :: rest when u = u' && v = v' ->
+        out := (u, v, acc +. w) :: rest
+      | l -> out := (u, v, w) :: l)
+    sorted;
+  Array.of_list (List.rev !out)
+
+(* Multigraphs with one to four copies of each pair, in shuffled order and
+   either orientation, and weights spread over six decades so that the
+   order in which copies are summed shows in the bits. *)
+let prop_coalesce_matches_reference =
+  QCheck.Test.make ~name:"coalesce matches stable sort + in-order sums"
+    ~count:200
+    QCheck.(triple (int_bound 10000) (int_bound 28) (int_bound 60))
+    (fun (seed, n_extra, pairs) ->
+      (* QCheck shrinks an [int_range] towards 0, below its range *)
+      let n = n_extra + 2 in
+      let rng = Rng.create seed in
+      let edges = ref [] in
+      for _ = 0 to pairs do
+        let u = Rng.int rng n in
+        let v = (u + 1 + Rng.int rng (n - 1)) mod n in
+        for _ = 0 to Rng.int rng 4 do
+          let w = 10.0 ** ((6.0 *. Rng.float rng) -. 3.0) in
+          edges := (if Rng.bool rng then (u, v, w) else (v, u, w)) :: !edges
+        done
+      done;
+      let edges = Array.of_list !edges in
+      Rng.shuffle rng edges;
+      let g = G.create ~n ~edges in
+      let c = G.coalesce g in
+      let got = Array.init (G.n_edges c) (G.edge c) in
+      let want = reference_coalesce g in
+      let key (u, v, _) = (u, v) in
+      let ordered i e =
+        let u, v = key e in
+        u < v && (i = 0 || compare (key got.(i - 1)) (u, v) < 0)
+      in
+      Array.for_all Fun.id (Array.mapi ordered got)
+      && Array.length got = Array.length want
+      && Array.for_all2
+           (fun (u, v, w) (u', v', w') ->
+             u = u' && v = v' && Int64.bits_of_float w = Int64.bits_of_float w')
+           got want)
+
 let prop_permute_involution =
   QCheck.Test.make ~name:"permute by p then inverse p is identity" ~count:100
     QCheck.(pair (int_bound 10000) (int_range 2 40))
@@ -188,6 +243,7 @@ let () =
             prop_sddm_roundtrip;
             prop_laplacian_psd_proxy;
             prop_coalesce_idempotent;
+            prop_coalesce_matches_reference;
             prop_permute_involution;
             prop_degrees_sum_twice_edges;
           ] );

@@ -127,6 +127,16 @@ let test_spmv () =
   let expected = Test_util.dense_matvec dense x in
   Test_util.check_vec ~eps:1e-12 "spmv" expected (Csc.spmv a (v x))
 
+let test_spmv_into_lengths () =
+  let _, a = random_pair ~seed:41 ~n_rows:15 ~n_cols:10 ~density:0.4 in
+  let bad =
+    Invalid_argument "Csc.spmv_into: vector lengths must match the matrix"
+  in
+  Alcotest.check_raises "short y" bad (fun () ->
+      Csc.spmv_into a (Vec.create 10) (Vec.create 14));
+  Alcotest.check_raises "long x" bad (fun () ->
+      Csc.spmv_into a (Vec.create 11) (Vec.create 15))
+
 let test_spmv_t () =
   let dense, a = random_pair ~seed:47 ~n_rows:12 ~n_cols:8 ~density:0.4 in
   let rng = Rng.create 49 in
@@ -402,6 +412,22 @@ let test_idx_width () =
     Alcotest.(check int) "max_index round-trips" max (Sparse.Idx.get idx 1)
   end
 
+(* The kernels read indices as [to_int (unsafe_get_elt a k)]; that read
+   must agree with [get] across the element's range. *)
+let test_idx_primitive_read () =
+  let open Sparse.Idx in
+  let above_2_31 = if bits = 64 then [ 0x8000_0000; 0x2_0000_0001 ] else [] in
+  let values = [ 0; 1; max_index ] @ above_2_31 in
+  let a = of_array (Array.of_list values) in
+  List.iteri
+    (fun k v ->
+      Alcotest.(check int) (Printf.sprintf "element %d" k) v (get a k);
+      Alcotest.(check int)
+        (Printf.sprintf "primitive read of %d" v)
+        (get a k)
+        (to_int (unsafe_get_elt a k)))
+    values
+
 (* ---- properties ---- *)
 
 let sddm_gen =
@@ -482,6 +508,8 @@ let () =
       ( "kernels",
         [
           Alcotest.test_case "spmv" `Quick test_spmv;
+          Alcotest.test_case "spmv_into length check" `Quick
+            test_spmv_into_lengths;
           Alcotest.test_case "spmv_t" `Quick test_spmv_t;
           Alcotest.test_case "transpose" `Quick test_transpose;
           Alcotest.test_case "transpose involution" `Quick test_transpose_involution;
@@ -512,7 +540,11 @@ let () =
             test_mtx_streaming_equals_triplet;
         ] );
       ( "idx",
-        [ Alcotest.test_case "index width round-trip" `Quick test_idx_width ] );
+        [
+          Alcotest.test_case "index width round-trip" `Quick test_idx_width;
+          Alcotest.test_case "primitive read matches get" `Quick
+            test_idx_primitive_read;
+        ] );
       ( "property",
         Test_util.qcheck
           [
