@@ -11,8 +11,8 @@ check:
 
 test: check
 
-# Full suite again with the multicore backend's parallel paths engaged
-# (a no-op widening on the 4.14 sequential fallback) — the CI 5.1 leg.
+# Full suite again on a 2-domain pool, so the parallel paths run — every
+# CI build-test leg.
 check-par:
 	POWERRCHOL_DOMAINS=2 dune runtest --force
 

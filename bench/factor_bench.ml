@@ -31,7 +31,7 @@ let par_domains =
   let r = Par.recommended_domains () in
   if r > 1 then r else min 4 (Par.hardware_domains ())
 
-let run_par = Par.backend = "domains" && par_domains > 1
+let run_par = par_domains > 1
 let gated = run_par && par_domains >= 4 && Par.hardware_domains () >= 4
 
 let reps = max 1 (getenv_int "BENCH_FACTOR_REPS" 3)

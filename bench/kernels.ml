@@ -36,7 +36,7 @@ let par_domains =
   let r = Par.recommended_domains () in
   if r > 1 then r else min 4 (Par.hardware_domains ())
 
-let run_par = Par.backend = "domains" && par_domains > 1
+let run_par = par_domains > 1
 
 let ns_per_run test =
   let ols =

@@ -109,13 +109,7 @@ let apply_domains = function
     | Error reason ->
       Printf.eprintf "pgserve: --domains %s\n" reason;
       exit 2
-    | Ok d ->
-      if d > 1 && Par.backend = "seq" then
-        Printf.eprintf
-          "warning: this build has no multicore backend; --domains %d runs \
-           sequentially\n%!"
-          d;
-      Par.set_default_domains d)
+    | Ok d -> Par.set_default_domains d)
 
 let run listen queue_capacity max_connections idle_timeout io_timeout
     max_frame artificial_delay allow_shutdown scale_cap max_iter metrics

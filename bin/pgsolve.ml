@@ -28,8 +28,7 @@ let domains_arg =
   let doc =
     "Worker domains for the parallel kernels (gather SpMV, level-scheduled \
      triangular solves, batched solves). Defaults to $(b,POWERRCHOL_DOMAINS) \
-     or 1; 1 reproduces the sequential solver bit for bit. Ignored (with a \
-     warning) on a build without multicore support."
+     or 1; 1 reproduces the sequential solver bit for bit."
   in
   Arg.(value & opt (some string) None & info [ "domains" ] ~docv:"N" ~doc)
 
@@ -43,13 +42,7 @@ let apply_domains = function
     | Error reason ->
       Printf.eprintf "pgsolve: --domains %s\n" reason;
       exit 2
-    | Ok d ->
-      if d > 1 && Par.backend = "seq" then
-        Printf.eprintf
-          "warning: this build has no multicore backend; --domains %d runs \
-           sequentially\n%!"
-          d;
-      Par.set_default_domains d)
+    | Ok d -> Par.set_default_domains d)
 
 (* The solver vocabulary is shared with the pgserve daemon and its client
    through lib/proto, so '--solver' means the same thing everywhere. *)

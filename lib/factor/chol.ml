@@ -6,7 +6,10 @@ exception Not_positive_definite of int
    increasing row order, so the Lower invariant (diagonal first) holds. *)
 let factorize a =
   let n_rows, n_cols = Sparse.Csc.dims a in
-  assert (n_rows = n_cols);
+  if n_rows <> n_cols then
+    invalid_arg
+      (Printf.sprintf "Chol.factorize: matrix is %dx%d, not square" n_rows
+         n_cols);
   let n = n_cols in
   let parent = Etree.etree a in
   (* symbolic pass: column counts *)

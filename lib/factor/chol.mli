@@ -11,7 +11,8 @@ exception Not_positive_definite of int
 val factorize : Sparse.Csc.t -> Lower.t
 (** Factor without reordering (apply {!Sparse.Csc.permute_sym} first if a
     fill-reducing permutation is wanted). Raises
-    {!Not_positive_definite}. *)
+    {!Not_positive_definite}, and [Invalid_argument] on a non-square
+    matrix. *)
 
 val solve : Sparse.Csc.t -> Sparse.Vec.t -> Sparse.Vec.t
 (** [solve a b] factors and solves in one call (no reuse). *)

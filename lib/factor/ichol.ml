@@ -9,9 +9,7 @@ exception Breakdown of int
    by that entry's row. Columns are stored with rows ascending, so cursors
    only move forward. *)
 let attempt ~drop_tol ~alpha a =
-  let n_rows, n_cols = Sparse.Csc.dims a in
-  assert (n_rows = n_cols);
-  let n = n_cols in
+  let n = snd (Sparse.Csc.dims a) in
   let a_low = Sparse.Csc.lower a in
   (* per-column drop thresholds: drop_tol * ||A(:,j)||_1 *)
   let tau = Array.make n 0.0 in
@@ -130,6 +128,11 @@ let attempt ~drop_tol ~alpha a =
   Lower.of_arrays ~n ~col_ptr ~rows ~vals
 
 let factorize ?(drop_tol = 1e-4) ?(initial_shift = 1e-3) ?(max_tries = 12) a =
+  let n_rows, n_cols = Sparse.Csc.dims a in
+  if n_rows <> n_cols then
+    invalid_arg
+      (Printf.sprintf "Ichol.factorize: matrix is %dx%d, not square" n_rows
+         n_cols);
   Obs.span "ichol" @@ fun () ->
   let rec go alpha tries =
     if tries >= max_tries then

@@ -22,4 +22,5 @@ val factorize :
 (** [factorize a] returns an incomplete factor [L] with [L L^T ≈ A].
     [drop_tol] defaults to [1e-4]; [initial_shift] (first nonzero alpha
     tried after the unshifted attempt) to [1e-3]; [max_tries] to [12].
-    Raises [Failure] if every shift attempt breaks down. *)
+    Raises [Failure] if every shift attempt breaks down, and
+    [Invalid_argument] on a non-square matrix. *)

@@ -1,6 +1,9 @@
 let locate_into ~a ~a_len ~targets ~t_len ~out =
-  assert (a_len <= Array.length a);
-  assert (t_len <= Array.length targets && t_len <= Array.length out);
+  if a_len > Array.length a then
+    invalid_arg "Locate.locate_into: a_len exceeds the length of a";
+  if t_len > Array.length targets || t_len > Array.length out then
+    invalid_arg
+      "Locate.locate_into: t_len exceeds the length of targets or out";
   let c = ref 0 in
   for j = 0 to t_len - 1 do
     while !c < a_len && a.(!c) < targets.(j) do

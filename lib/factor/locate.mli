@@ -12,7 +12,10 @@ val locate_into :
   a:float array -> a_len:int -> targets:float array -> t_len:int ->
   out:int array -> unit
 (** Allocation-free variant over array prefixes, used inside the
-    factorization inner loop. *)
+    factorization inner loop: locates [targets.(0 .. t_len - 1)] within
+    [a.(0 .. a_len - 1)] into [out.(0 .. t_len - 1)]. Raises
+    [Invalid_argument] when [a_len] exceeds the length of [a], or [t_len]
+    that of [targets] or [out]. *)
 
 val locate_reference : a:float array -> targets:float array -> int array
 (** Binary-search implementation of the same spec (no ascending requirement

@@ -29,11 +29,14 @@ type t = {
   vals : Vec.t;
   mutable diag_cache : Vec.t option;
   mutable sched_cache : schedule option;
-  (* per-slot column buffers for [refactor_columns]/[refactor_columns_grouped],
-     kept on the factor so the steady-state ECO loop (edit, refactor, solve,
-     repeat) allocates nothing per refactor call *)
-  mutable refactor_bufs : Vec.t array;
+  (* column buffer for [refactor_columns], kept on the factor so the
+     steady-state ECO loop (edit, refactor, solve, repeat) allocates
+     nothing per refactor call *)
+  mutable refactor_buf : Vec.t;
 }
+
+(* the refactor buffer of a factor that has not been refactored yet *)
+let no_refactor_buf = Vec.create 0
 
 let of_raw ~n ~col_ptr ~rows ~vals =
   if Idx.length col_ptr <> n + 1 then invalid_arg "Lower: bad col_ptr";
@@ -59,7 +62,7 @@ let of_raw ~n ~col_ptr ~rows ~vals =
     vals;
     diag_cache = None;
     sched_cache = None;
-    refactor_bufs = [||];
+    refactor_buf = no_refactor_buf;
   }
 
 let of_arrays ~n ~col_ptr ~rows ~vals =
@@ -308,107 +311,40 @@ let apply_preconditioner l ~perm ~scratch r z =
     done
   end
 
-(* Per-slot cached column buffer, grown geometrically and kept on the
-   factor: the ECO loop refactors the same closure sizes over and over,
-   so after the first call the scratch is hot. *)
-let refactor_buf l ~slot ~len =
-  if slot >= Array.length l.refactor_bufs then begin
-    let bufs = Array.make (slot + 1) (Vec.create 1) in
-    Array.blit l.refactor_bufs 0 bufs 0 (Array.length l.refactor_bufs);
-    for i = Array.length l.refactor_bufs to slot do
-      bufs.(i) <- Vec.create 1
-    done;
-    l.refactor_bufs <- bufs
-  end;
-  if Vec.length l.refactor_bufs.(slot) < len then
-    l.refactor_bufs.(slot) <- Vec.create (max (2 * len) 16);
-  l.refactor_bufs.(slot)
-
-let check_refactor_col l j =
-  if j < 0 || j >= l.n then
-    invalid_arg "Lower.refactor_columns: column out of range"
-
-(* Commit one recomputed column: overwrite the column storage, keep the
-   cached row form and diagonal coherent. All writes are owned by column
-   [j] alone (each storage slot k has a unique pos_in_row), so commits of
-   distinct columns never race even when their rows overlap. *)
-let commit_column l ~sched ~diag j buf =
-  let lo = l.col_ptr.%(j) and hi = l.col_ptr.%(j + 1) in
-  if not (Vec.get buf 0 > 0.0) then
-    invalid_arg
-      (Printf.sprintf
-         "Lower.refactor_columns: nonpositive diagonal %g in column %d"
-         (Vec.get buf 0) j);
-  for k = lo to hi - 1 do
-    let v = Vec.get buf (k - lo) in
-    Vec.set l.vals k v;
-    match sched with
-    | Some s -> Vec.set s.row_vals s.pos_in_row.%(k) v
-    | None -> ()
-  done;
-  match diag with Some d -> Vec.set d j (Vec.get buf 0) | None -> ()
-
+(* Each column's new values are emitted into the cached buffer, grown
+   geometrically (the ECO loop refactors the same closure sizes over and
+   over, so after the first call it is hot), then committed: the column
+   storage is overwritten and the cached row form and diagonal are kept
+   coherent through [pos_in_row]. *)
 let refactor_columns l ~cols ~emit =
   let max_len = ref 0 in
   Array.iter
     (fun j ->
-      check_refactor_col l j;
-      let len = l.col_ptr.%(j + 1) - l.col_ptr.%(j) in
-      if len > !max_len then max_len := len)
+      if j < 0 || j >= l.n then
+        invalid_arg "Lower.refactor_columns: column out of range";
+      max_len := max !max_len (l.col_ptr.%(j + 1) - l.col_ptr.%(j)))
     cols;
-  let buf = refactor_buf l ~slot:0 ~len:!max_len in
-  let diag = l.diag_cache in
-  let sched = l.sched_cache in
+  if Vec.length l.refactor_buf < !max_len then
+    l.refactor_buf <- Vec.create (max (2 * !max_len) 16);
+  let buf = l.refactor_buf and diag = l.diag_cache and sched = l.sched_cache in
   Array.iter
     (fun j ->
       emit j buf;
-      commit_column l ~sched ~diag j buf)
+      if not (Vec.get buf 0 > 0.0) then
+        invalid_arg
+          (Printf.sprintf
+             "Lower.refactor_columns: nonpositive diagonal %g in column %d"
+             (Vec.get buf 0) j);
+      let lo = l.col_ptr.%(j) in
+      for k = lo to l.col_ptr.%(j + 1) - 1 do
+        let v = Vec.get buf (k - lo) in
+        Vec.set l.vals k v;
+        match sched with
+        | Some s -> Vec.set s.row_vals s.pos_in_row.%(k) v
+        | None -> ()
+      done;
+      match diag with Some d -> Vec.set d j (Vec.get buf 0) | None -> ())
     cols
-
-let refactor_columns_grouped l ~pool ~group_ptr ~group_cols ~tail ~emit =
-  let n_groups = Array.length group_ptr - 1 in
-  let max_len = ref 0 in
-  let touch j =
-    check_refactor_col l j;
-    let len = l.col_ptr.%(j + 1) - l.col_ptr.%(j) in
-    if len > !max_len then max_len := len
-  in
-  Array.iter touch group_cols;
-  Array.iter touch tail;
-  let max_len = !max_len in
-  let diag = l.diag_cache in
-  let sched = l.sched_cache in
-  (* pre-size every slot's buffer before fanning out: [refactor_buf]
-     mutates the shared cache, which must not happen inside workers *)
-  for slot = 0 to Par.domains pool - 1 do
-    ignore (refactor_buf l ~slot ~len:max_len)
-  done;
-  (* group weight = total stored entries to recompute; the emit cost per
-     column is dominated by its pattern length *)
-  let weight g =
-    let acc = ref 0.0 in
-    for q = group_ptr.(g) to group_ptr.(g + 1) - 1 do
-      let j = group_cols.(q) in
-      acc := !acc +. float_of_int (l.col_ptr.%(j + 1) - l.col_ptr.%(j))
-    done;
-    !acc
-  in
-  Par.parallel_for_weighted pool ~weight ~lo:0 ~hi:n_groups
-    (fun slot glo ghi ->
-      let buf = l.refactor_bufs.(slot) in
-      for g = glo to ghi - 1 do
-        for q = group_ptr.(g) to group_ptr.(g + 1) - 1 do
-          let j = group_cols.(q) in
-          emit slot j buf;
-          commit_column l ~sched ~diag j buf
-        done
-      done);
-  let buf = l.refactor_bufs.(0) in
-  Array.iter
-    (fun j ->
-      emit 0 j buf;
-      commit_column l ~sched ~diag j buf)
-    tail
 
 let multiply l =
   let csc = to_csc l in

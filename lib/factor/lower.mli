@@ -40,9 +40,9 @@ type t = private {
   vals : Sparse.Vec.t;
   mutable diag_cache : Sparse.Vec.t option;
   mutable sched_cache : schedule option;
-  mutable refactor_bufs : Sparse.Vec.t array;
-      (** per-slot column scratch for the refactor entry points, cached on
-          the factor so steady-state ECO refactors allocate nothing *)
+  mutable refactor_buf : Sparse.Vec.t;
+      (** column scratch for {!refactor_columns}, cached on the factor so
+          steady-state ECO refactors allocate nothing *)
 }
 
 val of_raw :
@@ -126,34 +126,8 @@ val refactor_columns :
     column or a nonpositive diagonal (the factor may then hold a mix of
     old and new values — callers escalate to a full re-factorization).
 
-    The column scratch buffer is cached on the factor across calls
-    (per-slot, grown geometrically), so a steady-state refactor loop
-    allocates nothing. *)
-
-val refactor_columns_grouped :
-  t ->
-  pool:Par.pool ->
-  group_ptr:int array ->
-  group_cols:int array ->
-  tail:int array ->
-  emit:(int -> int -> Sparse.Vec.t -> unit) ->
-  unit
-(** [refactor_columns_grouped l ~pool ~group_ptr ~group_cols ~tail ~emit]
-    is {!refactor_columns} over a partition of the closure into
-    {e independent} groups plus a sequential tail: group [g]'s columns are
-    [group_cols.(group_ptr.(g)) .. group_cols.(group_ptr.(g+1) - 1)]
-    (ascending within each group), groups are fanned across [pool] with
-    weight-balanced chunks, and [tail] runs after all groups complete.
-    [emit slot j buf] additionally receives the chunk slot so callers keep
-    slot-private gather scratch.
-
-    Caller contract (the elimination-tree cut guarantees it): a column in
-    group [g] may depend only on columns of the same group; [tail] columns
-    may depend on anything. Commits of distinct columns write disjoint
-    storage, so the result is bit-identical to running {!refactor_columns}
-    over the concatenation of all groups followed by [tail], at any domain
-    count. Raises as {!refactor_columns}; a [Breakdown] or
-    [Invalid_argument] raised inside a worker is re-raised on the caller. *)
+    The column buffer is cached on the factor across calls (grown
+    geometrically), so a steady-state refactor loop allocates nothing. *)
 
 val multiply : t -> Sparse.Csc.t
 (** [multiply l] forms [L * L^T] as CSC — the preconditioner matrix itself.

@@ -10,26 +10,57 @@ exception Breakdown of { column : int; pivot : float }
 let expected_clique_weight ~d_k ~w_i ~w_j = w_i *. w_j /. d_k
 
 (* ------------------------------------------------------------------ *)
-(* Per-column dynamic edge lists: edge (a,b) with a<b lives in column a.
-   Two parallel growable arrays per column.                             *)
+(* Growable runs, the one append buffer of the elimination: the per-column
+   edge lists (edge (a,b) with a<b lives in column a), the group outputs,
+   the record slots and the cross-unit effect logs. Entry [q] holds
+   [stride] ints at [ids.(stride * q) ..] and one float at [vals.(q)]; a
+   full run doubles, to at least [min_cap] entries.                     *)
 
-type column = { mutable rows : int array; mutable wgts : float array; mutable len : int }
+type run = {
+  stride : int;
+  min_cap : int;
+  mutable ids : int array;
+  mutable vals : float array;
+  mutable len : int;
+}
 
-let column_push c i w =
-  if c.len = Array.length c.rows then begin
-    let cap = max (2 * c.len) 4 in
-    let r = Array.make cap 0 and v = Array.make cap 0.0 in
-    Array.blit c.rows 0 r 0 c.len;
-    Array.blit c.wgts 0 v 0 c.len;
-    c.rows <- r;
-    c.wgts <- v
-  end;
-  c.rows.(c.len) <- i;
-  c.wgts.(c.len) <- w;
-  c.len <- c.len + 1
+let make_run ~stride ~min_cap cap =
+  {
+    stride;
+    min_cap;
+    ids = Array.make (stride * cap) 0;
+    vals = Array.make cap 0.0;
+    len = 0;
+  }
 
-let empty_ints = [||]
-let empty_floats = [||]
+let grow r =
+  let cap = max (2 * r.len) r.min_cap in
+  let ids = Array.make (r.stride * cap) 0 and vals = Array.make cap 0.0 in
+  Array.blit r.ids 0 ids 0 (r.stride * r.len);
+  Array.blit r.vals 0 vals 0 r.len;
+  r.ids <- ids;
+  r.vals <- vals
+
+(* append (i, x) to a stride-1 run *)
+let push r i x =
+  if r.len = Array.length r.vals then grow r;
+  r.ids.(r.len) <- i;
+  r.vals.(r.len) <- x;
+  r.len <- r.len + 1
+
+(* append (a, b, x) to a stride-2 run *)
+let push2 r a b x =
+  if r.len = Array.length r.vals then grow r;
+  r.ids.(2 * r.len) <- a;
+  r.ids.((2 * r.len) + 1) <- b;
+  r.vals.(r.len) <- x;
+  r.len <- r.len + 1
+
+(* free a consumed run's storage *)
+let release r =
+  r.ids <- [||];
+  r.vals <- [||];
+  r.len <- 0
 
 (* ------------------------------------------------------------------ *)
 (* In-place insertion/quick sort of idx.(lo..hi) keyed by key.(idx.(.)),
@@ -207,20 +238,19 @@ let counting_sort ws ~buckets ~m ~stamp =
    factorization run, captured so edited inputs can be re-eliminated over
    the {e fixed} pattern without consuming any randomness. Per column we
    keep the pivot [d_k], the excess diagonal at pivot time, and one slot
-   per sampled fill edge ([fill_a = -1] marks the rare slot whose fill was
-   dropped at factorization time; it stays dropped forever because the
-   pattern is frozen). Slot [fill_ptr.(k) + j] corresponds to neighbor
-   position [j] of column [k]'s stored pattern, which is what lets the
-   refactor recompute the fill value from the same prefix sums. *)
+   per sampled fill edge, a stride-2 run entry (target column = min
+   endpoint, fill row = max endpoint, current weight). A target of [-1]
+   marks the rare slot whose fill was dropped at factorization time; it
+   stays dropped forever because the pattern is frozen. Slot
+   [fill_ptr.(k) + j] corresponds to neighbor position [j] of column [k]'s
+   stored pattern, which is what lets the refactor recompute the fill
+   value from the same prefix sums. *)
 
 type recorder = {
   r_d_elim : float array;  (* pivot d_k per column *)
   r_d_exc : float array;  (* dvec at pivot per column *)
   r_fill_ptr : int array;  (* n+1: slot range per source column *)
-  mutable r_fill_a : int array;  (* target column (min endpoint); -1 = dropped *)
-  mutable r_fill_b : int array;  (* fill row (max endpoint) *)
-  mutable r_fill_w : float array;  (* current fill weight *)
-  mutable r_fill_len : int;
+  mutable r_fill : run;  (* the fill slots, in source-column order *)
 }
 
 let make_recorder n =
@@ -228,10 +258,7 @@ let make_recorder n =
     r_d_elim = Array.make n 0.0;
     r_d_exc = Array.make n 0.0;
     r_fill_ptr = Array.make (n + 1) 0;
-    r_fill_a = Array.make 16 0;
-    r_fill_b = Array.make 16 0;
-    r_fill_w = Array.make 16 0.0;
-    r_fill_len = 0;
+    r_fill = make_run ~stride:2 ~min_cap:16 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -244,127 +271,16 @@ let make_recorder n =
    stays inside one unit or crosses from a unit into the separator; two
    distinct units never interact. Units therefore eliminate concurrently;
    their cross-boundary effects (fill edges and excess-diagonal bumps into
-   separator columns) are buffered per unit and replayed in unit order at
-   the barrier, after which the separator eliminates level by level over
-   its internal etree (same-level columns are etree-unrelated, hence
-   independent).
+   separator columns) are logged per unit and replayed in unit order at
+   the barrier, after which the separator eliminates inline, level by
+   level over its internal etree.
 
    Canonical arithmetic, identical at every domain count:
-   - the partition and level schedule depend only on the graph;
+   - the partition and level order depend only on the graph;
    - each column's random draws come from a keyed stream reseeded from
      [(base_key, column)], never from a shared cursor;
-   - boundary effects apply in a fixed order (unit-major at the barrier,
-     source-ascending within a separator level), and a sequentially
-     processed level applies effects in exactly that order, so the staged
-     and inline paths produce the same bits. *)
-
-(* Per-group output: factor columns (diagonal first) and, when recording,
-   the per-column fill-slot runs, appended in elimination order. *)
-type group_out = {
-  mutable g_rows : int array;
-  mutable g_vals : float array;
-  mutable g_len : int;
-  mutable g_ra : int array;
-  mutable g_rb : int array;
-  mutable g_rw : float array;
-  mutable g_rlen : int;
-}
-
-let make_group_out cap =
-  {
-    g_rows = Array.make (max cap 4) 0;
-    g_vals = Array.make (max cap 4) 0.0;
-    g_len = 0;
-    g_ra = empty_ints;
-    g_rb = empty_ints;
-    g_rw = empty_floats;
-    g_rlen = 0;
-  }
-
-let group_push_row o i v =
-  if o.g_len = Array.length o.g_rows then begin
-    let cap = max (2 * o.g_len) 4 in
-    let r = Array.make cap 0 and x = Array.make cap 0.0 in
-    Array.blit o.g_rows 0 r 0 o.g_len;
-    Array.blit o.g_vals 0 x 0 o.g_len;
-    o.g_rows <- r;
-    o.g_vals <- x
-  end;
-  o.g_rows.(o.g_len) <- i;
-  o.g_vals.(o.g_len) <- v;
-  o.g_len <- o.g_len + 1
-
-let group_push_rec o a b w =
-  if o.g_rlen = Array.length o.g_ra then begin
-    let cap = max (2 * o.g_rlen) 16 in
-    let ga = Array.make cap 0 and gb = Array.make cap 0 in
-    let gw = Array.make cap 0.0 in
-    Array.blit o.g_ra 0 ga 0 o.g_rlen;
-    Array.blit o.g_rb 0 gb 0 o.g_rlen;
-    Array.blit o.g_rw 0 gw 0 o.g_rlen;
-    o.g_ra <- ga;
-    o.g_rb <- gb;
-    o.g_rw <- gw
-  end;
-  o.g_ra.(o.g_rlen) <- a;
-  o.g_rb.(o.g_rlen) <- b;
-  o.g_rw.(o.g_rlen) <- w;
-  o.g_rlen <- o.g_rlen + 1
-
-(* Buffered cross-boundary effects of one unit (or one staged separator
-   column): sampled fill edges and excess-diagonal bumps whose target lies
-   outside the producing group. *)
-type effects = {
-  mutable e_fa : int array;
-  mutable e_fb : int array;
-  mutable e_fw : float array;
-  mutable e_flen : int;
-  mutable e_di : int array;
-  mutable e_dx : float array;
-  mutable e_dlen : int;
-}
-
-let make_effects () =
-  {
-    e_fa = empty_ints;
-    e_fb = empty_ints;
-    e_fw = empty_floats;
-    e_flen = 0;
-    e_di = empty_ints;
-    e_dx = empty_floats;
-    e_dlen = 0;
-  }
-
-let effects_push_fill e a b w =
-  if e.e_flen = Array.length e.e_fa then begin
-    let cap = max (2 * e.e_flen) 16 in
-    let fa = Array.make cap 0 and fb = Array.make cap 0 in
-    let fw = Array.make cap 0.0 in
-    Array.blit e.e_fa 0 fa 0 e.e_flen;
-    Array.blit e.e_fb 0 fb 0 e.e_flen;
-    Array.blit e.e_fw 0 fw 0 e.e_flen;
-    e.e_fa <- fa;
-    e.e_fb <- fb;
-    e.e_fw <- fw
-  end;
-  e.e_fa.(e.e_flen) <- a;
-  e.e_fb.(e.e_flen) <- b;
-  e.e_fw.(e.e_flen) <- w;
-  e.e_flen <- e.e_flen + 1
-
-let effects_push_dvec e i x =
-  if e.e_dlen = Array.length e.e_di then begin
-    let cap = max (2 * e.e_dlen) 16 in
-    let di = Array.make cap 0 in
-    let dx = Array.make cap 0.0 in
-    Array.blit e.e_di 0 di 0 e.e_dlen;
-    Array.blit e.e_dx 0 dx 0 e.e_dlen;
-    e.e_di <- di;
-    e.e_dx <- dx
-  end;
-  e.e_di.(e.e_dlen) <- i;
-  e.e_dx.(e.e_dlen) <- x;
-  e.e_dlen <- e.e_dlen + 1
+   - boundary effects replay unit-major, source-ascending at the
+     barrier. *)
 
 (* Unit cap as a fraction of total column weight. 1/32 keeps the measured
    separator under ~6% on partitioned grid orderings (33 units on a
@@ -373,17 +289,15 @@ let effects_push_dvec e i x =
    machine-independent. *)
 let cut_cap_fraction = 1.0 /. 32.0
 
-(* Separator levels thinner than this eliminate inline: the staged path
-   costs one buffer copy per column, which only pays for itself when a
-   level is wide enough to fan out. Either path produces identical bits,
-   so this threshold affects speed only. *)
-let sep_level_min = 64
-
 (* [g] must already be coalesced (both external entry points guarantee
    it); the recorder's edge indices refer to the coalesced edge order. *)
 let factorize_gen ~sort ~sampling ~rng ~record g ~d =
   let n = Sddm.Graph.n_vertices g in
-  assert (Array.length d = n);
+  if Array.length d <> n then
+    invalid_arg
+      (Printf.sprintf
+         "Rand_chol.factorize: d has %d entries for a graph of %d vertices"
+         (Array.length d) n);
   let obs = Obs.enabled () in
   (* One draw from the caller's generator keys every per-column stream;
      the caller-visible [~rng] contract is unchanged while draw order
@@ -399,7 +313,7 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
   in
   let n_units = cut.Etree.n_units in
   let unit_of = cut.Etree.unit_of in
-  (* --- separator level schedule over the etree --- *)
+  (* --- separator level order over the etree --- *)
   let sep = cut.Etree.sep_cols in
   let n_sep = Array.length sep in
   let lvl_of = Array.make (max n 1) 0 in
@@ -418,7 +332,7 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
   for l = 1 to n_sep_levels do
     sep_lvl_ptr.(l) <- sep_lvl_ptr.(l) + sep_lvl_ptr.(l - 1)
   done;
-  let sep_order = Array.make (max n_sep 1) 0 in
+  let sep_order = Array.make n_sep 0 in
   let cursor = Array.copy sep_lvl_ptr in
   (* ascending sweep keeps each level's columns ascending *)
   Array.iter
@@ -431,18 +345,13 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
   Sddm.Graph.iter_edges g (fun u v _ ->
       init_count.(min u v) <- init_count.(min u v) + 1);
   let cols =
-    Array.init n (fun k ->
-        {
-          rows = (if init_count.(k) = 0 then empty_ints else Array.make init_count.(k) 0);
-          wgts = (if init_count.(k) = 0 then empty_floats else Array.make init_count.(k) 0.0);
-          len = 0;
-        })
+    Array.init n (fun k -> make_run ~stride:1 ~min_cap:4 init_count.(k))
   in
   Sddm.Graph.iter_edges g (fun u v w ->
       let a = min u v and b = max u v in
-      column_push cols.(a) b w);
+      push cols.(a) b w);
   let dvec = Array.copy d in
-  (* --- per-group outputs and per-slot workspaces --- *)
+  (* --- per-group output runs and per-slot workspaces --- *)
   let pool = Par.default () in
   let n_slots = Par.domains pool in
   let wss = Array.make (max n_slots 1) None in
@@ -454,22 +363,32 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
       wss.(slot) <- Some w;
       w
   in
+  (* per group: factor entries (diagonal first) and record slots, appended
+     in elimination order; per unit: the logged cross-unit fill edges and
+     excess-diagonal bumps *)
+  let entries ncols = make_run ~stride:1 ~min_cap:4 ((4 * ncols) + 16) in
+  let triples () = make_run ~stride:2 ~min_cap:16 0 in
   let unit_out =
     Array.init n_units (fun u ->
-        let ncols = cut.Etree.unit_ptr.(u + 1) - cut.Etree.unit_ptr.(u) in
-        make_group_out ((4 * ncols) + 16))
+        entries (cut.Etree.unit_ptr.(u + 1) - cut.Etree.unit_ptr.(u)))
   in
-  let sep_out = make_group_out ((4 * n_sep) + 16) in
-  let unit_eff = Array.init n_units (fun _ -> make_effects ()) in
+  let unit_slots = Array.init n_units (fun _ -> triples ()) in
+  let unit_fill = Array.init n_units (fun _ -> triples ()) in
+  let unit_bumps =
+    Array.init n_units (fun _ -> make_run ~stride:1 ~min_cap:16 0)
+  in
+  let sep_out = entries n_sep and sep_slots = triples () in
   let recording = record <> None in
   let col_len = Array.make (max n 1) 0 in
   let col_start = Array.make (max n 1) 0 in
-  let rec_start = if recording then Array.make (max n 1) 0 else empty_ints in
-  (* --- the per-column elimination, shared by every phase ---
-     [out] receives the column's factor entries and record slots; effects
-     targeting a column [i] with [direct i] false go to [eff] instead of
-     being applied. *)
-  let eliminate ws k ~out ~direct ~eff =
+  let rec_start = if recording then Array.make (max n 1) 0 else [||] in
+  (* --- the per-column elimination, shared by both phases ---
+     Column [k] belongs to unit [u] ([-1] = separator). [out] receives its
+     factor entries and [slots] its record slots; an effect on a column
+     outside unit [u] is logged to the unit's fill or bump run instead of
+     being applied. A separator column applies every effect: its
+     neighbors are etree ancestors, so separator columns too. *)
+  let eliminate ws k ~u ~out ~slots =
     let c = cols.(k) in
     (* ---- gather and coalesce the live neighbors of k ---- *)
     ws.stamp <- ws.stamp + 1;
@@ -477,7 +396,7 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
     let m = ref 0 in
     ensure_capacity ws c.len;
     for q = 0 to c.len - 1 do
-      let i = c.rows.(q) and w = c.wgts.(q) in
+      let i = c.ids.(q) and w = c.vals.(q) in
       if ws.wmark.(i) = tag then ws.wval.(i) <- ws.wval.(i) +. w
       else begin
         ws.wmark.(i) <- tag;
@@ -487,10 +406,7 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
       end
     done;
     let m = !m in
-    (* release column k's storage *)
-    c.rows <- empty_ints;
-    c.wgts <- empty_floats;
-    c.len <- 0;
+    release c;
     (* ---- pivot ---- *)
     let d_k = ref dvec.(k) in
     for q = 0 to m - 1 do
@@ -523,14 +439,14 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
       ws.n_sort <- ws.n_sort + 1
     end;
     (* ---- emit column k of L ---- *)
-    col_start.(k) <- out.g_len;
+    col_start.(k) <- out.len;
     col_len.(k) <- m + 1;
-    if recording then rec_start.(k) <- out.g_rlen;
+    if recording then rec_start.(k) <- slots.len;
     let sqrt_dk = sqrt d_k in
-    group_push_row out k sqrt_dk;
+    push out k sqrt_dk;
     for q = 0 to m - 1 do
       let i = ws.nbrs.(q) in
-      group_push_row out i (-.ws.wval.(i) /. sqrt_dk)
+      push out i (-.ws.wval.(i) /. sqrt_dk)
     done;
     if m > 0 then begin
       (* ---- excess-diagonal update ----
@@ -544,8 +460,8 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
       for q = 0 to m - 1 do
         let i = ws.nbrs.(q) in
         let bump = d_excess_k *. ws.wval.(i) /. d_k in
-        if direct i then dvec.(i) <- dvec.(i) +. bump
-        else effects_push_dvec eff i bump
+        if u < 0 || unit_of.(i) = u then dvec.(i) <- dvec.(i) +. bump
+        else push unit_bumps.(u) i bump
       done;
       if m > 1 then begin
         (* ---- prefix sums ---- *)
@@ -597,12 +513,12 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
           let w_new = s_j *. ws.wval.(n_j) /. d_k in
           if w_new > 0.0 && n_j <> n_l then begin
             let a = min n_j n_l and b = max n_j n_l in
-            if direct a then column_push cols.(a) b w_new
-            else effects_push_fill eff a b w_new;
+            if u < 0 || unit_of.(a) = u then push cols.(a) b w_new
+            else push2 unit_fill.(u) a b w_new;
             ws.sampled <- ws.sampled + 1;
-            if recording then group_push_rec out a b w_new
+            if recording then push2 slots a b w_new
           end
-          else if recording then group_push_rec out (-1) 0 0.0
+          else if recording then push2 slots (-1) 0 0.0
         done
       end
     end
@@ -616,98 +532,31 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
        let ws = ws_for slot in
        for u = ulo to uhi - 1 do
          let t0 = if obs then Obs.now () else 0.0 in
-         let out = unit_out.(u) and eff = unit_eff.(u) in
-         let direct i = unit_of.(i) = u in
+         let out = unit_out.(u) and slots = unit_slots.(u) in
          for q = cut.Etree.unit_ptr.(u) to cut.Etree.unit_ptr.(u + 1) - 1 do
-           eliminate ws cut.Etree.unit_cols.(q) ~out ~direct ~eff
+           eliminate ws cut.Etree.unit_cols.(q) ~u ~out ~slots
          done;
          if obs then Obs.observe "unit_s" (Obs.now () -. t0)
        done));
-  (* --- barrier: replay cross-boundary effects, unit-major --- *)
+  (* --- barrier: replay cross-unit effects, unit-major --- *)
   for u = 0 to n_units - 1 do
-    let eff = unit_eff.(u) in
-    for q = 0 to eff.e_flen - 1 do
-      column_push cols.(eff.e_fa.(q)) eff.e_fb.(q) eff.e_fw.(q)
+    let fill = unit_fill.(u) and bumps = unit_bumps.(u) in
+    for q = 0 to fill.len - 1 do
+      push cols.(fill.ids.(2 * q)) fill.ids.((2 * q) + 1) fill.vals.(q)
     done;
-    for q = 0 to eff.e_dlen - 1 do
-      dvec.(eff.e_di.(q)) <- dvec.(eff.e_di.(q)) +. eff.e_dx.(q)
+    for q = 0 to bumps.len - 1 do
+      let i = bumps.ids.(q) in
+      dvec.(i) <- dvec.(i) +. bumps.vals.(q)
     done;
-    eff.e_fa <- empty_ints;
-    eff.e_fb <- empty_ints;
-    eff.e_fw <- empty_floats;
-    eff.e_flen <- 0;
-    eff.e_di <- empty_ints;
-    eff.e_dx <- empty_floats;
-    eff.e_dlen <- 0
+    release fill;
+    release bumps
   done;
-  (* --- phase 2: separator, level by level --- *)
+  (* --- phase 2: the separator, inline in level order --- *)
   (Obs.span "sep" @@ fun () ->
-   let always_direct _ = true in
-   let never_direct _ = false in
-   let dummy_eff = make_effects () in
-   let stage_out = ref [||] in
-   let stage_eff = ref [||] in
-   for lvl = 0 to n_sep_levels - 1 do
-     let llo = sep_lvl_ptr.(lvl) and lhi = sep_lvl_ptr.(lvl + 1) in
-     let width = lhi - llo in
-     if width >= sep_level_min && Par.runs_parallel pool then begin
-       (* wide level: stage each column's output and effects privately,
-          then replay in ascending column order — bit-identical to the
-          inline path (same-level columns never interact). *)
-       if Array.length !stage_out < width then begin
-         let old_o = !stage_out and old_e = !stage_eff in
-         let keep = Array.length old_o in
-         stage_out :=
-           Array.init width (fun i ->
-               if i < keep then old_o.(i) else make_group_out 16);
-         stage_eff :=
-           Array.init width (fun i ->
-               if i < keep then old_e.(i) else make_effects ())
-       end;
-       let stage_out = !stage_out and stage_eff = !stage_eff in
-       Par.parallel_for_weighted pool
-         ~weight:(fun pos -> 1.0 +. float_of_int cols.(sep_order.(pos)).len)
-         ~lo:llo ~hi:lhi
-         (fun slot plo phi ->
-           let ws = ws_for slot in
-           for pos = plo to phi - 1 do
-             let st = stage_out.(pos - llo) and ste = stage_eff.(pos - llo) in
-             st.g_len <- 0;
-             st.g_rlen <- 0;
-             eliminate ws sep_order.(pos) ~out:st ~direct:never_direct
-               ~eff:ste
-           done);
-       for pos = llo to lhi - 1 do
-         let k = sep_order.(pos) in
-         let st = stage_out.(pos - llo) and ste = stage_eff.(pos - llo) in
-         col_start.(k) <- sep_out.g_len;
-         for q = 0 to st.g_len - 1 do
-           group_push_row sep_out st.g_rows.(q) st.g_vals.(q)
-         done;
-         if recording then begin
-           rec_start.(k) <- sep_out.g_rlen;
-           for q = 0 to st.g_rlen - 1 do
-             group_push_rec sep_out st.g_ra.(q) st.g_rb.(q) st.g_rw.(q)
-           done
-         end;
-         for q = 0 to ste.e_flen - 1 do
-           column_push cols.(ste.e_fa.(q)) ste.e_fb.(q) ste.e_fw.(q)
-         done;
-         for q = 0 to ste.e_dlen - 1 do
-           dvec.(ste.e_di.(q)) <- dvec.(ste.e_di.(q)) +. ste.e_dx.(q)
-         done;
-         ste.e_flen <- 0;
-         ste.e_dlen <- 0
-       done
-     end
-     else begin
-       let ws = ws_for 0 in
-       for pos = llo to lhi - 1 do
-         eliminate ws sep_order.(pos) ~out:sep_out ~direct:always_direct
-           ~eff:dummy_eff
-       done
-     end
-   done);
+   let ws = ws_for 0 in
+   Array.iter
+     (fun k -> eliminate ws k ~u:(-1) ~out:sep_out ~slots:sep_slots)
+     sep_order);
   (* --- assembly: concatenate group outputs in column order --- *)
   let l =
     Obs.span "assemble" @@ fun () ->
@@ -728,11 +577,11 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
           let src = col_start.(k) in
           let dst = Sparse.Idx.get col_ptr k in
           for j = 0 to col_len.(k) - 1 do
-            Sparse.Idx.set l_rows (dst + j) out.g_rows.(src + j);
-            Sparse.Vec.set l_vals (dst + j) out.g_vals.(src + j)
+            Sparse.Idx.set l_rows (dst + j) out.ids.(src + j);
+            Sparse.Vec.set l_vals (dst + j) out.vals.(src + j)
           done
         done);
-    (* recorder: slot runs live in the group buffers; lay them out in
+    (* recorder: slot runs live in the group runs; lay them out in
        ascending column order (column k owns max (m_k - 1) 0 slots) *)
     (match record with
      | Some r ->
@@ -742,24 +591,20 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
          slots := !slots + max (col_len.(k) - 2) 0
        done;
        r.r_fill_ptr.(n) <- !slots;
-       let slots = !slots in
-       let ra = Array.make (max slots 1) 0 in
-       let rb = Array.make (max slots 1) 0 in
-       let rw = Array.make (max slots 1) 0.0 in
+       let fill = make_run ~stride:2 ~min_cap:16 !slots in
        for k = 0 to n - 1 do
          let cnt = max (col_len.(k) - 2) 0 in
          if cnt > 0 then begin
-           let out = if unit_of.(k) >= 0 then unit_out.(unit_of.(k)) else sep_out in
+           let src_run =
+             if unit_of.(k) >= 0 then unit_slots.(unit_of.(k)) else sep_slots
+           in
            let src = rec_start.(k) and dst = r.r_fill_ptr.(k) in
-           Array.blit out.g_ra src ra dst cnt;
-           Array.blit out.g_rb src rb dst cnt;
-           Array.blit out.g_rw src rw dst cnt
+           Array.blit src_run.ids (2 * src) fill.ids (2 * dst) (2 * cnt);
+           Array.blit src_run.vals src fill.vals dst cnt
          end
        done;
-       r.r_fill_a <- ra;
-       r.r_fill_b <- rb;
-       r.r_fill_w <- rw;
-       r.r_fill_len <- slots
+       fill.len <- !slots;
+       r.r_fill <- fill
      | None -> ());
     (Lower.of_raw ~n ~col_ptr ~rows:l_rows ~vals:l_vals, total)
   in
@@ -792,10 +637,10 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
     Obs.gauge "factor_sep_cols" (float_of_int n_sep);
     Obs.gauge "factor_sep_levels" (float_of_int n_sep_levels)
   end;
-  (l, cut)
+  l
 
 let factorize ~sort ~sampling ~rng g ~d =
-  fst (factorize_gen ~sort ~sampling ~rng ~record:None (Sddm.Graph.coalesce g) ~d)
+  factorize_gen ~sort ~sampling ~rng ~record:None (Sddm.Graph.coalesce g) ~d
 
 (* ------------------------------------------------------------------ *)
 (* Updatable factorizations: fixed-pattern value-only re-elimination.
@@ -843,33 +688,22 @@ type updatable = {
   u_ft_ptr : int array;  (* n+1: live fill slots grouped by target column *)
   u_ft_idx : int array;
   u_parent : int array;  (* etree of the factor: min subdiagonal row *)
-  (* subtree partition of the original factorization: unit id per column
-     (-1 = separator) — groups a refactor closure into independent unit
-     batches for the parallel re-elimination path *)
-  u_unit_of : int array;
-  u_n_units : int;
   (* dirty seed columns since the last successful refactor *)
   mutable u_dirty : int list;
-  (* scratch *)
+  (* scratch: closure marking, then the re-elimination's weight gather *)
   u_mark : int array;
   mutable u_stamp : int;
-  (* per-slot gather scratch for the (possibly parallel) re-elimination;
-     slot 0 doubles as the sequential path's scratch *)
-  mutable u_scratch : uscratch option array;
-}
-
-and uscratch = {
-  s_wval : float array;
-  s_wmark : int array;
-  mutable s_wstamp : int;
-  mutable s_pfs : float array;  (* prefix sums over one column's pattern *)
+  u_wval : float array;
+  u_wmark : int array;
+  mutable u_wstamp : int;
+  mutable u_pfs : float array;  (* prefix sums over one column's pattern *)
 }
 
 let factorize_updatable ~sort ~sampling ~rng g ~d =
   let g = Sddm.Graph.coalesce g in
   let n = Sddm.Graph.n_vertices g in
   let r = make_recorder n in
-  let l, cut = factorize_gen ~sort ~sampling ~rng ~record:(Some r) g ~d in
+  let l = factorize_gen ~sort ~sampling ~rng ~record:(Some r) g ~d in
   (* base incidence and the edge index, in coalesced edge order *)
   let m = Sddm.Graph.n_edges g in
   let ews = Array.make (max m 1) 0.0 in
@@ -898,18 +732,19 @@ let factorize_updatable ~sort ~sampling ~rng g ~d =
     cursor.(u) <- cursor.(u) + 1
   done;
   (* live fill slots grouped by target column *)
+  let fill = r.r_fill in
   let ft_ptr = Array.make (n + 1) 0 in
-  for s = 0 to r.r_fill_len - 1 do
-    if r.r_fill_a.(s) >= 0 then
-      ft_ptr.(r.r_fill_a.(s) + 1) <- ft_ptr.(r.r_fill_a.(s) + 1) + 1
+  for s = 0 to fill.len - 1 do
+    let a = fill.ids.(2 * s) in
+    if a >= 0 then ft_ptr.(a + 1) <- ft_ptr.(a + 1) + 1
   done;
   for i = 1 to n do
     ft_ptr.(i) <- ft_ptr.(i) + ft_ptr.(i - 1)
   done;
   let ft_idx = Array.make (max ft_ptr.(n) 1) 0 in
   let fcursor = Array.copy ft_ptr in
-  for s = 0 to r.r_fill_len - 1 do
-    let a = r.r_fill_a.(s) in
+  for s = 0 to fill.len - 1 do
+    let a = fill.ids.(2 * s) in
     if a >= 0 then begin
       ft_idx.(fcursor.(a)) <- s;
       fcursor.(a) <- fcursor.(a) + 1
@@ -944,33 +779,14 @@ let factorize_updatable ~sort ~sampling ~rng g ~d =
     u_ft_ptr = ft_ptr;
     u_ft_idx = ft_idx;
     u_parent = parent;
-    u_unit_of = cut.Etree.unit_of;
-    u_n_units = cut.Etree.n_units;
     u_dirty = [];
     u_mark = Array.make n (-1);
     u_stamp = 0;
-    u_scratch = [||];
+    u_wval = Array.make n 0.0;
+    u_wmark = Array.make n (-1);
+    u_wstamp = 0;
+    u_pfs = Array.make 16 0.0;
   }
-
-let uscratch_for u slot =
-  if slot >= Array.length u.u_scratch then begin
-    let bigger = Array.make (slot + 1) None in
-    Array.blit u.u_scratch 0 bigger 0 (Array.length u.u_scratch);
-    u.u_scratch <- bigger
-  end;
-  match u.u_scratch.(slot) with
-  | Some s -> s
-  | None ->
-    let s =
-      {
-        s_wval = Array.make u.u_n 0.0;
-        s_wmark = Array.make u.u_n (-1);
-        s_wstamp = 0;
-        s_pfs = Array.make 16 0.0;
-      }
-    in
-    u.u_scratch.(slot) <- Some s;
-    s
 
 let factor u = u.u_l
 let parent u = u.u_parent
@@ -998,11 +814,6 @@ let set_excess u i s =
 type refactor_outcome =
   | Refactored of { columns : int }
   | Too_large of { limit : int }
-
-(* Closure size below which the refactor always runs the sequential
-   sweep: grouping and fan-out cost more than re-eliminating a few
-   hundred columns in place. Either path produces identical bits. *)
-let par_refactor_min = 512
 
 (* The exact closure sweep: extend the seed marking through the factor's
    column patterns in one ascending pass (column k's values feed every
@@ -1056,18 +867,19 @@ let refactor u ~max_fraction =
       else begin
         let cols = Array.sub !scols 0 !count in
         let sched = Lower.schedule l in
-        let emit slot kc buf =
-          let sc = uscratch_for u slot in
+        let emit kc buf =
           let lo = col_ptr.%(kc) and hi = col_ptr.%(kc + 1) in
           let m = hi - lo - 1 in
+          let wval = u.u_wval and wmark = u.u_wmark in
+          let fill = u.u_rec.r_fill in
           (* gather current neighbor weights over the frozen pattern *)
-          sc.s_wstamp <- sc.s_wstamp + 1;
-          let wtag = sc.s_wstamp in
+          u.u_wstamp <- u.u_wstamp + 1;
+          let wtag = u.u_wstamp in
           let touch i w =
-            if sc.s_wmark.(i) = wtag then sc.s_wval.(i) <- sc.s_wval.(i) +. w
+            if wmark.(i) = wtag then wval.(i) <- wval.(i) +. w
             else begin
-              sc.s_wmark.(i) <- wtag;
-              sc.s_wval.(i) <- w
+              wmark.(i) <- wtag;
+              wval.(i) <- w
             end
           in
           for q = u.u_base_ptr.(kc) to u.u_base_ptr.(kc + 1) - 1 do
@@ -1075,7 +887,7 @@ let refactor u ~max_fraction =
           done;
           for t = u.u_ft_ptr.(kc) to u.u_ft_ptr.(kc + 1) - 1 do
             let s = u.u_ft_idx.(t) in
-            touch u.u_rec.r_fill_b.(s) u.u_rec.r_fill_w.(s)
+            touch fill.ids.((2 * s) + 1) fill.vals.(s)
           done;
           (* running excess diagonal: base excess plus the bump from every
              earlier column whose pattern contains kc (= row kc of L,
@@ -1096,13 +908,13 @@ let refactor u ~max_fraction =
           let d_k = ref dvec in
           for q = lo + 1 to hi - 1 do
             let i = rows.%(q) in
-            if sc.s_wmark.(i) <> wtag then begin
+            if wmark.(i) <> wtag then begin
               (* a frozen-pattern neighbor whose every contributing edge
                  now has zero weight still occupies its slot *)
-              sc.s_wmark.(i) <- wtag;
-              sc.s_wval.(i) <- 0.0
+              wmark.(i) <- wtag;
+              wval.(i) <- 0.0
             end;
-            d_k := !d_k +. sc.s_wval.(i)
+            d_k := !d_k +. wval.(i)
           done;
           let d_k = !d_k in
           if not (d_k > 0.0 && d_k < infinity) then
@@ -1110,82 +922,35 @@ let refactor u ~max_fraction =
           let sqrt_dk = sqrt d_k in
           Sparse.Vec.set buf 0 sqrt_dk;
           for q = lo + 1 to hi - 1 do
-            Sparse.Vec.set buf (q - lo) (-.sc.s_wval.(rows.%(q)) /. sqrt_dk)
+            Sparse.Vec.set buf (q - lo) (-.wval.(rows.%(q)) /. sqrt_dk)
           done;
           u.u_rec.r_d_elim.(kc) <- d_k;
           u.u_rec.r_d_exc.(kc) <- dvec;
           (* refresh this column's fill-edge weights from the new prefix
              sums; dropped slots stay dropped (frozen pattern) *)
           if m > 1 then begin
-            if Array.length sc.s_pfs < m then
-              sc.s_pfs <- Array.make (max (2 * m) 16) 0.0;
+            if Array.length u.u_pfs < m then
+              u.u_pfs <- Array.make (max (2 * m) 16) 0.0;
+            let pfs = u.u_pfs in
             let acc = ref 0.0 in
             for q = 0 to m - 1 do
-              acc := !acc +. sc.s_wval.(rows.%(lo + 1 + q));
-              sc.s_pfs.(q) <- !acc
+              acc := !acc +. wval.(rows.%(lo + 1 + q));
+              pfs.(q) <- !acc
             done;
-            let total = sc.s_pfs.(m - 1) in
+            let total = pfs.(m - 1) in
             let slot0 = u.u_rec.r_fill_ptr.(kc) in
             for j = 0 to m - 2 do
               let s = slot0 + j in
-              if u.u_rec.r_fill_a.(s) >= 0 then begin
+              if fill.ids.(2 * s) >= 0 then begin
                 let w_new =
-                  (total -. sc.s_pfs.(j))
-                  *. sc.s_wval.(rows.%(lo + 1 + j))
-                  /. d_k
+                  (total -. pfs.(j)) *. wval.(rows.%(lo + 1 + j)) /. d_k
                 in
-                u.u_rec.r_fill_w.(s) <- Float.max w_new 0.0
+                fill.vals.(s) <- Float.max w_new 0.0
               end
             done
           end
         in
-        let pool = Par.default () in
-        if !count >= par_refactor_min && Par.runs_parallel pool then begin
-          (* Group the closure by elimination unit: a unit column's inputs
-             (row kc of L, fill slots targeting kc) all come from the same
-             unit — every factor edge joins a column to an etree ancestor —
-             so unit groups re-eliminate concurrently; the separator tail
-             runs after the barrier and may read any of them. Values are a
-             pure function of the committed state, hence bit-identical to
-             the sequential sweep at any domain count. *)
-          for slot = 0 to Par.domains pool - 1 do
-            ignore (uscratch_for u slot)
-          done;
-          let n_units = u.u_n_units in
-          let group_count = Array.make (n_units + 1) 0 in
-          let n_tail = ref 0 in
-          Array.iter
-            (fun kc ->
-              let g = u.u_unit_of.(kc) in
-              if g >= 0 then group_count.(g + 1) <- group_count.(g + 1) + 1
-              else incr n_tail)
-            cols;
-          let group_ptr = group_count in
-          for g = 1 to n_units do
-            group_ptr.(g) <- group_ptr.(g) + group_ptr.(g - 1)
-          done;
-          let group_cols = Array.make (max group_ptr.(n_units) 1) 0 in
-          let tail = Array.make (max !n_tail 1) 0 in
-          let cursor = Array.copy group_ptr in
-          let tcursor = ref 0 in
-          (* cols is ascending, so each group and the tail stay ascending *)
-          Array.iter
-            (fun kc ->
-              let g = u.u_unit_of.(kc) in
-              if g >= 0 then begin
-                group_cols.(cursor.(g)) <- kc;
-                cursor.(g) <- cursor.(g) + 1
-              end
-              else begin
-                tail.(!tcursor) <- kc;
-                incr tcursor
-              end)
-            cols;
-          let tail = Array.sub tail 0 !n_tail in
-          Lower.refactor_columns_grouped l ~pool ~group_ptr ~group_cols
-            ~tail ~emit
-        end
-        else Lower.refactor_columns l ~cols ~emit:(emit 0);
+        Lower.refactor_columns l ~cols ~emit;
         u.u_dirty <- [];
         Refactored { columns = !count }
       end

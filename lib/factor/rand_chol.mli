@@ -25,7 +25,8 @@
     {b Parallel numeric phase} (DESIGN.md §15). The elimination is
     scheduled over the default {!Par} pool: the elimination tree of the
     input graph is cut into independent subtree units ({!Etree.cut})
-    eliminated concurrently, followed by the level-scheduled separator.
+    eliminated concurrently, followed by the separator, eliminated inline
+    in etree level order.
     Every column draws its randomness from a private stream keyed by
     [(one draw from ~rng, column index)], the partition depends only on
     the graph, and cross-boundary effects replay in a canonical order —
@@ -59,7 +60,8 @@ val factorize :
 (** [factorize ~sort ~sampling ~rng g ~d] factors [laplacian g + diag d]
     in natural vertex order (permute the graph first for reordering).
     Returns the lower-triangular factor with [L L^T ≈ A]. Deterministic
-    given [rng]'s state. *)
+    given [rng]'s state. Raises [Invalid_argument] when [d] does not have
+    one entry per vertex of [g]. *)
 
 val expected_clique_weight : d_k:float -> w_i:float -> w_j:float -> float
 (** The exact clique edge weight [w_i * w_j / d_k] that the sampled edge is
@@ -86,7 +88,8 @@ val factorize_updatable :
     factor's values can be recomputed in place after edits. The factor
     produced is bit-identical to {!factorize} with the same inputs. The
     level schedule and diagonal caches are forced eagerly (the refactor
-    gathers through the row form). *)
+    gathers through the row form). Raises [Invalid_argument] as
+    {!factorize} does. *)
 
 val factor : updatable -> Lower.t
 (** The live factor. Its values are mutated in place by {!refactor};
@@ -138,9 +141,7 @@ val refactor : updatable -> max_fraction:float -> refactor_outcome
     a pivot nonpositive (the factor is then partially updated — escalate
     to a full re-factorization).
 
-    Large closures re-eliminate in parallel: the closure is grouped by
-    the factorization's subtree units (independent by the etree argument)
-    and fanned over the default {!Par} pool via
-    {!Lower.refactor_columns_grouped}, separator columns last. The values
-    are a pure function of the committed state, so the result is
-    bit-identical to the sequential sweep at any domain count. *)
+    The closure re-eliminates sequentially, one column at a time through
+    {!Lower.refactor_columns}, at every domain count. Its values are a
+    pure function of the committed state, so the result does not depend
+    on the default {!Par} pool. *)

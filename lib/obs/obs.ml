@@ -1108,12 +1108,14 @@ let root = new_store 0
 let max_slots = 128
 let workers : store option array = Array.make max_slots None
 
-(* The active store for the calling domain. Workers only ever record
-   inside [worker_scope], which sets this; anything else (including a
-   fresh domain outside a scope) falls back to the root store. *)
-let current : store Obs_backend.slot = Obs_backend.make (fun () -> root)
+(* The active store for the calling domain, in domain-local storage so a
+   Par worker can point its own slot at a worker store without the main
+   domain noticing. Workers only ever record inside [worker_scope], which
+   sets this; anything else (including a fresh domain outside a scope)
+   falls back to the root store. *)
+let current : store Domain.DLS.key = Domain.DLS.new_key (fun () -> root)
 
-let cur () = Obs_backend.get current
+let cur () = Domain.DLS.get current
 
 let reset_store st =
   Hashtbl.reset st.spans;
@@ -1267,11 +1269,11 @@ let worker_scope ~slot ~prefix f =
     in
     let saved_stack = st.stack in
     st.stack <- (if prefix = "" then [] else [ prefix ]);
-    let prev = Obs_backend.get current in
-    Obs_backend.set current st;
+    let prev = Domain.DLS.get current in
+    Domain.DLS.set current st;
     Fun.protect
       ~finally:(fun () ->
-        Obs_backend.set current prev;
+        Domain.DLS.set current prev;
         st.stack <- saved_stack)
       f
   end

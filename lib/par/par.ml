@@ -1,5 +1,26 @@
+(* A fixed pool of [size - 1] worker domains plus the calling domain.
+   Workers park on a per-worker condition variable; [run] hands each
+   worker one closure, executes chunk 0 itself, then waits for every
+   worker's job slot to drain. Dispatch costs two mutex round-trips per
+   worker per parallel region, so regions must be coarse (one chunk per
+   domain) — which is exactly how [parallel_for] carves work.
+
+   Worker exceptions are captured and re-raised on the caller after the
+   join, so a failing chunk cannot leave the pool wedged. *)
+
+type worker = {
+  mutex : Mutex.t;
+  cond : Condition.t;
+  mutable job : (unit -> unit) option;
+  mutable stop : bool;
+  mutable failure : exn option;
+}
+
 type pool = {
-  backend_pool : Par_backend.pool;
+  size : int;
+  workers : worker array;
+  handles : unit Domain.t array;
+  mutable live : bool;
   mutable busy : bool;
   (* block-partials buffer for [reduce_blocked]; grown on demand so the
      PCG hot loop allocates nothing after the first reduction *)
@@ -10,8 +31,62 @@ type pool = {
   busy_names : string array;
 }
 
-let backend = Par_backend.name
-let hardware_domains = Par_backend.hardware_domains
+let backend = "domains"
+let hardware_domains () = Domain.recommended_domain_count ()
+
+let worker_loop w =
+  let running = ref true in
+  while !running do
+    Mutex.lock w.mutex;
+    while w.job = None && not w.stop do
+      Condition.wait w.cond w.mutex
+    done;
+    if w.stop then begin
+      Mutex.unlock w.mutex;
+      running := false
+    end
+    else begin
+      let job = match w.job with Some j -> j | None -> assert false in
+      Mutex.unlock w.mutex;
+      (try job () with exn -> w.failure <- Some exn);
+      Mutex.lock w.mutex;
+      w.job <- None;
+      Condition.broadcast w.cond;
+      Mutex.unlock w.mutex
+    end
+  done
+
+(* [f i] for every chunk slot [i], slot 0 on the caller *)
+let run p f =
+  if p.size = 1 then f 0
+  else begin
+    for i = 1 to p.size - 1 do
+      let w = p.workers.(i - 1) in
+      Mutex.lock w.mutex;
+      w.failure <- None;
+      w.job <- Some (fun () -> f i);
+      Condition.broadcast w.cond;
+      Mutex.unlock w.mutex
+    done;
+    let caller_failure = (try f 0; None with exn -> Some exn) in
+    for i = 1 to p.size - 1 do
+      let w = p.workers.(i - 1) in
+      Mutex.lock w.mutex;
+      while w.job <> None do
+        Condition.wait w.cond w.mutex
+      done;
+      Mutex.unlock w.mutex
+    done;
+    let failure =
+      match caller_failure with
+      | Some _ -> caller_failure
+      | None ->
+        Array.fold_left
+          (fun acc w -> match acc with Some _ -> acc | None -> w.failure)
+          None p.workers
+    in
+    match failure with Some exn -> raise exn | None -> ()
+  end
 
 let max_domains = 128
 
@@ -49,16 +124,44 @@ let recommended_domains () =
 let create ?domains () =
   let d = match domains with Some d -> d | None -> recommended_domains () in
   if d < 1 then invalid_arg "Par.create: domains must be >= 1";
+  let workers =
+    Array.init (d - 1) (fun _ ->
+        {
+          mutex = Mutex.create ();
+          cond = Condition.create ();
+          job = None;
+          stop = false;
+          failure = None;
+        })
+  in
+  let handles =
+    Array.map (fun w -> Domain.spawn (fun () -> worker_loop w)) workers
+  in
   {
-    backend_pool = Par_backend.create d;
+    size = d;
+    workers;
+    handles;
+    live = true;
     busy = false;
     partials = [||];
     busy_s = Array.make d (-1.0);
     busy_names = Array.init d (Printf.sprintf "par/busy_s#%d");
   }
 
-let domains p = Par_backend.size p.backend_pool
-let shutdown p = Par_backend.shutdown p.backend_pool
+let domains p = p.size
+
+let shutdown p =
+  if p.live then begin
+    p.live <- false;
+    Array.iter
+      (fun w ->
+        Mutex.lock w.mutex;
+        w.stop <- true;
+        Condition.broadcast w.cond;
+        Mutex.unlock w.mutex)
+      p.workers;
+    Array.iter Domain.join p.handles
+  end
 
 let default_pool : pool option ref = ref None
 
@@ -103,7 +206,7 @@ let parallel_for p ?(min_work = 1) ~lo ~hi f =
         ~finally:(fun () -> p.busy <- false)
         (fun () ->
           let chunk = (len + d - 1) / d in
-          Par_backend.run p.backend_pool (fun i ->
+          run p (fun i ->
               let clo = lo + (i * chunk) in
               let chi = min hi (clo + chunk) in
               if clo < chi then
@@ -136,7 +239,7 @@ let run_bounds p ~bounds f =
   Fun.protect
     ~finally:(fun () -> p.busy <- false)
     (fun () ->
-      Par_backend.run p.backend_pool (fun i ->
+      run p (fun i ->
           let clo = bounds.(i) and chi = bounds.(i + 1) in
           if clo < chi then
             if obs_on then

@@ -1,9 +1,5 @@
-(** Execution-backend layer for the parallel hot-path kernels.
-
-    Two implementations share this signature, selected at build time by
-    dune: a [Domain]-based fixed pool with static range partitioning on
-    OCaml >= 5.0, and a sequential fallback on 4.14. {!backend} names the
-    one that was linked.
+(** Execution layer for the parallel hot-path kernels: a [Domain]-based
+    fixed pool with static range partitioning.
 
     {b Determinism policy} (see DESIGN.md §10). A pool of 1 domain runs
     every kernel through the historical sequential code path, so results
@@ -23,11 +19,10 @@
 type pool
 
 val backend : string
-(** ["domains"] or ["seq"], fixed at build time. *)
+(** ["domains"], the name result metadata and benchmark records carry. *)
 
 val hardware_domains : unit -> int
-(** [Domain.recommended_domain_count ()] on the domains backend; [1] on
-    the sequential fallback. *)
+(** [Domain.recommended_domain_count ()]. *)
 
 val domains_of_string : string -> (int, string) result
 (** Validate a user-supplied domain count (CLI flag or environment

@@ -231,6 +231,14 @@ let test_chol_diag_matrix () =
   Test_util.check_vec ~eps:1e-12 "sqrt diag" [| 2.0; 3.0 |]
     (Factor.Lower.diag l)
 
+let non_square () =
+  Csc.of_triplet (Sparse.Triplet.create ~n_rows:3 ~n_cols:2 ())
+
+let test_chol_rejects_non_square () =
+  Alcotest.check_raises "typed error"
+    (Invalid_argument "Chol.factorize: matrix is 3x2, not square") (fun () ->
+      ignore (Factor.Chol.factorize (non_square ())))
+
 (* ---- IChol ---- *)
 
 let test_ichol_zero_drop_is_exact () =
@@ -259,6 +267,11 @@ let test_ichol_preconditions () =
   let res = Krylov.Pcg.solve ~a ~b:p.Sddm.Problem.b ~precond:pc () in
   Alcotest.(check bool) "pcg converges with ichol" true res.Krylov.Pcg.converged
 
+let test_ichol_rejects_non_square () =
+  Alcotest.check_raises "typed error"
+    (Invalid_argument "Ichol.factorize: matrix is 3x2, not square") (fun () ->
+      ignore (Factor.Ichol.factorize (non_square ())))
+
 (* ---- Locate (Alg. 2) ---- *)
 
 let test_locate_basic () =
@@ -272,6 +285,17 @@ let test_locate_repeats () =
   let targets = [| 2.0; 2.0; 3.0 |] in
   Alcotest.(check (array int)) "first match" [| 0; 0; 3 |]
     (Factor.Locate.locate ~a ~targets)
+
+let test_locate_into_rejects_long_prefixes () =
+  let a = [| 1.0; 2.0 |] and targets = [| 1.0; 2.0 |] in
+  let out = Array.make 1 0 in
+  Alcotest.check_raises "a_len beyond a"
+    (Invalid_argument "Locate.locate_into: a_len exceeds the length of a")
+    (fun () -> Factor.Locate.locate_into ~a ~a_len:3 ~targets ~t_len:1 ~out);
+  Alcotest.check_raises "t_len beyond out"
+    (Invalid_argument
+       "Locate.locate_into: t_len exceeds the length of targets or out")
+    (fun () -> Factor.Locate.locate_into ~a ~a_len:2 ~targets ~t_len:2 ~out)
 
 let prop_locate_matches_reference =
   QCheck.Test.make ~name:"two-pointer locate = binary-search reference"
@@ -294,6 +318,38 @@ let prop_locate_matches_reference =
       = Factor.Locate.locate_reference ~a ~targets)
 
 (* ---- randomized Cholesky ---- *)
+
+(* An excess vector one entry short of the graph: every randomized entry
+   point raises the same typed error before factoring anything. *)
+let short_d_case name factorize =
+  Alcotest.test_case (name ^ " rejects a short d") `Quick (fun () ->
+      Alcotest.check_raises "one excess per vertex"
+        (Invalid_argument
+           "Rand_chol.factorize: d has 2 entries for a graph of 3 vertices")
+        (fun () ->
+          factorize ~rng:(Rng.create 1) (Test_util.path_graph 3)
+            ~d:[| 1.0; 0.0 |]))
+
+let short_d_cases =
+  let lt_sort =
+    Factor.Rand_chol.Counting_sort
+      { buckets = Factor.Lt_rchol.default_buckets }
+  and shared = Factor.Rand_chol.Shared_random in
+  [
+    short_d_case "Rand_chol.factorize" (fun ~rng g ~d ->
+        ignore
+          (Factor.Rand_chol.factorize ~sort:lt_sort ~sampling:shared ~rng g ~d));
+    short_d_case "Rand_chol.factorize_updatable" (fun ~rng g ~d ->
+        ignore
+          (Factor.Rand_chol.factorize_updatable ~sort:lt_sort ~sampling:shared
+             ~rng g ~d));
+    short_d_case "Lt_rchol.factorize" (fun ~rng g ~d ->
+        ignore (Factor.Lt_rchol.factorize ~rng g ~d));
+    short_d_case "Lt_rchol.factorize_updatable" (fun ~rng g ~d ->
+        ignore (Factor.Lt_rchol.factorize_updatable ~rng g ~d));
+    short_d_case "Rchol.factorize" (fun ~rng g ~d ->
+        ignore (Factor.Rchol.factorize ~rng g ~d));
+  ]
 
 let all_variants =
   [
@@ -668,28 +724,39 @@ let factor_fingerprint l =
 
 let test_factor_bit_identical_across_domains () =
   let gp, dp = partitioned_mesh ~w:64 ~h:64 in
-  let run ~sort ~sampling d =
-    with_domains d (fun () ->
-        factor_fingerprint
-          (Factor.Rand_chol.factorize ~sort ~sampling ~rng:(Rng.create 99) gp
-             ~d:dp))
+  let lt_sort =
+    Factor.Rand_chol.Counting_sort
+      { buckets = Factor.Lt_rchol.default_buckets }
+  in
+  let plain ~sort ~sampling () =
+    Factor.Rand_chol.factorize ~sort ~sampling ~rng:(Rng.create 99) gp ~d:dp
   in
   List.iter
-    (fun (name, sort, sampling) ->
-      let at1 = run ~sort ~sampling 1 in
+    (fun (name, factorize) ->
+      let run d =
+        with_domains d (fun () -> factor_fingerprint (factorize ()))
+      in
+      let at1 = run 1 in
       List.iter
         (fun d ->
           Alcotest.(check string)
             (Printf.sprintf "%s factor at %d domains = 1 domain" name d)
-            at1
-            (run ~sort ~sampling d))
+            at1 (run d))
         [ 2; 4 ])
     [
       ( "lt-rchol",
-        Factor.Rand_chol.Counting_sort
-          { buckets = Factor.Lt_rchol.default_buckets },
-        Factor.Rand_chol.Shared_random );
-      ("rchol", Factor.Rand_chol.Exact_sort, Factor.Rand_chol.Per_neighbor);
+        plain ~sort:lt_sort ~sampling:Factor.Rand_chol.Shared_random );
+      ( "rchol",
+        plain ~sort:Factor.Rand_chol.Exact_sort
+          ~sampling:Factor.Rand_chol.Per_neighbor );
+      (* the recording path writes the factor and its record slots through
+         the same runs *)
+      ( "updatable lt-rchol",
+        fun () ->
+          Factor.Rand_chol.factor
+            (Factor.Rand_chol.factorize_updatable ~sort:lt_sort
+               ~sampling:Factor.Rand_chol.Shared_random ~rng:(Rng.create 99) gp
+               ~d:dp) );
     ]
 
 let test_factor_breakdown_from_worker_domain () =
@@ -725,11 +792,9 @@ let test_factor_breakdown_from_worker_domain () =
   in
   List.iter check_domains [ 1; 2; 4 ]
 
-let test_refactor_grouped_matches_sequential () =
-  (* A closure bigger than the parallel threshold, refactored at 1 and 4
-     domains: the grouped path must produce the same bits, and the
-     refactored factor must satisfy the same values a fresh sequential
-     updatable run reaches after the same edits. *)
+let test_refactor_bit_identical_across_domains () =
+  (* A large closure, refactored at 1, 2 and 4 domains: the refactored
+     factor must have the same bits at every domain count. *)
   let gp, dp = partitioned_mesh ~w:48 ~h:48 in
   let run d =
     with_domains d (fun () ->
@@ -748,7 +813,7 @@ let test_refactor_grouped_matches_sequential () =
         (match Factor.Rand_chol.refactor u ~max_fraction:1.0 with
         | Factor.Rand_chol.Refactored { columns } ->
           Alcotest.(check bool)
-            (Printf.sprintf "closure crosses the parallel threshold (%d)"
+            (Printf.sprintf "closure spans units and separator (%d columns)"
                columns)
             true (columns > 512)
         | Factor.Rand_chol.Too_large _ -> Alcotest.fail "unexpected Too_large");
@@ -779,7 +844,7 @@ let test_refactor_scratch_cached () =
   bump ();
   let sched_before = Factor.Lower.schedule l in
   let diag_before = Factor.Lower.diag l in
-  let bufs_before = l.Factor.Lower.refactor_bufs in
+  let buf_before = l.Factor.Lower.refactor_buf in
   let alloc_of f =
     let before = Gc.minor_words () in
     f ();
@@ -792,8 +857,8 @@ let test_refactor_scratch_cached () =
   Alcotest.(check bool) "diag cache not rebuilt" true
     (diag_before == Factor.Lower.diag l);
   Alcotest.(check bool) "column scratch reused" true
-    (bufs_before == l.Factor.Lower.refactor_bufs
-    && Array.length bufs_before > 0);
+    (buf_before == l.Factor.Lower.refactor_buf
+    && Sparse.Vec.length buf_before > 0);
   (* steady state: a warm refactor's allocation is flat, not growing —
      a reintroduced per-call cache rebuild would show as a3 >> a2 *)
   Alcotest.(check bool)
@@ -833,6 +898,8 @@ let () =
             test_chol_solve_matches_dense;
           Alcotest.test_case "rejects indefinite" `Quick test_chol_not_pd;
           Alcotest.test_case "diagonal matrix" `Quick test_chol_diag_matrix;
+          Alcotest.test_case "rejects a non-square matrix" `Quick
+            test_chol_rejects_non_square;
         ] );
       ( "ichol",
         [
@@ -840,11 +907,15 @@ let () =
             test_ichol_zero_drop_is_exact;
           Alcotest.test_case "drops fill" `Quick test_ichol_drops_fill;
           Alcotest.test_case "preconditions PCG" `Quick test_ichol_preconditions;
+          Alcotest.test_case "rejects a non-square matrix" `Quick
+            test_ichol_rejects_non_square;
         ] );
       ( "locate (Alg. 2)",
         [
           Alcotest.test_case "basic" `Quick test_locate_basic;
           Alcotest.test_case "repeated values" `Quick test_locate_repeats;
+          Alcotest.test_case "locate_into rejects long prefixes" `Quick
+            test_locate_into_rejects_long_prefixes;
         ]
         @ Test_util.qcheck [ prop_locate_matches_reference ] );
       ( "randomized",
@@ -861,7 +932,7 @@ let () =
             Alcotest.test_case "expected clique weight" `Quick
               test_expected_clique_weight;
           ]
-        @ precondition_quality_cases );
+        @ short_d_cases @ precondition_quality_cases );
       ( "updatable",
         [
           Alcotest.test_case "matches plain factorize" `Quick
@@ -881,8 +952,8 @@ let () =
             test_factor_bit_identical_across_domains;
           Alcotest.test_case "breakdown crosses worker domains" `Quick
             test_factor_breakdown_from_worker_domain;
-          Alcotest.test_case "grouped refactor = sequential" `Quick
-            test_refactor_grouped_matches_sequential;
+          Alcotest.test_case "refactor bits across domains" `Quick
+            test_refactor_bit_identical_across_domains;
           Alcotest.test_case "refactor scratch cached" `Quick
             test_refactor_scratch_cached;
         ] );
