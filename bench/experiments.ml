@@ -66,7 +66,7 @@ let table2 () =
     (fun case ->
       let amd = run case Ltrchol_amd in
       let nat = run case Ltrchol_natural in
-      let a4 = run case Powerrchol_s in
+      let a4 = run case Ltrchol_alg4 in
       let rc = run case Rchol_amd in
       let spa = r_total amd /. r_total a4 in
       let spb = r_total rc /. r_total a4 in
@@ -698,8 +698,11 @@ let scale () =
   let per = r_total r /. mnnz in
   let peak_kb = peak_rss_kb () in
   printf
-    "PowerRChol: %.3f s total (%.3f s/Mnnz), %d iterations%s, relres %.2e\n"
-    (r_total r) per (r_iters r) (conv_mark r) r.Powerrchol.Solver.residual;
+    "PowerRChol: %.3f s total (%.3f s/Mnnz; t_reorder %.3f s, t_precond \
+     %.3f s), %d iterations%s, relres %.2e\n"
+    (r_total r) per r.Powerrchol.Solver.t_reorder
+    r.Powerrchol.Solver.t_precond (r_iters r) (conv_mark r)
+    r.Powerrchol.Solver.residual;
   printf "peak RSS: %d kB (%.2f kB per node)\n" peak_kb
     (float_of_int peak_kb /. float_of_int n);
   (* fig3's CSV carries five solver columns plus the PowerRChol

@@ -19,6 +19,7 @@ type solver_id =
   | Powerrchol_s
   | Rchol_amd
   | Ltrchol_amd
+  | Ltrchol_alg4
   | Ltrchol_natural
   | Fegrass_s
   | Fegrass_ichol_s
@@ -28,6 +29,7 @@ let solver_name = function
   | Powerrchol_s -> "PowerRChol"
   | Rchol_amd -> "RChol(AMD)"
   | Ltrchol_amd -> "LT-RChol(AMD)"
+  | Ltrchol_alg4 -> "LT-RChol(Alg.4)"
   | Ltrchol_natural -> "LT-RChol(nat)"
   | Fegrass_s -> "feGRASS"
   | Fegrass_ichol_s -> "feGRASS-IChol"
@@ -37,6 +39,8 @@ let instantiate = function
   | Powerrchol_s -> Powerrchol.Solver.powerrchol ()
   | Rchol_amd -> Powerrchol.Solver.rchol ()
   | Ltrchol_amd -> Powerrchol.Solver.lt_rchol ()
+  | Ltrchol_alg4 ->
+    Powerrchol.Solver.lt_rchol ~ordering:Powerrchol.Solver.Degree_sort ()
   | Ltrchol_natural ->
     Powerrchol.Solver.lt_rchol ~ordering:Powerrchol.Solver.Natural ()
   | Fegrass_s -> Powerrchol.Solver.fegrass ()

@@ -11,3 +11,21 @@ val order : ?heavy_factor:float -> Sddm.Graph.t -> Sparse.Perm.t
     [heavy_factor] defaults to 10 (the paper's choice); pass [infinity] to
     disable heavy-edge promotion (plain degree sort), which the ablation
     bench uses. *)
+
+val order_slots :
+  heavy_factor:float ->
+  w_avg:float ->
+  deg:int array ->
+  w_max:float array ->
+  int ->
+  int array ->
+  int ->
+  unit
+(** The bucket rule itself, over caller-computed statistics, for orderings
+    that apply Alg. 4 to part of a graph ({!Partitioned}'s blocks).
+    [order_slots ~heavy_factor ~w_avg ~deg ~w_max len dst off] writes the
+    slots [0 .. len-1] into [dst.(off) .. dst.(off + len - 1)]: by
+    ascending [deg.(i)], within a degree the heavy slots
+    ([w_max.(i) > heavy_factor *. w_avg]) first, and ties in slot order.
+    Reads only the first [len] entries of [deg] and [w_max]. O(len + max
+    degree); {!order} is this over the whole graph. *)

@@ -15,7 +15,10 @@ type t = {
 
 let of_arrays ~n ~us ~vs ~ws =
   let m = Array.length us in
-  assert (Array.length vs = m && Array.length ws = m);
+  if Array.length vs <> m || Array.length ws <> m then
+    invalid_arg
+      (Printf.sprintf "Graph.of_arrays: %d us, %d vs and %d ws (lengths differ)"
+         m (Array.length vs) (Array.length ws));
   let us' = Array.make m 0 and vs' = Array.make m 0 in
   for e = 0 to m - 1 do
     let u = us.(e) and v = vs.(e) in
@@ -196,8 +199,16 @@ let laplacian g =
   Sparse.Csc.of_triplet t
 
 let to_sddm g d =
-  assert (Array.length d = g.n);
-  Array.iter (fun x -> assert (x >= 0.0)) d;
+  if Array.length d <> g.n then
+    invalid_arg
+      (Printf.sprintf "Graph.to_sddm: d has %d entries for %d vertices"
+         (Array.length d) g.n);
+  Array.iteri
+    (fun i x ->
+      if not (x >= 0.0) then
+        invalid_arg
+          (Printf.sprintf "Graph.to_sddm: d.(%d) = %g is not >= 0" i x))
+    d;
   let t =
     Sparse.Triplet.create
       ~capacity:(max ((4 * n_edges g) + g.n) 1)
@@ -318,7 +329,10 @@ let is_sddm a =
   | exception Invalid_argument _ -> false
 
 let permute g p =
-  assert (Array.length p = g.n);
+  if Array.length p <> g.n then
+    invalid_arg
+      (Printf.sprintf "Graph.permute: permutation of %d for %d vertices"
+         (Array.length p) g.n);
   let pinv = Sparse.Perm.inverse p in
   let m = n_edges g in
   let us = Array.make m 0 and vs = Array.make m 0 in

@@ -11,7 +11,8 @@ val create : n:int -> edges:(int * int * float) array -> t
 (** [create ~n ~edges] validates 0 <= u,v < n, u <> v, w > 0. *)
 
 val of_arrays : n:int -> us:int array -> vs:int array -> ws:float array -> t
-(** Zero-copy variant; arrays must have equal lengths and valid contents. *)
+(** Variant of {!create} over parallel arrays, validated the same way.
+    Raises [Invalid_argument] when [us], [vs] and [ws] differ in length. *)
 
 val n_vertices : t -> int
 val n_edges : t -> int
@@ -29,6 +30,20 @@ val coalesce : t -> t
 (** {1 Adjacency view}
 
     Built lazily on first use and cached. *)
+
+type adjacency = {
+  ptr : int array;  (** length [n + 1] *)
+  nbr : int array;  (** neighbour per half-edge *)
+  wgt : float array;  (** its edge weight *)
+}
+
+val adjacency : t -> adjacency
+(** The cached adjacency of the coalesced graph, in compressed rows: the
+    neighbours of [u] are [nbr.(k)], with weights [wgt.(k)], for [k] from
+    [ptr.(u)] to [ptr.(u+1) - 1], in the order {!iter_neighbors} visits
+    them. The arrays are the cache itself, shared with every later call
+    on [g]: read them, never write them. For hot loops that a closure per
+    neighbour would slow down. *)
 
 val degree : t -> int -> int
 (** Number of (coalesced) incident edges. *)
@@ -58,8 +73,9 @@ val laplacian : t -> Sparse.Csc.t
 (** The graph Laplacian [L_G] (Eq. 1 of the paper). *)
 
 val to_sddm : t -> float array -> Sparse.Csc.t
-(** [to_sddm g d] is [L_G + diag d]; requires [d] nonnegative of length [n].
-    The result is SDDM whenever some [d.(i) > 0] in every component. *)
+(** [to_sddm g d] is [L_G + diag d]. The result is SDDM whenever some
+    [d.(i) > 0] in every component. Raises [Invalid_argument] unless [d]
+    has length [n] and every entry is [>= 0.] (a NaN is rejected). *)
 
 val of_sddm : Sparse.Csc.t -> t * float array
 (** Split a symmetric matrix with nonpositive off-diagonals into
@@ -72,4 +88,5 @@ val is_sddm : Sparse.Csc.t -> bool
 (** True when {!of_sddm} would succeed. *)
 
 val permute : t -> Sparse.Perm.t -> t
-(** Relabel vertices: vertex [p.(k)] of the input becomes vertex [k]. *)
+(** Relabel vertices: vertex [p.(k)] of the input becomes vertex [k].
+    Raises [Invalid_argument] when [p] does not have length [n]. *)

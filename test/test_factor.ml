@@ -700,7 +700,7 @@ let partitioned_mesh ~w ~h =
   let d = Array.make n 0.0 in
   d.(0) <- 1.0;
   d.(n - 1) <- 0.5;
-  let perm = Ordering.Partitioned.order ~leaf_fraction:(1.0 /. 16.0) g in
+  let perm = Ordering.Partitioned.order g in
   let gp = Sddm.Graph.permute g perm in
   let dp = Array.init n (fun k -> d.(perm.(k))) in
   (gp, dp)

@@ -7,6 +7,7 @@ let orderings =
     ("rcm", Ordering.Rcm.order);
     ("degree_sort", fun g -> Ordering.Degree_sort.order g);
     ("nested_dissection", fun g -> Ordering.Nested_dissection.order g);
+    ("partitioned", fun g -> Ordering.Partitioned.order g);
   ]
 
 let test_all_valid_on name graph =
@@ -165,6 +166,107 @@ let test_nd_disconnected () =
   Alcotest.(check bool) "valid on matching graph" true
     (Perm.is_valid (Ordering.Nested_dissection.order ~leaf_size:4 g))
 
+(* ---- partitioned against its reference (test/partitioned_ref.ml) ----
+
+   The flat-array ordering must return the reference's permutation on
+   every input. Below 1024 vertices no dissection runs, so the graphs are
+   larger than that. *)
+
+let same_as_reference ?heavy_factor g =
+  Ordering.Partitioned.order ?heavy_factor g
+  = Partitioned_ref.order ?heavy_factor g
+
+(* A mesh of 33..80 vertices a side with weights log-uniform over
+   1e-8 .. 1e8. Dropped edges leave islands and isolated vertices (vertex
+   0 among them one time in four); chords make lopsided level cuts. *)
+let rough_mesh seed =
+  let rng = Rng.create seed in
+  let w = 33 + Rng.int rng 48 and h = 33 + Rng.int rng 48 in
+  let drop = [| 0.0; 0.05; 0.3; 0.6 |].(Rng.int rng 4) in
+  let chords = [| 0; 3; 60 |].(Rng.int rng 3) in
+  let isolate_0 = Rng.int rng 4 = 0 in
+  let n = w * h in
+  let weight () = 10.0 ** Rng.float_range rng (-8.0) 8.0 in
+  let edges = ref [] in
+  let add u v =
+    if Rng.float rng >= drop && not (isolate_0 && (u = 0 || v = 0)) then
+      edges := (u, v, weight ()) :: !edges
+  in
+  for y = 0 to h - 1 do
+    for x = 0 to w - 1 do
+      let i = (y * w) + x in
+      if x + 1 < w then add i (i + 1);
+      if y + 1 < h then add i (i + w)
+    done
+  done;
+  for _ = 1 to chords do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v then add u v
+  done;
+  Sddm.Graph.create ~n ~edges:(Array.of_list !edges)
+
+let prop_partitioned_matches_reference =
+  QCheck.Test.make ~name:"partitioned equals its reference" ~count:40
+    QCheck.(triple bool (int_bound 1_000_000) (int_bound 2))
+    (fun (random, seed, hf) ->
+      let g =
+        if random then begin
+          let rng = Rng.create seed in
+          let n = 1025 + Rng.int rng 2976 in
+          fst (Test_util.random_sddm ~seed ~n ~m:(n / 2 + Rng.int rng (2 * n)))
+        end
+        else rough_mesh seed
+      in
+      same_as_reference ~heavy_factor:[| 10.0; 2.0; infinity |].(hf) g)
+
+let test_partitioned_edgeless () =
+  (* the first BFS reaches nothing, so the whole set is one block *)
+  let g = Sddm.Graph.create ~n:2000 ~edges:[||] in
+  Alcotest.(check bool) "same as reference" true (same_as_reference g)
+
+let test_partitioned_star () =
+  let g = Test_util.star_graph 1501 in
+  Alcotest.(check bool) "same as reference" true (same_as_reference g)
+
+let test_partitioned_threshold_ties () =
+  (* A float sum's rounding depends on its order, so a block's average
+     weight must be summed in the reference's order. On a path whose last
+     edge is the heaviest, heavy factors right at that edge's threshold,
+     for the sum taken either way round, flip the last vertex's heavy flag
+     and so its place in the degree-1 class. *)
+  for seed = 1 to 20 do
+    let rng = Rng.create seed in
+    let n = 200 in
+    let ws =
+      Array.init (n - 1) (fun i ->
+          if i = n - 2 then 5.0 else 1.0 +. Rng.float rng)
+    in
+    let g =
+      Sddm.Graph.create ~n ~edges:(Array.mapi (fun i w -> (i, i + 1, w)) ws)
+    in
+    let mean ws = Array.fold_left ( +. ) 0.0 ws /. float_of_int (n - 1) in
+    let backwards = Array.init (n - 1) (fun i -> ws.(n - 2 - i)) in
+    List.iter
+      (fun w_avg ->
+        let at = 5.0 /. w_avg in
+        List.iter
+          (fun heavy_factor ->
+            Alcotest.(check bool)
+              (Printf.sprintf "seed %d, heavy factor %h" seed heavy_factor)
+              true
+              (same_as_reference ~heavy_factor g))
+          [ Float.pred at; at; Float.succ at ])
+      [ mean ws; mean backwards ]
+  done
+
+let test_partitioned_suite =
+  List.map
+    (fun (c : Powergrid.Suite.case) ->
+      Alcotest.test_case ("same as reference on " ^ c.id) `Quick (fun () ->
+          let g = (c.build ()).Sddm.Problem.graph in
+          Alcotest.(check bool) "same permutation" true (same_as_reference g)))
+    (Array.to_list (Powergrid.Suite.all_cases ~scale:0.3 ()))
+
 let prop_all_orderings_valid =
   QCheck.Test.make ~name:"every ordering is a valid permutation" ~count:60
     QCheck.(triple (int_bound 10000) (int_range 2 40) (int_bound 100))
@@ -224,7 +326,21 @@ let () =
           Alcotest.test_case "promotion disabled" `Quick
             test_degree_sort_disable_heavy;
         ] );
+      ( "partitioned",
+        [
+          Alcotest.test_case "same as reference, edgeless" `Quick
+            test_partitioned_edgeless;
+          Alcotest.test_case "same as reference, star" `Quick
+            test_partitioned_star;
+          Alcotest.test_case "same as reference at threshold ties" `Quick
+            test_partitioned_threshold_ties;
+        ]
+        @ test_partitioned_suite );
       ( "property",
         Test_util.qcheck
-          [ prop_all_orderings_valid; prop_amd_not_worse_than_natural ] );
+          [
+            prop_all_orderings_valid;
+            prop_amd_not_worse_than_natural;
+            prop_partitioned_matches_reference;
+          ] );
     ]

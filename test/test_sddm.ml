@@ -34,6 +34,23 @@ let test_degrees_neighbors () =
   G.iter_neighbors g 0 (fun v w -> seen := (v, w) :: !seen);
   Alcotest.(check int) "hub sees all leaves" 5 (List.length !seen)
 
+let test_adjacency_arrays () =
+  let g = G.create ~n:4 ~edges:[| (2, 0, 1.5); (0, 1, 1.0); (1, 0, 2.0) |] in
+  let { G.ptr; nbr; wgt } = G.adjacency g in
+  Alcotest.(check (array int)) "row pointers" [| 0; 2; 3; 4; 4 |] ptr;
+  for u = 0 to 3 do
+    let seen = ref [] in
+    G.iter_neighbors g u (fun v w -> seen := (v, w) :: !seen);
+    let rows = ref [] in
+    for k = ptr.(u) to ptr.(u + 1) - 1 do
+      rows := (nbr.(k), wgt.(k)) :: !rows
+    done;
+    Alcotest.(check (list (pair int (float 0.0))))
+      (Printf.sprintf "row %d is iter_neighbors" u)
+      !seen !rows
+  done;
+  Alcotest.(check bool) "one shared cache" true (G.adjacency g == G.adjacency g)
+
 let test_weight_stats () =
   let g = G.create ~n:3 ~edges:[| (0, 1, 1.0); (1, 2, 3.0) |] in
   Test_util.check_float "average" 2.0 (G.average_weight g);
@@ -51,6 +68,35 @@ let test_components () =
   Alcotest.(check bool) "3~4 same" true (labels.(3) = labels.(4));
   Alcotest.(check bool) "5 isolated" true
     (labels.(5) <> labels.(0) && labels.(5) <> labels.(3))
+
+(* Caller-input checks raise Invalid_argument, so building with -noassert
+   cannot delete them. *)
+let raises_invalid_arg what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ()
+
+let test_of_arrays_lengths () =
+  raises_invalid_arg "short vs" (fun () ->
+      G.of_arrays ~n:3 ~us:[| 0; 1 |] ~vs:[| 1 |] ~ws:[| 1.0; 1.0 |]);
+  raises_invalid_arg "short ws" (fun () ->
+      G.of_arrays ~n:3 ~us:[| 0; 1 |] ~vs:[| 1; 2 |] ~ws:[| 1.0 |])
+
+let test_to_sddm_d_length () =
+  let g = Test_util.path_graph 3 in
+  raises_invalid_arg "short d" (fun () -> G.to_sddm g [| 1.0; 0.0 |]);
+  raises_invalid_arg "long d" (fun () -> G.to_sddm g [| 1.0; 0.0; 0.0; 0.0 |])
+
+let test_to_sddm_d_sign () =
+  let g = Test_util.path_graph 3 in
+  raises_invalid_arg "negative d" (fun () ->
+      G.to_sddm g [| 1.0; -1e-300; 0.0 |]);
+  raises_invalid_arg "NaN d" (fun () -> G.to_sddm g [| 1.0; 0.0; Float.nan |])
+
+let test_permute_length () =
+  let g = Test_util.path_graph 3 in
+  raises_invalid_arg "short permutation" (fun () -> G.permute g [| 1; 0 |]);
+  raises_invalid_arg "long permutation" (fun () -> G.permute g [| 1; 0; 2; 3 |])
 
 let test_laplacian_rowsums () =
   let g, _ = Test_util.random_sddm ~seed:3 ~n:12 ~m:30 in
@@ -221,6 +267,9 @@ let () =
           Alcotest.test_case "edge normalization" `Quick test_edge_normalized;
           Alcotest.test_case "coalesce" `Quick test_coalesce;
           Alcotest.test_case "degrees/neighbors" `Quick test_degrees_neighbors;
+          Alcotest.test_case "adjacency arrays" `Quick test_adjacency_arrays;
+          Alcotest.test_case "of_arrays length check" `Quick
+            test_of_arrays_lengths;
           Alcotest.test_case "weight stats" `Quick test_weight_stats;
           Alcotest.test_case "components" `Quick test_components;
         ] );
@@ -230,6 +279,10 @@ let () =
           Alcotest.test_case "to/of roundtrip" `Quick test_to_of_sddm_roundtrip;
           Alcotest.test_case "is_sddm" `Quick test_is_sddm;
           Alcotest.test_case "permute" `Quick test_permute_preserves_laplacian;
+          Alcotest.test_case "to_sddm d length check" `Quick
+            test_to_sddm_d_length;
+          Alcotest.test_case "to_sddm d sign check" `Quick test_to_sddm_d_sign;
+          Alcotest.test_case "permute length check" `Quick test_permute_length;
         ] );
       ( "problem",
         [
