@@ -76,7 +76,6 @@ let run () =
   let gp = Sddm.Graph.permute g perm in
   let d = p.Sddm.Problem.d in
   let dp = Array.init n (fun k -> d.(perm.(k))) in
-  let buckets = Factor.Lt_rchol.default_buckets in
   (* best-of-[reps] wall time at a fixed domain count; every reseed makes
      the factorization a replay of the same sampled structure *)
   let measure domains =
@@ -86,7 +85,7 @@ let run () =
     for _ = 1 to reps do
       let rng = Rng.create 42 in
       let t0 = Unix.gettimeofday () in
-      let l = Factor.Lt_rchol.factorize ~buckets ~rng gp ~d:dp in
+      let l = Factor.Lt_rchol.factorize ~rng gp ~d:dp in
       let t = Unix.gettimeofday () -. t0 in
       if t < !best then best := t;
       result := Some l

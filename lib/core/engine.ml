@@ -155,12 +155,8 @@ module Session = struct
   }
 
   type t = {
-    id : int;
     seed : int;
-    buckets : int;
-    heavy_factor : float;
     max_fraction : float;
-    low_rank_max : int;
     state : Sddm.Edit.state;
     mutable version : int;
     mutable perm : Sparse.Perm.t;
@@ -176,51 +172,22 @@ module Session = struct
            lags the matrix (low-rank rung in force) *)
   }
 
-  let next_id = ref 0
+  (* The Woodbury rung's largest edit support. *)
+  let low_rank_max = 16
 
-  (* The session's preparation: partitioned ordering + LT-RChol
-     factorization, identical (bit-for-bit, same seed discipline) to
-     [Solver.powerrchol_prepare], but through the updatable factorization
-     so later edits can re-eliminate in place. *)
-  let build ~seed ~buckets ~heavy_factor problem =
-    let g = problem.Sddm.Problem.graph in
-    let t0 = Unix.gettimeofday () in
-    let perm = Solver.powerrchol_order ~heavy_factor g in
-    let t1 = Unix.gettimeofday () in
-    let upd =
-      Obs.span "factor" (fun () ->
-          let gp = Sddm.Graph.permute g perm in
-          let d = problem.Sddm.Problem.d in
-          let dp = Array.init (Array.length perm) (fun k -> d.(perm.(k))) in
-          let rng = Rng.create seed in
-          Factor.Lt_rchol.factorize_updatable ~buckets ~rng gp ~d:dp)
-    in
-    let t2 = Unix.gettimeofday () in
-    let l = Factor.Rand_chol.factor upd in
-    let prepared =
-      Solver.make_prepared ~solver_name:"powerrchol" problem
-        ~precond:(Krylov.Precond.of_factor ~name:"powerrchol" ~perm l)
-        ~t_reorder:(t1 -. t0) ~t_precond:(t2 -. t1)
-        ~factor_nnz:(Factor.Lower.nnz l)
-    in
-    (perm, upd, prepared)
+  (* The session's preparation: Solver.powerrchol_prepare's, through the
+     updatable factorization so later edits can re-eliminate in place. *)
+  let build ~seed problem =
+    Solver.rand_chol_prepare ~name:"powerrchol" ~order:Solver.powerrchol_order
+      ~factorize:Factor.Lt_rchol.factorize_updatable
+      ~lower:Factor.Rand_chol.factor ~seed problem
 
-  let create ?(buckets = Factor.Lt_rchol.default_buckets)
-      ?(heavy_factor = Solver.default_heavy_factor)
-      ?(seed = Solver.default_seed) ?(max_fraction = 0.25)
-      ?(low_rank_max = 16) problem =
+  let create ?(seed = Solver.default_seed) ?(max_fraction = 0.25) problem =
     let state = Sddm.Edit.of_problem problem in
-    let perm, upd, prepared =
-      build ~seed ~buckets ~heavy_factor (Sddm.Edit.problem state)
-    in
-    incr next_id;
+    let perm, upd, prepared = build ~seed (Sddm.Edit.problem state) in
     {
-      id = !next_id;
       seed;
-      buckets;
-      heavy_factor;
       max_fraction;
-      low_rank_max;
       state;
       version = 0;
       perm;
@@ -231,7 +198,6 @@ module Session = struct
       pending = Hashtbl.create 32;
     }
 
-  let id s = s.id
   let version s = s.version
   let problem s = Sddm.Edit.problem s.state
   let prepared s = s.prepared
@@ -273,9 +239,7 @@ module Session = struct
         Sddm.Edit.problem s.state
       else Sddm.Edit.rebuild s.state
     in
-    let perm, upd, prepared =
-      build ~seed:s.seed ~buckets:s.buckets ~heavy_factor:s.heavy_factor p
-    in
+    let perm, upd, prepared = build ~seed:s.seed p in
     s.perm <- perm;
     s.pinv <- Sparse.Perm.inverse perm;
     s.upd <- upd;
@@ -362,7 +326,7 @@ module Session = struct
               ~reason:
                 (Printf.sprintf "ancestor closure exceeds %d columns" limit)
           in
-          if k > 0 && k <= s.low_rank_max then begin
+          if k > 0 && k <= low_rank_max then begin
             match
               woodbury_precond ~base:s.base_precond
                 ~n:(Sddm.Problem.n (Sddm.Edit.problem s.state))
@@ -391,7 +355,7 @@ module Session = struct
                 skip ~rung:"low-rank"
                   ~reason:
                     (Printf.sprintf "edit support %d exceeds %d" k
-                       s.low_rank_max);
+                       low_rank_max);
               ] )
           end
         | exception Factor.Rand_chol.Breakdown { column; pivot } ->

@@ -27,10 +27,11 @@
       Woodbury correction for the pending matrix delta. The factor
       itself stays stale; deltas accumulate until a later update
       succeeds with a deeper rung.
-    - {!Session.Full} — fallback that re-prepares from scratch exactly
-      as {!Solver.powerrchol_prepare} would (bit-for-bit: same ordering,
-      same seed discipline), preserving the PCG workspace so warm-started
-      iteration state survives.
+    - {!Session.Full} — fallback that re-prepares from scratch through
+      {!Solver.rand_chol_prepare}, the function behind
+      {!Solver.powerrchol_prepare} (bit-for-bit: same ordering, same seed
+      discipline), preserving the PCG workspace so warm-started iteration
+      state survives.
 
     Rung selection is automatic; rungs ruled out by policy are recorded
     as {!Robust.Fallback.Skipped} attempts in the report, mirroring the
@@ -57,17 +58,14 @@ module Session : sig
     changes : Sddm.Edit.change list;  (** per-edit classification *)
   }
 
-  val create :
-    ?buckets:int -> ?heavy_factor:float -> ?seed:int ->
-    ?max_fraction:float -> ?low_rank_max:int -> Sddm.Problem.t -> t
-  (** Deep-copy [problem] into an editable session and prepare it (Alg. 4
-      ordering + updatable LT-RChol). [max_fraction] (default [0.25])
-      bounds the Local rung: a re-factorization touching more than
-      [max_fraction * n] columns escalates. [low_rank_max] (default [16])
-      bounds the Woodbury rung's support size. *)
-
-  val id : t -> int
-  (** Process-unique session id. *)
+  val create : ?seed:int -> ?max_fraction:float -> Sddm.Problem.t -> t
+  (** Deep-copy [problem] into an editable session and prepare it as
+      {!Solver.powerrchol_prepare} does, through the updatable LT-RChol
+      factorization. [seed] defaults to {!Solver.default_seed}.
+      [max_fraction] (default [0.25]) bounds the Local rung: a
+      re-factorization touching more than [max_fraction * n] columns
+      escalates. The Woodbury rung takes edit supports of at most 16
+      nodes. *)
 
   val version : t -> int
   (** Starts at [0]; incremented by every {!update}. *)

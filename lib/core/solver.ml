@@ -31,27 +31,23 @@ let default_seed = 20240623
 
 let now = Unix.gettimeofday
 
-(* Telemetry helper: every prepare ends here so the preconditioner size
-   ratio lands in the record regardless of which solver ran. *)
-let note_prepared problem (p : prepared) =
-  if Obs.enabled () then
-    Obs.gauge "precond_nnz_ratio"
-      (float_of_int p.factor_nnz
-      /. float_of_int (max 1 (Sddm.Problem.nnz problem)));
-  p
-
 let make_prepared ~solver_name problem ~precond ~t_reorder ~t_precond
     ~factor_nnz =
-  note_prepared problem
-    {
-      solver_name;
-      problem;
-      precond;
-      workspace = Krylov.Pcg.Workspace.create (Sddm.Problem.n problem);
-      t_reorder;
-      t_precond;
-      factor_nnz;
-    }
+  (* every prepare ends here, so the preconditioner size ratio lands in
+     the record whichever solver ran *)
+  if Obs.enabled () then
+    Obs.gauge "precond_nnz_ratio"
+      (float_of_int factor_nnz
+      /. float_of_int (max 1 (Sddm.Problem.nnz problem)));
+  {
+    solver_name;
+    problem;
+    precond;
+    workspace = Krylov.Pcg.Workspace.create (Sddm.Problem.n problem);
+    t_reorder;
+    t_precond;
+    factor_nnz;
+  }
 
 let prepare solver problem =
   Obs.span "prepare" (fun () -> solver.prepare problem)
@@ -192,41 +188,53 @@ let apply_ordering ordering g =
 
 (* ---- randomized-Cholesky solvers ---- *)
 
-let rand_chol_custom ~name ~sort ~sampling ~ordering ?(seed = default_seed)
-    () =
-  let prepare problem =
-    let g = problem.Sddm.Problem.graph in
-    let t0 = now () in
-    let perm = Obs.span "reorder" (fun () -> apply_ordering ordering g) in
-    let t1 = now () in
-    let l =
-      Obs.span "factor" (fun () ->
-          let gp = Sddm.Graph.permute g perm in
-          let d = problem.Sddm.Problem.d in
-          let dp = Array.init (Array.length perm) (fun k -> d.(perm.(k))) in
-          let rng = Rng.create seed in
-          Factor.Rand_chol.factorize ~sort ~sampling ~rng gp ~d:dp)
-    in
-    let t2 = now () in
+(* The one randomized-Cholesky preparation; every solver below and the
+   engine's sessions go through it. *)
+let rand_chol_prepare ~name ~order ~factorize ~lower ~seed problem =
+  let g = problem.Sddm.Problem.graph in
+  let t0 = now () in
+  let perm = Obs.span "reorder" (fun () -> order g) in
+  let t1 = now () in
+  let f =
+    Obs.span "factor" (fun () ->
+        let gp = Sddm.Graph.permute g perm in
+        let d = problem.Sddm.Problem.d in
+        let dp = Array.init (Array.length perm) (fun k -> d.(perm.(k))) in
+        factorize ~rng:(Rng.create seed) gp ~d:dp)
+  in
+  let t2 = now () in
+  let l = lower f in
+  ( perm,
+    f,
     make_prepared ~solver_name:name problem
       ~precond:(Krylov.Precond.of_factor ~name ~perm l)
       ~t_reorder:(t1 -. t0) ~t_precond:(t2 -. t1)
-      ~factor_nnz:(Factor.Lower.nnz l)
+      ~factor_nnz:(Factor.Lower.nnz l) )
+
+let rand_chol_solver ~name ~order ~factorize ?(seed = default_seed) () =
+  let prepare problem =
+    let _, _, p =
+      rand_chol_prepare ~name ~order ~factorize ~lower:Fun.id ~seed problem
+    in
+    p
   in
   { name; prepare }
 
-let rchol ?(ordering = Amd) ?seed () =
-  rand_chol_custom
-    ~name:(Printf.sprintf "rchol(%s)" (ordering_name ordering))
-    ~sort:Factor.Rand_chol.Exact_sort ~sampling:Factor.Rand_chol.Per_neighbor
-    ~ordering ?seed ()
+let rand_chol_custom ~name ~sort ~sampling ~ordering ?seed () =
+  rand_chol_solver ~name ~order:(apply_ordering ordering)
+    ~factorize:(Factor.Rand_chol.factorize ~sort ~sampling)
+    ?seed ()
 
-let lt_rchol ?(ordering = Amd) ?(buckets = Factor.Lt_rchol.default_buckets)
-    ?seed () =
-  rand_chol_custom
+let rchol ?(ordering = Amd) ?seed () =
+  rand_chol_solver
+    ~name:(Printf.sprintf "rchol(%s)" (ordering_name ordering))
+    ~order:(apply_ordering ordering) ~factorize:Factor.Rchol.factorize ?seed ()
+
+let lt_rchol ?(ordering = Amd) ?seed () =
+  rand_chol_solver
     ~name:(Printf.sprintf "lt-rchol(%s)" (ordering_name ordering))
-    ~sort:(Factor.Rand_chol.Counting_sort { buckets })
-    ~sampling:Factor.Rand_chol.Shared_random ~ordering ?seed ()
+    ~order:(apply_ordering ordering) ~factorize:Factor.Lt_rchol.factorize
+    ?seed ()
 
 let default_heavy_factor = 10.0
 
@@ -235,43 +243,16 @@ let default_heavy_factor = 10.0
    tree gains independent branches so the multicore factorization has
    subtrees to schedule (DESIGN.md §15). *)
 let powerrchol_order ?(heavy_factor = default_heavy_factor) g =
-  Obs.span "reorder" (fun () -> Ordering.Partitioned.order ~heavy_factor g)
+  Ordering.Partitioned.order ~heavy_factor g
 
-(* The paper's preparation with an optional precomputed permutation:
-   reordering is deterministic and seed-independent, so a caller holding
-   the permutation (the robust reseed rungs) skips straight to the
-   factorization. *)
-let powerrchol_prepare ?(buckets = Factor.Lt_rchol.default_buckets)
-    ?heavy_factor ?(seed = default_seed) ?perm problem =
-  let g = problem.Sddm.Problem.graph in
-  let t0 = now () in
-  let perm, t_reorder =
-    match perm with
-    | Some perm -> (perm, 0.0)
-    | None ->
-      let perm = powerrchol_order ?heavy_factor g in
-      (perm, now () -. t0)
-  in
-  let t1 = now () in
-  let l =
-    Obs.span "factor" (fun () ->
-        let gp = Sddm.Graph.permute g perm in
-        let d = problem.Sddm.Problem.d in
-        let dp = Array.init (Array.length perm) (fun k -> d.(perm.(k))) in
-        let rng = Rng.create seed in
-        Factor.Lt_rchol.factorize ~buckets ~rng gp ~d:dp)
-  in
-  let t2 = now () in
-  make_prepared ~solver_name:"powerrchol" problem
-    ~precond:(Krylov.Precond.of_factor ~name:"powerrchol" ~perm l)
-    ~t_reorder ~t_precond:(t2 -. t1) ~factor_nnz:(Factor.Lower.nnz l)
+let powerrchol_with ~order ?seed () =
+  rand_chol_solver ~name:"powerrchol" ~order
+    ~factorize:Factor.Lt_rchol.factorize ?seed ()
 
-let powerrchol ?buckets ?heavy_factor ?seed () =
-  {
-    name = "powerrchol";
-    prepare =
-      (fun problem -> powerrchol_prepare ?buckets ?heavy_factor ?seed problem);
-  }
+let powerrchol ?heavy_factor ?seed () =
+  powerrchol_with ~order:(powerrchol_order ?heavy_factor) ?seed ()
+
+let powerrchol_prepare ?seed problem = (powerrchol ?seed ()).prepare problem
 
 (* ---- feGRASS solvers ---- *)
 
@@ -403,39 +384,31 @@ let rung ?deadline ~rtol ~max_iter ~name prepare_fn =
 (* Deterministic seed derivation for the reseed-and-retry rungs. *)
 let reseed seed i = seed + (1000003 * (i + 1))
 
-(* The default chain: powerrchol -> reseed-and-retry x retries ->
-   rchol(amd) -> jacobi -> direct. *)
-let robust_rungs ?prepared ~seed ~retries ?deadline ~rtol ~max_iter () =
-  (* The reseed rungs reuse the permutation computed by the first
-     powerrchol rung: reordering is deterministic and seed-independent, so
-     a reseed only needs to re-run the (randomized) factorization. The
-     memo keys by physical problem identity, so on disconnected grids each
-     island component computes its own permutation exactly once. *)
-  let memo : (Sddm.Problem.t * Sparse.Perm.t) option ref = ref None in
-  let perm_for problem =
-    match !memo with
-    | Some (p, perm) when p == problem ->
-      Obs.count "robust/perm_reuse" 1;
-      perm
-    | _ ->
-      let perm = powerrchol_order problem.Sddm.Problem.graph in
-      memo := Some (problem, perm);
-      perm
-  in
-  (* A caller's handle serves only the system it was prepared for, so on a
-     disconnected grid, where the rungs see islands, the first rung
-     prepares like the others. *)
+let robust_retries = 2
+
+(* One island's chain: powerrchol -> reseed-and-retry x robust_retries ->
+   rchol(amd) -> jacobi -> direct. The powerrchol rungs share the
+   island's one lazy permutation: reordering is deterministic and
+   seed-independent, so a reseed re-runs only the randomized
+   factorization. A caller's handle serves only the system it was
+   prepared for, so on a disconnected grid, where the chains see
+   islands, the first rung prepares like the others. *)
+let robust_rungs ?prepared ?deadline ~seed ~rtol ~max_iter island =
+  let perm = lazy (powerrchol_order island.Sddm.Problem.graph) in
   let powerrchol_rung ?prepared ~name seed =
     rung ?deadline ~rtol ~max_iter ~name (fun problem ->
         match prepared with
         | Some (p : prepared) when p.problem == problem -> p
-        | _ -> powerrchol_prepare ~seed ~perm:(perm_for problem) problem)
+        | _ ->
+          if Lazy.is_val perm then Obs.count "robust/perm_reuse" 1;
+          (powerrchol_with ~order:(fun _ -> Lazy.force perm) ~seed ()).prepare
+            problem)
   in
   let baseline solver =
     rung ?deadline ~rtol ~max_iter ~name:solver.name solver.prepare
   in
   powerrchol_rung ?prepared ~name:"powerrchol" seed
-  :: List.init retries (fun i ->
+  :: List.init robust_retries (fun i ->
          powerrchol_rung
            ~name:(Printf.sprintf "powerrchol(reseed %d)" (i + 1))
            (reseed seed i))
@@ -445,121 +418,92 @@ let robust_rungs ?prepared ~seed ~retries ?deadline ~rtol ~max_iter () =
       baseline (direct ());
     ]
 
+(* Fatal pre-flight diagnostics: a structured rejection, nothing solved. *)
+let rejected diagnostics =
+  {
+    diagnostics;
+    outcome =
+      Robust_rejected
+        {
+          reasons =
+            List.map Robust.Diagnose.issue_to_string
+              (Robust.Diagnose.fatal_issues diagnostics);
+        };
+  }
+
 let solve_robust ?(rtol = 1e-6) ?(max_iter = 500) ?(seed = default_seed)
-    ?(retries = 2) ?deadline ?prepared problem =
+    ?deadline ?prepared problem =
   let diagnostics = Robust.Diagnose.of_problem problem in
-  if Robust.Diagnose.has_fatal diagnostics then
-    {
-      diagnostics;
-      outcome =
-        Robust_rejected
-          {
-            reasons =
-              List.map Robust.Diagnose.issue_to_string
-                (Robust.Diagnose.fatal_issues diagnostics);
-          };
-    }
+  if Robust.Diagnose.has_fatal diagnostics then rejected diagnostics
   else begin
-    let rungs =
-      robust_rungs ?prepared ~seed ~retries ?deadline ~rtol ~max_iter ()
+    (* Every grounded island runs its own chain, and the solutions are
+       scattered back (per-island rtol implies the global rtol because the
+       islands are orthogonal blocks of A). A connected system is its one
+       island: its attempts keep their rung names, and its solution and
+       verified residual are the chain's own. *)
+    let comps = Array.to_list (Robust.Diagnose.split_components problem) in
+    let outcomes =
+      List.map
+        (fun (c : Robust.Diagnose.component) ->
+          Robust.Fallback.run ~rtol ?deadline
+            ~rungs:
+              (robust_rungs ?prepared ?deadline ~seed ~rtol ~max_iter c.problem)
+            c.problem)
+        comps
     in
-    let comps = Robust.Diagnose.split_components problem in
-    if Array.length comps = 1 then begin
-      let o = Robust.Fallback.run ~rtol ?deadline ~rungs problem in
-      match (o.Robust.Fallback.x, o.Robust.Fallback.winner) with
-      | Some x, Some winner ->
-        {
-          diagnostics;
-          outcome =
-            Robust_solved
-              {
-                x;
-                winner;
-                iterations = o.Robust.Fallback.iterations;
-                residual = o.Robust.Fallback.residual;
-                attempts = o.Robust.Fallback.attempts;
-              };
-        }
+    let attempts =
+      match outcomes with
+      | [ o ] -> o.attempts
       | _ ->
-        {
-          diagnostics;
-          outcome = Robust_exhausted { attempts = o.Robust.Fallback.attempts };
-        }
-    end
-    else begin
-      (* clean but disconnected: solve every grounded island independently
-         and scatter the solutions back (per-island rtol implies the global
-         rtol because the islands are orthogonal blocks of A) *)
-      let n = Sddm.Problem.n problem in
-      let parts =
-        Array.map
-          (fun c ->
-            ( c,
-              Robust.Fallback.run ~rtol ?deadline ~rungs
-                c.Robust.Diagnose.problem ))
-          comps
-      in
-      let attempts =
-        Array.to_list parts
-        |> List.mapi (fun i ((_, o) : Robust.Diagnose.component * _) ->
+        List.concat
+          (List.mapi
+             (fun i (o : Robust.Fallback.outcome) ->
                List.map
                  (fun (a : Robust.Fallback.attempt) ->
-                   {
-                     a with
-                     Robust.Fallback.rung =
-                       Printf.sprintf "c%d/%s" i a.Robust.Fallback.rung;
-                   })
-                 o.Robust.Fallback.attempts)
-        |> List.concat
+                   { a with rung = Printf.sprintf "c%d/%s" i a.rung })
+                 o.attempts)
+             outcomes)
+    in
+    if List.for_all Robust.Fallback.succeeded outcomes then begin
+      let xs =
+        List.map (fun (o : Robust.Fallback.outcome) -> Option.get o.x) outcomes
       in
-      if Array.for_all (fun (_, o) -> Robust.Fallback.succeeded o) parts then begin
-        let x =
-          Robust.Diagnose.assemble ~n
-            (Array.to_list parts
-            |> List.map (fun ((c, o) : _ * Robust.Fallback.outcome) ->
-                   (c, Option.get o.Robust.Fallback.x)))
-        in
-        let residual = Sddm.Problem.residual_norm problem x in
-        let iterations =
-          Array.fold_left
-            (fun acc (_, (o : Robust.Fallback.outcome)) ->
-              acc + o.Robust.Fallback.iterations)
-            0 parts
-        in
-        let winner =
-          Array.to_list parts
-          |> List.map (fun (_, (o : Robust.Fallback.outcome)) ->
-                 Option.get o.Robust.Fallback.winner)
-          |> List.sort_uniq compare |> String.concat "+"
-        in
-        {
-          diagnostics;
-          outcome = Robust_solved { x; winner; iterations; residual; attempts };
-        }
-      end
-      else { diagnostics; outcome = Robust_exhausted { attempts } }
+      let x, residual =
+        match (xs, outcomes) with
+        | [ x ], [ o ] -> (x, o.residual)
+        | _ ->
+          let x =
+            Robust.Diagnose.assemble ~n:(Sddm.Problem.n problem)
+              (List.combine comps xs)
+          in
+          (x, Sddm.Problem.residual_norm problem x)
+      in
+      let iterations =
+        List.fold_left
+          (fun acc (o : Robust.Fallback.outcome) -> acc + o.iterations)
+          0 outcomes
+      in
+      let winner =
+        List.map (fun (o : Robust.Fallback.outcome) -> Option.get o.winner)
+          outcomes
+        |> List.sort_uniq compare |> String.concat "+"
+      in
+      {
+        diagnostics;
+        outcome = Robust_solved { x; winner; iterations; residual; attempts };
+      }
     end
+    else { diagnostics; outcome = Robust_exhausted { attempts } }
   end
 
-let solve_matrix_robust ?rtol ?max_iter ?seed ?retries ?(name = "matrix") ~a
-    ~b () =
+let solve_matrix_robust ?rtol ?seed ?(name = "matrix") ~a ~b () =
   (* Diagnose the raw pair BEFORE validation so corrupted input yields the
      structured report instead of an exception out of [Problem.of_matrix]. *)
   let diagnostics = Robust.Diagnose.run ~a ~b in
-  if Robust.Diagnose.has_fatal diagnostics then
-    {
-      diagnostics;
-      outcome =
-        Robust_rejected
-          {
-            reasons =
-              List.map Robust.Diagnose.issue_to_string
-                (Robust.Diagnose.fatal_issues diagnostics);
-          };
-    }
+  if Robust.Diagnose.has_fatal diagnostics then rejected diagnostics
   else
     match Sddm.Problem.of_matrix ~name ~a ~b with
-    | problem -> solve_robust ?rtol ?max_iter ?seed ?retries problem
+    | problem -> solve_robust ?rtol ?seed problem
     | exception Invalid_argument msg ->
       (* diagnostics missed what validation caught: still a structured
          rejection, with the validator's message as the reason *)

@@ -119,30 +119,26 @@ type ordering =
 val ordering_name : ordering -> string
 val apply_ordering : ordering -> Sddm.Graph.t -> Sparse.Perm.t
 
-val powerrchol : ?buckets:int -> ?heavy_factor:float -> ?seed:int -> unit -> t
-(** The paper's solver: partitioned Alg. 4 reordering + LT-RChol (Alg. 3)
-    + PCG. *)
+val powerrchol : ?heavy_factor:float -> ?seed:int -> unit -> t
+(** The paper's solver: partitioned Alg. 4 reordering
+    ({!powerrchol_order}) + LT-RChol (Alg. 3) + PCG. *)
 
-val powerrchol_prepare :
-  ?buckets:int -> ?heavy_factor:float -> ?seed:int ->
-  ?perm:Sparse.Perm.t -> Sddm.Problem.t -> prepared
-(** The paper's preparation with an optional precomputed permutation
-    (default: {!powerrchol_order}). Reordering is deterministic and
-    seed-independent, so a caller that already holds the permutation (the
-    robust reseed rungs) skips straight to the randomized factorization. *)
+val powerrchol_prepare : ?seed:int -> Sddm.Problem.t -> prepared
+(** [(powerrchol ?seed ()).prepare]: the paper's preparation with the
+    default heavy factor. *)
 
 val powerrchol_order : ?heavy_factor:float -> Sddm.Graph.t -> Sparse.Perm.t
-(** The ordering every powerrchol preparation uses — partitioned Alg. 4
+(** The ordering every powerrchol preparation uses: partitioned Alg. 4
     ([Ordering.Partitioned], [heavy_factor] defaulting to
-    {!default_heavy_factor}) under the Obs span ["reorder"]. Shared by
-    {!powerrchol_prepare}, the robust chain's powerrchol rungs and
-    {!Engine.Session}. *)
+    {!default_heavy_factor}). Shared by {!powerrchol}, the robust chain's
+    powerrchol rungs and {!Engine.Session}, so it is the one place the
+    PowerRChol ordering is chosen. *)
 
 val rchol : ?ordering:ordering -> ?seed:int -> unit -> t
 (** Original RChol (Alg. 1) preconditioner; default AMD ordering, the
     configuration of [3] used as baseline in Table 1. *)
 
-val lt_rchol : ?ordering:ordering -> ?buckets:int -> ?seed:int -> unit -> t
+val lt_rchol : ?ordering:ordering -> ?seed:int -> unit -> t
 (** LT-RChol with a chosen ordering — the Table 2 rows. *)
 
 val rand_chol_custom :
@@ -150,6 +146,20 @@ val rand_chol_custom :
   sampling:Factor.Rand_chol.sampling -> ordering:ordering -> ?seed:int ->
   unit -> t
 (** Fully custom randomized-Cholesky solver (ablation benches). *)
+
+val rand_chol_prepare :
+  name:string -> order:(Sddm.Graph.t -> Sparse.Perm.t) ->
+  factorize:(rng:Rng.t -> Sddm.Graph.t -> d:float array -> 'f) ->
+  lower:('f -> Factor.Lower.t) -> seed:int -> Sddm.Problem.t ->
+  Sparse.Perm.t * 'f * prepared
+(** The one randomized-Cholesky preparation, behind every solver above
+    and {!Engine.Session}: [order] the graph under the Obs span
+    ["reorder"] (timed as [t_reorder]), permute the graph and the excess
+    diagonal, [factorize] them from a fresh [Rng.create seed] under the
+    span ["factor"] (timed as [t_precond]), and wrap the factor [lower]
+    reads from the factorization as the handle's preconditioner, named
+    [name]. Returns the permutation and the factorization with the
+    handle, for a caller that updates the factor in place. *)
 
 val fegrass : ?recover_fraction:float -> unit -> t
 (** feGRASS-PCG [11]: sparsifier (2%·|V| recovered edges) factorized
@@ -181,11 +191,12 @@ val default_heavy_factor : float
     whose every rung is verified against the {e true} residual. A bad input
     yields a structured report — never a silent wrong answer.
 
-    The powerrchol rung prepares exactly like {!powerrchol} (or solves
-    with a caller's handle from it), so on a healthy connected system it
-    wins with the same solution {!run} gives.
-    Its reseed-and-retry rungs share that rung's permutation (memoized by
-    physical problem identity): a reseed re-runs only the randomized
+    Each island of the system runs its own chain (a connected system is
+    one island). The powerrchol rung prepares exactly like {!powerrchol}
+    (or solves with a caller's handle from it), so on a healthy connected
+    system it wins with the same solution {!run} gives. Two
+    reseed-and-retry rungs follow it, sharing the island's one lazily
+    computed permutation: a reseed re-runs only the randomized
     factorization. *)
 
 type robust_result = {
@@ -211,23 +222,22 @@ and robust_outcome =
       (** every rung failed; the trace says why, rung by rung *)
 
 val solve_robust :
-  ?rtol:float -> ?max_iter:int -> ?seed:int -> ?retries:int ->
-  ?deadline:float -> ?prepared:prepared -> Sddm.Problem.t -> robust_result
-(** [rtol] defaults to 1e-6, [max_iter] to 500, [seed] to {!default_seed},
-    [retries] (reseed-and-retry rungs) to 2. [deadline] (absolute
-    wall-clock instant) bounds the {e whole chain}: it is propagated into
-    every rung's PCG loop and checked between rungs, so an expired budget
-    surfaces as [Timed_out] attempts instead of further escalation.
+  ?rtol:float -> ?max_iter:int -> ?seed:int -> ?deadline:float ->
+  ?prepared:prepared -> Sddm.Problem.t -> robust_result
+(** [rtol] defaults to 1e-6, [max_iter] to 500, [seed] to
+    {!default_seed}. [deadline] (absolute wall-clock instant) bounds the
+    {e whole chain}: it is propagated into every rung's PCG loop and
+    checked between rungs, so an expired budget surfaces as [Timed_out]
+    attempts instead of further escalation.
     Without [deadline], deterministic given [seed]: two runs produce
     identical outcomes and byte-identical {!robust_trace}s.
 
     [prepared] lends the first rung an existing handle instead of a fresh
-    preparation. It must come from [powerrchol ~seed ()] with default
-    buckets and heavy factor, so the outcome is the one the chain reaches
-    without it. The rung uses it only when its [problem] is physically
-    the one passed here and that system is one island
-    ([diagnostics.components = 1]); the islands of a disconnected grid
-    are other systems, and prepare afresh. *)
+    preparation. It must come from [powerrchol ~seed ()], so the outcome
+    is the one the chain reaches without it. The rung uses it only when
+    its [problem] is physically the one passed here and that system is
+    one island ([diagnostics.components = 1]); the islands of a
+    disconnected grid are other systems, and prepare afresh. *)
 
 val robust_ok : robust_result -> bool
 (** True iff the outcome is [Robust_solved]. *)
@@ -237,8 +247,8 @@ val robust_trace : robust_result -> string
     with its reason, final verdict. *)
 
 val solve_matrix_robust :
-  ?rtol:float -> ?max_iter:int -> ?seed:int -> ?retries:int ->
-  ?name:string -> a:Sparse.Csc.t -> b:Sparse.Vec.t -> unit -> robust_result
+  ?rtol:float -> ?seed:int -> ?name:string -> a:Sparse.Csc.t ->
+  b:Sparse.Vec.t -> unit -> robust_result
 (** Like {!solve_robust} but accepts a raw, possibly corrupted matrix: the
     pre-flight diagnostics run {e before} SDDM validation, so NaN entries,
     asymmetry, lost dominance, zero rows, and floating islands come back as

@@ -119,11 +119,12 @@ let condition_from_coefficients alphas betas =
 (* The single PCG core. [x] is the caller's buffer: on entry it holds the
    initial guess when [warm_start] (otherwise it is zeroed here), on exit
    the solution — result.x is physically [x]. All n-vectors come from
-   [ws]; with [history] and [condition] off the loop performs no
-   allocation proportional to n or to the iteration count. *)
+   [ws]; with [track] off (no residual history, no Lanczos coefficients
+   for the condition estimate) the loop performs no allocation
+   proportional to n or to the iteration count. *)
 let solve_ws ?(rtol = 1e-6) ?(max_iter = 500) ?(stall_window = 200) ?deadline
-    ~history:want_history ~condition:want_condition ~warm_start
-    ~(ws : Workspace.t) ~x ~apply_a ~b ~(precond : Precond.t) () =
+    ~track ~warm_start ~(ws : Workspace.t) ~x ~apply_a ~b
+    ~(precond : Precond.t) () =
   let n = ws.Workspace.n in
   if Sparse.Vec.length b <> n then
     invalid_arg
@@ -246,12 +247,12 @@ let solve_ws ?(rtol = 1e-6) ?(max_iter = 500) ?(stall_window = 200) ?deadline
          status := Some (Breakdown (Indefinite { iteration = !iter; curvature = pq }))
        else begin
          let alpha = !rho /. pq in
-         if want_condition then alphas := alpha :: !alphas;
+         if track then alphas := alpha :: !alphas;
          Sparse.Vec.axpy ~alpha ~x:p ~y:x;
          Sparse.Vec.axpy ~alpha:(-.alpha) ~x:q ~y:r;
          incr iter;
          rel := Sparse.Vec.norm2 r /. b_norm;
-         if want_history then history := !rel :: !history;
+         if track then history := !rel :: !history;
          if not (Float.is_finite !rel) then
            status := Some (Breakdown (Nonfinite { iteration = !iter }))
          else if !rel <= rtol then status := Some Converged
@@ -273,7 +274,7 @@ let solve_ws ?(rtol = 1e-6) ?(max_iter = 500) ?(stall_window = 200) ?deadline
                status := Some (Breakdown (Nonfinite { iteration = !iter }))
              else begin
                let beta = rho' /. !rho in
-               if want_condition then betas := beta :: !betas;
+               if track then betas := beta :: !betas;
                rho := rho';
                Sparse.Vec.xpby ~x:z ~beta ~y:p
              end
@@ -303,14 +304,12 @@ let solve_ws ?(rtol = 1e-6) ?(max_iter = 500) ?(stall_window = 200) ?deadline
       relative_residual = !rel;
       history = Array.of_list (List.rev !history);
       condition_estimate =
-        (if want_condition then
-           condition_from_coefficients alphas_trimmed !betas
+        (if track then condition_from_coefficients alphas_trimmed !betas
          else 1.0);
     }
   end
 
-let solve ?rtol ?max_iter ?stall_window ?deadline ?x0 ?(history = true)
-    ?(condition = true) ~a ~b ~precond () =
+let solve ?rtol ?max_iter ?stall_window ?deadline ?x0 ~a ~b ~precond () =
   let n = Sparse.Vec.length b in
   let x, warm_start =
     match x0 with
@@ -324,11 +323,11 @@ let solve ?rtol ?max_iter ?stall_window ?deadline ?x0 ?(history = true)
   in
   (* Gather form: every caller hands a symmetric (SDDM/SPD) matrix, and
      the gather kernel is the one that parallelizes race-free. *)
-  solve_ws ?rtol ?max_iter ?stall_window ?deadline ~history ~condition
-    ~warm_start ~ws:(Workspace.create n) ~x
+  solve_ws ?rtol ?max_iter ?stall_window ?deadline ~track:true ~warm_start
+    ~ws:(Workspace.create n) ~x
     ~apply_a:(Sparse.Csc.spmv_sym_into a) ~b ~precond ()
 
 let solve_operator_into ?rtol ?max_iter ?stall_window ?deadline
     ?(warm_start = true) ~workspace ~x ~apply_a ~b ~precond () =
-  solve_ws ?rtol ?max_iter ?stall_window ?deadline ~history:false
-    ~condition:false ~warm_start ~ws:workspace ~x ~apply_a ~b ~precond ()
+  solve_ws ?rtol ?max_iter ?stall_window ?deadline ~track:false ~warm_start
+    ~ws:workspace ~x ~apply_a ~b ~precond ()

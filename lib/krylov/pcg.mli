@@ -57,13 +57,13 @@ type result = {
   converged : bool;  (** derived view: [status = Converged] *)
   relative_residual : float;  (** recurrence residual at exit *)
   history : float array;
-      (** relative residual after each iteration; [[||]] when history
-          tracking is off *)
+      (** relative residual after each iteration; [[||]] from
+          {!solve_operator_into} *)
   condition_estimate : float;
       (** estimate of kappa(M^-1 A) from the extreme eigenvalues of the
           Lanczos tridiagonal implicitly built by CG (alpha/beta
-          coefficients); 1.0 when fewer than 2 iterations ran {e or when
-          condition tracking is off}. This is the quantity a
+          coefficients); 1.0 when fewer than 2 iterations ran or from
+          {!solve_operator_into}. This is the quantity a
           preconditioner is trying to shrink, reported independently of
           the iteration count. *)
 }
@@ -84,8 +84,8 @@ end
 
 val solve :
   ?rtol:float -> ?max_iter:int -> ?stall_window:int -> ?deadline:float ->
-  ?x0:Sparse.Vec.t -> ?history:bool -> ?condition:bool ->
-  a:Sparse.Csc.t -> b:Sparse.Vec.t -> precond:Precond.t -> unit -> result
+  ?x0:Sparse.Vec.t -> a:Sparse.Csc.t -> b:Sparse.Vec.t ->
+  precond:Precond.t -> unit -> result
 (** [solve ~a ~b ~precond ()] runs PCG with a private, freshly allocated
     workspace. [rtol] defaults to [1e-6] (the paper's setting), [max_iter]
     to [500] (the paper's divergence cutoff), [stall_window] to [200]
@@ -94,10 +94,9 @@ val solve :
     wall-clock instant (same clock as {!Obs.now}); it is checked once per
     iteration, before the operator application, and an expired budget
     exits with {!Timed_out} carrying the true iteration count — the hook
-    through which servers cancel runaway solves cooperatively. [history]
-    and [condition] default to [true] here (one-shot solves want the full
-    diagnostics); pass [false] to skip the O(iterations) residual history
-    and the Lanczos coefficient lists. If [b] is zero the zero solution is
+    through which servers cancel runaway solves cooperatively. The result
+    carries the residual history and the condition estimate, at
+    O(iterations) extra memory. If [b] is zero the zero solution is
     returned immediately. *)
 
 val solve_operator_into :

@@ -121,7 +121,10 @@ type response =
       x : float array option;  (** present iff the request set [want_x] *)
     }
   | Updated of {
-      session : int;  (** daemon-side session id *)
+      session : int;
+          (** the session's number: a daemon numbers the sessions it
+              opens 1, 2, ...; one session keeps its number across
+              updates *)
       version : int;  (** session version after the update *)
       rung : string;
           (** update rung taken: [rhs-only] / [local] / [low-rank] /

@@ -55,13 +55,14 @@ type stats = {
    names. A suite case is its id and exact scale; a MatrixMarket file is
    its path and a digest of its bytes, so a rewritten file is a new key.
    An entry holds the built problem, its prepared handles by (solver,
-   seed) and its ECO sessions by seed. *)
+   seed) and its ECO sessions by seed, each with the number the daemon
+   gave it when it opened it. *)
 type key = Case_key of string * float | Mtx_key of string * Digest.t
 
 type entry = {
   problem : Sddm.Problem.t;
   handles : (Proto.solver * int, Powerrchol.Solver.prepared) Hashtbl.t;
-  sessions : (int, Powerrchol.Engine.Session.t) Hashtbl.t;
+  sessions : (int, int * Powerrchol.Engine.Session.t) Hashtbl.t;
 }
 
 type t = {
@@ -88,6 +89,7 @@ type t = {
       (* every handle in the table, most recently used first *)
   mutable session_order : (key * int) list;
       (* every session in the table, newest first *)
+  mutable sessions_opened : int;  (* the number of the newest session *)
   mutable hits : int;  (* Solve lookups that found their handle *)
   mutable misses : int;
   mutable evictions : int;  (* handles dropped by the LRU cap *)
@@ -383,9 +385,10 @@ let add_handle t key problem hkey prepared =
           drop_if_empty t key e)
         (past_cap max_handles t.handle_order))
 
-(* The entry's ECO session for [seed], opened on first use. Opening one
-   past max_sessions drops the oldest (FIFO); a later update on that
-   spec opens a fresh one. *)
+(* The entry's ECO session for [seed] and its number, opened on first use
+   and numbered from the daemon's count. Opening one past max_sessions
+   drops the oldest (FIFO); a later update on that spec opens a fresh
+   one under a new number. *)
 let find_session t key problem seed =
   match
     Option.bind (Hashtbl.find_opt t.table key) (fun e ->
@@ -395,7 +398,9 @@ let find_session t key problem seed =
   | None ->
     let s = Powerrchol.Engine.Session.create ~seed problem in
     locked t (fun () ->
-        Hashtbl.replace (entry_for t key problem).sessions seed s;
+        t.sessions_opened <- t.sessions_opened + 1;
+        let numbered = (t.sessions_opened, s) in
+        Hashtbl.replace (entry_for t key problem).sessions seed numbered;
         t.session_order <- (key, seed) :: t.session_order;
         Option.iter
           (fun ((key, seed), rest) ->
@@ -403,8 +408,8 @@ let find_session t key problem seed =
             let e = Hashtbl.find t.table key in
             Hashtbl.remove e.sessions seed;
             drop_if_empty t key e)
-          (past_cap t.config.max_sessions t.session_order));
-    s
+          (past_cap t.config.max_sessions t.session_order);
+        numbered)
 
 let solver_of_tag ~seed = function
   | Proto.Powerrchol -> Powerrchol.Solver.powerrchol ~seed ()
@@ -519,7 +524,7 @@ let exec_update t ~t_recv ~spec ~edits ~rtol ~seed ~deadline ~want_x =
   match resolve t spec with
   | Error resp -> resp
   | Ok (key, problem) -> (
-    let session = find_session t key problem seed in
+    let number, session = find_session t key problem seed in
     match Powerrchol.Engine.Session.update session edits with
     | exception Invalid_argument reason -> Proto.Failed { reason }
     | report ->
@@ -542,7 +547,7 @@ let exec_update t ~t_recv ~spec ~edits ~rtol ~seed ~deadline ~want_x =
          note_rung t ~residual:r.Powerrchol.Solver.residual rung_name;
          Proto.Updated
            {
-             session = Powerrchol.Engine.Session.id session;
+             session = number;
              version = report.Powerrchol.Engine.Session.version;
              rung = rung_name;
              iterations = r.Powerrchol.Solver.iterations;
@@ -1143,6 +1148,7 @@ let start config =
           table = Hashtbl.create 16;
           handle_order = [];
           session_order = [];
+          sessions_opened = 0;
           hits = 0;
           misses = 0;
           evictions = 0;

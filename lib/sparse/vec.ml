@@ -58,8 +58,15 @@ let iteri f (x : t) =
    domain count > 1. *)
 let par_min = 16384
 
+(* Formats its message only when called, so the length checks in the PCG
+   kernels cost one comparison when the lengths agree. *)
+let length_mismatch fn (x : t) (y : t) =
+  invalid_arg
+    (Printf.sprintf "Vec.%s: lengths %d and %d differ" fn (length x)
+       (length y))
+
 let dot (x : t) (y : t) =
-  assert (length x = length y);
+  if length x <> length y then length_mismatch "dot" x y;
   let n = length x in
   let pool = Par.default () in
   if n < par_min || not (Par.runs_parallel pool) then begin
@@ -90,7 +97,7 @@ let norm_inf (x : t) =
   !acc
 
 let axpy ~alpha ~(x : t) ~(y : t) =
-  assert (length x = length y);
+  if length x <> length y then length_mismatch "axpy" x y;
   let body lo hi =
     for i = lo to hi - 1 do
       y.{i} <- y.{i} +. (alpha *. x.{i})
@@ -113,15 +120,15 @@ let scale (x : t) alpha =
   else Par.parallel_for pool ~lo:0 ~hi:n body
 
 let add (x : t) (y : t) : t =
-  assert (length x = length y);
+  if length x <> length y then length_mismatch "add" x y;
   init (length x) (fun i -> x.{i} +. y.{i})
 
 let sub (x : t) (y : t) : t =
-  assert (length x = length y);
+  if length x <> length y then length_mismatch "sub" x y;
   init (length x) (fun i -> x.{i} -. y.{i})
 
 let xpby ~(x : t) ~beta ~(y : t) =
-  assert (length x = length y);
+  if length x <> length y then length_mismatch "xpby" x y;
   let body lo hi =
     for i = lo to hi - 1 do
       y.{i} <- x.{i} +. (beta *. y.{i})
@@ -133,7 +140,7 @@ let xpby ~(x : t) ~beta ~(y : t) =
   else Par.parallel_for pool ~lo:0 ~hi:n body
 
 let max_abs_diff (x : t) (y : t) =
-  assert (length x = length y);
+  if length x <> length y then length_mismatch "max_abs_diff" x y;
   let acc = ref 0.0 in
   for i = 0 to length x - 1 do
     let d = Float.abs (x.{i} -. y.{i}) in
@@ -143,7 +150,7 @@ let max_abs_diff (x : t) (y : t) =
 
 let mean (x : t) =
   let n = length x in
-  assert (n > 0);
+  if n = 0 then invalid_arg "Vec.mean: empty vector";
   let acc = ref 0.0 in
   for i = 0 to n - 1 do
     acc := !acc +. x.{i}

@@ -45,6 +45,7 @@ val sub_view : t -> int -> int -> t
 
 val iteri : (int -> float -> unit) -> t -> unit
 val dot : t -> t -> float
+(** Inner product. Raises [Invalid_argument] when the lengths differ. *)
 
 val norm2 : t -> float
 (** Euclidean norm. *)
@@ -52,21 +53,27 @@ val norm2 : t -> float
 val norm_inf : t -> float
 
 val axpy : alpha:float -> x:t -> y:t -> unit
-(** [y <- alpha * x + y]. *)
+(** [y <- alpha * x + y]. Raises [Invalid_argument] when the lengths
+    differ. *)
 
 val scale : t -> float -> unit
 (** [x <- alpha * x], in place. *)
 
 val add : t -> t -> t
-(** Fresh vector [x + y]. *)
+(** Fresh vector [x + y]. Raises [Invalid_argument] when the lengths
+    differ. *)
 
 val sub : t -> t -> t
-(** Fresh vector [x - y]. *)
+(** Fresh vector [x - y]. Raises [Invalid_argument] when the lengths
+    differ. *)
 
 val xpby : x:t -> beta:float -> y:t -> unit
-(** [y <- x + beta * y]; the PCG direction update. *)
+(** [y <- x + beta * y]; the PCG direction update. Raises
+    [Invalid_argument] when the lengths differ. *)
 
 val max_abs_diff : t -> t -> float
-(** Componentwise infinity distance between two vectors. *)
+(** Componentwise infinity distance between two vectors. Raises
+    [Invalid_argument] when the lengths differ. *)
 
 val mean : t -> float
+(** Arithmetic mean. Raises [Invalid_argument] on an empty vector. *)

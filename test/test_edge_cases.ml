@@ -257,7 +257,10 @@ let prop_all_randomized_variants_converge =
           Powerrchol.Solver.powerrchol ();
           Powerrchol.Solver.rchol ~ordering:Powerrchol.Solver.Rcm ();
           Powerrchol.Solver.lt_rchol ~ordering:Powerrchol.Solver.Nested_dissection ();
-          Powerrchol.Solver.lt_rchol ~buckets:2 ();
+          Powerrchol.Solver.rand_chol_custom ~name:"lt-rchol-b2"
+            ~sort:(Factor.Rand_chol.Counting_sort { buckets = 2 })
+            ~sampling:Factor.Rand_chol.Shared_random
+            ~ordering:Powerrchol.Solver.Amd ();
         ])
 
 let () =

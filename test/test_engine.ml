@@ -393,6 +393,107 @@ let test_robust_powerrchol_rung_is_powerrchol () =
       (x = reference.Solver.x)
   | _ -> Alcotest.fail "expected Robust_solved"
 
+let test_robust_chain_per_island () =
+  (* Starved so every powerrchol rung fails. A connected grid is one
+     island: its attempts carry no prefix, and both reseed rungs find its
+     permutation already computed. Two copies of the grid side by side
+     are two islands, each with its own chain, prefix and permutation. A
+     lent handle stands in for the first rung, so only the second reseed
+     rung finds the permutation computed. *)
+  let p = grid_problem ~nx:10 ~ny:10 ~seed:5050 () in
+  let n = Sddm.Problem.n p in
+  let edges = ref [] in
+  Sddm.Graph.iter_edges p.Sddm.Problem.graph (fun u v w ->
+      edges := (u, v, w) :: (u + n, v + n, w) :: !edges);
+  let twin =
+    Sddm.Problem.of_graph ~name:"twin"
+      ~graph:(Sddm.Graph.create ~n:(2 * n) ~edges:(Array.of_list !edges))
+      ~d:(Array.append p.Sddm.Problem.d p.Sddm.Problem.d)
+      ~b:(Sparse.Vec.init (2 * n) (fun i -> p.Sddm.Problem.b.{i mod n}))
+  in
+  let starved ?prepared problem =
+    let r, record =
+      Solver.with_obs
+        ~meta_of:(fun _ -> [])
+        (fun () ->
+          Solver.solve_robust ?prepared ~rtol:1e-10 ~max_iter:3 problem)
+    in
+    match r.Solver.outcome with
+    | Solver.Robust_solved { attempts; _ } ->
+      ( List.map (fun (a : Robust.Fallback.attempt) -> a.rung) attempts,
+        List.assoc_opt "robust/perm_reuse" record.Obs.counters )
+    | _ -> Alcotest.fail "expected Robust_solved"
+  in
+  let prefixed pre rung =
+    String.length rung > String.length pre
+    && String.sub rung 0 (String.length pre) = pre
+  in
+  let reuses = Alcotest.(option (float 0.0)) in
+  let rungs, reuse = starved p in
+  Alcotest.(check (list string))
+    "connected: first rungs, unprefixed"
+    [ "powerrchol"; "powerrchol(reseed 1)"; "powerrchol(reseed 2)" ]
+    (List.filteri (fun i _ -> i < 3) rungs);
+  Alcotest.(check reuses) "connected: two reuses" (Some 2.0) reuse;
+  let rungs, reuse = starved twin in
+  Alcotest.(check bool) "islands: every rung prefixed" true
+    (List.for_all (fun r -> prefixed "c0/" r || prefixed "c1/" r) rungs);
+  Alcotest.(check bool) "islands: both islands ran" true
+    (List.mem "c0/powerrchol(reseed 2)" rungs
+    && List.mem "c1/powerrchol(reseed 2)" rungs);
+  Alcotest.(check reuses) "islands: two reuses each" (Some 4.0) reuse;
+  let _, reuse = starved ~prepared:(Solver.powerrchol_prepare p) p in
+  Alcotest.(check reuses) "lent handle: one reuse" (Some 1.0) reuse
+
+(* ---- golden bits ---- *)
+
+(* MD5 over a solution's little-endian float64 bits. *)
+let bits_md5 (x : Sparse.Vec.t) =
+  let n = Sparse.Vec.length x in
+  let buf = Bytes.create (8 * n) in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le buf (8 * i) (Int64.bits_of_float x.{i})
+  done;
+  Digest.to_hex (Digest.bytes buf)
+
+let check_golden label ~iterations ~md5 ~x ~its =
+  Alcotest.(check int) (label ^ ": iterations") iterations its;
+  Alcotest.(check string) (label ^ ": solution bits") md5 (bits_md5 x)
+
+let test_golden_bits () =
+  (* Every randomized-Cholesky preparation, pinned to the bits it solves
+     to on the 12,178-node scale grid. The values hold at any domain
+     count and with either index width, so a change that moves one of
+     them changed the factorization, not the platform. *)
+  let p =
+    (Powergrid.Suite.scale_case ~target_nodes:12_000 ()).Powergrid.Suite.build
+      ()
+  in
+  let check label ~iterations ~md5 solver =
+    let r = Solver.run solver p in
+    check_golden label ~iterations ~md5 ~x:r.Solver.x ~its:r.Solver.iterations
+  in
+  check "powerrchol" ~iterations:23 ~md5:"beded8165475eb1f675db92791f40abd"
+    (Solver.powerrchol ());
+  check "powerrchol heavy factor 2" ~iterations:22
+    ~md5:"312fe14f36c27c870d3906b10a0fa4d0"
+    (Solver.powerrchol ~heavy_factor:2.0 ());
+  check "lt-rchol(alg4)" ~iterations:20
+    ~md5:"6662749137dd331fdb563fdfae429210"
+    (Solver.lt_rchol ~ordering:Solver.Degree_sort ());
+  check "rchol(amd)" ~iterations:23 ~md5:"c4ba16a139b999b0b53713a93bca7049"
+    (Solver.rchol ());
+  let session_md5 = "467d185f425839b0fd0999c0808a7c9c" in
+  let r = Session.solve (Session.create ~seed:9 p) in
+  check_golden "session seed 9" ~iterations:21 ~md5:session_md5 ~x:r.Solver.x
+    ~its:r.Solver.iterations;
+  match (Solver.solve_robust ~seed:9 p).Solver.outcome with
+  | Solver.Robust_solved { x; winner; iterations; _ } ->
+    Alcotest.(check string) "robust seed 9: winner" "powerrchol" winner;
+    check_golden "robust seed 9" ~iterations:21 ~md5:session_md5 ~x
+      ~its:iterations
+  | _ -> Alcotest.fail "expected Robust_solved"
+
 let () =
   Alcotest.run "engine"
     [
@@ -423,6 +524,8 @@ let () =
             test_robust_trace_deterministic;
           Alcotest.test_case "powerrchol rung matches Solver.run" `Quick
             test_robust_powerrchol_rung_is_powerrchol;
+          Alcotest.test_case "one chain per island" `Quick
+            test_robust_chain_per_island;
         ] );
       ( "session",
         [
@@ -435,5 +538,10 @@ let () =
             test_session_full_rung_bit_identical;
           Alcotest.test_case "edit storm stays correct" `Quick
             test_session_edit_storm_stays_correct;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "solution bits on the 12k grid" `Quick
+            test_golden_bits;
         ] );
     ]

@@ -728,6 +728,32 @@ let test_profiled_solve_matches_result () =
   (* profiling must leave the global layer off afterwards *)
   Alcotest.(check bool) "obs disabled after profiled run" false (Obs.enabled ())
 
+let test_randomized_solvers_name_their_factorization () =
+  (* every randomized solver's profile carries its factorization's span,
+     as powerrchol's carries factor/lt_rchol *)
+  let problem = grid_problem () in
+  List.iter
+    (fun (solver, prefix) ->
+      let _, record =
+        Powerrchol.Solver.with_obs
+          ~meta_of:(Powerrchol.Solver.result_meta problem)
+          (fun () -> Powerrchol.Solver.run solver problem)
+      in
+      let named path =
+        String.length path > String.length prefix
+        && String.sub path 0 (String.length prefix) = prefix
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s records a %s path"
+           solver.Powerrchol.Solver.name prefix)
+        true
+        (List.exists named (span_paths record)
+        && List.exists (fun (k, _) -> named k) record.Obs.counters))
+    [
+      (Powerrchol.Solver.rchol (), "factor/rchol/");
+      (Powerrchol.Solver.lt_rchol (), "factor/lt_rchol/");
+    ]
+
 let test_profiled_breakdown_matches_result () =
   (* NaN injected into the rhs (Fault): PCG must exit with a typed
      Nonfinite breakdown, and the telemetry must mirror that result
@@ -847,6 +873,8 @@ let () =
         [
           Alcotest.test_case "profiled solve mirrors the PCG result" `Quick
             test_profiled_solve_matches_result;
+          Alcotest.test_case "randomized solvers name their factorization"
+            `Quick test_randomized_solvers_name_their_factorization;
           Alcotest.test_case "breakdown path mirrors the PCG result" `Quick
             test_profiled_breakdown_matches_result;
           Alcotest.test_case "robust profiled solve" `Quick

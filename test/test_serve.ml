@@ -988,6 +988,29 @@ let test_daemon_sessions_keyed_by_exact_scale () =
       Alcotest.(check bool) "second spec opens its own session" true (s1 <> s2);
       Alcotest.(check int) "second grid" 725 n2)
 
+let test_daemon_numbers_its_own_sessions () =
+  (* session ids come from the daemon that opened the sessions: a
+     session created in-process between two daemon updates takes no
+     number from it *)
+  with_daemon (fun _t addr ->
+      let update scale =
+        match
+          call_ok addr
+            (Proto.update
+               ~edits:[ Sddm.Edit.Set_load { node = 3; amps = 0.02 } ]
+               (Proto.Case { id = "pg01"; scale }))
+        with
+        | Proto.Updated { session; converged = true; _ } -> session
+        | r -> Alcotest.failf "update answered %s" (Proto.response_to_string r)
+      in
+      let s1 = update 0.05 in
+      ignore
+        (Powerrchol.Engine.Session.create
+           (Test_util.random_problem ~seed:614 ~n:30 ~m:80));
+      let s2 = update 0.06 in
+      Alcotest.(check int) "first session" 1 s1;
+      Alcotest.(check int) "second session" 2 s2)
+
 (* ---- monitoring surface: v2 health, access log, metrics listener ---- *)
 
 let read_lines path =
@@ -1420,6 +1443,8 @@ let () =
             test_daemon_diagnose_scale_cap;
           Alcotest.test_case "sessions keyed by exact scale" `Quick
             test_daemon_sessions_keyed_by_exact_scale;
+          Alcotest.test_case "daemon numbers its own sessions" `Quick
+            test_daemon_numbers_its_own_sessions;
         ] );
       ( "monitoring",
         [

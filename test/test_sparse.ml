@@ -46,6 +46,42 @@ let test_vec_misc () =
   Vec.scale x (-2.0);
   Test_util.check_vec ~eps:1e-12 "scale" [| -2.0; 4.0 |] x
 
+(* Caller errors are Invalid_argument, never an assert that -noassert
+   would delete. *)
+let length_mismatch fn =
+  Invalid_argument (Printf.sprintf "Vec.%s: lengths 2 and 3 differ" fn)
+
+let x2 () = v [| 1.0; 2.0 |]
+let y3 () = v [| 1.0; 2.0; 3.0 |]
+
+let test_vec_dot_lengths () =
+  Alcotest.check_raises "dot" (length_mismatch "dot") (fun () ->
+      ignore (Vec.dot (x2 ()) (y3 ())))
+
+let test_vec_axpy_lengths () =
+  Alcotest.check_raises "axpy" (length_mismatch "axpy") (fun () ->
+      Vec.axpy ~alpha:1.0 ~x:(x2 ()) ~y:(y3 ()))
+
+let test_vec_add_lengths () =
+  Alcotest.check_raises "add" (length_mismatch "add") (fun () ->
+      ignore (Vec.add (x2 ()) (y3 ())))
+
+let test_vec_sub_lengths () =
+  Alcotest.check_raises "sub" (length_mismatch "sub") (fun () ->
+      ignore (Vec.sub (x2 ()) (y3 ())))
+
+let test_vec_xpby_lengths () =
+  Alcotest.check_raises "xpby" (length_mismatch "xpby") (fun () ->
+      Vec.xpby ~x:(x2 ()) ~beta:1.0 ~y:(y3 ()))
+
+let test_vec_max_abs_diff_lengths () =
+  Alcotest.check_raises "max_abs_diff" (length_mismatch "max_abs_diff")
+    (fun () -> ignore (Vec.max_abs_diff (x2 ()) (y3 ())))
+
+let test_vec_mean_empty () =
+  Alcotest.check_raises "mean" (Invalid_argument "Vec.mean: empty vector")
+    (fun () -> ignore (Vec.mean (Vec.create 0)))
+
 (* ---- Perm ---- *)
 
 let test_perm_inverse () =
@@ -489,6 +525,20 @@ let () =
           Alcotest.test_case "axpy" `Quick test_vec_axpy;
           Alcotest.test_case "xpby" `Quick test_vec_xpby;
           Alcotest.test_case "misc" `Quick test_vec_misc;
+          Alcotest.test_case "dot rejects a length mismatch" `Quick
+            test_vec_dot_lengths;
+          Alcotest.test_case "axpy rejects a length mismatch" `Quick
+            test_vec_axpy_lengths;
+          Alcotest.test_case "add rejects a length mismatch" `Quick
+            test_vec_add_lengths;
+          Alcotest.test_case "sub rejects a length mismatch" `Quick
+            test_vec_sub_lengths;
+          Alcotest.test_case "xpby rejects a length mismatch" `Quick
+            test_vec_xpby_lengths;
+          Alcotest.test_case "max_abs_diff rejects a length mismatch" `Quick
+            test_vec_max_abs_diff_lengths;
+          Alcotest.test_case "mean rejects an empty vector" `Quick
+            test_vec_mean_empty;
         ] );
       ( "perm",
         [
