@@ -1,16 +1,16 @@
 (* Hot-path kernel microbenchmarks for the parallel backend: scatter vs
-   gather SpMV, sequential vs level-scheduled triangular solves, and a
-   representative PCG iteration (SpMV + preconditioner apply + dot +
-   axpy) at one domain and at the widest sensible pool. Results go into
-   bench.json under "kernels"; bench/compare.ml gates gather-vs-scatter
-   always and the parallel speedup only when the run was wide enough
+   gather SpMV, the sequential triangular solves, and a representative
+   PCG iteration (SpMV + preconditioner apply + dot + axpy) at one domain
+   and at the widest sensible pool. Results go into bench.json under
+   "kernels"; bench/compare.ml gates gather-vs-scatter always and the
+   parallel speedup only when the run was wide enough
    (Runner.gate_speedup). *)
 
 open Bechamel
 open Toolkit
 
 (* 160x160 = 25600 unknowns: above every parallel threshold (Vec 16384,
-   SpMV / trisolve 4096) so the parallel variants actually fan out. *)
+   SpMV 4096) so the parallel variants actually fan out. *)
 let grid_side = 160
 
 let fixture =
@@ -25,8 +25,6 @@ let fixture =
      let d = p.Sddm.Problem.d in
      let dp = Array.init (Array.length perm) (fun k -> d.(perm.(k))) in
      let l = Factor.Lt_rchol.factorize ~rng:(Rng.create 11) gp ~d:dp in
-     (* force the level schedule outside every timed region *)
-     ignore (Factor.Lower.schedule l);
      (p, perm, l))
 
 (* Domain count for the parallel variants: an explicit POWERRCHOL_DOMAINS
@@ -92,18 +90,11 @@ let run () =
         measure ~kernel:"spmv" ~variant:"gather" ~domains:1 ~n (fun () ->
             Sparse.Csc.spmv_sym_into a x y)
       in
-      let pool1 = Par.create ~domains:1 () in
       ignore
         (measure ~kernel:"trisolve" ~variant:"seq" ~domains:1 ~n (fun () ->
              Sparse.Vec.blit ~src:b0 ~dst:t;
              Factor.Lower.solve_in_place l t;
              Factor.Lower.solve_transpose_in_place l t));
-      ignore
-        (measure ~kernel:"trisolve" ~variant:"sched" ~domains:1 ~n (fun () ->
-             Sparse.Vec.blit ~src:b0 ~dst:t;
-             Factor.Lower.solve_in_place_sched l ~pool:pool1 t;
-             Factor.Lower.solve_transpose_in_place_sched l ~pool:pool1 t));
-      Par.shutdown pool1;
       let pcg_body () =
         Sparse.Csc.spmv_sym_into a x y;
         Factor.Lower.apply_preconditioner l ~perm ~scratch y z;
@@ -114,23 +105,15 @@ let run () =
         measure ~kernel:"pcg_iterate" ~variant:"seq" ~domains:1 ~n pcg_body
       in
       if run_par then begin
-        let poolN = Par.create ~domains:par_domains () in
         Par.set_default_domains par_domains;
         let t_gather_par =
           measure ~kernel:"spmv" ~variant:"gather-par" ~domains:par_domains
             ~n (fun () -> Sparse.Csc.spmv_sym_into a x y)
         in
-        ignore
-          (measure ~kernel:"trisolve" ~variant:"sched-par"
-             ~domains:par_domains ~n (fun () ->
-               Sparse.Vec.blit ~src:b0 ~dst:t;
-               Factor.Lower.solve_in_place_sched l ~pool:poolN t;
-               Factor.Lower.solve_transpose_in_place_sched l ~pool:poolN t));
         let t_pcg_par =
           measure ~kernel:"pcg_iterate" ~variant:"par" ~domains:par_domains
             ~n pcg_body
         in
-        Par.shutdown poolN;
         Printf.printf
           "speedup at %d domains: gather spmv %.2fx, pcg iterate %.2fx\n"
           par_domains (t_gather /. t_gather_par) (t_pcg_seq /. t_pcg_par);

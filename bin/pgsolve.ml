@@ -26,9 +26,10 @@ let seed_arg =
 
 let domains_arg =
   let doc =
-    "Worker domains for the parallel kernels (gather SpMV, level-scheduled \
-     triangular solves, batched solves). Defaults to $(b,POWERRCHOL_DOMAINS) \
-     or 1; 1 reproduces the sequential solver bit for bit."
+    "Worker domains for the parallel kernels (gather SpMV, vector passes, \
+     batched solves, factorization units); the triangular solves stay \
+     sequential. Defaults to $(b,POWERRCHOL_DOMAINS) or 1; 1 reproduces the \
+     sequential solver bit for bit."
   in
   Arg.(value & opt (some string) None & info [ "domains" ] ~docv:"N" ~doc)
 

@@ -10,36 +10,12 @@
     {!Sparse.Idx.t} (int32 by default, native word under
     [POWERRCHOL_IDX64]) and values are {!Sparse.Vec.t}. *)
 
-type schedule = private {
-  n_levels : int;  (** depth of the column dependency DAG *)
-  level_ptr : int array;
-      (** length [n_levels + 1]; level [lv]'s columns are
-          [order.(level_ptr.(lv)) .. order.(level_ptr.(lv+1) - 1)] *)
-  order : int array;
-      (** all columns, grouped by level, ascending within each level *)
-  level_of : int array;  (** level of each column *)
-  row_ptr : Sparse.Idx.t;
-      (** row-oriented copy of the factor for the gather-form forward
-          solve: length [n + 1] *)
-  row_cols : Sparse.Idx.t;
-      (** per row: column indices ascending, diagonal last *)
-  row_vals : Sparse.Vec.t;
-  pos_in_row : Sparse.Idx.t;
-      (** column-storage index -> position in [row_vals]; lets
-          {!refactor_columns} keep the row-form copy coherent in place *)
-}
-(** Level schedule for parallel triangular solves: all columns of a level
-    depend only on columns of strictly earlier levels, so each level's
-    unknowns can be computed concurrently (gather form, one writer per
-    element) with a barrier between levels. *)
-
 type t = private {
   n : int;
   col_ptr : Sparse.Idx.t;  (** length [n + 1] *)
   rows : Sparse.Idx.t;
   vals : Sparse.Vec.t;
   mutable diag_cache : Sparse.Vec.t option;
-  mutable sched_cache : schedule option;
   mutable refactor_buf : Sparse.Vec.t;
       (** column scratch for {!refactor_columns}, cached on the factor so
           steady-state ECO refactors allocate nothing *)
@@ -62,15 +38,6 @@ val diag : t -> Sparse.Vec.t
 (** The diagonal of the factor. Computed on first call and cached on the
     factor — callers must not mutate the returned array. *)
 
-val schedule : t -> schedule
-(** The level schedule (and row-form copy) of the factor, built on first
-    call and cached. {!Krylov.Precond.of_factor} forces it at
-    preparation time so the solve loop never pays the construction. *)
-
-val par_solve_min : int
-(** Factor dimension below which {!apply_preconditioner} always takes the
-    sequential path regardless of the domain count (4096). *)
-
 val to_csc : t -> Sparse.Csc.t
 (** Sorted CSC copy, for tests and inspection. *)
 
@@ -87,17 +54,6 @@ val solve_transpose_in_place : t -> Sparse.Vec.t -> unit
     substitution). Sequential column gather. Raises [Invalid_argument]
     when the vector length does not match the factor. *)
 
-val solve_in_place_sched : t -> pool:Par.pool -> Sparse.Vec.t -> unit
-(** Level-scheduled forward substitution over [pool]: levels run in
-    ascending order, each level's unknowns gathered in parallel from the
-    row-form copy. Same floating-point result as {!solve_in_place} (same
-    per-unknown term order) at any domain count. *)
-
-val solve_transpose_in_place_sched : t -> pool:Par.pool -> Sparse.Vec.t -> unit
-(** Level-scheduled backward substitution over [pool]: levels run in
-    descending order. Bit-identical to {!solve_transpose_in_place} at any
-    domain count. *)
-
 val apply_preconditioner :
   t -> perm:Sparse.Perm.t -> scratch:Sparse.Vec.t -> Sparse.Vec.t ->
   Sparse.Vec.t -> unit
@@ -105,10 +61,9 @@ val apply_preconditioner :
     [z <- P^T L^-T L^-1 P r] — the PCG preconditioning step of the paper
     (§3.3 step 4), where [perm] maps new indices to old and [l] factors the
     reordered matrix. [scratch] must have length at least [n]; [r] and [z]
-    may not alias. Routes through the level-scheduled solves on the default
-    {!Par} pool when [dim l >= par_solve_min] and more than one domain is
-    available; sequential otherwise. Raises [Invalid_argument] on length
-    mismatches. *)
+    may not alias. Sequential at every domain count: the two substitutions
+    are {!solve_in_place} and {!solve_transpose_in_place}. Raises
+    [Invalid_argument] on length mismatches. *)
 
 val refactor_columns :
   t -> cols:int array -> emit:(int -> Sparse.Vec.t -> unit) -> unit
@@ -119,12 +74,10 @@ val refactor_columns :
     new values in stored order (diagonal first, strictly positive —
     checked). A column's storage is updated before the next
     column's [emit] runs, so [emit] may read already-refactored columns.
-    The cached diagonal and the schedule's row-form values are co-updated
-    through {!schedule}'s [pos_in_row] map; because the pattern is
-    unchanged the level structure stays valid, so neither cache is
-    invalidated or rebuilt. Raises [Invalid_argument] on an out-of-range
-    column or a nonpositive diagonal (the factor may then hold a mix of
-    old and new values — callers escalate to a full re-factorization).
+    The cached diagonal is co-updated, not invalidated or rebuilt. Raises
+    [Invalid_argument] on an out-of-range column or a nonpositive diagonal
+    (the factor may then hold a mix of old and new values — callers
+    escalate to a full re-factorization).
 
     The column buffer is cached on the factor across calls (grown
     geometrically), so a steady-state refactor loop allocates nothing. *)

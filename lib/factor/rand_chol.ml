@@ -665,8 +665,7 @@ let factorize ~sort ~sampling ~rng g ~d =
      column [s] bumped [dvec(k)] by [d_exc(s) * wval_s(k) / d_elim(s)],
      and [wval_s(k) = -L(k,s) * L(s,s)] recovers the weight from the
      factor itself, so the contribution is [-L(k,s) * d_exc(s) / L(s,s)]
-     (gathered from the schedule's row form, which refactor_columns keeps
-     coherent);
+     (gathered through the updatable's row index, from L's live values);
    - the pivot [d_k = dvec(k) + sum of neighbor weights], in stored
      pattern order — the same summation order as the original run. *)
 
@@ -688,6 +687,12 @@ type updatable = {
   u_ft_ptr : int array;  (* n+1: live fill slots grouped by target column *)
   u_ft_idx : int array;
   u_parent : int array;  (* etree of the factor: min subdiagonal row *)
+  (* row index of L's strictly lower part: row i's entries, ascending by
+     column, are L(i, u_row_cols.(p)) at storage position u_row_pos.(p),
+     for p in u_row_ptr.(i) .. u_row_ptr.(i+1) - 1 *)
+  u_row_ptr : int array;  (* n+1 *)
+  u_row_cols : int array;
+  u_row_pos : int array;
   (* dirty seed columns since the last successful refactor *)
   mutable u_dirty : int list;
   (* scratch: closure marking, then the re-elimination's weight gather *)
@@ -750,20 +755,39 @@ let factorize_updatable ~sort ~sampling ~rng g ~d =
       fcursor.(a) <- fcursor.(a) + 1
     end
   done;
-  (* factor etree: parent = min subdiagonal row of the column *)
+  (* factor etree (parent = min subdiagonal row of the column) and the
+     row counts of L's strictly lower part *)
   let parent = Array.make n (-1) in
+  let row_ptr = Array.make (n + 1) 0 in
   let col_ptr = l.Lower.col_ptr and rows = l.Lower.rows in
   let open Sparse.Idx.Ops in
   for j = 0 to n - 1 do
     let p = ref max_int in
     for q = col_ptr.%(j) + 1 to col_ptr.%(j + 1) - 1 do
-      if rows.%(q) < !p then p := rows.%(q)
+      let i = rows.%(q) in
+      if i < !p then p := i;
+      row_ptr.(i + 1) <- row_ptr.(i + 1) + 1
     done;
     if !p < max_int then parent.(j) <- !p
   done;
-  (* force the caches the refactor gathers through *)
+  for i = 1 to n do
+    row_ptr.(i) <- row_ptr.(i) + row_ptr.(i - 1)
+  done;
+  (* the row index, filled by ascending column: each row then lists its
+     entries in the order the refactor sums them *)
+  let row_cols = Array.make (max row_ptr.(n) 1) 0 in
+  let row_pos = Array.make (max row_ptr.(n) 1) 0 in
+  let rcursor = Array.copy row_ptr in
+  for j = 0 to n - 1 do
+    for q = col_ptr.%(j) + 1 to col_ptr.%(j + 1) - 1 do
+      let i = rows.%(q) in
+      row_cols.(rcursor.(i)) <- j;
+      row_pos.(rcursor.(i)) <- q;
+      rcursor.(i) <- rcursor.(i) + 1
+    done
+  done;
+  (* force the diagonal cache the refactor gathers through *)
   ignore (Lower.diag l);
-  ignore (Lower.schedule l);
   {
     u_n = n;
     u_l = l;
@@ -779,6 +803,9 @@ let factorize_updatable ~sort ~sampling ~rng g ~d =
     u_ft_ptr = ft_ptr;
     u_ft_idx = ft_idx;
     u_parent = parent;
+    u_row_ptr = row_ptr;
+    u_row_cols = row_cols;
+    u_row_pos = row_pos;
     u_dirty = [];
     u_mark = Array.make n (-1);
     u_stamp = 0;
@@ -866,7 +893,6 @@ let refactor u ~max_fraction =
       if !over then Too_large { limit }
       else begin
         let cols = Array.sub !scols 0 !count in
-        let sched = Lower.schedule l in
         let emit kc buf =
           let lo = col_ptr.%(kc) and hi = col_ptr.%(kc + 1) in
           let m = hi - lo - 1 in
@@ -891,14 +917,12 @@ let refactor u ~max_fraction =
           done;
           (* running excess diagonal: base excess plus the bump from every
              earlier column whose pattern contains kc (= row kc of L,
-             diagonal last in the row form) *)
+             ascending by column) *)
           let ldiag = Lower.diag l in
           let acc = ref u.u_ed.(kc) in
-          let rlo = sched.Lower.row_ptr.%(kc)
-          and rhi = sched.Lower.row_ptr.%(kc + 1) in
-          for p = rlo to rhi - 2 do
-            let s = sched.Lower.row_cols.%(p) in
-            let lks = Sparse.Vec.get sched.Lower.row_vals p in
+          for p = u.u_row_ptr.(kc) to u.u_row_ptr.(kc + 1) - 1 do
+            let s = u.u_row_cols.(p) in
+            let lks = Sparse.Vec.get l.Lower.vals u.u_row_pos.(p) in
             acc :=
               !acc
               +. (-.lks *. u.u_rec.r_d_exc.(s) /. Sparse.Vec.get ldiag s)

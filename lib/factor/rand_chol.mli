@@ -87,9 +87,9 @@ val factorize_updatable :
 (** Like {!factorize} but additionally records the elimination so the
     factor's values can be recomputed in place after edits. The factor
     produced is bit-identical to {!factorize} with the same inputs. The
-    level schedule and diagonal caches are forced eagerly (the refactor
-    gathers through the row form). Raises [Invalid_argument] as
-    {!factorize} does. *)
+    updatable builds its own row index of the factor once, and forces the
+    factor's diagonal cache; {!refactor} gathers through both. Raises
+    [Invalid_argument] as {!factorize} does. *)
 
 val factor : updatable -> Lower.t
 (** The live factor. Its values are mutated in place by {!refactor};

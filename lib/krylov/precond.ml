@@ -49,10 +49,6 @@ let jacobi a =
 
 let of_factor ?(name = "factor") ~perm l =
   let n = Factor.Lower.dim l in
-  (* Force the level schedule at preparation time when the solves will run
-     scheduled, so the first PCG iteration doesn't pay its construction. *)
-  if n >= Factor.Lower.par_solve_min && Par.effective_domains () > 1 then
-    ignore (Factor.Lower.schedule l);
   (* No captured scratch: the value is reentrant. Callers that care about
      allocation (the PCG workspace loop) pass [~scratch]; callers that
      don't pay one n-array allocation per apply. *)

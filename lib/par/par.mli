@@ -4,11 +4,11 @@
     {b Determinism policy} (see DESIGN.md §10). A pool of 1 domain runs
     every kernel through the historical sequential code path, so results
     are bit-identical to a build without this layer. With [p > 1] domains
-    the race-free kernels (gather-form SpMV, level-scheduled triangular
-    solves, elementwise vector passes) are bit-identical at {e any} domain
-    count by construction; reductions reassociate, so {!reduce_blocked}
-    sums fixed-size blocks in a fixed order, making every [p > 1] produce
-    the same bits as every other [p > 1].
+    the race-free kernels (gather-form SpMV, elementwise vector passes)
+    are bit-identical at {e any} domain count by construction; the
+    triangular solves always run sequentially. Reductions reassociate, so
+    {!reduce_blocked} sums fixed-size blocks in a fixed order, making
+    every [p > 1] produce the same bits as every other [p > 1].
 
     {b Ownership.} A pool is owned by one in-flight computation at a
     time. Entry points called while the pool is already running a region

@@ -78,12 +78,12 @@ let rec float_open t =
   if x > 0.0 then x else float_open t
 
 let float_range t lo hi =
-  assert (lo < hi);
+  if not (lo < hi) then invalid_arg "Rng.float_range: empty range";
   lo +. ((hi -. lo) *. float t)
 
 (* Rejection sampling for unbiased bounded ints. *)
 let int t bound =
-  assert (bound > 0);
+  if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   if bound land (bound - 1) = 0 then
     Int64.to_int (Int64.logand (int64 t) (Int64.of_int (bound - 1)))
   else begin
@@ -101,13 +101,14 @@ let bool t = Int64.logand (int64 t) 1L = 1L
 
 let discrete t weights =
   let n = Array.length weights in
-  assert (n > 0);
+  if n <= 0 then invalid_arg "Rng.discrete: no weights";
   let total = ref 0.0 in
   for i = 0 to n - 1 do
-    assert (weights.(i) >= 0.0);
+    if not (weights.(i) >= 0.0) then
+      invalid_arg "Rng.discrete: negative or NaN weight";
     total := !total +. weights.(i)
   done;
-  assert (!total > 0.0);
+  if not (!total > 0.0) then invalid_arg "Rng.discrete: no positive mass";
   let target = float t *. !total in
   let rec scan i acc =
     if i = n - 1 then i
@@ -126,10 +127,11 @@ let discrete t weights =
   end
 
 let discrete_prefix t pfs ~lo ~hi =
-  assert (0 <= lo && lo < hi && hi < Array.length pfs);
+  if not (0 <= lo && lo < hi && hi < Array.length pfs) then
+    invalid_arg "Rng.discrete_prefix: bounds out of range";
   let base = pfs.(lo) in
   let mass = pfs.(hi) -. base in
-  assert (mass > 0.0);
+  if not (mass > 0.0) then invalid_arg "Rng.discrete_prefix: no positive mass";
   let target = base +. (float_open t *. mass) in
   (* Smallest index i in (lo, hi] with pfs.(i) >= target. *)
   let rec bisect a b =
@@ -149,9 +151,11 @@ let shuffle t arr =
   done
 
 let exponential t lambda =
-  assert (lambda > 0.0);
+  if not (lambda > 0.0) then
+    invalid_arg "Rng.exponential: rate must be positive";
   -.log (float_open t) /. lambda
 
 let pareto t ~alpha ~x_min =
-  assert (alpha > 0.0 && x_min > 0.0);
+  if not (alpha > 0.0 && x_min > 0.0) then
+    invalid_arg "Rng.pareto: alpha and x_min must be positive";
   x_min /. (float_open t ** (1.0 /. alpha))

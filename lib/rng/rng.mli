@@ -50,18 +50,21 @@ val float_open : t -> float
     LT-RChol target array (Eq. 6 of the paper) requires [r > 0]. *)
 
 val float_range : t -> float -> float -> float
-(** [float_range t lo hi] is uniform in [lo, hi). Requires [lo < hi]. *)
+(** [float_range t lo hi] is uniform in [lo, hi). Raises
+    [Invalid_argument] unless [lo < hi]. *)
 
 val int : t -> int -> int
-(** [int t bound] is uniform in [0, bound-1]. Requires [bound > 0]. *)
+(** [int t bound] is uniform in [0, bound-1]. Raises [Invalid_argument]
+    unless [bound > 0]. *)
 
 val bool : t -> bool
 (** Fair coin. *)
 
 val discrete : t -> float array -> int
 (** [discrete t weights] samples index [i] with probability proportional to
-    [weights.(i)]. Requires at least one strictly positive weight; zero
-    weights are never selected. Linear time. *)
+    [weights.(i)]. Zero weights are never selected. Linear time. Raises
+    [Invalid_argument] when [weights] is empty, holds a negative or NaN
+    weight, or sums to no positive mass. *)
 
 val discrete_prefix : t -> float array -> lo:int -> hi:int -> int
 (** [discrete_prefix t pfs ~lo ~hi] samples from a prefix-sum array:
@@ -69,14 +72,18 @@ val discrete_prefix : t -> float array -> lo:int -> hi:int -> int
     is the inclusive sum of weights [0..i]), draws index [i] in
     [lo+1 .. hi] with probability proportional to [pfs.(i) - pfs.(i-1)],
     conditioned on the suffix after [lo]. Binary search, O(log n). This is
-    the per-neighbor sampling primitive of original RChol (Alg. 1 line 9). *)
+    the per-neighbor sampling primitive of original RChol (Alg. 1 line 9).
+    Raises [Invalid_argument] unless [0 <= lo < hi < Array.length pfs] and
+    [pfs.(hi) - pfs.(lo) > 0]. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
 val exponential : t -> float -> float
 (** [exponential t lambda] draws from Exp(lambda). Used by workload
-    generators for heavy-tailed via conductances. *)
+    generators for heavy-tailed via conductances. Raises
+    [Invalid_argument] unless [lambda > 0]. *)
 
 val pareto : t -> alpha:float -> x_min:float -> float
-(** Pareto draw, for power-law community graph degrees. *)
+(** Pareto draw, for power-law community graph degrees. Raises
+    [Invalid_argument] unless [alpha > 0] and [x_min > 0]. *)

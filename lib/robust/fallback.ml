@@ -63,6 +63,9 @@ let run ?(rtol = 1e-6) ?deadline ~rungs problem =
       Breakdown
         (Printf.sprintf "incomplete-Cholesky nonpositive pivot at column %d"
            column)
+    | Factor.Chol.Not_positive_definite column ->
+      Breakdown
+        (Printf.sprintf "exact-Cholesky nonpositive pivot at column %d" column)
     | Failure msg -> Crashed msg
     | Invalid_argument msg -> Crashed msg
     | exn -> raise exn

@@ -3,8 +3,9 @@
     A {!rung} is one solver attempt; {!run} walks a list of rungs until one
     produces a solution whose {e true} residual (recomputed from [A], [x],
     [b] — never trusted from the solver) meets [rtol]. Typed breakdown
-    signals ({!Factor.Rand_chol.Breakdown}, {!Factor.Ichol.Breakdown}) and
-    leaked [Failure]/[Invalid_argument] exceptions become structured trace
+    signals ({!Factor.Rand_chol.Breakdown}, {!Factor.Ichol.Breakdown},
+    {!Factor.Chol.Not_positive_definite}) and leaked
+    [Failure]/[Invalid_argument] exceptions become structured trace
     entries recording why each rung failed. The engine is deterministic
     given its rungs: no timing or wall-clock state enters the trace, so two
     runs with the same seed produce byte-identical traces. *)

@@ -125,7 +125,8 @@ let of_dense rows =
   let n_cols = if n_rows = 0 then 0 else Array.length rows.(0) in
   let t = Triplet.create ~n_rows ~n_cols () in
   for i = 0 to n_rows - 1 do
-    assert (Array.length rows.(i) = n_cols);
+    if Array.length rows.(i) <> n_cols then
+      invalid_arg "Csc.of_dense: rows must have equal lengths";
     for j = 0 to n_cols - 1 do
       if rows.(i).(j) <> 0.0 then Triplet.add t i j rows.(i).(j)
     done
@@ -153,7 +154,8 @@ let identity n =
   }
 
 let get a i j =
-  assert (0 <= i && i < a.n_rows && 0 <= j && j < a.n_cols);
+  if not (0 <= i && i < a.n_rows && 0 <= j && j < a.n_cols) then
+    invalid_arg "Csc.get: index out of bounds";
   let lo = a.col_ptr.%(j) and hi = a.col_ptr.%(j + 1) - 1 in
   let rec bisect lo hi =
     if lo > hi then 0.0
@@ -221,7 +223,8 @@ let spmv_sym_into a x y =
   else Par.parallel_for pool ~lo:0 ~hi:n body
 
 let spmv_t a x =
-  assert (Vec.length x = a.n_rows);
+  if Vec.length x <> a.n_rows then
+    invalid_arg "Csc.spmv_t: vector length must match the matrix";
   let y = Vec.create a.n_cols in
   for j = 0 to a.n_cols - 1 do
     let acc = ref 0.0 in
@@ -280,8 +283,10 @@ let symmetrize_check a =
    order the triplet-based builder used, and the shared compressor sorts
    and coalesces, so results are bit-identical to the historical path. *)
 let permute_sym a p =
-  assert (a.n_rows = a.n_cols);
-  assert (Array.length p = a.n_cols);
+  if a.n_rows <> a.n_cols then
+    invalid_arg "Csc.permute_sym: matrix must be square";
+  if Array.length p <> a.n_cols then
+    invalid_arg "Csc.permute_sym: permutation length must match the matrix";
   let n = a.n_cols in
   let len = nnz a in
   let pinv = Perm.inverse p in
@@ -342,7 +347,7 @@ let lower a = drop a (fun i j _ -> i >= j)
 let upper a = drop a (fun i j _ -> i <= j)
 
 let diag a =
-  assert (a.n_rows = a.n_cols);
+  if a.n_rows <> a.n_cols then invalid_arg "Csc.diag: matrix must be square";
   Vec.init a.n_cols (fun j -> get a j j)
 
 let map a f =
@@ -352,7 +357,8 @@ let map a f =
   }
 
 let add a b =
-  assert (a.n_rows = b.n_rows && a.n_cols = b.n_cols);
+  if not (a.n_rows = b.n_rows && a.n_cols = b.n_cols) then
+    invalid_arg "Csc.add: dimensions differ";
   let t =
     Triplet.create ~capacity:(max (nnz a + nnz b) 1) ~n_rows:a.n_rows
       ~n_cols:a.n_cols ()
@@ -373,7 +379,7 @@ let scale a alpha = map a (fun v -> alpha *. v)
 (* Gustavson's row-merging product, column version: column j of a*b is a
    linear combination of columns of a selected by column j of b. *)
 let mul a b =
-  assert (a.n_cols = b.n_rows);
+  if a.n_cols <> b.n_rows then invalid_arg "Csc.mul: inner dimensions differ";
   let n_rows = a.n_rows and n_cols = b.n_cols in
   let work = Array.make n_rows 0.0 in
   let marker = Array.make n_rows (-1) in
@@ -429,7 +435,8 @@ let mul a b =
   }
 
 let iter_col a j f =
-  assert (0 <= j && j < a.n_cols);
+  if not (0 <= j && j < a.n_cols) then
+    invalid_arg "Csc.iter_col: column out of bounds";
   for k = a.col_ptr.%(j) to a.col_ptr.%(j + 1) - 1 do
     f a.row_idx.%(k) (Vec.get a.values k)
   done
@@ -444,7 +451,7 @@ let fold_nonzeros a ~init ~f =
   !acc
 
 let frobenius_diff a b =
-  assert (dims a = dims b);
+  if dims a <> dims b then invalid_arg "Csc.frobenius_diff: dimensions differ";
   let d = add a (scale b (-1.0)) in
   sqrt (fold_nonzeros d ~init:0.0 ~f:(fun acc _ _ v -> acc +. (v *. v)))
 

@@ -42,7 +42,8 @@ val of_bucketed :
     bounds-checked the row indices. *)
 
 val of_dense : float array array -> t
-(** Build from a row-major dense matrix, dropping exact zeros. Test helper. *)
+(** Build from a row-major dense matrix, dropping exact zeros. Test helper.
+    Raises [Invalid_argument] when the rows differ in length. *)
 
 val to_dense : t -> float array array
 (** Expand to row-major dense. Test helper; O(n_rows * n_cols). *)
@@ -56,7 +57,8 @@ val of_raw :
 val identity : int -> t
 
 val get : t -> int -> int -> float
-(** [get a i j] is [a(i,j)], 0. if not stored. Binary search per call. *)
+(** [get a i j] is [a(i,j)], 0. if not stored. Binary search per call.
+    Raises [Invalid_argument] when [(i, j)] is outside the matrix. *)
 
 val spmv : t -> Vec.t -> Vec.t
 (** [spmv a x] allocates [a * x]. *)
@@ -78,7 +80,8 @@ val spmv_sym_into : t -> Vec.t -> Vec.t -> unit
     when [a] is not square or the vector lengths disagree. *)
 
 val spmv_t : t -> Vec.t -> Vec.t
-(** [spmv_t a x] is [a^T * x]. *)
+(** [spmv_t a x] is [a^T * x]. Raises [Invalid_argument] when [x] is not
+    [n_rows] long. *)
 
 val transpose : t -> t
 
@@ -87,7 +90,9 @@ val symmetrize_check : t -> bool
 
 val permute_sym : t -> Perm.t -> t
 (** [permute_sym a p] is [P A P^T] for a square [a]: entry [(i,j)] of the
-    result is [a(p.(i), p.(j))]. The permutation maps new indices to old. *)
+    result is [a(p.(i), p.(j))]. The permutation maps new indices to old.
+    Raises [Invalid_argument] when [a] is not square or [p] is not [n_cols]
+    long. *)
 
 val lower : t -> t
 (** Keep entries with [row >= col] (lower triangle incl. diagonal). *)
@@ -96,29 +101,34 @@ val upper : t -> t
 (** Keep entries with [row <= col]. *)
 
 val diag : t -> Vec.t
-(** Diagonal as a dense vector (0. where absent); square matrices only. *)
+(** Diagonal as a dense vector (0. where absent). Raises
+    [Invalid_argument] when [a] is not square. *)
 
 val map : t -> (float -> float) -> t
 (** Apply a function to all stored values (pattern unchanged). *)
 
 val add : t -> t -> t
-(** Sparse matrix sum; dimensions must agree. *)
+(** Sparse matrix sum. Raises [Invalid_argument] when the dimensions
+    differ. *)
 
 val scale : t -> float -> t
 
 val mul : t -> t -> t
-(** General sparse matrix product [a * b]. Gustavson's algorithm. *)
+(** General sparse matrix product [a * b]. Gustavson's algorithm. Raises
+    [Invalid_argument] when [a]'s column count is not [b]'s row count. *)
 
 val drop : t -> (int -> int -> float -> bool) -> t
 (** [drop a keep] retains entries where [keep i j v] is true. *)
 
 val iter_col : t -> int -> (int -> float -> unit) -> unit
-(** [iter_col a j f] calls [f row value] over column [j]'s stored entries. *)
+(** [iter_col a j f] calls [f row value] over column [j]'s stored entries.
+    Raises [Invalid_argument] when [j] is not a column of [a]. *)
 
 val fold_nonzeros : t -> init:'a -> f:('a -> int -> int -> float -> 'a) -> 'a
 
 val frobenius_diff : t -> t -> float
-(** Frobenius norm of the difference; dimensions must agree. Test helper. *)
+(** Frobenius norm of the difference. Test helper. Raises
+    [Invalid_argument] when the dimensions differ. *)
 
 val one_norm : t -> float
 (** Maximum column sum of absolute values. *)

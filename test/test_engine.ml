@@ -487,6 +487,20 @@ let test_golden_bits () =
   let r = Session.solve (Session.create ~seed:9 p) in
   check_golden "session seed 9" ~iterations:21 ~md5:session_md5 ~x:r.Solver.x
     ~its:r.Solver.iterations;
+  (* one ECO edit through the Local rung: pins the refactor's arithmetic,
+     its excess-diagonal gather over the row index of L included *)
+  let s = Session.create ~seed:9 p in
+  let rep =
+    Session.update s
+      [ Sddm.Edit.Scale_conductance { u = 6046; v = 6047; factor = 2.0 } ]
+  in
+  Alcotest.(check string) "session update: rung" "local"
+    (Session.rung_name rep.Session.rung);
+  Alcotest.(check int) "session update: columns" 1560 rep.Session.columns;
+  let r = Session.solve s in
+  check_golden "session update" ~iterations:21
+    ~md5:"6412365f0ec828448a0f25f2818de061" ~x:r.Solver.x
+    ~its:r.Solver.iterations;
   match (Solver.solve_robust ~seed:9 p).Solver.outcome with
   | Solver.Robust_solved { x; winner; iterations; _ } ->
     Alcotest.(check string) "robust seed 9: winner" "powerrchol" winner;

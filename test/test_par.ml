@@ -1,6 +1,6 @@
 (* Parallel-backend tests: pool semantics, kernel bit-identity between the
-   sequential and scheduled/gather forms, determinism across domain
-   counts, level-schedule validity, and a fault-injected stress run of the
+   sequential and gather forms and across domain counts, determinism of
+   the solves across domain counts, and a fault-injected stress run of the
    batched solve path. *)
 
 module Solver = Powerrchol.Solver
@@ -216,91 +216,13 @@ let test_spmv_gather_matches_scatter () =
       Sparse.Csc.spmv_sym_into (Sparse.Csc.of_triplet t)
         (Sparse.Vec.create 3) (Sparse.Vec.create 2))
 
-(* ---- level schedule ---- *)
+(* ---- preconditioner apply ---- *)
 
-let test_schedule_validity () =
-  let p = grid_problem ~nx:40 ~ny:40 ~seed:2222 () in
-  let _, l = factor_of p in
-  let s = Factor.Lower.schedule l in
-  let n = Factor.Lower.dim l in
-  (* order is a permutation of 0..n-1 grouped by level *)
-  let seen = Array.make n false in
-  Array.iter
-    (fun j ->
-      Alcotest.(check bool) "order in range" true (j >= 0 && j < n);
-      Alcotest.(check bool) "order has no duplicates" false seen.(j);
-      seen.(j) <- true)
-    s.Factor.Lower.order;
-  Alcotest.(check bool) "order covers all columns" true
-    (Array.for_all Fun.id seen);
-  Alcotest.(check int) "level_ptr spans all columns" n
-    s.Factor.Lower.level_ptr.(s.Factor.Lower.n_levels);
-  for lv = 0 to s.Factor.Lower.n_levels - 1 do
-    Alcotest.(check bool) "no empty level" true
-      (s.Factor.Lower.level_ptr.(lv) < s.Factor.Lower.level_ptr.(lv + 1));
-    for idx = s.Factor.Lower.level_ptr.(lv)
-        to s.Factor.Lower.level_ptr.(lv + 1) - 1 do
-      let j = s.Factor.Lower.order.(idx) in
-      Alcotest.(check int) "level_of consistent with buckets" lv
-        s.Factor.Lower.level_of.(j)
-    done
-  done;
-  (* every dependency crosses strictly into a later level *)
-  let ok = ref true in
-  for j = 0 to n - 1 do
-    for k = Sparse.Idx.get l.Factor.Lower.col_ptr j + 1
-        to Sparse.Idx.get l.Factor.Lower.col_ptr (j + 1) - 1 do
-      let i = Sparse.Idx.get l.Factor.Lower.rows k in
-      if s.Factor.Lower.level_of.(i) <= s.Factor.Lower.level_of.(j) then
-        ok := false
-    done
-  done;
-  Alcotest.(check bool) "dependencies strictly increase level" true !ok;
-  (* the row form is exactly the factor transposed: ascending columns,
-     diagonal last *)
-  let entries = ref 0 in
-  let ok_rows = ref true in
-  for i = 0 to n - 1 do
-    let lo = Sparse.Idx.get s.Factor.Lower.row_ptr i
-    and hi = Sparse.Idx.get s.Factor.Lower.row_ptr (i + 1) in
-    entries := !entries + (hi - lo);
-    if hi <= lo || Sparse.Idx.get s.Factor.Lower.row_cols (hi - 1) <> i then
-      ok_rows := false;
-    for k = lo + 1 to hi - 1 do
-      if Sparse.Idx.get s.Factor.Lower.row_cols (k - 1)
-         >= Sparse.Idx.get s.Factor.Lower.row_cols k
-      then ok_rows := false
-    done
-  done;
-  Alcotest.(check int) "row form holds every nonzero" (Factor.Lower.nnz l)
-    !entries;
-  Alcotest.(check bool) "rows ascending with diagonal last" true !ok_rows;
-  Alcotest.(check bool) "schedule is cached" true
-    (s == Factor.Lower.schedule l)
-
-let test_sched_solves_match_seq () =
+let test_apply_preconditioner_matches_seq () =
   let p = grid_problem ~nx:40 ~ny:40 ~seed:3333 () in
   let perm, l = factor_of p in
   let n = Factor.Lower.dim l in
   let rng = Rng.create 23 in
-  let b = random_rhs ~rng n in
-  let x_seq = Sparse.Vec.copy b in
-  Factor.Lower.solve_in_place l x_seq;
-  Factor.Lower.solve_transpose_in_place l x_seq;
-  List.iter
-    (fun d ->
-      let pool = Par.create ~domains:d () in
-      Fun.protect
-        ~finally:(fun () -> Par.shutdown pool)
-        (fun () ->
-          let x = Sparse.Vec.copy b in
-          Factor.Lower.solve_in_place_sched l ~pool x;
-          Factor.Lower.solve_transpose_in_place_sched l ~pool x;
-          Alcotest.(check bool)
-            (Printf.sprintf "scheduled solve matches at %d domains" d)
-            true (x = x_seq)))
-    [ 1; 2; 4 ];
-  (* the full preconditioner application agrees across the path switch *)
   let r = random_rhs ~rng n in
   let scratch = Sparse.Vec.create n in
   let z_seq = Sparse.Vec.create n in
@@ -343,8 +265,8 @@ let test_length_checks () =
 (* ---- full solves across domain counts ---- *)
 
 let test_solve_deterministic_across_domains () =
-  (* 70x70 ~ 5000 unknowns: above the SpMV / trisolve thresholds (4096) so
-     the parallel kernels engage, below Vec's 16384 so the reductions stay
+  (* 70x70 ~ 5000 unknowns: above the SpMV threshold (4096) so the
+     parallel gather engages, below Vec's 16384 so the reductions stay
      on the plain path — the solve must be bit-identical at every domain
      count, with iteration counts matching exactly. *)
   let p = grid_problem ~nx:70 ~ny:70 ~seed:4444 () in
@@ -572,10 +494,8 @@ let () =
             test_vec_kernels_match_seq;
           Alcotest.test_case "gather spmv = scatter" `Quick
             test_spmv_gather_matches_scatter;
-          Alcotest.test_case "level schedule validity" `Quick
-            test_schedule_validity;
-          Alcotest.test_case "scheduled solves match seq" `Quick
-            test_sched_solves_match_seq;
+          Alcotest.test_case "apply_preconditioner = seq" `Quick
+            test_apply_preconditioner_matches_seq;
           Alcotest.test_case "diag cached" `Quick test_diag_cached;
           Alcotest.test_case "length checks raise" `Quick test_length_checks;
         ] );

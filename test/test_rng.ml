@@ -161,6 +161,47 @@ let prop_discrete_positive_weight =
       let i = Rng.discrete rng weights in
       weights.(i) > 0.0)
 
+(* Caller errors are Invalid_argument, never an assert that -noassert
+   would delete: one case per guard. *)
+let typed_errors =
+  let t () = Rng.create 1 in
+  List.map
+    (fun (name, msg, f) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.check_raises name (Invalid_argument msg) f))
+    [
+      ( "float_range empty",
+        "Rng.float_range: empty range",
+        fun () -> ignore (Rng.float_range (t ()) 1.0 1.0) );
+      ( "int zero bound",
+        "Rng.int: bound must be positive",
+        fun () -> ignore (Rng.int (t ()) 0) );
+      ( "discrete no weights",
+        "Rng.discrete: no weights",
+        fun () -> ignore (Rng.discrete (t ()) [||]) );
+      ( "discrete negative weight",
+        "Rng.discrete: negative or NaN weight",
+        fun () -> ignore (Rng.discrete (t ()) [| 1.0; -1.0 |]) );
+      ( "discrete zero mass",
+        "Rng.discrete: no positive mass",
+        fun () -> ignore (Rng.discrete (t ()) [| 0.0; 0.0 |]) );
+      ( "discrete_prefix bounds",
+        "Rng.discrete_prefix: bounds out of range",
+        fun () -> ignore (Rng.discrete_prefix (t ()) [| 0.0; 1.0 |] ~lo:1 ~hi:2)
+      );
+      ( "discrete_prefix zero mass",
+        "Rng.discrete_prefix: no positive mass",
+        fun () ->
+          ignore (Rng.discrete_prefix (t ()) [| 0.0; 1.0; 1.0 |] ~lo:1 ~hi:2)
+      );
+      ( "exponential zero rate",
+        "Rng.exponential: rate must be positive",
+        fun () -> ignore (Rng.exponential (t ()) 0.0) );
+      ( "pareto zero alpha",
+        "Rng.pareto: alpha and x_min must be positive",
+        fun () -> ignore (Rng.pareto (t ()) ~alpha:0.0 ~x_min:1.0) );
+    ]
+
 let () =
   Alcotest.run "rng"
     [
@@ -182,5 +223,6 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
           Alcotest.test_case "pareto bounds" `Quick test_pareto_bounds;
         ] );
+      ("errors", typed_errors);
       ("property", Test_util.qcheck [ prop_int_in_bounds; prop_discrete_positive_weight ]);
     ]

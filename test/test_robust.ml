@@ -209,6 +209,25 @@ let test_fallback_classifies_failures () =
     ]
     kinds
 
+let test_fallback_direct_breakdown () =
+  (* the direct rung's exact Cholesky raises its own exception; the chain
+     must record it as a breakdown and go on, not let it escape *)
+  let p = mesh_problem () in
+  let o =
+    Robust.Fallback.run ~rtol:1e-6
+      ~rungs:
+        [ boom_rung "direct" (Factor.Chol.Not_positive_definite 3); good_rung ]
+      p
+  in
+  Alcotest.(check (option string)) "next rung wins" (Some "good")
+    o.Robust.Fallback.winner;
+  match o.Robust.Fallback.attempts with
+  | [ { Robust.Fallback.rung = "direct"; failure } ] ->
+    Alcotest.(check string) "breakdown names the column"
+      "breakdown: exact-Cholesky nonpositive pivot at column 3"
+      (Robust.Fallback.failure_to_string failure)
+  | _ -> Alcotest.fail "expected a single direct attempt"
+
 let test_fallback_reraises_unknown () =
   let p = mesh_problem () in
   Alcotest.check_raises "unknown exceptions escape" Not_found (fun () ->
@@ -344,6 +363,8 @@ let () =
         [
           Alcotest.test_case "classifies every failure" `Quick
             test_fallback_classifies_failures;
+          Alcotest.test_case "direct breakdown is classified" `Quick
+            test_fallback_direct_breakdown;
           Alcotest.test_case "reraises unknown exceptions" `Quick
             test_fallback_reraises_unknown;
           Alcotest.test_case "exhaustion is structured" `Quick

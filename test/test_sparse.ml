@@ -515,6 +515,46 @@ let prop_transpose_spmv =
       let rhs = Vec.dot (Csc.spmv_t a x) y in
       Float.abs (lhs -. rhs) < 1e-9 *. (1.0 +. Float.abs lhs))
 
+(* Caller errors in Csc are Invalid_argument too: one case per guard. *)
+let csc_typed_errors =
+  let sq = Csc.identity 2 and rect = Csc.of_dense [| [| 1.0; 2.0; 3.0 |] |] in
+  List.map
+    (fun (name, msg, f) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.check_raises name (Invalid_argument msg) f))
+    [
+      ( "of_dense ragged rows",
+        "Csc.of_dense: rows must have equal lengths",
+        fun () -> ignore (Csc.of_dense [| [| 1.0; 2.0 |]; [| 3.0 |] |]) );
+      ( "get out of range",
+        "Csc.get: index out of bounds",
+        fun () -> ignore (Csc.get sq 2 0) );
+      ( "spmv_t length",
+        "Csc.spmv_t: vector length must match the matrix",
+        fun () -> ignore (Csc.spmv_t sq (Vec.create 3)) );
+      ( "permute_sym non-square",
+        "Csc.permute_sym: matrix must be square",
+        fun () -> ignore (Csc.permute_sym rect [| 0; 1; 2 |]) );
+      ( "permute_sym perm length",
+        "Csc.permute_sym: permutation length must match the matrix",
+        fun () -> ignore (Csc.permute_sym sq [| 0 |]) );
+      ( "diag non-square",
+        "Csc.diag: matrix must be square",
+        fun () -> ignore (Csc.diag rect) );
+      ( "add dimensions",
+        "Csc.add: dimensions differ",
+        fun () -> ignore (Csc.add sq rect) );
+      ( "mul inner dimensions",
+        "Csc.mul: inner dimensions differ",
+        fun () -> ignore (Csc.mul rect sq) );
+      ( "iter_col out of range",
+        "Csc.iter_col: column out of bounds",
+        fun () -> Csc.iter_col sq 2 (fun _ _ -> ()) );
+      ( "frobenius_diff dimensions",
+        "Csc.frobenius_diff: dimensions differ",
+        fun () -> ignore (Csc.frobenius_diff sq rect) );
+    ]
+
 let () =
   Alcotest.run "sparse"
     [
@@ -570,6 +610,7 @@ let () =
           Alcotest.test_case "diag/one_norm" `Quick test_diag_one_norm;
           Alcotest.test_case "symmetrize_check" `Quick test_symmetrize_check;
         ] );
+      ("typed errors", csc_typed_errors);
       ( "matrix-market",
         [
           Alcotest.test_case "general roundtrip" `Quick test_mtx_roundtrip_general;
