@@ -1,14 +1,17 @@
 (* The "factor" experiment: the parallel numeric phase of LT-RChol
    (DESIGN.md §15) measured head-to-head against the 1-domain run on the
-   same partitioned ordering of the same grid.
+   same partitioned ordering of the same grid. Both legs get the
+   ordering's leaf blocks; the 1-domain leg ignores them and runs the
+   plain ascending elimination, the parallel leg runs them ahead on the
+   pool.
 
    Two things land in the bench.json "factor" section and are judged by
    bench/compare.exe:
 
    - identity: the factor produced at [par_domains] must be bit-identical
-     to the 1-domain factor (per-column keyed RNG streams + canonical
-     replay order make this exact, not approximate) — always fatal when
-     violated;
+     to the 1-domain factor (per-column keyed RNG streams + the sweep's
+     replay in ascending source order make this exact, not
+     approximate) — always fatal when violated;
    - speedup: when the run is wide enough to be meaningful (>= 4 domains
      on >= 4 hardware cores, the same arming rule as the kernels gate),
      the case is forced up to paper scale (>= 5e5 nodes) and the parallel
@@ -70,9 +73,9 @@ let run () =
   let g = p.Sddm.Problem.graph in
   let n = Sddm.Problem.n p and nnz = Sddm.Problem.nnz p in
   (* the production pipeline's reordering (Solver.powerrchol_prepare):
-     recursive bisection + Alg. 4 degree sort per block, which is what
-     gives the elimination tree its independent subtrees *)
-  let perm = Ordering.Partitioned.order g in
+     recursive bisection + Alg. 4 degree sort per block, whose leaf blocks
+     are what the parallel leg runs ahead *)
+  let perm, blocks = Ordering.Partitioned.order_with_blocks g in
   let gp = Sddm.Graph.permute g perm in
   let d = p.Sddm.Problem.d in
   let dp = Array.init n (fun k -> d.(perm.(k))) in
@@ -85,7 +88,7 @@ let run () =
     for _ = 1 to reps do
       let rng = Rng.create 42 in
       let t0 = Unix.gettimeofday () in
-      let l = Factor.Lt_rchol.factorize ~rng gp ~d:dp in
+      let l = Factor.Lt_rchol.factorize ~blocks ~rng gp ~d:dp in
       let t = Unix.gettimeofday () -. t0 in
       if t < !best then best := t;
       result := Some l

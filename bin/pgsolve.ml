@@ -27,7 +27,7 @@ let seed_arg =
 let domains_arg =
   let doc =
     "Worker domains for the parallel kernels (gather SpMV, vector passes, \
-     batched solves, factorization units); the triangular solves stay \
+     batched solves, factorization blocks); the triangular solves stay \
      sequential. Defaults to $(b,POWERRCHOL_DOMAINS) or 1; 1 reproduces the \
      sequential solver bit for bit."
   in

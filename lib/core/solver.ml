@@ -177,30 +177,35 @@ let ordering_name = function
   | Nested_dissection -> "nd"
   | Partitioned -> "part"
 
+(* The permutation and the factorization's parallel blocks; only
+   [Partitioned] has blocks to give. *)
 let apply_ordering ordering g =
   match ordering with
-  | Amd -> Ordering.Amd.order g
-  | Natural -> Ordering.Natural.order g
-  | Degree_sort -> Ordering.Degree_sort.order g
-  | Rcm -> Ordering.Rcm.order g
-  | Nested_dissection -> Ordering.Nested_dissection.order g
-  | Partitioned -> Ordering.Partitioned.order g
+  | Amd -> (Ordering.Amd.order g, [||])
+  | Natural -> (Ordering.Natural.order g, [||])
+  | Degree_sort -> (Ordering.Degree_sort.order g, [||])
+  | Rcm -> (Ordering.Rcm.order g, [||])
+  | Nested_dissection -> (Ordering.Nested_dissection.order g, [||])
+  | Partitioned -> Ordering.Partitioned.order_with_blocks g
 
 (* ---- randomized-Cholesky solvers ---- *)
 
 (* The one randomized-Cholesky preparation; every solver below and the
    engine's sessions go through it. *)
-let rand_chol_prepare ~name ~order ~factorize ~lower ~seed problem =
+let rand_chol_prepare ~name ~order
+    ~(factorize :
+       ?blocks:(int * int) array -> rng:Rng.t -> Sddm.Graph.t ->
+       d:float array -> 'f) ~lower ~seed problem =
   let g = problem.Sddm.Problem.graph in
   let t0 = now () in
-  let perm = Obs.span "reorder" (fun () -> order g) in
+  let perm, blocks = Obs.span "reorder" (fun () -> order g) in
   let t1 = now () in
   let f =
     Obs.span "factor" (fun () ->
         let gp = Sddm.Graph.permute g perm in
         let d = problem.Sddm.Problem.d in
         let dp = Array.init (Array.length perm) (fun k -> d.(perm.(k))) in
-        factorize ~rng:(Rng.create seed) gp ~d:dp)
+        factorize ~blocks ~rng:(Rng.create seed) gp ~d:dp)
   in
   let t2 = now () in
   let l = lower f in
@@ -239,11 +244,10 @@ let lt_rchol ?(ordering = Amd) ?seed () =
 let default_heavy_factor = 10.0
 
 (* Partitioned = recursive bisection with Alg. 4 degree sort inside each
-   block: same local fill behavior as plain Alg. 4, but the elimination
-   tree gains independent branches so the multicore factorization has
-   subtrees to schedule (DESIGN.md §15). *)
+   block: same local fill behavior as plain Alg. 4, and leaf blocks the
+   multicore factorization can run ahead (DESIGN.md §15). *)
 let powerrchol_order ?(heavy_factor = default_heavy_factor) g =
-  Ordering.Partitioned.order ~heavy_factor g
+  Ordering.Partitioned.order_with_blocks ~heavy_factor g
 
 let powerrchol_with ~order ?seed () =
   rand_chol_solver ~name:"powerrchol" ~order
@@ -388,21 +392,21 @@ let robust_retries = 2
 
 (* One island's chain: powerrchol -> reseed-and-retry x robust_retries ->
    rchol(amd) -> jacobi -> direct. The powerrchol rungs share the
-   island's one lazy permutation: reordering is deterministic and
-   seed-independent, so a reseed re-runs only the randomized
-   factorization. A caller's handle serves only the system it was
-   prepared for, so on a disconnected grid, where the chains see
+   island's one lazy ordering (permutation and blocks): reordering is
+   deterministic and seed-independent, so a reseed re-runs only the
+   randomized factorization. A caller's handle serves only the system it
+   was prepared for, so on a disconnected grid, where the chains see
    islands, the first rung prepares like the others. *)
 let robust_rungs ?prepared ?deadline ~seed ~rtol ~max_iter island =
-  let perm = lazy (powerrchol_order island.Sddm.Problem.graph) in
+  let ordered = lazy (powerrchol_order island.Sddm.Problem.graph) in
   let powerrchol_rung ?prepared ~name seed =
     rung ?deadline ~rtol ~max_iter ~name (fun problem ->
         match prepared with
         | Some (p : prepared) when p.problem == problem -> p
         | _ ->
-          if Lazy.is_val perm then Obs.count "robust/perm_reuse" 1;
-          (powerrchol_with ~order:(fun _ -> Lazy.force perm) ~seed ()).prepare
-            problem)
+          if Lazy.is_val ordered then Obs.count "robust/perm_reuse" 1;
+          let order _ = Lazy.force ordered in
+          (powerrchol_with ~order ~seed ()).prepare problem)
   in
   let baseline solver =
     rung ?deadline ~rtol ~max_iter ~name:solver.name solver.prepare

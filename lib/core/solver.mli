@@ -112,12 +112,16 @@ type ordering =
   | Nested_dissection
   | Partitioned
       (** Recursive bisection with Alg. 4 degree sort inside each block
-          ([Ordering.Partitioned]) — the ordering that gives the
-          elimination tree independent branches for the multicore
-          factorization. Named ["part"]. *)
+          ([Ordering.Partitioned]) — the ordering whose leaf blocks the
+          multicore factorization runs ahead. Named ["part"]. *)
 
 val ordering_name : ordering -> string
-val apply_ordering : ordering -> Sddm.Graph.t -> Sparse.Perm.t
+
+val apply_ordering :
+  ordering -> Sddm.Graph.t -> Sparse.Perm.t * (int * int) array
+(** The permutation (position -> vertex) and the blocks the randomized
+    factorization may run ahead ([Factor.Rand_chol.factorize ~blocks]):
+    [Partitioned]'s leaf blocks, none for the other orderings. *)
 
 val powerrchol : ?heavy_factor:float -> ?seed:int -> unit -> t
 (** The paper's solver: partitioned Alg. 4 reordering
@@ -127,12 +131,15 @@ val powerrchol_prepare : ?seed:int -> Sddm.Problem.t -> prepared
 (** [(powerrchol ?seed ()).prepare]: the paper's preparation with the
     default heavy factor. *)
 
-val powerrchol_order : ?heavy_factor:float -> Sddm.Graph.t -> Sparse.Perm.t
+val powerrchol_order :
+  ?heavy_factor:float -> Sddm.Graph.t -> Sparse.Perm.t * (int * int) array
 (** The ordering every powerrchol preparation uses: partitioned Alg. 4
-    ([Ordering.Partitioned], [heavy_factor] defaulting to
-    {!default_heavy_factor}). Shared by {!powerrchol}, the robust chain's
-    powerrchol rungs and {!Engine.Session}, so it is the one place the
-    PowerRChol ordering is chosen. *)
+    ([Ordering.Partitioned.order_with_blocks], [heavy_factor] defaulting
+    to {!default_heavy_factor}), with its leaf blocks. Shared by
+    {!powerrchol}, the robust chain's powerrchol rungs and
+    {!Engine.Session}, so it is the one place the PowerRChol ordering is
+    chosen. The blocks only schedule the factorization: the factor's bits
+    are those of the plain ascending elimination. *)
 
 val rchol : ?ordering:ordering -> ?seed:int -> unit -> t
 (** Original RChol (Alg. 1) preconditioner; default AMD ordering, the
@@ -148,18 +155,21 @@ val rand_chol_custom :
 (** Fully custom randomized-Cholesky solver (ablation benches). *)
 
 val rand_chol_prepare :
-  name:string -> order:(Sddm.Graph.t -> Sparse.Perm.t) ->
-  factorize:(rng:Rng.t -> Sddm.Graph.t -> d:float array -> 'f) ->
+  name:string -> order:(Sddm.Graph.t -> Sparse.Perm.t * (int * int) array) ->
+  factorize:
+    (?blocks:(int * int) array -> rng:Rng.t -> Sddm.Graph.t ->
+     d:float array -> 'f) ->
   lower:('f -> Factor.Lower.t) -> seed:int -> Sddm.Problem.t ->
   Sparse.Perm.t * 'f * prepared
 (** The one randomized-Cholesky preparation, behind every solver above
     and {!Engine.Session}: [order] the graph under the Obs span
     ["reorder"] (timed as [t_reorder]), permute the graph and the excess
-    diagonal, [factorize] them from a fresh [Rng.create seed] under the
-    span ["factor"] (timed as [t_precond]), and wrap the factor [lower]
-    reads from the factorization as the handle's preconditioner, named
-    [name]. Returns the permutation and the factorization with the
-    handle, for a caller that updates the factor in place. *)
+    diagonal, [factorize] them with [order]'s blocks from a fresh
+    [Rng.create seed] under the span ["factor"] (timed as [t_precond]),
+    and wrap the factor [lower] reads from the factorization as the
+    handle's preconditioner, named [name]. Returns the permutation and
+    the factorization with the handle, for a caller that updates the
+    factor in place. *)
 
 val fegrass : ?recover_fraction:float -> unit -> t
 (** feGRASS-PCG [11]: sparsifier (2%·|V| recovered edges) factorized

@@ -22,172 +22,6 @@ let etree a =
   done;
   parent
 
-(* Elimination tree straight from the graph: same ancestor algorithm as
-   [etree], but the lower adjacency (neighbors below each vertex) comes from
-   a counting sort of the edge list instead of a CSC upper triangle. The
-   randomized factorizations eliminate a graph, not a matrix, and their fill
-   pattern is contained in the exact Cholesky fill of [L_G + diag d], whose
-   etree this is — so this tree over-approximates every dependency any
-   sampled elimination order can create. *)
-let of_graph g =
-  let n = Sddm.Graph.n_vertices g in
-  let ptr = Array.make (n + 1) 0 in
-  Sddm.Graph.iter_edges g (fun u v _ ->
-      let k = if u > v then u else v in
-      ptr.(k + 1) <- ptr.(k + 1) + 1);
-  for k = 0 to n - 1 do
-    ptr.(k + 1) <- ptr.(k + 1) + ptr.(k)
-  done;
-  let fill = Array.copy ptr in
-  let lower = Array.make ptr.(n) 0 in
-  Sddm.Graph.iter_edges g (fun u v _ ->
-      let i, k = if u > v then (v, u) else (u, v) in
-      lower.(fill.(k)) <- i;
-      fill.(k) <- fill.(k) + 1);
-  let parent = Array.make n (-1) in
-  let ancestor = Array.make n (-1) in
-  for k = 0 to n - 1 do
-    for q = ptr.(k) to ptr.(k + 1) - 1 do
-      let node = ref lower.(q) in
-      let continue_ = ref true in
-      while !continue_ do
-        let next = ancestor.(!node) in
-        ancestor.(!node) <- k;
-        if next = -1 then begin
-          parent.(!node) <- k;
-          continue_ := false
-        end
-        else if next = k then continue_ := false
-        else node := next
-      done
-    done
-  done;
-  parent
-
-let postorder parent =
-  let n = Array.length parent in
-  (* children lists, built in reverse so iteration is in ascending order *)
-  let child = Array.make n [] in
-  for i = n - 1 downto 0 do
-    if parent.(i) >= 0 then child.(parent.(i)) <- i :: child.(parent.(i))
-  done;
-  let post = Array.make n 0 in
-  let out = ref 0 in
-  let stack = Stack.create () in
-  for root = 0 to n - 1 do
-    if parent.(root) = -1 then begin
-      (* iterative DFS emitting nodes in postorder *)
-      Stack.push (root, child.(root)) stack;
-      while not (Stack.is_empty stack) do
-        let node, pending = Stack.pop stack in
-        match pending with
-        | [] ->
-          post.(!out) <- node;
-          incr out
-        | c :: rest ->
-          Stack.push (node, rest) stack;
-          Stack.push (c, child.(c)) stack
-      done
-    end
-  done;
-  assert (!out = n);
-  post
-
-(* Subtree cut for parallel elimination (DESIGN.md §15).
-
-   A node is {e separator} iff its subtree weight exceeds the cap; the
-   separator is therefore upward-closed (ancestors of a separator node are
-   separator nodes — subtree weights only grow toward the root when weights
-   are nonnegative). The maximal non-separator subtrees are rooted at nodes
-   whose own subtree fits under the cap but whose parent's does not; walking
-   those roots in postorder and packing consecutive roots while their summed
-   weight stays under the cap yields the unit list. Everything here depends
-   only on [parent], [weight], and [cap_fraction] — never on the domain
-   count or hardware — so the partition, and hence the factorization built
-   on it, is identical on every machine. *)
-type cut = {
-  c_parent : int array;
-  n_units : int;
-  unit_ptr : int array;
-  unit_cols : int array;
-  unit_weight : float array;
-  sep_cols : int array;
-  unit_of : int array;
-}
-
-let cut ~parent ~weight ~cap_fraction =
-  let n = Array.length parent in
-  if Array.length weight <> n then invalid_arg "Etree.cut: weight length";
-  if not (cap_fraction > 0.0) then invalid_arg "Etree.cut: cap_fraction";
-  let total = ref 0.0 in
-  for v = 0 to n - 1 do
-    if weight.(v) < 0.0 then invalid_arg "Etree.cut: negative weight";
-    total := !total +. weight.(v)
-  done;
-  let cap = cap_fraction *. !total in
-  let post = postorder parent in
-  let subw = Array.copy weight in
-  Array.iter
-    (fun v -> if parent.(v) >= 0 then subw.(parent.(v)) <- subw.(parent.(v)) +. subw.(v))
-    post;
-  let is_unit_root v =
-    subw.(v) <= cap && (parent.(v) = -1 || subw.(parent.(v)) > cap)
-  in
-  (* Greedy prefix packing of unit roots, in postorder. *)
-  let root_unit = Array.make n (-1) in
-  let n_units = ref 0 in
-  let acc = ref 0.0 in
-  let open_unit = ref false in
-  Array.iter
-    (fun v ->
-      if is_unit_root v then begin
-        if !open_unit && !acc +. subw.(v) > cap then begin
-          incr n_units;
-          acc := 0.0
-        end;
-        open_unit := true;
-        acc := !acc +. subw.(v);
-        root_unit.(v) <- !n_units
-      end)
-    post;
-  let n_units = if !open_unit then !n_units + 1 else 0 in
-  (* Membership: reverse postorder visits parents before children, so a
-     non-root unit node inherits its parent's unit. *)
-  let unit_of = Array.make n (-1) in
-  for q = n - 1 downto 0 do
-    let v = post.(q) in
-    if subw.(v) <= cap then
-      unit_of.(v) <- (if root_unit.(v) >= 0 then root_unit.(v) else unit_of.(parent.(v)))
-  done;
-  let unit_ptr = Array.make (n_units + 1) 0 in
-  let n_sep = ref 0 in
-  for v = 0 to n - 1 do
-    if unit_of.(v) >= 0 then unit_ptr.(unit_of.(v) + 1) <- unit_ptr.(unit_of.(v) + 1) + 1
-    else incr n_sep
-  done;
-  for u = 0 to n_units - 1 do
-    unit_ptr.(u + 1) <- unit_ptr.(u + 1) + unit_ptr.(u)
-  done;
-  let unit_cols = Array.make unit_ptr.(n_units) 0 in
-  let sep_cols = Array.make !n_sep 0 in
-  let unit_weight = Array.make n_units 0.0 in
-  let ufill = Array.copy unit_ptr in
-  let sfill = ref 0 in
-  (* Ascending vertex loop keeps each unit's column list, and the separator
-     list, sorted ascending — the canonical elimination order inside each
-     group. *)
-  for v = 0 to n - 1 do
-    match unit_of.(v) with
-    | -1 ->
-      sep_cols.(!sfill) <- v;
-      incr sfill
-    | u ->
-      unit_cols.(ufill.(u)) <- v;
-      ufill.(u) <- ufill.(u) + 1;
-      unit_weight.(u) <- unit_weight.(u) +. weight.(v)
-  done;
-  { c_parent = parent; n_units; unit_ptr; unit_cols; unit_weight; sep_cols; unit_of }
-
 (* Pattern of row k of L: walk the etree upward from each below-diagonal
    entry of column k of A, stopping at already-marked nodes; each walked
    path is emitted in reverse into stack.(top..n-1), which yields a
@@ -239,17 +73,3 @@ let reach ~parent ~seeds ~mark ~stamp ~limit =
       done)
     seeds;
   if !exceeded then -1 else !count
-
-let row_counts a =
-  let _, n = Sparse.Csc.dims a in
-  let parent = etree a in
-  let mark = Array.make n (-1) in
-  let stack = Array.make n 0 in
-  let counts = Array.make n 0 in
-  for k = 0 to n - 1 do
-    let top = ereach a k ~parent ~mark ~stamp:k ~stack in
-    for q = top to n - 1 do
-      counts.(stack.(q)) <- counts.(stack.(q)) + 1
-    done
-  done;
-  counts

@@ -1,44 +1,13 @@
 (** Elimination tree utilities for sparse symmetric factorization
-    (Davis, "Direct Methods for Sparse Linear Systems", ch. 4). *)
+    (Davis, "Direct Methods for Sparse Linear Systems", ch. 4): the tree
+    and row patterns behind the exact {!Chol} factorization, and the
+    ancestor closure that bounds an updatable randomized factor's
+    refactor. The randomized factorization itself needs no tree: its
+    parallel schedule comes from the ordering (see {!Rand_chol}). *)
 
 val etree : Sparse.Csc.t -> int array
 (** [etree a] is the elimination-tree parent array of the symmetric matrix
     [a] (using its upper triangle); roots have parent [-1]. *)
-
-val of_graph : Sddm.Graph.t -> int array
-(** [of_graph g] is the elimination-tree parent array of [L_G + diag d]
-    for any diagonal [d] (the diagonal never changes the pattern). Because
-    randomized-Cholesky fill is contained in exact-Cholesky fill, this tree
-    over-approximates every dependency of the sampled eliminations, which is
-    what makes the subtree {!cut} safe to eliminate in parallel. *)
-
-val postorder : int array -> int array
-(** Depth-first postorder of a forest given as a parent array; returns the
-    permutation (position -> node). *)
-
-(** A partition of the columns into independent subtree {e units} plus a
-    shared top {e separator}, for parallel elimination (DESIGN.md §15). *)
-type cut = {
-  c_parent : int array;  (** the parent array the cut was built from *)
-  n_units : int;
-  unit_ptr : int array;  (** length [n_units + 1], indexes [unit_cols] *)
-  unit_cols : int array;  (** columns grouped by unit, ascending per unit *)
-  unit_weight : float array;  (** summed column weight per unit *)
-  sep_cols : int array;  (** separator columns, ascending *)
-  unit_of : int array;  (** per column: unit id, or [-1] for separator *)
-}
-
-val cut : parent:int array -> weight:float array -> cap_fraction:float -> cut
-(** [cut ~parent ~weight ~cap_fraction] partitions the forest into maximal
-    subtrees of weight at most [cap_fraction * total_weight] (packed
-    greedily along the postorder so consecutive small subtrees share a
-    unit) plus the upward-closed separator of everything heavier. Two
-    invariants make parallel elimination of distinct units safe and
-    deterministic: no node of one unit is an etree ancestor of a node of
-    another, and every separator node's ancestors are separator nodes. The
-    partition depends only on the arguments — not on domain count — so it
-    is bit-stable across machines. Weights must be nonnegative,
-    [cap_fraction] positive. *)
 
 val ereach :
   Sparse.Csc.t -> int -> parent:int array -> mark:int array -> stamp:int ->
@@ -61,8 +30,3 @@ val reach :
     as soon as the closure exceeds [limit]; [mark] entries must differ
     from [stamp] on entry. Raises [Invalid_argument] on an out-of-range
     seed. *)
-
-val row_counts : Sparse.Csc.t -> int array
-(** [row_counts a] gives, per column [j], the number of subdiagonal nonzeros
-    of column [j] of the exact factor [L] (diagonal excluded). Computed by
-    repeated [ereach]; O(|L|). *)

@@ -11,10 +11,10 @@ let expected_clique_weight ~d_k ~w_i ~w_j = w_i *. w_j /. d_k
 
 (* ------------------------------------------------------------------ *)
 (* Growable runs, the one append buffer of the elimination: the per-column
-   edge lists (edge (a,b) with a<b lives in column a), the group outputs,
-   the record slots and the cross-unit effect logs. Entry [q] holds
-   [stride] ints at [ids.(stride * q) ..] and one float at [vals.(q)]; a
-   full run doubles, to at least [min_cap] entries.                     *)
+   edge lists (edge (a,b) with a<b lives in column a), the factor entries,
+   the record slots and the blocks' effect logs. Entry [q] holds [stride]
+   ints at [ids.(stride * q) ..] and one float at [vals.(q)]; a full run
+   doubles, to at least [min_cap] entries.                              *)
 
 type run = {
   stride : int;
@@ -33,8 +33,9 @@ let make_run ~stride ~min_cap cap =
     len = 0;
   }
 
-let grow r =
-  let cap = max (2 * r.len) r.min_cap in
+(* reallocate to hold at least [need] entries *)
+let grow r need =
+  let cap = max need (max (2 * r.len) r.min_cap) in
   let ids = Array.make (r.stride * cap) 0 and vals = Array.make cap 0.0 in
   Array.blit r.ids 0 ids 0 (r.stride * r.len);
   Array.blit r.vals 0 vals 0 r.len;
@@ -43,14 +44,14 @@ let grow r =
 
 (* append (i, x) to a stride-1 run *)
 let push r i x =
-  if r.len = Array.length r.vals then grow r;
+  if r.len = Array.length r.vals then grow r (r.len + 1);
   r.ids.(r.len) <- i;
   r.vals.(r.len) <- x;
   r.len <- r.len + 1
 
 (* append (a, b, x) to a stride-2 run *)
 let push2 r a b x =
-  if r.len = Array.length r.vals then grow r;
+  if r.len = Array.length r.vals then grow r (r.len + 1);
   r.ids.(2 * r.len) <- a;
   r.ids.((2 * r.len) + 1) <- b;
   r.vals.(r.len) <- x;
@@ -62,11 +63,22 @@ let release r =
   r.vals <- [||];
   r.len <- 0
 
+(* move every entry of [src] to the end of [dst], same stride *)
+let append dst src =
+  let len = dst.len + src.len in
+  if len > Array.length dst.vals then grow dst len;
+  Array.blit src.ids 0 dst.ids (dst.stride * dst.len) (src.stride * src.len);
+  Array.blit src.vals 0 dst.vals dst.len src.len;
+  dst.len <- len;
+  release src
+
 (* ------------------------------------------------------------------ *)
 (* In-place insertion/quick sort of idx.(lo..hi) keyed by key.(idx.(.)),
-   ascending; avoids per-column allocation in the Exact_sort path.      *)
+   ascending; avoids per-column allocation in the Exact_sort path. The
+   key is a [float array], so every comparison is an unboxed float
+   compare, not a call to polymorphic compare.                         *)
 
-let rec quicksort_by idx key lo hi =
+let rec quicksort_by idx (key : float array) lo hi =
   if hi - lo < 12 then
     (* insertion sort for small ranges *)
     for i = lo + 1 to hi do
@@ -250,7 +262,7 @@ type recorder = {
   r_d_elim : float array;  (* pivot d_k per column *)
   r_d_exc : float array;  (* dvec at pivot per column *)
   r_fill_ptr : int array;  (* n+1: slot range per source column *)
-  mutable r_fill : run;  (* the fill slots, in source-column order *)
+  r_fill : run;  (* the fill slots, in source-column order *)
 }
 
 let make_recorder n =
@@ -262,84 +274,67 @@ let make_recorder n =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Parallel elimination scheduling (DESIGN.md §15).
+(* The elimination order and its parallel schedule (DESIGN.md §15).
 
-   The columns are partitioned by [Etree.cut] into independent subtree
-   units plus an upward-closed separator. Every edge the elimination can
-   ever see — original or sampled fill — joins a node to an etree ancestor
-   (rchol fill is contained in exact Cholesky fill), so an edge either
-   stays inside one unit or crosses from a unit into the separator; two
-   distinct units never interact. Units therefore eliminate concurrently;
-   their cross-boundary effects (fill edges and excess-diagonal bumps into
-   separator columns) are logged per unit and replayed in unit order at
-   the barrier, after which the separator eliminates inline, level by
-   level over its internal etree.
+   The factor is the ascending elimination of the graph: one pass over
+   columns 0 .. n-1. Column k's output depends on four things: the order
+   of the entries pushed into its list, its excess diagonal, its keyed
+   stream (reseeded from [(base_key, k)]) and its own arithmetic. The
+   pass delivers every push and bump in ascending source order.
 
-   Canonical arithmetic, identical at every domain count:
-   - the partition and level order depend only on the graph;
-   - each column's random draws come from a keyed stream reseeded from
-     [(base_key, column)], never from a shared cursor;
-   - boundary effects replay unit-major, source-ascending at the
-     barrier. *)
+   [blocks] let a pool run part of that pass ahead without moving a bit.
+   A block [lo, hi) is backward-closed when no edge joins it to a
+   position below lo. Such a block receives no effect from an earlier
+   column: randomized fill lies inside exact-Cholesky fill, and an exact
+   fill path into the block from below lo would have to enter it from a
+   position >= hi, above both endpoints. So each block eliminates its
+   columns in ascending order on its own, applies the effects on targets
+   below hi and logs the rest. The ascending sweep then eliminates every
+   other column and replays a block's log when it reaches that block, so
+   each column receives its inputs in exactly the order the plain pass
+   gives. Without a pool to run them on, the blocks are ignored and the
+   plain pass is what runs. *)
 
-(* Unit cap as a fraction of total column weight. 1/32 keeps the measured
-   separator under ~6% on partitioned grid orderings (33 units on a
-   500x500 grid) while leaving units coarse enough to amortize scheduling.
-   Fixed — never derived from the domain count — so the partition is
-   machine-independent. *)
-let cut_cap_fraction = 1.0 /. 32.0
+(* Raise [Invalid_argument] unless [blocks] are sorted, disjoint, inside
+   [0, n] and backward-closed in [g]; one O(n + m) pass. *)
+let check_blocks g n blocks =
+  let block_lo = Array.make n (-1) in
+  let next = ref 0 in
+  Array.iter
+    (fun (lo, hi) ->
+      if lo < !next || hi < lo || hi > n then
+        invalid_arg
+          (Printf.sprintf
+             "Rand_chol.factorize: block [%d, %d) is unsorted, overlapping or \
+              outside [0, %d)"
+             lo hi n);
+      Array.fill block_lo lo (hi - lo) lo;
+      next := hi)
+    blocks;
+  Sddm.Graph.iter_edges g (fun u v _ ->
+      let a = min u v and b = max u v in
+      if block_lo.(b) > a then
+        invalid_arg
+          (Printf.sprintf
+             "Rand_chol.factorize: the block starting at %d is not \
+              backward-closed: edge (%d, %d)"
+             block_lo.(b) a b))
 
 (* [g] must already be coalesced (both external entry points guarantee
    it); the recorder's edge indices refer to the coalesced edge order. *)
-let factorize_gen ~sort ~sampling ~rng ~record g ~d =
+let factorize_gen ~blocks ~sort ~sampling ~rng ~record g ~d =
   let n = Sddm.Graph.n_vertices g in
   if Array.length d <> n then
     invalid_arg
       (Printf.sprintf
          "Rand_chol.factorize: d has %d entries for a graph of %d vertices"
          (Array.length d) n);
+  if Array.length blocks > 0 then check_blocks g n blocks;
   let obs = Obs.enabled () in
   (* One draw from the caller's generator keys every per-column stream;
      the caller-visible [~rng] contract is unchanged while draw order
      inside the factorization stops mattering. *)
   let base_key = Rng.derive_key rng in
-  (* --- partition: subtree units + separator, from the A-graph etree --- *)
-  let cut =
-    Obs.span "partition" @@ fun () ->
-    let parent = Etree.of_graph g in
-    let degs = Sddm.Graph.degrees g in
-    let weight = Array.init n (fun v -> 1.0 +. float_of_int degs.(v)) in
-    Etree.cut ~parent ~weight ~cap_fraction:cut_cap_fraction
-  in
-  let n_units = cut.Etree.n_units in
-  let unit_of = cut.Etree.unit_of in
-  (* --- separator level order over the etree --- *)
-  let sep = cut.Etree.sep_cols in
-  let n_sep = Array.length sep in
-  let lvl_of = Array.make (max n 1) 0 in
-  let n_sep_levels = ref 0 in
-  Array.iter
-    (fun v ->
-      let p = cut.Etree.c_parent.(v) in
-      if p >= 0 && lvl_of.(p) <= lvl_of.(v) then lvl_of.(p) <- lvl_of.(v) + 1;
-      if lvl_of.(v) + 1 > !n_sep_levels then n_sep_levels := lvl_of.(v) + 1)
-    sep;
-  let n_sep_levels = if n_sep = 0 then 0 else !n_sep_levels in
-  let sep_lvl_ptr = Array.make (n_sep_levels + 1) 0 in
-  Array.iter
-    (fun v -> sep_lvl_ptr.(lvl_of.(v) + 1) <- sep_lvl_ptr.(lvl_of.(v) + 1) + 1)
-    sep;
-  for l = 1 to n_sep_levels do
-    sep_lvl_ptr.(l) <- sep_lvl_ptr.(l) + sep_lvl_ptr.(l - 1)
-  done;
-  let sep_order = Array.make n_sep 0 in
-  let cursor = Array.copy sep_lvl_ptr in
-  (* ascending sweep keeps each level's columns ascending *)
-  Array.iter
-    (fun v ->
-      sep_order.(cursor.(lvl_of.(v))) <- v;
-      cursor.(lvl_of.(v)) <- cursor.(lvl_of.(v)) + 1)
-    sep;
   (* --- initial per-column edge lists --- *)
   let init_count = Array.make n 0 in
   Sddm.Graph.iter_edges g (fun u v _ ->
@@ -351,10 +346,11 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
       let a = min u v and b = max u v in
       push cols.(a) b w);
   let dvec = Array.copy d in
-  (* --- per-group output runs and per-slot workspaces --- *)
+  (* --- per-slot workspaces, output runs and the blocks' runs --- *)
   let pool = Par.default () in
-  let n_slots = Par.domains pool in
-  let wss = Array.make (max n_slots 1) None in
+  let blocks = if Par.runs_parallel pool then blocks else [||] in
+  let n_blocks = Array.length blocks in
+  let wss = Array.make (max (Par.domains pool) 1) None in
   let ws_for slot =
     match wss.(slot) with
     | Some w -> w
@@ -363,32 +359,23 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
       wss.(slot) <- Some w;
       w
   in
-  (* per group: factor entries (diagonal first) and record slots, appended
-     in elimination order; per unit: the logged cross-unit fill edges and
-     excess-diagonal bumps *)
+  (* factor entries (diagonal first) and record slots, in column order;
+     a block fills its own pair, and logs its effects on later columns as
+     (a, b, w) fill edges and (i, -1, bump) excess-diagonal bumps *)
   let entries ncols = make_run ~stride:1 ~min_cap:4 ((4 * ncols) + 16) in
   let triples () = make_run ~stride:2 ~min_cap:16 0 in
-  let unit_out =
-    Array.init n_units (fun u ->
-        entries (cut.Etree.unit_ptr.(u + 1) - cut.Etree.unit_ptr.(u)))
-  in
-  let unit_slots = Array.init n_units (fun _ -> triples ()) in
-  let unit_fill = Array.init n_units (fun _ -> triples ()) in
-  let unit_bumps =
-    Array.init n_units (fun _ -> make_run ~stride:1 ~min_cap:16 0)
-  in
-  let sep_out = entries n_sep and sep_slots = triples () in
+  let out = entries n in
+  let slots = match record with Some r -> r.r_fill | None -> triples () in
+  let block_out = Array.map (fun (lo, hi) -> entries (hi - lo)) blocks in
+  let block_slots = Array.init n_blocks (fun _ -> triples ()) in
+  let block_log = Array.init n_blocks (fun _ -> triples ()) in
   let recording = record <> None in
   let col_len = Array.make (max n 1) 0 in
-  let col_start = Array.make (max n 1) 0 in
-  let rec_start = if recording then Array.make (max n 1) 0 else [||] in
-  (* --- the per-column elimination, shared by both phases ---
-     Column [k] belongs to unit [u] ([-1] = separator). [out] receives its
-     factor entries and [slots] its record slots; an effect on a column
-     outside unit [u] is logged to the unit's fill or bump run instead of
-     being applied. A separator column applies every effect: its
-     neighbors are etree ancestors, so separator columns too. *)
-  let eliminate ws k ~u ~out ~slots =
+  (* --- the per-column elimination ---
+     [out] and [slots] receive column [k]'s factor entries and record
+     slots. Effects on targets below [hi] are applied; the rest go to
+     [log]. The sweep passes [hi = n] and logs nothing. *)
+  let eliminate ws k ~hi ~out ~slots ~log =
     let c = cols.(k) in
     (* ---- gather and coalesce the live neighbors of k ---- *)
     ws.stamp <- ws.stamp + 1;
@@ -439,9 +426,7 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
       ws.n_sort <- ws.n_sort + 1
     end;
     (* ---- emit column k of L ---- *)
-    col_start.(k) <- out.len;
     col_len.(k) <- m + 1;
-    if recording then rec_start.(k) <- slots.len;
     let sqrt_dk = sqrt d_k in
     push out k sqrt_dk;
     for q = 0 to m - 1 do
@@ -460,8 +445,7 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
       for q = 0 to m - 1 do
         let i = ws.nbrs.(q) in
         let bump = d_excess_k *. ws.wval.(i) /. d_k in
-        if u < 0 || unit_of.(i) = u then dvec.(i) <- dvec.(i) +. bump
-        else push unit_bumps.(u) i bump
+        if i < hi then dvec.(i) <- dvec.(i) +. bump else push2 log i (-1) bump
       done;
       if m > 1 then begin
         (* ---- prefix sums ---- *)
@@ -513,8 +497,7 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
           let w_new = s_j *. ws.wval.(n_j) /. d_k in
           if w_new > 0.0 && n_j <> n_l then begin
             let a = min n_j n_l and b = max n_j n_l in
-            if u < 0 || unit_of.(a) = u then push cols.(a) b w_new
-            else push2 unit_fill.(u) a b w_new;
+            if a < hi then push cols.(a) b w_new else push2 log a b w_new;
             ws.sampled <- ws.sampled + 1;
             if recording then push2 slots a b w_new
           end
@@ -523,92 +506,80 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
       end
     end
   in
-  (* --- phase 1: units, in parallel over the pool --- *)
-  (Obs.span "units" @@ fun () ->
-   Par.parallel_for_weighted pool
-     ~weight:(fun u -> cut.Etree.unit_weight.(u))
-     ~lo:0 ~hi:n_units
-     (fun slot ulo uhi ->
-       let ws = ws_for slot in
-       for u = ulo to uhi - 1 do
-         let t0 = if obs then Obs.now () else 0.0 in
-         let out = unit_out.(u) and slots = unit_slots.(u) in
-         for q = cut.Etree.unit_ptr.(u) to cut.Etree.unit_ptr.(u + 1) - 1 do
-           eliminate ws cut.Etree.unit_cols.(q) ~u ~out ~slots
-         done;
-         if obs then Obs.observe "unit_s" (Obs.now () -. t0)
-       done));
-  (* --- barrier: replay cross-unit effects, unit-major --- *)
-  for u = 0 to n_units - 1 do
-    let fill = unit_fill.(u) and bumps = unit_bumps.(u) in
-    for q = 0 to fill.len - 1 do
-      push cols.(fill.ids.(2 * q)) fill.ids.((2 * q) + 1) fill.vals.(q)
-    done;
-    for q = 0 to bumps.len - 1 do
-      let i = bumps.ids.(q) in
-      dvec.(i) <- dvec.(i) +. bumps.vals.(q)
-    done;
-    release fill;
-    release bumps
-  done;
-  (* --- phase 2: the separator, inline in level order --- *)
-  (Obs.span "sep" @@ fun () ->
-   let ws = ws_for 0 in
-   Array.iter
-     (fun k -> eliminate ws k ~u:(-1) ~out:sep_out ~slots:sep_slots)
-     sep_order);
-  (* --- assembly: concatenate group outputs in column order --- *)
+  (* --- the blocks, ahead on the pool; a block's Breakdown is held for
+     the sweep, so the reported column is the plain pass's --- *)
+  let held = Array.make n_blocks None in
+  if n_blocks > 0 then
+    Obs.span "blocks" (fun () ->
+        Par.parallel_for_weighted pool
+          ~weight:(fun b -> float_of_int (snd blocks.(b) - fst blocks.(b)))
+          ~lo:0 ~hi:n_blocks
+          (fun slot blo bhi ->
+            let ws = ws_for slot in
+            for b = blo to bhi - 1 do
+              let lo, hi = blocks.(b) in
+              try
+                for k = lo to hi - 1 do
+                  eliminate ws k ~hi ~out:block_out.(b)
+                    ~slots:block_slots.(b) ~log:block_log.(b)
+                done
+              with Breakdown _ as e -> held.(b) <- Some e
+            done));
+  (* --- the ascending sweep --- *)
+  (Obs.span "sweep" @@ fun () ->
+   let ws = ws_for 0 and no_log = triples () in
+   let sweep lo hi =
+     for k = lo to hi - 1 do
+       eliminate ws k ~hi:n ~out ~slots ~log:no_log
+     done
+   in
+   let replay log =
+     for q = 0 to log.len - 1 do
+       let i = log.ids.(2 * q) and j = log.ids.((2 * q) + 1) in
+       if j < 0 then dvec.(i) <- dvec.(i) +. log.vals.(q)
+       else push cols.(i) j log.vals.(q)
+     done;
+     release log
+   in
+   let next = ref 0 in
+   Array.iteri
+     (fun b (lo, hi) ->
+       sweep !next lo;
+       Option.iter raise held.(b);
+       append out block_out.(b);
+       append slots block_slots.(b);
+       replay block_log.(b);
+       next := hi)
+     blocks;
+   sweep !next n);
+  (* --- L's arrays, copied from the output run --- *)
+  let total = out.len in
   let l =
     Obs.span "assemble" @@ fun () ->
-    let col_ptr = Sparse.Idx.make (n + 1) in
-    let total = ref 0 in
-    for k = 0 to n - 1 do
-      Sparse.Idx.set col_ptr k !total;
-      total := !total + col_len.(k)
-    done;
-    Sparse.Idx.set col_ptr n !total;
-    let total = !total in
     Sparse.Idx.check_index_capacity ~what:"Rand_chol.factorize" total;
+    let col_ptr = Sparse.Idx.make (n + 1) in
+    let acc = ref 0 in
+    for k = 0 to n - 1 do
+      Sparse.Idx.set col_ptr k !acc;
+      acc := !acc + col_len.(k)
+    done;
+    Sparse.Idx.set col_ptr n total;
     let l_rows = Sparse.Idx.make (max total 1) in
     let l_vals = Sparse.Vec.create (max total 1) in
-    Par.parallel_for pool ~min_work:8192 ~lo:0 ~hi:n (fun klo khi ->
-        for k = klo to khi - 1 do
-          let out = if unit_of.(k) >= 0 then unit_out.(unit_of.(k)) else sep_out in
-          let src = col_start.(k) in
-          let dst = Sparse.Idx.get col_ptr k in
-          for j = 0 to col_len.(k) - 1 do
-            Sparse.Idx.set l_rows (dst + j) out.ids.(src + j);
-            Sparse.Vec.set l_vals (dst + j) out.vals.(src + j)
-          done
+    Par.parallel_for pool ~min_work:8192 ~lo:0 ~hi:total (fun qlo qhi ->
+        for q = qlo to qhi - 1 do
+          Sparse.Idx.set l_rows q out.ids.(q);
+          Sparse.Vec.set l_vals q out.vals.(q)
         done);
-    (* recorder: slot runs live in the group runs; lay them out in
-       ascending column order (column k owns max (m_k - 1) 0 slots) *)
-    (match record with
-     | Some r ->
-       let slots = ref 0 in
-       for k = 0 to n - 1 do
-         r.r_fill_ptr.(k) <- !slots;
-         slots := !slots + max (col_len.(k) - 2) 0
-       done;
-       r.r_fill_ptr.(n) <- !slots;
-       let fill = make_run ~stride:2 ~min_cap:16 !slots in
-       for k = 0 to n - 1 do
-         let cnt = max (col_len.(k) - 2) 0 in
-         if cnt > 0 then begin
-           let src_run =
-             if unit_of.(k) >= 0 then unit_slots.(unit_of.(k)) else sep_slots
-           in
-           let src = rec_start.(k) and dst = r.r_fill_ptr.(k) in
-           Array.blit src_run.ids (2 * src) fill.ids (2 * dst) (2 * cnt);
-           Array.blit src_run.vals src fill.vals dst cnt
-         end
-       done;
-       fill.len <- !slots;
-       r.r_fill <- fill
-     | None -> ());
-    (Lower.of_raw ~n ~col_ptr ~rows:l_rows ~vals:l_vals, total)
+    Lower.of_raw ~n ~col_ptr ~rows:l_rows ~vals:l_vals
   in
-  let l, total = l in
+  (* recorder: column k owns max (m_k - 1) 0 slots *)
+  (match record with
+   | Some r ->
+     for k = 0 to n - 1 do
+       r.r_fill_ptr.(k + 1) <- r.r_fill_ptr.(k) + max (col_len.(k) - 2) 0
+     done
+   | None -> ());
   if obs then begin
     (* per-slot sub-phase accumulators flush as aggregate spans; the sums
        are domain-count-independent because every column runs exactly once *)
@@ -633,14 +604,16 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
     Obs.gauge "factor_nnz" (float_of_int total);
     Obs.gauge "fill_nnz"
       (float_of_int (max 0 (total - n - Sddm.Graph.n_edges g)));
-    Obs.gauge "factor_units" (float_of_int n_units);
-    Obs.gauge "factor_sep_cols" (float_of_int n_sep);
-    Obs.gauge "factor_sep_levels" (float_of_int n_sep_levels)
+    Obs.gauge "factor_blocks" (float_of_int n_blocks);
+    Obs.gauge "factor_sweep_cols"
+      (float_of_int
+         (Array.fold_left (fun acc (lo, hi) -> acc - (hi - lo)) n blocks))
   end;
   l
 
-let factorize ~sort ~sampling ~rng g ~d =
-  factorize_gen ~sort ~sampling ~rng ~record:None (Sddm.Graph.coalesce g) ~d
+let factorize ?(blocks = [||]) ~sort ~sampling ~rng g ~d =
+  factorize_gen ~blocks ~sort ~sampling ~rng ~record:None
+    (Sddm.Graph.coalesce g) ~d
 
 (* ------------------------------------------------------------------ *)
 (* Updatable factorizations: fixed-pattern value-only re-elimination.
@@ -704,11 +677,11 @@ type updatable = {
   mutable u_pfs : float array;  (* prefix sums over one column's pattern *)
 }
 
-let factorize_updatable ~sort ~sampling ~rng g ~d =
+let factorize_updatable ?(blocks = [||]) ~sort ~sampling ~rng g ~d =
   let g = Sddm.Graph.coalesce g in
   let n = Sddm.Graph.n_vertices g in
   let r = make_recorder n in
-  let l = factorize_gen ~sort ~sampling ~rng ~record:(Some r) g ~d in
+  let l = factorize_gen ~blocks ~sort ~sampling ~rng ~record:(Some r) g ~d in
   (* base incidence and the edge index, in coalesced edge order *)
   let m = Sddm.Graph.n_edges g in
   let ews = Array.make (max m 1) 0.0 in

@@ -1,17 +1,18 @@
 (* Partition-aware fill-reducing ordering for parallel factorization.
 
-   Alg. 4 degree sort applied to a whole mesh yields an elimination tree
-   that is close to a path: almost every column sits on one long dependency
-   chain, so an etree subtree cut finds no usable parallelism (measured on a
-   500x500 grid: 87-92% of the weight lands in the separator). Recursively
-   bisecting the graph first — BFS level structure from a pseudo-peripheral
-   vertex, cut at the level that splits the count most evenly, separator
-   emitted after both halves — and only then degree-sorting each block
-   keeps the local fill behavior of Alg. 4 while giving the etree genuinely
-   independent branches: every leaf block becomes a subtree that
-   Factor.Etree.cut can schedule on its own domain. This mirrors the
-   partitioning step of RCHOL (Chen, Liang & Biros, arXiv:2011.07769,
-   §3.3).
+   Alg. 4 degree sort applied to a whole mesh scatters every neighbourhood
+   across the order, so beyond a prefix no range of positions is free of
+   edges to earlier positions, and nothing can run beside the first
+   columns. Recursively bisecting the graph first — BFS level structure
+   from a pseudo-peripheral vertex, cut at the level that splits the count
+   most evenly, separator emitted after both halves — and only then
+   degree-sorting each block keeps the local fill behavior of Alg. 4 while
+   giving the elimination genuinely independent pieces: every leaf block
+   is a range of positions that no edge joins to an earlier position
+   (sibling parts are not adjacent, and a separator comes after the parts
+   it separates), so the randomized factorization can run each leaf block
+   ahead on its own domain. This mirrors the partitioning step of RCHOL
+   (Chen, Liang & Biros, arXiv:2011.07769, §3.3).
 
    Everything runs over flat arrays (DESIGN.md §15). A dissection's
    members are the slice [members.(lo .. hi-1)]; it is partitioned in
@@ -31,11 +32,11 @@
 let leaf_fraction = 1.0 /. 64.0
 let leaf_min = 1024
 
-let order ?(heavy_factor = 10.0) g =
+let order_with_blocks ?(heavy_factor = 10.0) g =
   Obs.span "partitioned_order" @@ fun () ->
   let g = Sddm.Graph.coalesce g in
   let n = Sddm.Graph.n_vertices g in
-  if n = 0 then [||]
+  if n = 0 then ([||], [||])
   else begin
     let { Sddm.Graph.ptr; nbr; wgt } = Sddm.Graph.adjacency g in
     let target =
@@ -51,6 +52,8 @@ let order ?(heavy_factor = 10.0) g =
     let mark = Array.make n 0 in
     let stamp = ref 0 in
     let blocks = ref 0 in
+    (* the leaf blocks' [lo, hi), last first *)
+    let leaves = ref [] in
     let enter lo hi =
       incr stamp;
       for k = lo to hi - 1 do
@@ -112,9 +115,13 @@ let order ?(heavy_factor = 10.0) g =
         perm.(k) <- members.(lo + perm.(k))
       done
     in
+    let leaf lo hi =
+      if hi > lo then leaves := (lo, hi) :: !leaves;
+      order_block lo hi
+    in
     let rec dissect lo hi =
       let count = hi - lo in
-      if count <= target then order_block lo hi
+      if count <= target then leaf lo hi
       else begin
         enter lo hi;
         for k = lo to hi - 1 do
@@ -132,7 +139,7 @@ let order ?(heavy_factor = 10.0) g =
         done;
         let reached = bfs far in
         let max_level = level.(queue.(reached - 1)) in
-        if max_level = 0 then order_block lo hi
+        if max_level = 0 then leaf lo hi
         else begin
           (* Cut at the level splitting the vertex count most evenly — the
              mid-level of the eccentricity can be wildly lopsided on meshes
@@ -196,5 +203,7 @@ let order ?(heavy_factor = 10.0) g =
     in
     dissect 0 n;
     if Obs.enabled () then Obs.gauge "partition_blocks" (float_of_int !blocks);
-    perm
+    (perm, Array.of_list (List.rev !leaves))
   end
+
+let order ?heavy_factor g = fst (order_with_blocks ?heavy_factor g)

@@ -90,8 +90,8 @@ val parallel_for_weighted :
   unit
 (** [parallel_for_weighted pool ~weight ~lo ~hi f] is {!parallel_for} with
     chunk boundaries placed on the prefix sums of [weight i] instead of the
-    item count — the subtree-task API of the parallel factorization, where
-    items are elimination-tree units of very uneven size. [f slot clo chi]
+    item count — the task API of the parallel factorization, where items
+    are the ordering's leaf blocks, of very uneven size. [f slot clo chi]
     additionally receives the chunk slot (0-based, stable for the region)
     so callers can keep slot-private scratch without locking. Runs
     [f 0 lo hi] inline when the pool has one domain, is busy, or

@@ -473,17 +473,17 @@ let test_golden_bits () =
     let r = Solver.run solver p in
     check_golden label ~iterations ~md5 ~x:r.Solver.x ~its:r.Solver.iterations
   in
-  check "powerrchol" ~iterations:23 ~md5:"beded8165475eb1f675db92791f40abd"
+  check "powerrchol" ~iterations:23 ~md5:"ed31d8431443645d38bc7ada6d17ef19"
     (Solver.powerrchol ());
-  check "powerrchol heavy factor 2" ~iterations:22
-    ~md5:"312fe14f36c27c870d3906b10a0fa4d0"
+  check "powerrchol heavy factor 2" ~iterations:23
+    ~md5:"c4496fdfdb35dc7301255c35f2054cab"
     (Solver.powerrchol ~heavy_factor:2.0 ());
   check "lt-rchol(alg4)" ~iterations:20
     ~md5:"6662749137dd331fdb563fdfae429210"
     (Solver.lt_rchol ~ordering:Solver.Degree_sort ());
-  check "rchol(amd)" ~iterations:23 ~md5:"c4ba16a139b999b0b53713a93bca7049"
+  check "rchol(amd)" ~iterations:23 ~md5:"49c890a2b083c0c601f5e46825320e8b"
     (Solver.rchol ());
-  let session_md5 = "467d185f425839b0fd0999c0808a7c9c" in
+  let session_md5 = "7ea871445e3bbd1ef9370d664ed860e3" in
   let r = Session.solve (Session.create ~seed:9 p) in
   check_golden "session seed 9" ~iterations:21 ~md5:session_md5 ~x:r.Solver.x
     ~its:r.Solver.iterations;
@@ -496,10 +496,10 @@ let test_golden_bits () =
   in
   Alcotest.(check string) "session update: rung" "local"
     (Session.rung_name rep.Session.rung);
-  Alcotest.(check int) "session update: columns" 1560 rep.Session.columns;
+  Alcotest.(check int) "session update: columns" 1559 rep.Session.columns;
   let r = Session.solve s in
   check_golden "session update" ~iterations:21
-    ~md5:"6412365f0ec828448a0f25f2818de061" ~x:r.Solver.x
+    ~md5:"0e2f255c39a83ff52ba8a2003c24fb44" ~x:r.Solver.x
     ~its:r.Solver.iterations;
   match (Solver.solve_robust ~seed:9 p).Solver.outcome with
   | Solver.Robust_solved { x; winner; iterations; _ } ->

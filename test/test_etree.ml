@@ -1,7 +1,7 @@
 (* Property tests for the elimination-tree machinery that the session
    layer's etree-local re-factorization rung leans on: parent-array shape,
-   postorder validity, and [reach] (ancestor closure with a budget)
-   checked against a brute-force rootward walk. *)
+   [reach] (ancestor closure with a budget) checked against a brute-force
+   rootward walk, and [ereach] against a dense symbolic factorization. *)
 
 module Etree = Factor.Etree
 
@@ -31,24 +31,6 @@ let prop_parent_strictly_ancestral =
       Array.length parent = n
       && Array.for_all2
            (fun p j -> p = -1 || p > j)
-           parent
-           (Array.init n (fun j -> j)))
-
-let prop_postorder_valid =
-  QCheck.Test.make ~name:"postorder is a permutation with children first"
-    ~count:60
-    QCheck.(triple small_int (int_range 8 60) (int_range 10 150))
-    (fun (seed, n, m) ->
-      let a = problem_matrix ~seed ~n ~m in
-      let parent = Etree.etree a in
-      let post = Etree.postorder parent in
-      let position = Array.make n (-1) in
-      Array.iteri (fun pos node -> position.(node) <- pos) post;
-      (* a permutation: every node placed exactly once *)
-      Array.for_all (fun p -> p >= 0) position
-      (* topological: every node precedes its parent *)
-      && Array.for_all2
-           (fun p j -> p = -1 || position.(j) < position.(p))
            parent
            (Array.init n (fun j -> j)))
 
@@ -134,72 +116,6 @@ let prop_ereach_matches_dense_symbolic =
       done;
       !ok)
 
-(* ---- subtree cut (the parallel factorization's partition) ---- *)
-
-let prop_of_graph_matches_etree =
-  QCheck.Test.make ~name:"of_graph agrees with the CSC etree" ~count:60
-    QCheck.(triple small_int (int_range 8 60) (int_range 10 150))
-    (fun (seed, n, m) ->
-      let p = Test_util.random_problem ~seed ~n ~m in
-      let from_graph = Etree.of_graph p.Sddm.Problem.graph in
-      let from_csc = Etree.etree p.Sddm.Problem.a in
-      from_graph = from_csc)
-
-let prop_cut_is_valid_partition =
-  QCheck.Test.make
-    ~name:"cut covers every vertex once, units are ancestry-closed"
-    ~count:60
-    QCheck.(
-      quad small_int (int_range 8 80) (int_range 10 200) (int_range 2 16))
-    (fun (seed, n, m, cap_div) ->
-      let g = (Test_util.random_problem ~seed ~n ~m).Sddm.Problem.graph in
-      let parent = Etree.of_graph g in
-      let degs = Sddm.Graph.degrees g in
-      let weight = Array.init n (fun v -> 1.0 +. float_of_int degs.(v)) in
-      let cut =
-        Etree.cut ~parent ~weight
-          ~cap_fraction:(1.0 /. float_of_int cap_div)
-      in
-      (* every vertex appears exactly once across units + separator, and
-         unit_of agrees with the group listings *)
-      let seen = Array.make n 0 in
-      let consistent = ref true in
-      for u = 0 to cut.Etree.n_units - 1 do
-        for q = cut.Etree.unit_ptr.(u) to cut.Etree.unit_ptr.(u + 1) - 1 do
-          let v = cut.Etree.unit_cols.(q) in
-          seen.(v) <- seen.(v) + 1;
-          if cut.Etree.unit_of.(v) <> u then consistent := false
-        done
-      done;
-      Array.iter
-        (fun v ->
-          seen.(v) <- seen.(v) + 1;
-          if cut.Etree.unit_of.(v) <> -1 then consistent := false)
-        cut.Etree.sep_cols;
-      let covered_once = Array.for_all (fun c -> c = 1) seen in
-      (* no inter-unit ancestry: a unit vertex's parent stays in the same
-         unit or climbs into the separator; the separator is upward-closed *)
-      let ancestry_ok = ref true in
-      for v = 0 to n - 1 do
-        let p = cut.Etree.c_parent.(v) in
-        if p >= 0 then begin
-          let uv = cut.Etree.unit_of.(v) and up = cut.Etree.unit_of.(p) in
-          if uv >= 0 && up >= 0 && up <> uv then ancestry_ok := false;
-          if uv = -1 && up <> -1 then ancestry_ok := false
-        end
-      done;
-      (* unit weights match their members *)
-      let weights_ok = ref true in
-      for u = 0 to cut.Etree.n_units - 1 do
-        let acc = ref 0.0 in
-        for q = cut.Etree.unit_ptr.(u) to cut.Etree.unit_ptr.(u + 1) - 1 do
-          acc := !acc +. weight.(cut.Etree.unit_cols.(q))
-        done;
-        if abs_float (!acc -. cut.Etree.unit_weight.(u)) > 1e-9 *. !acc +. 1e-12
-        then weights_ok := false
-      done;
-      covered_once && !consistent && !ancestry_ok && !weights_ok)
-
 let () =
   Alcotest.run "etree"
     [
@@ -207,11 +123,8 @@ let () =
         Test_util.qcheck
           [
             prop_parent_strictly_ancestral;
-            prop_postorder_valid;
             prop_reach_matches_brute_force;
             prop_reach_respects_limit;
             prop_ereach_matches_dense_symbolic;
-            prop_of_graph_matches_etree;
-            prop_cut_is_valid_partition;
           ] );
     ]

@@ -176,6 +176,28 @@ let same_as_reference ?heavy_factor g =
   Ordering.Partitioned.order ?heavy_factor g
   = Partitioned_ref.order ?heavy_factor g
 
+(* [order_with_blocks] returns [order]'s permutation, and its leaf blocks
+   are ascending, disjoint, nonempty position ranges that no edge of the
+   permuted graph joins to an earlier position (backward-closed): the
+   premise of the factorization's parallel schedule. *)
+let blocks_backward_closed ?heavy_factor g =
+  let perm, blocks = Ordering.Partitioned.order_with_blocks ?heavy_factor g in
+  let n = Sddm.Graph.n_vertices g in
+  let pos = Perm.inverse perm in
+  let block_lo = Array.make n (-1) in
+  let ok = ref (perm = Ordering.Partitioned.order ?heavy_factor g) in
+  let next = ref 0 in
+  Array.iter
+    (fun (lo, hi) ->
+      if lo < !next || hi <= lo || hi > n then ok := false
+      else Array.fill block_lo lo (hi - lo) lo;
+      next := hi)
+    blocks;
+  Sddm.Graph.iter_edges g (fun u v _ ->
+      let a = min pos.(u) pos.(v) and b = max pos.(u) pos.(v) in
+      if block_lo.(b) > a then ok := false);
+  !ok
+
 (* A mesh of 33..80 vertices a side with weights log-uniform over
    1e-8 .. 1e8. Dropped edges leave islands and isolated vertices (vertex
    0 among them one time in four); chords make lopsided level cuts. *)
@@ -205,24 +227,38 @@ let rough_mesh seed =
   done;
   Sddm.Graph.create ~n ~edges:(Array.of_list !edges)
 
+(* a random graph of 1025..4000 vertices, or a rough mesh *)
+let partitioned_input random seed =
+  if random then begin
+    let rng = Rng.create seed in
+    let n = 1025 + Rng.int rng 2976 in
+    fst (Test_util.random_sddm ~seed ~n ~m:(n / 2 + Rng.int rng (2 * n)))
+  end
+  else rough_mesh seed
+
+let heavy_factors = [| 10.0; 2.0; infinity |]
+
 let prop_partitioned_matches_reference =
   QCheck.Test.make ~name:"partitioned equals its reference" ~count:40
     QCheck.(triple bool (int_bound 1_000_000) (int_bound 2))
     (fun (random, seed, hf) ->
-      let g =
-        if random then begin
-          let rng = Rng.create seed in
-          let n = 1025 + Rng.int rng 2976 in
-          fst (Test_util.random_sddm ~seed ~n ~m:(n / 2 + Rng.int rng (2 * n)))
-        end
-        else rough_mesh seed
-      in
-      same_as_reference ~heavy_factor:[| 10.0; 2.0; infinity |].(hf) g)
+      same_as_reference ~heavy_factor:heavy_factors.(hf)
+        (partitioned_input random seed))
+
+let prop_partitioned_blocks_backward_closed =
+  QCheck.Test.make ~name:"partitioned leaf blocks are backward-closed"
+    ~count:40
+    QCheck.(triple bool (int_bound 1_000_000) (int_bound 2))
+    (fun (random, seed, hf) ->
+      blocks_backward_closed ~heavy_factor:heavy_factors.(hf)
+        (partitioned_input random seed))
 
 let test_partitioned_edgeless () =
   (* the first BFS reaches nothing, so the whole set is one block *)
   let g = Sddm.Graph.create ~n:2000 ~edges:[||] in
-  Alcotest.(check bool) "same as reference" true (same_as_reference g)
+  Alcotest.(check bool) "same as reference" true (same_as_reference g);
+  Alcotest.(check (array (pair int int))) "one leaf block" [| (0, 2000) |]
+    (snd (Ordering.Partitioned.order_with_blocks g))
 
 let test_partitioned_star () =
   let g = Test_util.star_graph 1501 in
@@ -259,12 +295,31 @@ let test_partitioned_threshold_ties () =
       [ mean ws; mean backwards ]
   done
 
+(* A suite case's graph, built once for both of its tests and dropped
+   when the next case's is built *)
+let suite_graph =
+  let last = ref None in
+  fun (c : Powergrid.Suite.case) ->
+    match !last with
+    | Some (id, g) when id = c.id -> g
+    | _ ->
+      last := None;
+      let g = (c.build ()).Sddm.Problem.graph in
+      last := Some (c.id, g);
+      g
+
 let test_partitioned_suite =
-  List.map
+  List.concat_map
     (fun (c : Powergrid.Suite.case) ->
-      Alcotest.test_case ("same as reference on " ^ c.id) `Quick (fun () ->
-          let g = (c.build ()).Sddm.Problem.graph in
-          Alcotest.(check bool) "same permutation" true (same_as_reference g)))
+      [
+        Alcotest.test_case ("same as reference on " ^ c.id) `Quick (fun () ->
+            Alcotest.(check bool) "same permutation" true
+              (same_as_reference (suite_graph c)));
+        Alcotest.test_case ("leaf blocks backward-closed on " ^ c.id) `Quick
+          (fun () ->
+            Alcotest.(check bool) "backward-closed" true
+              (blocks_backward_closed (suite_graph c)));
+      ])
     (Array.to_list (Powergrid.Suite.all_cases ~scale:0.3 ()))
 
 let prop_all_orderings_valid =
@@ -342,5 +397,6 @@ let () =
             prop_all_orderings_valid;
             prop_amd_not_worse_than_natural;
             prop_partitioned_matches_reference;
+            prop_partitioned_blocks_backward_closed;
           ] );
     ]
