@@ -74,9 +74,8 @@ let run () =
   let rung_count r = Option.value ~default:0 (Hashtbl.find_opt rungs r) in
   let amortized = (!t_update +. !t_solve) /. float_of_int count in
   let ratio = amortized /. t_full in
-  Runner.printf "rungs: rhs-only=%d local=%d low-rank=%d full=%d\n"
-    (rung_count "rhs-only") (rung_count "local") (rung_count "low-rank")
-    (rung_count "full");
+  Runner.printf "rungs: rhs-only=%d local=%d full=%d\n"
+    (rung_count "rhs-only") (rung_count "local") (rung_count "full");
   Runner.printf
     "storm: update %.3f s + solve %.3f s over %d edits (%d iterations)\n"
     !t_update !t_solve count !iterations;
@@ -96,7 +95,6 @@ let run () =
              [
                ("rhs_only", Obs.Json.Int (rung_count "rhs-only"));
                ("local", Obs.Json.Int (rung_count "local"));
-               ("low_rank", Obs.Json.Int (rung_count "low-rank"));
                ("full", Obs.Json.Int (rung_count "full"));
              ] );
          ("t_full_s", Obs.Json.Float t_full);

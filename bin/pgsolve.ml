@@ -597,7 +597,7 @@ let edit_storm_cmd =
         match Hashtbl.find_opt rung_counts rung with
         | Some c -> Printf.printf " %s=%d" rung c
         | None -> ())
-      [ "rhs-only"; "local"; "low-rank"; "full" ];
+      [ "rhs-only"; "local"; "full" ];
     print_newline ();
     let amortized = (!t_updates +. !t_solves) /. float_of_int n in
     Printf.printf

@@ -7,11 +7,11 @@ type level = {
   diag : Sparse.Vec.t;
   prolong : prolongation;
   n_coarse : int;
-  (* scratch vectors reused across cycles *)
-  r : Sparse.Vec.t;
-  bc : Sparse.Vec.t;
-  xc : Sparse.Vec.t;
 }
+
+(* one V-cycle's vectors at one level: the fine residual, and the coarse
+   right-hand side and correction *)
+type buffers = { r : Sparse.Vec.t; bc : Sparse.Vec.t; xc : Sparse.Vec.t }
 
 type smoother =
   | Gauss_seidel
@@ -24,6 +24,7 @@ type t = {
   pre_sweeps : int;
   post_sweeps : int;
   smoother : smoother;
+  buffers : buffers array Krylov.Precond.pool;  (* one entry per level *)
 }
 
 (* ---- strength-based greedy aggregation ---- *)
@@ -140,7 +141,7 @@ let gs_backward a (diag : Sparse.Vec.t) (b : Sparse.Vec.t)
     x.{i} <- !acc /. diag.{i}
   done
 
-(* damped Jacobi sweep using the level's residual buffer as scratch *)
+(* damped Jacobi sweep using the cycle's residual buffer as scratch *)
 let jacobi_sweep omega a (diag : Sparse.Vec.t) r (b : Sparse.Vec.t)
     (x : Sparse.Vec.t) =
   let _, n = Sparse.Csc.dims a in
@@ -171,17 +172,7 @@ let build ?(theta = 0.08) ?(max_levels = 20) ?(coarse_size = 200)
             let a_c = Sparse.Csc.mul (Sparse.Csc.transpose p) (Sparse.Csc.mul a p) in
             (Matrix p, a_c)
         in
-        let level =
-          {
-            a;
-            diag = Sparse.Csc.diag a;
-            prolong;
-            n_coarse;
-            r = Sparse.Vec.create n;
-            bc = Sparse.Vec.create n_coarse;
-            xc = Sparse.Vec.create n_coarse;
-          }
-        in
+        let level = { a; diag = Sparse.Csc.diag a; prolong; n_coarse } in
         grow (level :: levels) a_c (depth + 1)
       end
     end
@@ -201,13 +192,25 @@ let build ?(theta = 0.08) ?(max_levels = 20) ?(coarse_size = 200)
       in
       Factor.Chol.factorize reg
   in
+  let levels = Array.of_list (List.rev rev_levels) in
+  let buffers () =
+    Array.map
+      (fun l ->
+        {
+          r = Sparse.Vec.create (snd (Sparse.Csc.dims l.a));
+          bc = Sparse.Vec.create l.n_coarse;
+          xc = Sparse.Vec.create l.n_coarse;
+        })
+      levels
+  in
   {
-    levels = Array.of_list (List.rev rev_levels);
+    levels;
     coarse;
     coarse_factor;
     pre_sweeps;
     post_sweeps;
     smoother;
+    buffers = Krylov.Precond.pool buffers;
   }
 
 let n_levels t = Array.length t.levels + 1
@@ -227,54 +230,55 @@ let grid_sizes t =
   let sizes = Array.map (fun l -> snd (Sparse.Csc.dims l.a)) t.levels in
   Array.append sizes [| snd (Sparse.Csc.dims t.coarse) |]
 
-let rec cycle t depth (b : Sparse.Vec.t) (x : Sparse.Vec.t) =
+let rec cycle t bufs depth (b : Sparse.Vec.t) (x : Sparse.Vec.t) =
   if depth = Array.length t.levels then begin
     let sol = Factor.Chol.solve_factored t.coarse_factor b in
     Sparse.Vec.blit ~src:sol ~dst:x
   end
   else begin
-    let l = t.levels.(depth) in
+    let l = t.levels.(depth) and buf = bufs.(depth) in
     let n = Sparse.Vec.length x in
     Sparse.Vec.fill x 0.0;
     for _ = 1 to t.pre_sweeps do
       match t.smoother with
       | Gauss_seidel -> gs_forward l.a l.diag b x
-      | Jacobi omega -> jacobi_sweep omega l.a l.diag l.r b x
+      | Jacobi omega -> jacobi_sweep omega l.a l.diag buf.r b x
     done;
     (* restrict residual: bc = P^T (b - A x) *)
-    Sparse.Csc.spmv_into l.a x l.r;
+    Sparse.Csc.spmv_into l.a x buf.r;
     for i = 0 to n - 1 do
-      l.r.{i} <- b.{i} -. l.r.{i}
+      buf.r.{i} <- b.{i} -. buf.r.{i}
     done;
     (match l.prolong with
      | Piecewise agg ->
-       Sparse.Vec.fill l.bc 0.0;
+       Sparse.Vec.fill buf.bc 0.0;
        for i = 0 to n - 1 do
-         l.bc.{agg.(i)} <- l.bc.{agg.(i)} +. l.r.{i}
+         buf.bc.{agg.(i)} <- buf.bc.{agg.(i)} +. buf.r.{i}
        done
      | Matrix p ->
-       let restricted = Sparse.Csc.spmv_t p l.r in
-       Sparse.Vec.blit ~src:restricted ~dst:l.bc);
-    cycle t (depth + 1) l.bc l.xc;
+       let restricted = Sparse.Csc.spmv_t p buf.r in
+       Sparse.Vec.blit ~src:restricted ~dst:buf.bc);
+    cycle t bufs (depth + 1) buf.bc buf.xc;
     (* prolong and correct: x += P xc *)
     (match l.prolong with
      | Piecewise agg ->
        for i = 0 to n - 1 do
-         x.{i} <- x.{i} +. l.xc.{agg.(i)}
+         x.{i} <- x.{i} +. buf.xc.{agg.(i)}
        done
      | Matrix p ->
-       let lift = Sparse.Csc.spmv p l.xc in
+       let lift = Sparse.Csc.spmv p buf.xc in
        for i = 0 to n - 1 do
          x.{i} <- x.{i} +. lift.{i}
        done);
     for _ = 1 to t.post_sweeps do
       match t.smoother with
       | Gauss_seidel -> gs_backward l.a l.diag b x
-      | Jacobi omega -> jacobi_sweep omega l.a l.diag l.r b x
+      | Jacobi omega -> jacobi_sweep omega l.a l.diag buf.r b x
     done
   end
 
-let v_cycle t b x = cycle t 0 b x
+let v_cycle t b x =
+  Krylov.Precond.with_pooled t.buffers (fun bufs -> cycle t bufs 0 b x)
 
 let solve ?(rtol = 1e-6) ?(max_iter = 100) t b =
   let a =

@@ -42,7 +42,9 @@ val grid_sizes : t -> int array
 
 val v_cycle : t -> Sparse.Vec.t -> Sparse.Vec.t -> unit
 (** [v_cycle t b x] runs one V-cycle for [A x = b] starting from [x = 0]
-    and writes the result into [x]. *)
+    and writes the result into [x]. Reentrant: each call takes level
+    buffers no other running call holds from a pool on [t], so a
+    sequential caller allocates them once. *)
 
 val solve :
   ?rtol:float -> ?max_iter:int -> t -> Sparse.Vec.t ->

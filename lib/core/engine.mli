@@ -18,32 +18,29 @@
 
     - {!Session.Rhs_only} — only loads changed; the factorization is
       untouched.
-    - {!Session.Local} — etree-local re-factorization: only the columns
-      in the ancestor closure of the edited nodes are re-eliminated, in
-      place, with the factor's structural choices frozen
-      (see {!Factor.Rand_chol.refactor}).
-    - {!Session.Low_rank} — the closure was too large but the edit
-      touches few nodes: the existing preconditioner is wrapped with a
-      Woodbury correction for the pending matrix delta. The factor
-      itself stays stale; deltas accumulate until a later update
-      succeeds with a deeper rung.
-    - {!Session.Full} — fallback that re-prepares from scratch through
+    - {!Session.Local} — every value-only batch whose edges are in the
+      frozen pattern: only the columns its edits can reach through the
+      factor's pattern are re-eliminated, in place, with the factor's
+      structural choices frozen (see {!Factor.Rand_chol.refactor}),
+      however many columns that is.
+    - {!Session.Full} — only when the sparsity pattern grows or the
+      refactor breaks down: re-prepares from scratch through
       {!Solver.rand_chol_prepare}, the function behind
       {!Solver.powerrchol_prepare} (bit-for-bit: same ordering, same seed
       discipline), preserving the PCG workspace so warm-started iteration
       state survives.
 
-    Rung selection is automatic; rungs ruled out by policy are recorded
-    as {!Robust.Fallback.Skipped} attempts in the report, mirroring the
-    fallback engine's unattempted-rung convention. After any update
-    sequence the active preconditioner preconditions the {e edited}
-    matrix — {!Session.solve} always verifies the true residual through
+    Rung selection is automatic; a skipped Local rung is recorded as a
+    {!Robust.Fallback.Skipped} attempt in the report, with its reason,
+    mirroring the fallback engine's unattempted-rung convention. After
+    any update the factor preconditions the {e edited} matrix —
+    {!Session.solve} always verifies the true residual through
     {!Solver.solve_prepared}. *)
 
 module Session : sig
   type t
 
-  type rung = Rhs_only | Local | Low_rank | Full
+  type rung = Rhs_only | Local | Full
 
   val rung_name : rung -> string
 
@@ -51,21 +48,16 @@ module Session : sig
     version : int;  (** session version after this update *)
     rung : rung;  (** the rung that revalidated the preparation *)
     columns : int;  (** columns re-eliminated (Local rung, else 0) *)
-    support : int;  (** pending-delta support size (Low_rank attempts) *)
     skipped : Robust.Fallback.attempt list;
-        (** rungs ruled out by policy, with reasons *)
+        (** the Local rung, with its reason, when Full was taken *)
     t_update : float;  (** wall seconds spent in this update *)
     changes : Sddm.Edit.change list;  (** per-edit classification *)
   }
 
-  val create : ?seed:int -> ?max_fraction:float -> Sddm.Problem.t -> t
+  val create : ?seed:int -> Sddm.Problem.t -> t
   (** Deep-copy [problem] into an editable session and prepare it as
       {!Solver.powerrchol_prepare} does, through the updatable LT-RChol
-      factorization. [seed] defaults to {!Solver.default_seed}.
-      [max_fraction] (default [0.25]) bounds the Local rung: a
-      re-factorization touching more than [max_fraction * n] columns
-      escalates. The Woodbury rung takes edit supports of at most 16
-      nodes. *)
+      factorization. [seed] defaults to {!Solver.default_seed}. *)
 
   val version : t -> int
   (** Starts at [0]; incremented by every {!update}. *)
@@ -80,8 +72,8 @@ module Session : sig
   val update : t -> Sddm.Edit.t list -> update_report
   (** Apply the edits and revalidate. Raises [Invalid_argument] (before
       mutating anything) if an edit is invalid. After return,
-      [prepared t] preconditions the edited matrix regardless of the
-      rung taken. *)
+      [prepared t] preconditions the edited matrix whichever rung was
+      taken. *)
 
   val solve :
     ?rtol:float -> ?max_iter:int -> ?deadline:float -> ?x0:Sparse.Vec.t ->

@@ -52,7 +52,7 @@ val problem : t -> Sddm.Problem.t
 
 val update : t -> Sddm.Edit.t list -> Engine.Session.update_report
 (** Apply grid edits (ECO flow) to the shifted system between marches,
-    through the session's incremental update rungs ({!Engine.Session}).
+    through the session's update rungs ({!Engine.Session}).
     Edits address the {e shifted} matrix: conductance edits mean exactly
     what they do at DC, while [Set_excess node s] sets the node's pad
     conductance {e plus} its [C/h] contribution to [s]. The next

@@ -52,24 +52,3 @@ let ereach a k ~parent ~mark ~stamp ~stack =
         done
       end);
   !top
-
-(* Ancestor closure of a seed set: union of the root-ward paths from every
-   seed. Marked walks make the cost proportional to the output, and [limit]
-   aborts the walk as soon as the closure is provably larger than the
-   caller cares about (the update engine falls back to a full re-prepare
-   beyond a fraction of n, so there is no point finishing the walk). *)
-let reach ~parent ~seeds ~mark ~stamp ~limit =
-  let n = Array.length parent in
-  let count = ref 0 in
-  let exceeded = ref false in
-  Array.iter
-    (fun s ->
-      if s < 0 || s >= n then invalid_arg "Etree.reach: seed out of range";
-      let node = ref s in
-      while (not !exceeded) && !node <> -1 && mark.(!node) <> stamp do
-        mark.(!node) <- stamp;
-        incr count;
-        if !count > limit then exceeded := true else node := parent.(!node)
-      done)
-    seeds;
-  if !exceeded then -1 else !count

@@ -1,9 +1,9 @@
 (** Elimination tree utilities for sparse symmetric factorization
     (Davis, "Direct Methods for Sparse Linear Systems", ch. 4): the tree
-    and row patterns behind the exact {!Chol} factorization, and the
-    ancestor closure that bounds an updatable randomized factor's
-    refactor. The randomized factorization itself needs no tree: its
-    parallel schedule comes from the ordering (see {!Rand_chol}). *)
+    and row patterns behind the exact {!Chol} factorization. The
+    randomized factorization needs no tree: its parallel schedule comes
+    from the ordering, and an updatable factor's refactor closure from
+    its own pattern (see {!Rand_chol}). *)
 
 val etree : Sparse.Csc.t -> int array
 (** [etree a] is the elimination-tree parent array of the symmetric matrix
@@ -18,15 +18,3 @@ val ereach :
     [top]. [mark] must be an int workspace (length n) whose entries differ
     from [stamp] on entry for unvisited nodes; the caller supplies a fresh
     [stamp] per call. [mark.(k)] is set to [stamp]. *)
-
-val reach :
-  parent:int array -> seeds:int array -> mark:int array -> stamp:int ->
-  limit:int -> int
-(** [reach ~parent ~seeds ~mark ~stamp ~limit] marks (with [stamp]) every
-    node on a root-ward path from any seed — the ancestor closure of the
-    seed set, i.e. exactly the columns whose factor values an edit at the
-    seeds can touch — and returns its size. Marked walks keep the cost
-    proportional to the output. Returns [-1] (leaving a partial marking)
-    as soon as the closure exceeds [limit]; [mark] entries must differ
-    from [stamp] on entry. Raises [Invalid_argument] on an out-of-range
-    seed. *)

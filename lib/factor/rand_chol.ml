@@ -621,8 +621,8 @@ let factorize ?(blocks = [||]) ~sort ~sampling ~rng g ~d =
    The pattern of L and every sampling decision (neighbor order, fill
    targets) are frozen at factorization time; editing edge weights or the
    excess diagonal re-runs only the {e arithmetic} of the elimination, on
-   exactly the columns whose values can change — the ancestor closure of
-   the edited columns in the factor's elimination structure. No RNG is
+   exactly the columns whose values can change — the closure of the
+   edited columns under L's subdiagonal pattern. No RNG is
    consumed, so a refactor is deterministic and leaves every other
    column's values bit-identical.
 
@@ -659,7 +659,6 @@ type updatable = {
   u_rec : recorder;
   u_ft_ptr : int array;  (* n+1: live fill slots grouped by target column *)
   u_ft_idx : int array;
-  u_parent : int array;  (* etree of the factor: min subdiagonal row *)
   (* row index of L's strictly lower part: row i's entries, ascending by
      column, are L(i, u_row_cols.(p)) at storage position u_row_pos.(p),
      for p in u_row_ptr.(i) .. u_row_ptr.(i+1) - 1 *)
@@ -728,20 +727,15 @@ let factorize_updatable ?(blocks = [||]) ~sort ~sampling ~rng g ~d =
       fcursor.(a) <- fcursor.(a) + 1
     end
   done;
-  (* factor etree (parent = min subdiagonal row of the column) and the
-     row counts of L's strictly lower part *)
-  let parent = Array.make n (-1) in
+  (* the row counts of L's strictly lower part *)
   let row_ptr = Array.make (n + 1) 0 in
   let col_ptr = l.Lower.col_ptr and rows = l.Lower.rows in
   let open Sparse.Idx.Ops in
   for j = 0 to n - 1 do
-    let p = ref max_int in
     for q = col_ptr.%(j) + 1 to col_ptr.%(j + 1) - 1 do
       let i = rows.%(q) in
-      if i < !p then p := i;
       row_ptr.(i + 1) <- row_ptr.(i + 1) + 1
-    done;
-    if !p < max_int then parent.(j) <- !p
+    done
   done;
   for i = 1 to n do
     row_ptr.(i) <- row_ptr.(i) + row_ptr.(i - 1)
@@ -775,7 +769,6 @@ let factorize_updatable ?(blocks = [||]) ~sort ~sampling ~rng g ~d =
     u_rec = r;
     u_ft_ptr = ft_ptr;
     u_ft_idx = ft_idx;
-    u_parent = parent;
     u_row_ptr = row_ptr;
     u_row_cols = row_cols;
     u_row_pos = row_pos;
@@ -789,7 +782,6 @@ let factorize_updatable ?(blocks = [||]) ~sort ~sampling ~rng g ~d =
   }
 
 let factor u = u.u_l
-let parent u = u.u_parent
 let find_edge u i j = Hashtbl.find_opt u.u_edge_of (min i j, max i j)
 let edge_weight u e = u.u_ews.(e)
 let excess u i = u.u_ed.(i)
@@ -811,144 +803,118 @@ let set_excess u i s =
     u.u_dirty <- i :: u.u_dirty
   end
 
-type refactor_outcome =
-  | Refactored of { columns : int }
-  | Too_large of { limit : int }
-
-(* The exact closure sweep: extend the seed marking through the factor's
-   column patterns in one ascending pass (column k's values feed every
-   subdiagonal row of column k — both the excess-diagonal bump and the
-   fill edges land inside that row set). The etree walk is a cheap
-   output-bounded upper-b... lower bound used to abort early: the etree
-   ancestor union is always a subset of the exact closure, so if it
-   already exceeds the limit there is nothing to sweep. *)
-let refactor u ~max_fraction =
+(* The closure sweep: mark the seeds, then extend the marking through the
+   factor's column patterns in one ascending pass (column k's values feed
+   every subdiagonal row of column k — both the excess-diagonal bump and
+   the fill edges land inside that row set). The marked columns are
+   exactly those whose values the edits can change. *)
+let refactor u =
   match u.u_dirty with
-  | [] -> Refactored { columns = 0 }
-  | seeds_list ->
+  | [] -> 0
+  | seeds ->
     let n = u.u_n in
     let l = u.u_l in
-    let limit =
-      max 1 (int_of_float (max_fraction *. float_of_int n))
-    in
-    let seeds = Array.of_list seeds_list in
     u.u_stamp <- u.u_stamp + 1;
     let stamp = u.u_stamp in
-    let est =
-      Etree.reach ~parent:u.u_parent ~seeds ~mark:u.u_mark ~stamp ~limit
-    in
-    if est < 0 then Too_large { limit }
-    else begin
-      let col_ptr = l.Lower.col_ptr and rows = l.Lower.rows in
-      let open Sparse.Idx.Ops in
-      let kmin = Array.fold_left min seeds.(0) seeds in
-      let count = ref 0 in
-      let over = ref false in
-      let scols = ref (Array.make 64 0) in
-      let k = ref kmin in
-      while (not !over) && !k < n do
-        if u.u_mark.(!k) = stamp then begin
-          if !count = Array.length !scols then begin
-            let bigger = Array.make (2 * !count) 0 in
-            Array.blit !scols 0 bigger 0 !count;
-            scols := bigger
-          end;
-          !scols.(!count) <- !k;
-          incr count;
-          if !count > limit then over := true
-          else
-            for q = col_ptr.%(!k) + 1 to col_ptr.%(!k + 1) - 1 do
-              u.u_mark.(rows.%(q)) <- stamp
-            done
+    List.iter (fun s -> u.u_mark.(s) <- stamp) seeds;
+    let col_ptr = l.Lower.col_ptr and rows = l.Lower.rows in
+    let open Sparse.Idx.Ops in
+    let count = ref 0 in
+    let scols = ref (Array.make 64 0) in
+    for k = List.fold_left min n seeds to n - 1 do
+      if u.u_mark.(k) = stamp then begin
+        if !count = Array.length !scols then begin
+          let bigger = Array.make (2 * !count) 0 in
+          Array.blit !scols 0 bigger 0 !count;
+          scols := bigger
         end;
-        incr k
-      done;
-      if !over then Too_large { limit }
-      else begin
-        let cols = Array.sub !scols 0 !count in
-        let emit kc buf =
-          let lo = col_ptr.%(kc) and hi = col_ptr.%(kc + 1) in
-          let m = hi - lo - 1 in
-          let wval = u.u_wval and wmark = u.u_wmark in
-          let fill = u.u_rec.r_fill in
-          (* gather current neighbor weights over the frozen pattern *)
-          u.u_wstamp <- u.u_wstamp + 1;
-          let wtag = u.u_wstamp in
-          let touch i w =
-            if wmark.(i) = wtag then wval.(i) <- wval.(i) +. w
-            else begin
-              wmark.(i) <- wtag;
-              wval.(i) <- w
-            end
-          in
-          for q = u.u_base_ptr.(kc) to u.u_base_ptr.(kc + 1) - 1 do
-            touch u.u_base_rows.(q) u.u_ews.(u.u_base_widx.(q))
-          done;
-          for t = u.u_ft_ptr.(kc) to u.u_ft_ptr.(kc + 1) - 1 do
-            let s = u.u_ft_idx.(t) in
-            touch fill.ids.((2 * s) + 1) fill.vals.(s)
-          done;
-          (* running excess diagonal: base excess plus the bump from every
-             earlier column whose pattern contains kc (= row kc of L,
-             ascending by column) *)
-          let ldiag = Lower.diag l in
-          let acc = ref u.u_ed.(kc) in
-          for p = u.u_row_ptr.(kc) to u.u_row_ptr.(kc + 1) - 1 do
-            let s = u.u_row_cols.(p) in
-            let lks = Sparse.Vec.get l.Lower.vals u.u_row_pos.(p) in
-            acc :=
-              !acc
-              +. (-.lks *. u.u_rec.r_d_exc.(s) /. Sparse.Vec.get ldiag s)
-          done;
-          let dvec = !acc in
-          (* pivot over the stored pattern order *)
-          let d_k = ref dvec in
-          for q = lo + 1 to hi - 1 do
-            let i = rows.%(q) in
-            if wmark.(i) <> wtag then begin
-              (* a frozen-pattern neighbor whose every contributing edge
-                 now has zero weight still occupies its slot *)
-              wmark.(i) <- wtag;
-              wval.(i) <- 0.0
-            end;
-            d_k := !d_k +. wval.(i)
-          done;
-          let d_k = !d_k in
-          if not (d_k > 0.0 && d_k < infinity) then
-            raise (Breakdown { column = kc; pivot = d_k });
-          let sqrt_dk = sqrt d_k in
-          Sparse.Vec.set buf 0 sqrt_dk;
-          for q = lo + 1 to hi - 1 do
-            Sparse.Vec.set buf (q - lo) (-.wval.(rows.%(q)) /. sqrt_dk)
-          done;
-          u.u_rec.r_d_elim.(kc) <- d_k;
-          u.u_rec.r_d_exc.(kc) <- dvec;
-          (* refresh this column's fill-edge weights from the new prefix
-             sums; dropped slots stay dropped (frozen pattern) *)
-          if m > 1 then begin
-            if Array.length u.u_pfs < m then
-              u.u_pfs <- Array.make (max (2 * m) 16) 0.0;
-            let pfs = u.u_pfs in
-            let acc = ref 0.0 in
-            for q = 0 to m - 1 do
-              acc := !acc +. wval.(rows.%(lo + 1 + q));
-              pfs.(q) <- !acc
-            done;
-            let total = pfs.(m - 1) in
-            let slot0 = u.u_rec.r_fill_ptr.(kc) in
-            for j = 0 to m - 2 do
-              let s = slot0 + j in
-              if fill.ids.(2 * s) >= 0 then begin
-                let w_new =
-                  (total -. pfs.(j)) *. wval.(rows.%(lo + 1 + j)) /. d_k
-                in
-                fill.vals.(s) <- Float.max w_new 0.0
-              end
-            done
-          end
-        in
-        Lower.refactor_columns l ~cols ~emit;
-        u.u_dirty <- [];
-        Refactored { columns = !count }
+        !scols.(!count) <- k;
+        incr count;
+        for q = col_ptr.%(k) + 1 to col_ptr.%(k + 1) - 1 do
+          u.u_mark.(rows.%(q)) <- stamp
+        done
       end
-    end
+    done;
+    let cols = Array.sub !scols 0 !count in
+    let emit kc buf =
+      let lo = col_ptr.%(kc) and hi = col_ptr.%(kc + 1) in
+      let m = hi - lo - 1 in
+      let wval = u.u_wval and wmark = u.u_wmark in
+      let fill = u.u_rec.r_fill in
+      (* gather current neighbor weights over the frozen pattern *)
+      u.u_wstamp <- u.u_wstamp + 1;
+      let wtag = u.u_wstamp in
+      let touch i w =
+        if wmark.(i) = wtag then wval.(i) <- wval.(i) +. w
+        else begin
+          wmark.(i) <- wtag;
+          wval.(i) <- w
+        end
+      in
+      for q = u.u_base_ptr.(kc) to u.u_base_ptr.(kc + 1) - 1 do
+        touch u.u_base_rows.(q) u.u_ews.(u.u_base_widx.(q))
+      done;
+      for t = u.u_ft_ptr.(kc) to u.u_ft_ptr.(kc + 1) - 1 do
+        let s = u.u_ft_idx.(t) in
+        touch fill.ids.((2 * s) + 1) fill.vals.(s)
+      done;
+      (* running excess diagonal: base excess plus the bump from every
+         earlier column whose pattern contains kc (= row kc of L,
+         ascending by column) *)
+      let ldiag = Lower.diag l in
+      let acc = ref u.u_ed.(kc) in
+      for p = u.u_row_ptr.(kc) to u.u_row_ptr.(kc + 1) - 1 do
+        let s = u.u_row_cols.(p) in
+        let lks = Sparse.Vec.get l.Lower.vals u.u_row_pos.(p) in
+        acc := !acc +. (-.lks *. u.u_rec.r_d_exc.(s) /. Sparse.Vec.get ldiag s)
+      done;
+      let dvec = !acc in
+      (* pivot over the stored pattern order *)
+      let d_k = ref dvec in
+      for q = lo + 1 to hi - 1 do
+        let i = rows.%(q) in
+        if wmark.(i) <> wtag then begin
+          (* a frozen-pattern neighbor whose every contributing edge
+             now has zero weight still occupies its slot *)
+          wmark.(i) <- wtag;
+          wval.(i) <- 0.0
+        end;
+        d_k := !d_k +. wval.(i)
+      done;
+      let d_k = !d_k in
+      if not (d_k > 0.0 && d_k < infinity) then
+        raise (Breakdown { column = kc; pivot = d_k });
+      let sqrt_dk = sqrt d_k in
+      Sparse.Vec.set buf 0 sqrt_dk;
+      for q = lo + 1 to hi - 1 do
+        Sparse.Vec.set buf (q - lo) (-.wval.(rows.%(q)) /. sqrt_dk)
+      done;
+      u.u_rec.r_d_elim.(kc) <- d_k;
+      u.u_rec.r_d_exc.(kc) <- dvec;
+      (* refresh this column's fill-edge weights from the new prefix
+         sums; dropped slots stay dropped (frozen pattern) *)
+      if m > 1 then begin
+        if Array.length u.u_pfs < m then
+          u.u_pfs <- Array.make (max (2 * m) 16) 0.0;
+        let pfs = u.u_pfs in
+        let acc = ref 0.0 in
+        for q = 0 to m - 1 do
+          acc := !acc +. wval.(rows.%(lo + 1 + q));
+          pfs.(q) <- !acc
+        done;
+        let total = pfs.(m - 1) in
+        let slot0 = u.u_rec.r_fill_ptr.(kc) in
+        for j = 0 to m - 2 do
+          let s = slot0 + j in
+          if fill.ids.(2 * s) >= 0 then begin
+            let w_new =
+              (total -. pfs.(j)) *. wval.(rows.%(lo + 1 + j)) /. d_k
+            in
+            fill.vals.(s) <- Float.max w_new 0.0
+          end
+        done
+      end
+    in
+    Lower.refactor_columns l ~cols ~emit;
+    u.u_dirty <- [];
+    !count

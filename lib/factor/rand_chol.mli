@@ -89,10 +89,10 @@ val expected_clique_weight : d_k:float -> w_i:float -> w_j:float -> float
     elimination record (pivots, running excess diagonals, fill-edge
     weights grouped by source and by target column) to re-run only the
     {e arithmetic} of the elimination after an edge-weight or
-    excess-diagonal edit. A refactor touches exactly the ancestor closure
-    of the edited columns in the factor's structure, consumes no
+    excess-diagonal edit. A refactor touches exactly the closure of the
+    edited columns under the factor's subdiagonal pattern, consumes no
     randomness, and leaves every other column bit-identical — the basis
-    of the session layer's etree-local update rung. *)
+    of the session layer's local update rung. *)
 
 type updatable
 
@@ -110,10 +110,6 @@ val factor : updatable -> Lower.t
 (** The live factor. Its values are mutated in place by {!refactor};
     the {!Lower.t} handle itself stays valid across updates, so a
     preconditioner built from it keeps working after a refactor. *)
-
-val parent : updatable -> int array
-(** The factor's elimination tree (parent = least subdiagonal row of each
-    column; roots [-1]). Do not mutate. *)
 
 val find_edge : updatable -> int -> int -> int option
 (** Slot of the coalesced edge between two vertices, if present in the
@@ -134,27 +130,17 @@ val set_excess : updatable -> int -> float -> unit
 val dirty : updatable -> bool
 (** Whether any staged edit awaits a {!refactor}. *)
 
-type refactor_outcome =
-  | Refactored of { columns : int }
-      (** The factor now satisfies the elimination recurrence for the
-          edited inputs with the frozen structural choices (up to
-          floating-point re-association); [columns] were recomputed.
-          Note this is {e not} what a fresh {!factorize} would produce —
-          sorting and sampling decisions depend on the values — but it is
-          an equally valid randomized factorization of the edited
-          matrix. *)
-  | Too_large of { limit : int }
-      (** The ancestor closure of the dirty columns exceeds [limit]
-          columns; nothing was changed and the edits stay staged — the
-          caller should fall back to a full re-factorization. *)
-
-val refactor : updatable -> max_fraction:float -> refactor_outcome
+val refactor : updatable -> int
 (** Apply all staged edits by recomputing the values of the affected
-    columns in ascending order. [max_fraction] bounds the work:
-    closures larger than [max_fraction * n] columns return [Too_large]
-    without touching the factor. May raise {!Breakdown} if an edit makes
-    a pivot nonpositive (the factor is then partially updated — escalate
-    to a full re-factorization).
+    columns in ascending order, and return how many columns were
+    recomputed ([0] when nothing was staged). The factor then satisfies
+    the elimination recurrence for the edited inputs with the frozen
+    structural choices (up to floating-point re-association). This is {e not} what a fresh {!factorize} would
+    produce — sorting and sampling decisions depend on the values — but
+    it is an equally valid randomized factorization of the edited
+    matrix. May raise {!Breakdown} if an edit makes a pivot nonpositive
+    (the factor is then partially updated — escalate to a full
+    re-factorization).
 
     The closure re-eliminates sequentially, one column at a time through
     {!Lower.refactor_columns}, at every domain count. Its values are a

@@ -74,3 +74,24 @@ let of_factor ?(name = "factor") ~perm l =
 
 let of_apply ~name ~nnz apply =
   { name; nnz; scratch_len = 0; apply = (fun ?scratch:_ r z -> apply r z) }
+
+(* A mutex-guarded free list: each application takes a workspace nobody
+   else holds and hands it back when done. A workspace lost to an
+   exception is only garbage; the next taker builds a fresh one. *)
+type 'w pool = { make : unit -> 'w; lock : Mutex.t; mutable free : 'w list }
+
+let pool make = { make; lock = Mutex.create (); free = [] }
+
+let with_pooled p f =
+  let spare =
+    Mutex.protect p.lock (fun () ->
+        match p.free with
+        | w :: rest ->
+          p.free <- rest;
+          Some w
+        | [] -> None)
+  in
+  let w = match spare with Some w -> w | None -> p.make () in
+  let result = f w in
+  Mutex.protect p.lock (fun () -> p.free <- w :: p.free);
+  result

@@ -6,11 +6,12 @@
 
     {b Reentrancy.} A [t] value holds no mutable application state: two
     interleaved or concurrent [apply] calls never corrupt each other.
-    Applications that need workspace (the triangular-solve path of
-    {!of_factor}) either use the caller-provided [~scratch] buffer or
-    allocate a fresh one per call. The PCG workspace ({!Pcg.Workspace.t})
-    owns a scratch buffer precisely so the hot loop pays no per-apply
-    allocation. *)
+    Applications that need workspace either use the caller-provided
+    [~scratch] buffer or allocate a fresh one per call (the
+    triangular-solve path of {!of_factor}), or take one from a {!pool}
+    that no other running application holds (AMG, Schwarz). The PCG
+    workspace ({!Pcg.Workspace.t}) owns a scratch buffer precisely so the
+    hot loop pays no per-apply allocation. *)
 
 type t = {
   name : string;
@@ -45,4 +46,20 @@ val of_apply :
   name:string -> nnz:int -> (Sparse.Vec.t -> Sparse.Vec.t -> unit) -> t
 (** Wrap an arbitrary application function (used by the AMG V-cycle and
     the Schwarz preconditioner); the wrapped function manages its own
-    state, so [scratch_len = 0]. *)
+    state, so [scratch_len = 0], and keeps the reentrancy promise above
+    itself, as those two do through {!with_pooled}. *)
+
+(** {1 Pooled workspaces} *)
+
+type 'w pool
+(** Workspaces of one kind (the AMG V-cycle's per-level vectors,
+    Schwarz's per-block right-hand sides), built on demand. *)
+
+val pool : (unit -> 'w) -> 'w pool
+(** An empty pool whose workspaces [make ()] builds. *)
+
+val with_pooled : 'w pool -> ('w -> 'a) -> 'a
+(** [with_pooled p f] runs [f] on a workspace that no other running [f]
+    holds (a free one, else a fresh one) and returns it to [p]
+    afterwards. Safe across threads and domains; a sequential caller
+    builds one workspace, on its first call. *)

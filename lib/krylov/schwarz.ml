@@ -32,7 +32,6 @@ let blocks ?(block_size = 512) g =
 type block = {
   members : int array;  (* global indices, including overlap *)
   factor : Factor.Lower.t;
-  local_r : Sparse.Vec.t;
 }
 
 let grow_overlap g ~overlap ~members ~mark ~stamp =
@@ -97,25 +96,32 @@ let preconditioner ?(block_size = 512) ?(overlap = 1) p =
               (Sparse.Csc.add sub
                  (Sparse.Csc.scale (Sparse.Csc.identity k) eps))
         in
-        { members; factor; local_r = Sparse.Vec.create (Array.length members) })
+        { members; factor })
       partition
   in
   let nnz =
     Array.fold_left (fun acc b -> acc + Factor.Lower.nnz b.factor) 0 built
   in
+  (* one local right-hand side per block, per application *)
+  let locals =
+    Precond.pool (fun () ->
+        Array.map (fun b -> Sparse.Vec.create (Array.length b.members)) built)
+  in
   let apply (r : Sparse.Vec.t) (z : Sparse.Vec.t) =
     Sparse.Vec.fill z 0.0;
-    Array.iter
-      (fun b ->
-        let k = Array.length b.members in
-        for li = 0 to k - 1 do
-          b.local_r.{li} <- r.{b.members.(li)}
-        done;
-        Factor.Lower.solve_in_place b.factor b.local_r;
-        Factor.Lower.solve_transpose_in_place b.factor b.local_r;
-        for li = 0 to k - 1 do
-          z.{b.members.(li)} <- z.{b.members.(li)} +. b.local_r.{li}
-        done)
-      built
+    Precond.with_pooled locals (fun local_rs ->
+        Array.iteri
+          (fun i b ->
+            let local_r = local_rs.(i) in
+            let k = Array.length b.members in
+            for li = 0 to k - 1 do
+              local_r.{li} <- r.{b.members.(li)}
+            done;
+            Factor.Lower.solve_in_place b.factor local_r;
+            Factor.Lower.solve_transpose_in_place b.factor local_r;
+            for li = 0 to k - 1 do
+              z.{b.members.(li)} <- z.{b.members.(li)} +. local_r.{li}
+            done)
+          built)
   in
   Precond.of_apply ~name:"schwarz" ~nnz apply

@@ -48,5 +48,6 @@ val storm :
     dimensions. *)
 
 val max_support : scenario array -> int
-(** Largest number of distinct matrix nodes any single scenario touches —
-    the bench gate uses it to assert edits stay local (≤ 16 nodes). *)
+(** Largest number of distinct matrix nodes any single scenario touches,
+    as [pgsolve edit-storm] prints it and the [edits] bench section
+    records it. *)

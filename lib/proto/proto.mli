@@ -127,8 +127,7 @@ type response =
               updates *)
       version : int;  (** session version after the update *)
       rung : string;
-          (** update rung taken: [rhs-only] / [local] / [low-rank] /
-              [full] *)
+          (** update rung taken: [rhs-only] / [local] / [full] *)
       iterations : int;
       residual : float;  (** true relative residual of the re-solve *)
       converged : bool;

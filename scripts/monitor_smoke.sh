@@ -7,6 +7,8 @@
 #     (compare.exe --prom, plus promtool check metrics when installed);
 #   - pgclient metrics --prom renders the same exposition client-side;
 #   - anything else on the metrics listener gets a 404;
+#   - a matrix edit over the wire refactors in place, and the scrape
+#     counts it under pgserve_rung_local_total;
 #   - the access log is valid JSONL with one line per request, required
 #     fields present, and globally unique request ids
 #     (compare.exe --access-log);
@@ -85,7 +87,8 @@ if [ -z "$METRICS_PORT" ]; then
 fi
 note "ok: metrics listener on port $METRICS_PORT"
 
-# real traffic: solves (cached + robust), an update, typed failures
+# real traffic: solves (cached + robust), a load and a matrix update,
+# typed failures
 check "solve pg01" 0 -- "$PGCLIENT" solve --case pg01 --scale 0.05 -c "$ADDR"
 check_cached "solve again (cached)" -- \
   "$PGCLIENT" solve --case pg01 --scale 0.05 -c "$ADDR"
@@ -93,6 +96,9 @@ check "robust solve" 0 -- \
   "$PGCLIENT" solve --case pg01 --scale 0.05 --robust -c "$ADDR"
 check "eco update" 0 -- \
   "$PGCLIENT" update --case pg01 --scale 0.05 --edit set-load:3:0.02 -c "$ADDR"
+check "eco matrix edit" 0 -- \
+  "$PGCLIENT" update --case pg01 --scale 0.05 \
+  --edit scale-conductance:3:4:2.0 -c "$ADDR"
 check "unknown case -> typed failure" 1 -- \
   "$PGCLIENT" solve --case pg99 -c "$ADDR"
 check "expired deadline -> timed out" 4 -- \
@@ -136,6 +142,15 @@ for family in pgserve_requests_total pgserve_request_latency_seconds_bucket \
     fail=1
   fi
 done
+
+# the matrix edit took the local rung: one in-place refactor, no re-prepare
+local_updates=$(sed -n 's/^pgserve_rung_local_total \([0-9.]*\)$/\1/p' "$SCRAPE")
+if [ "$local_updates" = "1" ]; then
+  note "ok: scrape counts the matrix edit under pgserve_rung_local_total"
+else
+  note "FAIL: pgserve_rung_local_total is '$local_updates', wanted 1"
+  fail=1
+fi
 
 # anything but /metrics is a 404
 if command -v curl >/dev/null 2>&1; then

@@ -51,6 +51,49 @@ let test_solve_many_bit_identical () =
   Alcotest.(check bool) "batch matches Solver.run" true
     (fresh.Solver.x = batch.(0).Solver.x)
 
+let with_domains d f =
+  Fun.protect
+    ~finally:(fun () -> Par.set_default_domains (Par.recommended_domains ()))
+    (fun () ->
+      Par.set_default_domains d;
+      f ())
+
+let test_solve_many_domains_bit_identical () =
+  (* At two domains a batch's chunks apply one preconditioner at once, so
+     any application state they shared would move a bit here. *)
+  let p = grid_problem ~nx:60 ~ny:60 ~seed:7171 () in
+  let n = Sddm.Problem.n p in
+  let rng = Rng.create 31 in
+  let bs = Array.init 8 (fun _ -> random_rhs ~rng n) in
+  List.iter
+    (fun (solver : Solver.t) ->
+      let prepared = solver.Solver.prepare p in
+      let batch d = with_domains d (fun () -> Solver.solve_many prepared bs) in
+      let seq = batch 1 and par = batch 2 in
+      Array.iteri
+        (fun k (r : Solver.result) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s rhs %d: 2 domains = 1 domain (%d vs %d its)"
+               solver.Solver.name k par.(k).Solver.iterations
+               r.Solver.iterations)
+            true
+            (r.Solver.x = par.(k).Solver.x
+            && r.Solver.iterations = par.(k).Solver.iterations))
+        seq)
+    [
+      Solver.powerrchol ();
+      Solver.rchol ();
+      Solver.lt_rchol ();
+      Solver.rand_chol_custom ~name:"exact-shared"
+        ~sort:Factor.Rand_chol.Exact_sort
+        ~sampling:Factor.Rand_chol.Shared_random ~ordering:Solver.Amd ();
+      Solver.fegrass ();
+      Solver.fegrass_ichol ();
+      Solver.amg_pcg ();
+      Solver.direct ();
+      Solver.jacobi ();
+    ]
+
 let test_prepared_reuse_identical () =
   let p = grid_problem ~seed:5151 () in
   let prepared = Solver.powerrchol_prepare p in
@@ -227,9 +270,7 @@ let test_session_rhs_only_rung () =
 
 let test_session_local_rung_matches_scratch () =
   let p = grid_problem ~nx:16 ~ny:16 ~seed:8202 () in
-  (* max_fraction 1.0: the etree-local rung always gets the budget, so a
-     value-only edit must take it *)
-  let s = Session.create ~max_fraction:1.0 p in
+  let s = Session.create p in
   let u, v = find_edge_of p in
   let edits =
     [
@@ -257,52 +298,51 @@ let test_session_local_rung_matches_scratch () =
     true
     (max_abs_diff r.Solver.x ref_r.Solver.x < 1e-5)
 
-let test_session_low_rank_rung () =
-  let p = grid_problem ~nx:16 ~ny:16 ~seed:8303 () in
-  (* max_fraction 0: the local rung's budget is one column, so any real
-     edit overflows it and the small-support Woodbury rung must catch *)
-  let s = Session.create ~max_fraction:0.0 p in
-  let u, v = find_edge_of p in
-  let edits = [ Sddm.Edit.Scale_conductance { u; v; factor = 3.0 } ] in
-  let report = Engine.update s edits in
-  Alcotest.(check bool) "low-rank rung" true
-    (report.Session.rung = Session.Low_rank);
-  Alcotest.(check int) "support is the two endpoints" 2
-    report.Session.support;
-  Alcotest.(check bool) "local rung skipped with reason" true
-    (match report.Session.skipped with
-     | [ { Robust.Fallback.rung = "local"; failure = Robust.Fallback.Skipped _ } ]
-       -> true
-     | _ -> false);
-  let r = Session.solve s in
-  let edited, ref_r = scratch_solve p edits in
-  let true_res = Sddm.Problem.residual_norm edited r.Solver.x in
-  Alcotest.(check bool) "converged" true r.Solver.converged;
+let test_session_local_at_any_closure () =
+  (* On a small grid a single edit's closure can exceed a quarter of the
+     columns. Single-edge edits spread over the edge list, then one batch
+     of twenty, all refactor in place, and every re-solve answers the
+     edited system. *)
+  let p = (Powergrid.Suite.find ~scale:0.1 "pg01").Powergrid.Suite.build () in
+  let n = Sddm.Problem.n p in
+  let edges = ref [] in
+  Sddm.Graph.iter_edges p.Sddm.Problem.graph (fun u v w ->
+      if w > 0.0 then edges := (u, v) :: !edges);
+  let edges = Array.of_list (List.rev !edges) in
+  let m = Array.length edges in
+  let scale k factor =
+    let u, v = edges.(k * m / 20 mod m) in
+    Sddm.Edit.Scale_conductance { u; v; factor }
+  in
+  let batches =
+    List.init 12 (fun k -> [ scale k 2.0 ])
+    @ [ List.init 20 (fun k -> scale (k + 3) 0.5) ]
+  in
+  let s = Session.create p in
+  let history = ref [] and widest = ref 0 in
+  List.iteri
+    (fun i edits ->
+      let report = Engine.update s edits in
+      history := !history @ edits;
+      Alcotest.(check string)
+        (Printf.sprintf "update %d: rung" i)
+        "local"
+        (Session.rung_name report.Session.rung);
+      widest := max !widest report.Session.columns;
+      let r = Session.solve s in
+      let res =
+        Sddm.Problem.residual_norm
+          (Sddm.Edit.edited_problem p !history)
+          r.Solver.x
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "update %d: true residual %.3e <= 1e-5" i res)
+        true (res <= 1e-5))
+    batches;
   Alcotest.(check bool)
-    (Printf.sprintf "true residual %.3e <= 1e-5" true_res)
-    true (true_res <= 1e-5);
-  Alcotest.(check bool)
-    (Printf.sprintf "matches scratch (diff %.3e)"
-       (max_abs_diff r.Solver.x ref_r.Solver.x))
+    (Printf.sprintf "widest closure %d columns > n/4 = %d" !widest (n / 4))
     true
-    (max_abs_diff r.Solver.x ref_r.Solver.x < 1e-5);
-  (* deltas accumulate: a second edit through the same rung still
-     preconditions the doubly-edited matrix *)
-  let edits2 = [ Sddm.Edit.Set_excess { node = v; siemens = 0.25 } ] in
-  let report2 = Engine.update s edits2 in
-  Alcotest.(check bool) "still low-rank" true
-    (report2.Session.rung = Session.Low_rank);
-  let r2 = Session.solve s in
-  let edited2, ref2 = scratch_solve p (edits @ edits2) in
-  let res2 = Sddm.Problem.residual_norm edited2 r2.Solver.x in
-  Alcotest.(check bool)
-    (Printf.sprintf "accumulated true residual %.3e <= 1e-5" res2)
-    true (res2 <= 1e-5);
-  Alcotest.(check bool)
-    (Printf.sprintf "accumulated matches scratch (diff %.3e)"
-       (max_abs_diff r2.Solver.x ref2.Solver.x))
-    true
-    (max_abs_diff r2.Solver.x ref2.Solver.x < 1e-5)
+    (!widest > n / 4)
 
 let test_session_full_rung_bit_identical () =
   let p = grid_problem ~nx:12 ~ny:12 ~seed:8404 () in
@@ -313,7 +353,7 @@ let test_session_full_rung_bit_identical () =
   let edits = [ Sddm.Edit.Add_resistor { u = 0; v = n - 1; siemens = 2.0 } ] in
   let report = Engine.update s edits in
   Alcotest.(check bool) "full rung" true (report.Session.rung = Session.Full);
-  Alcotest.(check int) "both incremental rungs skipped" 2
+  Alcotest.(check int) "the local rung skipped" 1
     (List.length report.Session.skipped);
   Alcotest.(check bool) "workspace survives the re-prepare" true
     ((Session.prepared s).Solver.workspace == ws0);
@@ -517,6 +557,8 @@ let () =
             test_solve_many_bit_identical;
           Alcotest.test_case "prepared handle reuse" `Quick
             test_prepared_reuse_identical;
+          Alcotest.test_case "every solver bit-identical at 2 domains" `Quick
+            test_solve_many_domains_bit_identical;
         ] );
       ( "transient",
         [
@@ -546,8 +588,8 @@ let () =
           Alcotest.test_case "rhs-only rung" `Quick test_session_rhs_only_rung;
           Alcotest.test_case "local rung matches scratch" `Quick
             test_session_local_rung_matches_scratch;
-          Alcotest.test_case "low-rank rung matches scratch" `Quick
-            test_session_low_rank_rung;
+          Alcotest.test_case "local rung at any closure size" `Quick
+            test_session_local_at_any_closure;
           Alcotest.test_case "full rung bit-identical" `Quick
             test_session_full_rung_bit_identical;
           Alcotest.test_case "edit storm stays correct" `Quick

@@ -531,15 +531,9 @@ let test_updatable_local_matches_global () =
       Factor.Rand_chol.set_excess u 40 3.0)
     [ u1; u2 ];
   mark_all_dirty u2;
-  let local_cols =
-    match Factor.Rand_chol.refactor u1 ~max_fraction:1.0 with
-    | Factor.Rand_chol.Refactored { columns } -> columns
-    | Factor.Rand_chol.Too_large _ -> Alcotest.fail "local refactor refused"
-  in
-  (match Factor.Rand_chol.refactor u2 ~max_fraction:1.0 with
-  | Factor.Rand_chol.Refactored { columns } ->
-    Alcotest.(check int) "global refactor touches every column" 200 columns
-  | Factor.Rand_chol.Too_large _ -> Alcotest.fail "global refactor refused");
+  let local_cols = Factor.Rand_chol.refactor u1 in
+  Alcotest.(check int) "global refactor touches every column" 200
+    (Factor.Rand_chol.refactor u2);
   Alcotest.(check bool) "local closure bounded by n" true (local_cols <= 200);
   Alcotest.(check bool) "edits consumed" true
     (not (Factor.Rand_chol.dirty u1));
@@ -559,16 +553,9 @@ let test_updatable_exact_on_tree () =
   let u = Factor.Lt_rchol.factorize_updatable ~rng:(Rng.create 11) g ~d in
   let e = edge_slot u (0, 1) in
   Factor.Rand_chol.set_edge_weight u e 5.0;
-  (* editing the first edge touches every ancestor: a tight budget refuses *)
-  (match Factor.Rand_chol.refactor u ~max_fraction:0.05 with
-  | Factor.Rand_chol.Too_large _ -> ()
-  | Factor.Rand_chol.Refactored _ -> Alcotest.fail "expected Too_large");
-  Alcotest.(check bool) "edits stay staged after refusal" true
-    (Factor.Rand_chol.dirty u);
-  (match Factor.Rand_chol.refactor u ~max_fraction:1.0 with
-  | Factor.Rand_chol.Refactored { columns } ->
-    Alcotest.(check int) "closure is the whole path" n columns
-  | Factor.Rand_chol.Too_large _ -> Alcotest.fail "refactor refused");
+  (* editing the first edge touches every later column of the path *)
+  Alcotest.(check int) "closure is the whole path" n
+    (Factor.Rand_chol.refactor u);
   let edited =
     Sddm.Graph.create ~n
       ~edges:
@@ -604,9 +591,7 @@ let test_updatable_preconditions_after_edits () =
   Factor.Rand_chol.set_edge_weight u (edge_slot u strengthen) 50.0;
   Factor.Rand_chol.set_edge_weight u (edge_slot u remove) 0.0;
   Factor.Rand_chol.set_excess u (n / 2) 2.0;
-  (match Factor.Rand_chol.refactor u ~max_fraction:1.0 with
-  | Factor.Rand_chol.Refactored _ -> ()
-  | Factor.Rand_chol.Too_large _ -> Alcotest.fail "refactor refused");
+  ignore (Factor.Rand_chol.refactor u);
   let edited_edges =
     Array.of_list
       (List.filter_map
@@ -644,7 +629,7 @@ let test_updatable_breakdown_on_unground () =
      refactor must surface a typed Breakdown, not silently succeed *)
   Factor.Rand_chol.set_excess u 0 0.0;
   Alcotest.(check bool) "raises Breakdown" true
-    (match Factor.Rand_chol.refactor u ~max_fraction:1.0 with
+    (match Factor.Rand_chol.refactor u with
     | _ -> false
     | exception Factor.Rand_chol.Breakdown { pivot; _ } -> not (pivot > 0.0))
 
@@ -719,10 +704,7 @@ let schedule_variants ~refactor_at =
             let k = refactor_at mod Array.length d in
             Factor.Rand_chol.set_excess u k
               (Factor.Rand_chol.excess u k +. 0.25);
-            (match Factor.Rand_chol.refactor u ~max_fraction:1.0 with
-            | Factor.Rand_chol.Refactored _ -> ()
-            | Factor.Rand_chol.Too_large _ ->
-              Alcotest.fail "unexpected Too_large");
+            ignore (Factor.Rand_chol.refactor u);
             Factor.Rand_chol.factor u) );
   ]
 
@@ -1007,13 +989,11 @@ let test_refactor_bit_identical_across_domains () =
             Factor.Rand_chol.set_excess u k
               (Factor.Rand_chol.excess u k +. 0.25))
           [ 3; n / 4; n / 2; (3 * n) / 4 ];
-        (match Factor.Rand_chol.refactor u ~max_fraction:1.0 with
-        | Factor.Rand_chol.Refactored { columns } ->
-          Alcotest.(check bool)
-            (Printf.sprintf "closure spans blocks and sweep (%d columns)"
-               columns)
-            true (columns > 512)
-        | Factor.Rand_chol.Too_large _ -> Alcotest.fail "unexpected Too_large");
+        let columns = Factor.Rand_chol.refactor u in
+        Alcotest.(check bool)
+          (Printf.sprintf "closure spans blocks and sweep (%d columns)"
+             columns)
+          true (columns > 512);
         factor_fingerprint (Factor.Rand_chol.factor u))
   in
   let seq = run 1 in
@@ -1036,9 +1016,7 @@ let test_refactor_scratch_cached () =
   let l = Factor.Rand_chol.factor u in
   let bump () =
     Factor.Rand_chol.set_excess u 2 (Factor.Rand_chol.excess u 2 +. 0.125);
-    match Factor.Rand_chol.refactor u ~max_fraction:1.0 with
-    | Factor.Rand_chol.Refactored _ -> ()
-    | Factor.Rand_chol.Too_large _ -> Alcotest.fail "unexpected Too_large"
+    ignore (Factor.Rand_chol.refactor u)
   in
   bump ();
   let diag_before = Factor.Lower.diag l in

@@ -175,6 +175,42 @@ let test_schwarz_single_block_is_direct () =
   Alcotest.(check bool) "one block = exact solve" true
     (r.Krylov.Pcg.converged && r.Krylov.Pcg.iterations <= 2)
 
+let test_schwarz_concurrent_applies () =
+  (* Two domains applying one preconditioner at once each get the
+     sequential answer, bit for bit. *)
+  let n = 3600 in
+  let d = Array.make n 0.0 in
+  d.(0) <- 1.0;
+  let p =
+    Sddm.Problem.of_graph ~name:"mesh" ~graph:(Test_util.mesh_graph 60 60) ~d
+      ~b:(Vec.create n)
+  in
+  let pc = Krylov.Schwarz.preconditioner ~block_size:256 ~overlap:1 p in
+  let rs = Array.init 8 (fun k -> Vec.init n (fun i -> sin (float (i + k)))) in
+  let apply r =
+    let z = Vec.create n in
+    pc.Krylov.Precond.apply r z;
+    z
+  in
+  let seq = Array.map apply rs in
+  let pool = Par.create ~domains:2 () in
+  let par = Array.make 8 (Vec.create 0) in
+  Fun.protect
+    ~finally:(fun () -> Par.shutdown pool)
+    (fun () ->
+      Par.parallel_for pool ~lo:0 ~hi:8 (fun lo hi ->
+          for _ = 1 to 10 do
+            for k = lo to hi - 1 do
+              par.(k) <- apply rs.(k)
+            done
+          done));
+  Array.iteri
+    (fun k z ->
+      Alcotest.(check bool)
+        (Printf.sprintf "rhs %d bit-identical" k)
+        true (z = par.(k)))
+    seq
+
 (* ---- condition estimation ---- *)
 
 let test_condition_known_spectrum () =
@@ -258,6 +294,8 @@ let () =
           Alcotest.test_case "overlap helps" `Quick test_schwarz_overlap_helps;
           Alcotest.test_case "single block direct" `Quick
             test_schwarz_single_block_is_direct;
+          Alcotest.test_case "concurrent applies" `Quick
+            test_schwarz_concurrent_applies;
         ] );
       ( "condition estimate",
         [

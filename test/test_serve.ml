@@ -498,7 +498,7 @@ let test_daemon_update_session () =
           Alcotest.failf "update answered %s" (Proto.response_to_string r)
       in
       (* second update must land on the SAME session, one version later,
-         and a value edit takes an incremental rung, not a re-prepare *)
+         and a value edit refactors in place, not a re-prepare *)
       let req2 =
         Proto.update ~want_x:true
           ~edits:[ Sddm.Edit.Set_excess { node = 0; siemens = 0.4 } ]
@@ -509,10 +509,7 @@ let test_daemon_update_session () =
            { session; version; rung; converged; residual; x = Some x; _ } ->
          Alcotest.(check int) "session reused" session1 session;
          Alcotest.(check int) "version advanced" 2 version;
-         Alcotest.(check bool)
-           (Printf.sprintf "incremental rung (got %s)" rung)
-           true
-           (rung = "local" || rung = "low-rank");
+         Alcotest.(check string) "local rung" "local" rung;
          Alcotest.(check bool) "converged" true converged;
          Alcotest.(check bool)
            (Printf.sprintf "residual %.3e small" residual)
