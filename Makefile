@@ -11,8 +11,8 @@ check:
 
 test: check
 
-# Full suite again on a 2-domain pool, so the parallel paths run — every
-# CI build-test leg.
+# Full suite again on a 2-domain pool, so the parallel regions (batch
+# chunks, factorization leaf blocks) run — every CI build-test leg.
 check-par:
 	POWERRCHOL_DOMAINS=2 dune runtest --force
 
@@ -27,10 +27,11 @@ check-idx64:
 test-robust:
 	dune build @runtest-robust
 
-# Scaled-down Table 1 + batched (factor-once/solve-many) + kernels +
-# factor (parallel numeric phase: 1-domain vs wide factorization,
-# bitwise identity + speedup) phases, then the regression gate against
-# the committed baseline — the same thing the CI bench-smoke job runs.
+# Scaled-down Table 1 + batched (factor-once/solve-many) + kernels (one
+# domain; gather vs scatter SpMV gated) + factor (leaf blocks on the
+# pool: 1-domain vs wide factorization, bitwise identity + speedup)
+# phases, then the regression gate against the committed baseline — the
+# same thing the CI bench-smoke job runs.
 # The batched phase also writes bench_artifacts/trace.json; passing it
 # as the third compare argument gates its structural validity alongside
 # the timing rows.
@@ -60,7 +61,8 @@ trace-smoke:
 	  --trace /tmp/pgsolve-trace.json
 	dune exec bench/compare.exe -- --trace /tmp/pgsolve-trace.json
 
-# Just the multicore hot-path kernel micro-benchmarks (DESIGN.md §10).
+# Just the hot-path kernel micro-benchmarks, all on one domain
+# (DESIGN.md §10).
 bench-kernels:
 	dune exec bench/main.exe kernels
 

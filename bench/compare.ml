@@ -56,20 +56,14 @@ let tol_batch = getenv_float "BENCH_TOL_BATCH" 0.75
 let batched_solver = "PowerRChol(batched16)"
 let unbatched_solver = "PowerRChol(unbatched16)"
 
-(* Kernel gates, checked within the CURRENT file's "kernels" section (when
-   the kernels experiment ran):
-
-   - the gather-form symmetric SpMV must not be slower than the scatter
-     form sequentially: gather <= BENCH_TOL_KERNEL * scatter + the
-     (sub-millisecond) kernel slack — default 1.15x, generous enough for
-     microbenchmark jitter while still catching a real inversion;
-   - when the file says gate_speedup (the run measured >= 4 domains on
-     >= 4 hardware cores), the parallel pcg_iterate variant must be at
-     least BENCH_MIN_SPEEDUP faster than the sequential one (default
-     1.5x). Narrow runs record the numbers but are not judged. *)
+(* Kernel gate, checked within the CURRENT file's "kernels" section (when
+   the kernels experiment ran): the gather-form symmetric SpMV must not be
+   slower than the scatter form: gather <= BENCH_TOL_KERNEL * scatter +
+   the (sub-millisecond) kernel slack — default 1.15x, generous enough for
+   microbenchmark jitter while still catching a real inversion. Every
+   kernel runs on one domain, so no kernel has a speedup to gate. *)
 let tol_kernel = getenv_float "BENCH_TOL_KERNEL" 1.15
 let tol_kernel_abs = getenv_float "BENCH_TOL_KERNEL_ABS" 2e-4
-let min_speedup = getenv_float "BENCH_MIN_SPEEDUP" 1.5
 
 (* Factor gates, checked within the CURRENT file's "factor" section (when
    the factor experiment ran and its parallel leg was measured):
@@ -79,10 +73,9 @@ let min_speedup = getenv_float "BENCH_MIN_SPEEDUP" 1.5
      a parallel factorization that drifts from the sequential one is
      wrong, not slow, so no tolerance applies;
    - when the section says "gated" (>= 4 domains on >= 4 hardware cores,
-     on a paper-scale >= 5e5-node case — the same arming rule as the
-     kernel speedup gate), the parallel factorization must be at least
-     BENCH_FACTOR_SPEEDUP faster than the sequential one (default 1.5x).
-     Narrow runs record the numbers but are not judged. *)
+     on a paper-scale >= 5e5-node case), the parallel factorization must
+     be at least BENCH_FACTOR_SPEEDUP faster than the sequential one
+     (default 1.5x). Narrow runs record the numbers but are not judged. *)
 let min_factor_speedup = getenv_float "BENCH_FACTOR_SPEEDUP" 1.5
 
 (* Serve gates, checked within the CURRENT file's "serve" section (when
@@ -360,28 +353,6 @@ let () =
    | _ ->
      if kernel_rows <> [] then
        notes := "kernels section lacks spmv scatter/gather pair" :: !notes);
-  let wants_speedup_gate =
-    match Obs.Json.member "gate_speedup" current_doc with
-    | Some (Obs.Json.Bool b) -> b
-    | _ -> false
-  in
-  if wants_speedup_gate then begin
-    match (kernel_time "pcg_iterate" "seq", kernel_time "pcg_iterate" "par")
-    with
-    | Some seq, Some par ->
-      let speedup = seq /. par in
-      Printf.printf "kernel gate: parallel pcg iterate speedup %.2fx\n"
-        speedup;
-      if speedup < min_speedup then
-        failures :=
-          Printf.sprintf
-            "parallel pcg_iterate speedup %.2fx below the %.2fx floor"
-            speedup min_speedup
-          :: !failures
-    | _ ->
-      failures :=
-        "gate_speedup set but pcg_iterate seq/par rows missing" :: !failures
-  end;
   (* factor gates on the current run *)
   (match Obs.Json.member "factor" current_doc with
    | None -> ()

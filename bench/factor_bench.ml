@@ -13,10 +13,10 @@
      replay in ascending source order make this exact, not
      approximate) — always fatal when violated;
    - speedup: when the run is wide enough to be meaningful (>= 4 domains
-     on >= 4 hardware cores, the same arming rule as the kernels gate),
-     the case is forced up to paper scale (>= 5e5 nodes) and the parallel
-     factorization must beat the sequential one by BENCH_FACTOR_SPEEDUP
-     (default 1.5x). Narrow runs record the numbers but are not judged.
+     on >= 4 hardware cores), the case is forced up to paper scale
+     (>= 5e5 nodes) and the parallel factorization must beat the
+     sequential one by BENCH_FACTOR_SPEEDUP (default 1.5x). Narrow runs
+     record the numbers but are not judged.
 
    Environment:
      BENCH_FACTOR_NODES    override the grid size (default 5e5 * BENCH_SCALE,

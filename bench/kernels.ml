@@ -1,16 +1,15 @@
-(* Hot-path kernel microbenchmarks for the parallel backend: scatter vs
-   gather SpMV, the sequential triangular solves, and a representative
-   PCG iteration (SpMV + preconditioner apply + dot + axpy) at one domain
-   and at the widest sensible pool. Results go into bench.json under
-   "kernels"; bench/compare.ml gates gather-vs-scatter always and the
-   parallel speedup only when the run was wide enough
-   (Runner.gate_speedup). *)
+(* Hot-path kernel microbenchmarks: scatter vs gather SpMV, the
+   sequential triangular solves, and a representative PCG iteration
+   (SpMV + preconditioner apply + dot + axpy). Every kernel is one
+   sequential loop on the calling domain, so each runs once. Results go
+   into bench.json under "kernels"; bench/compare.ml gates gather against
+   scatter. *)
 
 open Bechamel
 open Toolkit
 
-(* 160x160 = 25600 unknowns: above every parallel threshold (Vec 16384,
-   SpMV 4096) so the parallel variants actually fan out. *)
+(* 160x160 grid, 27,200 unknowns: the fixture the committed kernel rows
+   were measured on. *)
 let grid_side = 160
 
 let fixture =
@@ -26,15 +25,6 @@ let fixture =
      let dp = Array.init (Array.length perm) (fun k -> d.(perm.(k))) in
      let l = Factor.Lt_rchol.factorize ~rng:(Rng.create 11) gp ~d:dp in
      (p, perm, l))
-
-(* Domain count for the parallel variants: an explicit POWERRCHOL_DOMAINS
-   wins; otherwise up to 4 hardware domains. 1 means the parallel
-   variants are skipped (nothing to measure). *)
-let par_domains =
-  let r = Par.recommended_domains () in
-  if r > 1 then r else min 4 (Par.hardware_domains ())
-
-let run_par = par_domains > 1
 
 let ns_per_run test =
   let ols =
@@ -52,12 +42,11 @@ let ns_per_run test =
     | Some _ | None -> nan)
   | _ -> nan
 
-let measure ~kernel ~variant ~domains ~n f =
+let measure ~kernel ~variant ~n f =
   let name = Printf.sprintf "%s/%s" kernel variant in
   let t = ns_per_run (Test.make ~name (Staged.stage f)) /. 1e9 in
-  Runner.record_kernel ~kernel ~variant ~domains ~n ~time_s:t;
-  Printf.printf "%-28s %2d domain(s) %12.3f us/run\n%!" name domains
-    (t *. 1e6);
+  Runner.record_kernel ~kernel ~variant ~domains:1 ~n ~time_s:t;
+  Printf.printf "%-28s %12.3f us/run\n%!" name (t *. 1e6);
   t
 
 let run () =
@@ -72,53 +61,25 @@ let run () =
   let b0 = Sparse.Vec.init n (fun i -> float_of_int ((i * 7) mod 31) /. 31.0) in
   let t = Sparse.Vec.create n in
   Runner.header
-    (Printf.sprintf
-       "kernels: hot-path microbenchmarks (n = %d, backend %s, parallel \
-        variants at %d domain(s))"
-       n Par.backend
-       (if run_par then par_domains else 1));
-  (* restore on exit: the kernels experiment owns the default pool size
-     for its duration only *)
-  let restore () = Par.set_default_domains (Par.recommended_domains ()) in
-  Fun.protect ~finally:restore (fun () ->
-      Par.set_default_domains 1;
-      let t_scatter =
-        measure ~kernel:"spmv" ~variant:"scatter" ~domains:1 ~n (fun () ->
-            Sparse.Csc.spmv_into a x y)
-      in
-      let t_gather =
-        measure ~kernel:"spmv" ~variant:"gather" ~domains:1 ~n (fun () ->
-            Sparse.Csc.spmv_sym_into a x y)
-      in
-      ignore
-        (measure ~kernel:"trisolve" ~variant:"seq" ~domains:1 ~n (fun () ->
-             Sparse.Vec.blit ~src:b0 ~dst:t;
-             Factor.Lower.solve_in_place l t;
-             Factor.Lower.solve_transpose_in_place l t));
-      let pcg_body () =
-        Sparse.Csc.spmv_sym_into a x y;
-        Factor.Lower.apply_preconditioner l ~perm ~scratch y z;
-        ignore (Sparse.Vec.dot y z);
-        Sparse.Vec.axpy ~alpha:0.5 ~x:z ~y:w
-      in
-      let t_pcg_seq =
-        measure ~kernel:"pcg_iterate" ~variant:"seq" ~domains:1 ~n pcg_body
-      in
-      if run_par then begin
-        Par.set_default_domains par_domains;
-        let t_gather_par =
-          measure ~kernel:"spmv" ~variant:"gather-par" ~domains:par_domains
-            ~n (fun () -> Sparse.Csc.spmv_sym_into a x y)
-        in
-        let t_pcg_par =
-          measure ~kernel:"pcg_iterate" ~variant:"par" ~domains:par_domains
-            ~n pcg_body
-        in
-        Printf.printf
-          "speedup at %d domains: gather spmv %.2fx, pcg iterate %.2fx\n"
-          par_domains (t_gather /. t_gather_par) (t_pcg_seq /. t_pcg_par);
-        Runner.gate_speedup :=
-          par_domains >= 4 && Par.hardware_domains () >= 4
-      end;
-      Printf.printf "gather vs scatter (sequential): %.2fx\n"
-        (t_scatter /. t_gather))
+    (Printf.sprintf "kernels: hot-path microbenchmarks (n = %d, one domain)" n);
+  let t_scatter =
+    measure ~kernel:"spmv" ~variant:"scatter" ~n (fun () ->
+        Sparse.Csc.spmv_into a x y)
+  in
+  let t_gather =
+    measure ~kernel:"spmv" ~variant:"gather" ~n (fun () ->
+        Sparse.Csc.spmv_sym_into a x y)
+  in
+  ignore
+    (measure ~kernel:"trisolve" ~variant:"seq" ~n (fun () ->
+         Sparse.Vec.blit ~src:b0 ~dst:t;
+         Factor.Lower.solve_in_place l t;
+         Factor.Lower.solve_transpose_in_place l t));
+  ignore
+    (measure ~kernel:"pcg_iterate" ~variant:"seq" ~n (fun () ->
+         Sparse.Csc.spmv_sym_into a x y;
+         Factor.Lower.apply_preconditioner l ~perm ~scratch y z;
+         ignore (Sparse.Vec.dot y z);
+         Sparse.Vec.axpy ~alpha:0.5 ~x:z ~y:w));
+  Printf.printf "gather vs scatter (sequential): %.2fx\n"
+    (t_scatter /. t_gather)

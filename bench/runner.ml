@@ -208,12 +208,6 @@ let peak_rss_kb () =
   | kb -> kb
   | exception Sys_error _ -> 0
 
-(* Set by the kernels experiment when the parallel variants ran wide
-   enough (>= 4 domains on >= 4 hardware cores) for the compare gate to
-   hold them to the speedup floor; single-core CI boxes record the numbers
-   but are not judged on them. *)
-let gate_speedup = ref false
-
 (* ---- case lists (computed once so every table sees the same sizes) ---- *)
 
 let pg_cases = lazy (Powergrid.Suite.power_grid_cases ~scale ())
@@ -358,7 +352,6 @@ let write_bench_json () =
         ("par_backend", Obs.Json.Str Par.backend);
         ("hardware_domains", Obs.Json.Int (Par.hardware_domains ()));
         ("domains", Obs.Json.Int (Par.effective_domains ()));
-        ("gate_speedup", Obs.Json.Bool !gate_speedup);
         ( "rows",
           Obs.Json.List (List.rev_map bench_row_json !bench_rows) );
         ( "kernels",

@@ -97,8 +97,10 @@ let access_log_max_bytes_arg =
 
 let domains_arg =
   let doc =
-    "Worker domains for the parallel kernels. Defaults to \
-     $(b,POWERRCHOL_DOMAINS) or 1."
+    "Worker domains for a factorization's leaf blocks, the only parallel \
+     region a request reaches; each solve runs on one domain. Results are \
+     bit-identical at every count. Defaults to $(b,POWERRCHOL_DOMAINS) or \
+     1."
   in
   Arg.(value & opt (some string) None & info [ "domains" ] ~docv:"N" ~doc)
 

@@ -26,10 +26,11 @@ let seed_arg =
 
 let domains_arg =
   let doc =
-    "Worker domains for the parallel kernels (gather SpMV, vector passes, \
-     batched solves, factorization blocks); the triangular solves stay \
-     sequential. Defaults to $(b,POWERRCHOL_DOMAINS) or 1; 1 reproduces the \
-     sequential solver bit for bit."
+    "Worker domains for the two parallel regions: a multi-column \
+     $(b,--rhs) batch runs whole solves per domain, and a factorization \
+     runs its ordering's leaf blocks ahead on the pool. Each solve runs on \
+     one domain. Results are bit-identical at every count. Defaults to \
+     $(b,POWERRCHOL_DOMAINS) or 1."
   in
   Arg.(value & opt (some string) None & info [ "domains" ] ~docv:"N" ~doc)
 

@@ -121,24 +121,31 @@ let smoothed_prolongation ~omega a agg n_coarse =
 
 (* ---- smoothing: Gauss-Seidel using symmetry (row i = column i) ---- *)
 
-let gs_forward a (diag : Sparse.Vec.t) (b : Sparse.Vec.t)
-    (x : Sparse.Vec.t) =
-  let _, n = Sparse.Csc.dims a in
-  for i = 0 to n - 1 do
-    let acc = ref b.{i} in
-    Sparse.Csc.iter_col a i (fun k v ->
-        if k <> i then acc := !acc -. (v *. x.{k}));
-    x.{i} <- !acc /. diag.{i}
+let[@inline] at a k = Sparse.Idx.to_int (Sparse.Idx.unsafe_get_elt a k)
+
+(* x.(i) <- (b.(i) - sum over k <> i of a(k,i) x.(k)) / diag.(i), reading
+   row i as column i, terms in stored order. Index loops over the CSC
+   arrays keep the accumulator unboxed, so a sweep allocates nothing. *)
+let gs_row (a : Sparse.Csc.t) (diag : Sparse.Vec.t) (b : Sparse.Vec.t)
+    (x : Sparse.Vec.t) i =
+  let col_ptr = a.Sparse.Csc.col_ptr
+  and row_idx = a.Sparse.Csc.row_idx
+  and values = a.Sparse.Csc.values in
+  let acc = ref b.{i} in
+  for k = at col_ptr i to at col_ptr (i + 1) - 1 do
+    let r = at row_idx k in
+    if r <> i then acc := !acc -. (values.{k} *. x.{r})
+  done;
+  x.{i} <- !acc /. diag.{i}
+
+let gs_forward a diag b x =
+  for i = 0 to snd (Sparse.Csc.dims a) - 1 do
+    gs_row a diag b x i
   done
 
-let gs_backward a (diag : Sparse.Vec.t) (b : Sparse.Vec.t)
-    (x : Sparse.Vec.t) =
-  let _, n = Sparse.Csc.dims a in
-  for i = n - 1 downto 0 do
-    let acc = ref b.{i} in
-    Sparse.Csc.iter_col a i (fun k v ->
-        if k <> i then acc := !acc -. (v *. x.{k}));
-    x.{i} <- !acc /. diag.{i}
+let gs_backward a diag b x =
+  for i = snd (Sparse.Csc.dims a) - 1 downto 0 do
+    gs_row a diag b x i
   done
 
 (* damped Jacobi sweep using the cycle's residual buffer as scratch *)
@@ -232,8 +239,9 @@ let grid_sizes t =
 
 let rec cycle t bufs depth (b : Sparse.Vec.t) (x : Sparse.Vec.t) =
   if depth = Array.length t.levels then begin
-    let sol = Factor.Chol.solve_factored t.coarse_factor b in
-    Sparse.Vec.blit ~src:sol ~dst:x
+    Sparse.Vec.blit ~src:b ~dst:x;
+    Factor.Lower.solve_in_place t.coarse_factor x;
+    Factor.Lower.solve_transpose_in_place t.coarse_factor x
   end
   else begin
     let l = t.levels.(depth) and buf = bufs.(depth) in

@@ -131,9 +131,8 @@ let solve_many ?rtol ?max_iter ?deadline (p : prepared) bs =
         (* Fan the batch across the pool, one contiguous chunk of
            right-hand sides per domain. Each chunk gets its own PCG
            workspace (the handle's single workspace serves one solve at
-           a time), and the pool is busy for the region's duration so
-           every solve's inner kernels run sequentially — which makes
-           the batch results bit-identical to the sequential path at any
+           a time) and runs the same sequential solves as the loop
+           above, so the batch results are bit-identical to it at any
            domain count. *)
         let n = Sddm.Problem.n p.problem in
         let results = Array.make nb None in

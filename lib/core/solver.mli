@@ -75,9 +75,10 @@ val solve_many :
     right-hand sides. With one domain (or a busy pool) the batch runs
     sequentially on the handle's workspace; with more domains it is
     fanned across the default {!Par} pool in contiguous chunks, one
-    private workspace per chunk; every solve's inner kernels then run
-    sequentially, so the results are bit-identical to the sequential
-    batch at any domain count.
+    private workspace per chunk. This batch fan-out is the solve path's
+    only parallel region: each chunk runs whole sequential solves, so
+    result [k] is bit-identical to [solve_prepared ~b:bs.(k) p] at any
+    domain count.
 
     Telemetry stays live at any domain count: the batch is one
     ["solve_many"] span containing a ["solve#k"] span per right-hand

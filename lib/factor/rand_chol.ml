@@ -566,11 +566,10 @@ let factorize_gen ~blocks ~sort ~sampling ~rng ~record g ~d =
     Sparse.Idx.set col_ptr n total;
     let l_rows = Sparse.Idx.make (max total 1) in
     let l_vals = Sparse.Vec.create (max total 1) in
-    Par.parallel_for pool ~min_work:8192 ~lo:0 ~hi:total (fun qlo qhi ->
-        for q = qlo to qhi - 1 do
-          Sparse.Idx.set l_rows q out.ids.(q);
-          Sparse.Vec.set l_vals q out.vals.(q)
-        done);
+    for q = 0 to total - 1 do
+      Sparse.Idx.set l_rows q out.ids.(q);
+      Sparse.Vec.set l_vals q out.vals.(q)
+    done;
     Lower.of_raw ~n ~col_ptr ~rows:l_rows ~vals:l_vals
   in
   (* recorder: column k owns max (m_k - 1) 0 slots *)

@@ -322,7 +322,7 @@ let solve ?rtol ?max_iter ?stall_window ?deadline ?x0 ~a ~b ~precond () =
     | None -> (Sparse.Vec.create n, false)
   in
   (* Gather form: every caller hands a symmetric (SDDM/SPD) matrix, and
-     the gather kernel is the one that parallelizes race-free. *)
+     the gather kernel writes each output once, with no zero-fill pass. *)
   solve_ws ?rtol ?max_iter ?stall_window ?deadline ~track:true ~warm_start
     ~ws:(Workspace.create n) ~x
     ~apply_a:(Sparse.Csc.spmv_sym_into a) ~b ~precond ()

@@ -22,9 +22,6 @@ type pool = {
   handles : unit Domain.t array;
   mutable live : bool;
   mutable busy : bool;
-  (* block-partials buffer for [reduce_blocked]; grown on demand so the
-     PCG hot loop allocates nothing after the first reduction *)
-  mutable partials : float array;
   (* per-chunk busy seconds for the most recent profiled region; -1.0
      marks a slot whose chunk was empty. Single writer per slot. *)
   busy_s : float array;
@@ -143,7 +140,6 @@ let create ?domains () =
     handles;
     live = true;
     busy = false;
-    partials = [||];
     busy_s = Array.make d (-1.0);
     busy_names = Array.init d (Printf.sprintf "par/busy_s#%d");
   }
@@ -187,49 +183,14 @@ let () =
 
 let runs_parallel p = domains p > 1 && not p.busy
 
-let parallel_for p ?(min_work = 1) ~lo ~hi f =
-  let len = hi - lo in
-  if len > 0 then begin
-    let d = domains p in
-    if d = 1 || p.busy || len < min_work then f lo hi
-    else begin
-      (* When telemetry is on, each chunk records into its own Obs
-         worker store (seeded with the caller's span prefix, so merged
-         paths match the sequential run) and its busy time is flushed
-         to par/busy_s#<slot> afterwards. When off, the closure below
-         is the bare chunk call — a single flag read per region. *)
-      let obs_on = Obs.enabled () in
-      let prefix = if obs_on then Obs.current_prefix () else "" in
-      if obs_on then Array.fill p.busy_s 0 d (-1.0);
-      p.busy <- true;
-      Fun.protect
-        ~finally:(fun () -> p.busy <- false)
-        (fun () ->
-          let chunk = (len + d - 1) / d in
-          run p (fun i ->
-              let clo = lo + (i * chunk) in
-              let chi = min hi (clo + chunk) in
-              if clo < chi then
-                if obs_on then
-                  Obs.worker_scope ~slot:i ~prefix (fun () ->
-                      let t0 = Obs.now () in
-                      Fun.protect
-                        ~finally:(fun () ->
-                          p.busy_s.(i) <- Float.max (Obs.now () -. t0) 0.0)
-                        (fun () -> f clo chi))
-                else f clo chi));
-      if obs_on then
-        for i = 0 to d - 1 do
-          if p.busy_s.(i) >= 0.0 then
-            Obs.add_absolute p.busy_names.(i) p.busy_s.(i)
-        done
-    end
-  end
-
-(* Fan [bounds.(i), bounds.(i+1)) chunks across the pool with the same
-   telemetry wrapping as [parallel_for]; [f] additionally receives its
-   chunk slot so callers can keep slot-private scratch (the subtree
-   elimination keeps one factorization workspace per slot). *)
+(* Fan [bounds.(i), bounds.(i+1)) chunks across the pool; [f]
+   additionally receives its chunk slot so callers can keep slot-private
+   scratch (the blocks phase keeps one factorization workspace per slot).
+   When telemetry is on, each chunk records into its own Obs worker store
+   (seeded with the caller's span prefix, so merged paths match the
+   sequential run) and its busy time is flushed to par/busy_s#<slot>
+   afterwards. When off, the closure below is the bare chunk call — a
+   single flag read per region. *)
 let run_bounds p ~bounds f =
   let d = domains p in
   let obs_on = Obs.enabled () in
@@ -256,11 +217,23 @@ let run_bounds p ~bounds f =
         Obs.add_absolute p.busy_names.(i) p.busy_s.(i)
     done
 
-let parallel_for_weighted p ?(min_work = 1) ~weight ~lo ~hi f =
+let parallel_for p ~lo ~hi f =
   let len = hi - lo in
   if len > 0 then begin
     let d = domains p in
-    if d = 1 || p.busy || len < min_work then f 0 lo hi
+    if d = 1 || p.busy then f lo hi
+    else begin
+      let chunk = (len + d - 1) / d in
+      let bounds = Array.init (d + 1) (fun i -> min hi (lo + (i * chunk))) in
+      run_bounds p ~bounds (fun _ clo chi -> f clo chi)
+    end
+  end
+
+let parallel_for_weighted p ~weight ~lo ~hi f =
+  let len = hi - lo in
+  if len > 0 then begin
+    let d = domains p in
+    if d = 1 || p.busy then f 0 lo hi
     else begin
       (* Chunk boundaries balance the weight prefix sums, not the item
          count: chunk c ends at the first item whose cumulative weight
@@ -307,40 +280,5 @@ let parallel_for_weighted p ?(min_work = 1) ~weight ~lo ~hi f =
         Obs.gauge "par/weighted_imbalance" (!wmax /. share)
       end;
       run_bounds p ~bounds f
-    end
-  end
-
-let default_block = 4096
-
-let reduce_blocked p ?(block = default_block) ~lo ~hi f =
-  let len = hi - lo in
-  if len <= 0 then 0.0
-  else begin
-    if block < 1 then invalid_arg "Par.reduce_blocked: block must be >= 1";
-    let nblocks = (len + block - 1) / block in
-    if nblocks = 1 || not (runs_parallel p) then begin
-      (* same fixed-block association as the parallel path, so the result
-         does not depend on how many domains happened to be available *)
-      let acc = ref 0.0 in
-      for b = 0 to nblocks - 1 do
-        let blo = lo + (b * block) in
-        acc := !acc +. f blo (min hi (blo + block))
-      done;
-      !acc
-    end
-    else begin
-      if Array.length p.partials < nblocks then
-        p.partials <- Array.make nblocks 0.0;
-      let partials = p.partials in
-      parallel_for p ~lo:0 ~hi:nblocks (fun blo bhi ->
-          for b = blo to bhi - 1 do
-            let xlo = lo + (b * block) in
-            partials.(b) <- f xlo (min hi (xlo + block))
-          done);
-      let acc = ref 0.0 in
-      for b = 0 to nblocks - 1 do
-        acc := !acc +. partials.(b)
-      done;
-      !acc
     end
   end

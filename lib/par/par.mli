@@ -1,20 +1,24 @@
-(** Execution layer for the parallel hot-path kernels: a [Domain]-based
-    fixed pool with static range partitioning.
+(** Execution layer for the library's two coarse parallel regions: a
+    [Domain]-based fixed pool with static range partitioning.
 
-    {b Determinism policy} (see DESIGN.md §10). A pool of 1 domain runs
-    every kernel through the historical sequential code path, so results
-    are bit-identical to a build without this layer. With [p > 1] domains
-    the race-free kernels (gather-form SpMV, elementwise vector passes)
-    are bit-identical at {e any} domain count by construction; the
-    triangular solves always run sequentially. Reductions reassociate, so
-    {!reduce_blocked} sums fixed-size blocks in a fixed order, making
-    every [p > 1] produce the same bits as every other [p > 1].
+    {b What runs on the pool.} Only whole units of work fan out:
+    [Solver.solve_many] runs one contiguous chunk of complete sequential
+    solves per domain, and the randomized factorization runs the
+    ordering's leaf blocks ahead of its sweep. Every kernel inside a
+    solve or a column elimination (SpMV, the triangular solves, the
+    vector passes and their reductions) is one sequential loop on the
+    calling domain.
+
+    {b Determinism policy} (see DESIGN.md §10). No library result depends
+    on the domain count. A batch chunk runs the same sequential solve as
+    a lone call, and the factorization's blocks produce the plain
+    ascending elimination's bits, so a result at [p] domains is
+    bit-identical to the result at 1 domain, for every [p].
 
     {b Ownership.} A pool is owned by one in-flight computation at a
     time. Entry points called while the pool is already running a region
-    (a kernel invoked from inside a worker chunk) detect the nesting and
-    degrade to inline sequential execution — fanning a batch of solves
-    across the pool automatically serializes each solve's inner kernels. *)
+    (a region opened from inside a worker chunk) detect the nesting and
+    degrade to inline sequential execution. *)
 
 type pool
 
@@ -50,8 +54,8 @@ val shutdown : pool -> unit
 
 val default : unit -> pool
 (** The process-wide pool, created lazily with {!recommended_domains}.
-    The hot kernels ([Sparse.Vec], [Sparse.Csc.spmv_sym_into],
-    [Factor.Lower]) route through it. *)
+    [Solver.solve_many]'s batch fan-out and [Factor.Rand_chol]'s leaf
+    blocks route through it. *)
 
 val set_default_domains : int -> unit
 (** Replace the default pool with one of the given size (shutting the old
@@ -65,13 +69,13 @@ val runs_parallel : pool -> bool
     more than one domain and not already inside one of its regions. *)
 
 val parallel_for :
-  pool -> ?min_work:int -> lo:int -> hi:int -> (int -> int -> unit) -> unit
+  pool -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 (** [parallel_for pool ~lo ~hi f] partitions [\[lo, hi)] into at most
-    [domains pool] contiguous chunks and calls [f clo chi] on each, one
-    chunk per domain, returning when all complete. Runs [f lo hi] inline
-    when the pool has one domain, is busy (nested call), or
-    [hi - lo < min_work] (default [1]). [f] must only write state disjoint
-    between chunks. Worker exceptions are re-raised on the caller.
+    [domains pool] contiguous chunks of equal count and calls [f clo chi]
+    on each, one chunk per domain, returning when all complete. Runs
+    [f lo hi] inline when the pool has one domain or is busy (nested
+    call). [f] must only write state disjoint between chunks. Worker
+    exceptions are re-raised on the caller.
 
     When [Obs.enabled ()], each chunk runs inside [Obs.worker_scope]
     (slot = chunk index, prefix = the caller's current span path), so
@@ -82,7 +86,6 @@ val parallel_for :
 
 val parallel_for_weighted :
   pool ->
-  ?min_work:int ->
   weight:(int -> float) ->
   lo:int ->
   hi:int ->
@@ -94,19 +97,8 @@ val parallel_for_weighted :
     are the ordering's leaf blocks, of very uneven size. [f slot clo chi]
     additionally receives the chunk slot (0-based, stable for the region)
     so callers can keep slot-private scratch without locking. Runs
-    [f 0 lo hi] inline when the pool has one domain, is busy, or
-    [hi - lo < min_work]. Boundaries depend only on the weights — never on
-    timing or domain count. Weights must be nonnegative; when telemetry is
-    on, the max-chunk/ideal-share weight ratio is recorded as the
+    [f 0 lo hi] inline when the pool has one domain or is busy.
+    Boundaries depend only on the weights — never on timing or domain
+    count. Weights must be nonnegative; when telemetry is on, the
+    max-chunk/ideal-share weight ratio is recorded as the
     [par/weighted_imbalance] gauge. *)
-
-val default_block : int
-(** Block size used by {!reduce_blocked} when [?block] is omitted (4096). *)
-
-val reduce_blocked :
-  pool -> ?block:int -> lo:int -> hi:int -> (int -> int -> float) -> float
-(** [reduce_blocked pool ~lo ~hi f] splits [\[lo, hi)] into fixed blocks
-    of [block] elements {e independent of the domain count}, evaluates
-    [f blo bhi] per block (in parallel when possible), and sums the block
-    results in ascending block order — the deterministic reduction that
-    keeps PCG iteration traces reproducible at any domain count. *)

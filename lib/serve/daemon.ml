@@ -71,8 +71,8 @@ type t = {
   lock : Mutex.t;  (* guards stats, counters, histograms below *)
   solve_lock : Mutex.t;
       (* the single solve lane: the problem table and solver internals are
-         not thread-safe, so admitted jobs run one at a time (intra-solve
-         parallelism comes from the Par pool) *)
+         not thread-safe, so admitted jobs run one at a time (a
+         factorization's leaf blocks run on the Par pool) *)
   stats : stats;
   latency : Obs.Hist.t;  (* service seconds per admitted request *)
   queue_wait : Obs.Hist.t;  (* seconds spent waiting for the solve lane *)

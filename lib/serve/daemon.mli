@@ -29,8 +29,9 @@
       tick, and {!stop} returns once every connection has drained.
 
     Solves are serialized through one internal lock (the problem table and
-    solver internals are not thread-safe; intra-solve parallelism comes
-    from the {!Par} pool), so [queue_capacity] is the whole backlog bound.
+    solver internals are not thread-safe; a factorization's leaf blocks
+    run on the {!Par} pool), so [queue_capacity] is the whole backlog
+    bound.
 
     Every admitted request ends in exactly one typed response; every
     outcome increments a counter visible in {!metrics}. *)

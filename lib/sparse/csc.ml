@@ -192,11 +192,6 @@ let spmv a x =
   spmv_into a x y;
   y
 
-(* Rows per domain below which the gather SpMV never fans out; keeps the
-   small problems used by the bit-identity tests on one code path at any
-   domain count. *)
-let spmv_sym_min = 4096
-
 let spmv_sym_into a x y =
   if a.n_rows <> a.n_cols then
     invalid_arg "Csc.spmv_sym_into: matrix must be square";
@@ -204,23 +199,17 @@ let spmv_sym_into a x y =
     invalid_arg "Csc.spmv_sym_into: vector lengths must match the matrix";
   let col_ptr = a.col_ptr and row_idx = a.row_idx and values = a.values in
   (* Column i of a symmetric CSC matrix is row i, so gathering over the
-     column computes y.(i) with each domain writing only its own rows —
-     race-free, and term-for-term the same ascending-j order as the
-     scatter form, hence the same floating-point result. *)
-  let body lo hi =
-    for i = lo to hi - 1 do
-      let acc = ref 0.0 in
-      for k = at col_ptr i to at col_ptr (i + 1) - 1 do
-        acc :=
-          !acc +. (Vec.unsafe_get values k *. Vec.unsafe_get x (at row_idx k))
-      done;
-      Vec.unsafe_set y i !acc
-    done
-  in
-  let n = a.n_rows in
-  let pool = Par.default () in
-  if n < spmv_sym_min || not (Par.runs_parallel pool) then body 0 n
-  else Par.parallel_for pool ~lo:0 ~hi:n body
+     column computes y.(i) in one pass with one write per row, term for
+     term in the same ascending-j order as the scatter form, hence the
+     same floating-point result. *)
+  for i = 0 to a.n_rows - 1 do
+    let acc = ref 0.0 in
+    for k = at col_ptr i to at col_ptr (i + 1) - 1 do
+      acc :=
+        !acc +. (Vec.unsafe_get values k *. Vec.unsafe_get x (at row_idx k))
+    done;
+    Vec.unsafe_set y i !acc
+  done
 
 let spmv_t a x =
   if Vec.length x <> a.n_rows then

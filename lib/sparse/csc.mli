@@ -72,12 +72,13 @@ val spmv_into : t -> Vec.t -> Vec.t -> unit
 val spmv_sym_into : t -> Vec.t -> Vec.t -> unit
 (** [spmv_sym_into a x y] computes [y <- a * x] for a {e symmetric} [a] in
     gather form: [y.(i)] is accumulated from column [i] (= row [i] by
-    symmetry), so each output element is owned by exactly one writer and
-    the loop parallelizes race-free over the default {!Par} pool. The
-    caller asserts symmetry; for an asymmetric matrix this computes
-    [a^T * x]. Produces the same floating-point result as {!spmv_into} on
-    symmetric input (same per-row term order). Raises [Invalid_argument]
-    when [a] is not square or the vector lengths disagree. *)
+    symmetry), so each output element is written once, with no zero-fill
+    pass and no scattered read-modify-write. It runs on the calling
+    domain. The caller asserts symmetry; for an asymmetric matrix this
+    computes [a^T * x]. Produces the same floating-point result as
+    {!spmv_into} on symmetric input (same per-row term order). Raises
+    [Invalid_argument] when [a] is not square or the vector lengths
+    disagree. *)
 
 val spmv_t : t -> Vec.t -> Vec.t
 (** [spmv_t a x] is [a^T * x]. Raises [Invalid_argument] when [x] is not

@@ -50,14 +50,6 @@ let iteri f (x : t) =
     f i x.{i}
   done
 
-(* Vectors shorter than this never fan out: the dispatch cost dwarfs the
-   loop, and keeping small problems on the plain code path preserves
-   bit-identity with the sequential build at every domain count. The
-   threshold depends only on n (never on the pool size), so a given
-   problem takes the same code path — and produces the same bits — at any
-   domain count > 1. *)
-let par_min = 16384
-
 (* Formats its message only when called, so the length checks in the PCG
    kernels cost one comparison when the lengths agree. *)
 let length_mismatch fn (x : t) (y : t) =
@@ -67,24 +59,11 @@ let length_mismatch fn (x : t) (y : t) =
 
 let dot (x : t) (y : t) =
   if length x <> length y then length_mismatch "dot" x y;
-  let n = length x in
-  let pool = Par.default () in
-  if n < par_min || not (Par.runs_parallel pool) then begin
-    let acc = ref 0.0 in
-    for i = 0 to n - 1 do
-      acc := !acc +. (x.{i} *. y.{i})
-    done;
-    !acc
-  end
-  else
-    (* fixed-block pairwise-style reduction: deterministic at any domain
-       count (blocks and their summation order never depend on the pool) *)
-    Par.reduce_blocked pool ~lo:0 ~hi:n (fun lo hi ->
-        let acc = ref 0.0 in
-        for i = lo to hi - 1 do
-          acc := !acc +. (x.{i} *. y.{i})
-        done;
-        !acc)
+  let acc = ref 0.0 in
+  for i = 0 to length x - 1 do
+    acc := !acc +. (x.{i} *. y.{i})
+  done;
+  !acc
 
 let norm2 x = sqrt (dot x x)
 
@@ -98,26 +77,14 @@ let norm_inf (x : t) =
 
 let axpy ~alpha ~(x : t) ~(y : t) =
   if length x <> length y then length_mismatch "axpy" x y;
-  let body lo hi =
-    for i = lo to hi - 1 do
-      y.{i} <- y.{i} +. (alpha *. x.{i})
-    done
-  in
-  let n = length x in
-  let pool = Par.default () in
-  if n < par_min || not (Par.runs_parallel pool) then body 0 n
-  else Par.parallel_for pool ~lo:0 ~hi:n body
+  for i = 0 to length x - 1 do
+    y.{i} <- y.{i} +. (alpha *. x.{i})
+  done
 
 let scale (x : t) alpha =
-  let body lo hi =
-    for i = lo to hi - 1 do
-      x.{i} <- x.{i} *. alpha
-    done
-  in
-  let n = length x in
-  let pool = Par.default () in
-  if n < par_min || not (Par.runs_parallel pool) then body 0 n
-  else Par.parallel_for pool ~lo:0 ~hi:n body
+  for i = 0 to length x - 1 do
+    x.{i} <- x.{i} *. alpha
+  done
 
 let add (x : t) (y : t) : t =
   if length x <> length y then length_mismatch "add" x y;
@@ -129,15 +96,9 @@ let sub (x : t) (y : t) : t =
 
 let xpby ~(x : t) ~beta ~(y : t) =
   if length x <> length y then length_mismatch "xpby" x y;
-  let body lo hi =
-    for i = lo to hi - 1 do
-      y.{i} <- x.{i} +. (beta *. y.{i})
-    done
-  in
-  let n = length x in
-  let pool = Par.default () in
-  if n < par_min || not (Par.runs_parallel pool) then body 0 n
-  else Par.parallel_for pool ~lo:0 ~hi:n body
+  for i = 0 to length x - 1 do
+    y.{i} <- x.{i} +. (beta *. y.{i})
+  done
 
 let max_abs_diff (x : t) (y : t) =
   if length x <> length y then length_mismatch "max_abs_diff" x y;

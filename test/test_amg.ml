@@ -70,6 +70,31 @@ let test_amg_pcg () =
     true
     (res.Krylov.Pcg.converged && res.Krylov.Pcg.iterations < 80)
 
+let test_v_cycle_allocation_bound () =
+  (* After a warm-up apply has built the pooled level buffers, a V-cycle
+     allocates a constant handful of words (the pool hand-off), however
+     many nonzeros it sweeps: the smoothers and the coarse solve work in
+     place. *)
+  List.iter
+    (fun side ->
+      let p = mesh_problem ~side ~seed:621 in
+      let h = Amg.build p.Sddm.Problem.a in
+      let pc = Amg.preconditioner h in
+      let n = Sddm.Problem.n p in
+      let r = Sparse.Vec.init n (fun i -> float_of_int (i mod 17) -. 8.0) in
+      let z = Sparse.Vec.create n in
+      pc.Krylov.Precond.apply r z;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10 do
+        pc.Krylov.Precond.apply r z
+      done;
+      let per_apply = (Gc.minor_words () -. w0) /. 10.0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f minor words per apply (n=%d, nnz=%d)" per_apply
+           n (Csc.nnz p.Sddm.Problem.a))
+        true (per_apply <= 256.0))
+    [ 30; 60 ]
+
 let test_small_matrix_direct () =
   (* below coarse_size: hierarchy has one level = direct solve *)
   let p = Test_util.random_problem ~seed:611 ~n:30 ~m:70 in
@@ -151,6 +176,8 @@ let () =
             test_v_cycle_reduces_error;
           Alcotest.test_case "standalone iteration" `Quick test_standalone_solve;
           Alcotest.test_case "as PCG preconditioner" `Quick test_amg_pcg;
+          Alcotest.test_case "v-cycle allocation bound" `Quick
+            test_v_cycle_allocation_bound;
           Alcotest.test_case "smoothed aggregation" `Quick
             test_smoothed_aggregation_fewer_iterations;
           Alcotest.test_case "jacobi smoother" `Quick

@@ -128,32 +128,11 @@ let test_nested_calls_inline () =
           Par.parallel_for pool ~lo:0 ~hi:10 (fun _ _ -> ()));
       Alcotest.(check bool) "nested region is inline" false !inner_parallel)
 
-let test_reduce_blocked_deterministic () =
-  let n = 50_000 in
-  let x = Array.init n (fun i -> sin (float_of_int i)) in
-  let sum_at d =
-    let pool = Par.create ~domains:d () in
-    Fun.protect
-      ~finally:(fun () -> Par.shutdown pool)
-      (fun () ->
-        Par.reduce_blocked pool ~lo:0 ~hi:n (fun lo hi ->
-            let acc = ref 0.0 in
-            for i = lo to hi - 1 do
-              acc := !acc +. x.(i)
-            done;
-            !acc))
-  in
-  let s1 = sum_at 1 and s2 = sum_at 2 and s3 = sum_at 3 and s5 = sum_at 5 in
-  (* fixed-block association: identical bits at every domain count *)
-  Alcotest.(check bool) "1 = 2 domains" true (s1 = s2);
-  Alcotest.(check bool) "2 = 3 domains" true (s2 = s3);
-  Alcotest.(check bool) "3 = 5 domains" true (s3 = s5)
-
 (* ---- vector kernels ---- *)
 
 let test_vec_kernels_match_seq () =
+  (* long enough that a chunked or blocked kernel would split it *)
   let n = 20_000 in
-  (* above Vec's parallel threshold *)
   let rng = Rng.create 7 in
   let x = random_rhs ~rng n in
   let y0 = random_rhs ~rng n in
@@ -170,10 +149,9 @@ let test_vec_kernels_match_seq () =
       y )
   in
   with_domains 3 (fun () ->
-      let d = Sparse.Vec.dot x y0 in
       Alcotest.(check bool)
-        "parallel dot within fp tolerance" true
-        (Float.abs (d -. seq_dot) <= 1e-12 *. Float.abs seq_dot);
+        "dot bit-identical at 3 domains" true
+        (Sparse.Vec.dot x y0 = seq_dot);
       let y = Sparse.Vec.copy y0 in
       Sparse.Vec.axpy ~alpha:1.5 ~x ~y;
       Alcotest.(check bool) "axpy bit-identical" true (y = seq_axpy);
@@ -182,13 +160,7 @@ let test_vec_kernels_match_seq () =
       Alcotest.(check bool) "xpby bit-identical" true (y = seq_xpby);
       let y = Sparse.Vec.copy y0 in
       Sparse.Vec.scale y 3.0;
-      Alcotest.(check bool) "scale bit-identical" true (y = seq_scale);
-      (* reduction determinism across parallel widths *)
-      let d3 = Sparse.Vec.dot x y0 in
-      with_domains 2 (fun () ->
-          Alcotest.(check bool)
-            "dot identical at 2 and 3 domains" true
-            (Sparse.Vec.dot x y0 = d3)))
+      Alcotest.(check bool) "scale bit-identical" true (y = seq_scale))
 
 (* ---- gather SpMV ---- *)
 
@@ -265,26 +237,46 @@ let test_length_checks () =
 (* ---- full solves across domain counts ---- *)
 
 let test_solve_deterministic_across_domains () =
-  (* 70x70 ~ 5000 unknowns: above the SpMV threshold (4096) so the
-     parallel gather engages, below Vec's 16384 so the reductions stay
-     on the plain path — the solve must be bit-identical at every domain
-     count, with iteration counts matching exactly. *)
-  let p = grid_problem ~nx:70 ~ny:70 ~seed:4444 () in
-  let run_at d =
-    with_domains d (fun () -> Solver.run (Solver.powerrchol ()) p)
-  in
-  let r1 = run_at 1 in
-  Alcotest.(check bool) "baseline converges" true r1.Solver.converged;
+  (* Two grids, about 5,000 and 20,825 unknowns; the larger is big
+     enough that a chunked kernel or a blocked dot product would move its
+     bits. A one-shot solve must give the same bits at every domain
+     count, and a prepared solve the same bits alone as inside a batch,
+     whose chunks run on the pool. *)
   List.iter
-    (fun d ->
-      let rd = run_at d in
-      Alcotest.(check int)
-        (Printf.sprintf "iterations equal at %d domains" d)
-        r1.Solver.iterations rd.Solver.iterations;
+    (fun (nx, seed) ->
+      let p = grid_problem ~nx ~ny:nx ~seed () in
+      let n = Sddm.Problem.n p in
+      let run_at d =
+        with_domains d (fun () -> Solver.run (Solver.powerrchol ()) p)
+      in
+      let r1 = run_at 1 in
       Alcotest.(check bool)
-        (Printf.sprintf "solution bit-identical at %d domains" d)
-        true (rd.Solver.x = r1.Solver.x))
-    [ 2; 3 ]
+        (Printf.sprintf "baseline converges (n=%d)" n)
+        true r1.Solver.converged;
+      List.iter
+        (fun d ->
+          let rd = run_at d in
+          Alcotest.(check int)
+            (Printf.sprintf "iterations equal at %d domains (n=%d)" d n)
+            r1.Solver.iterations rd.Solver.iterations;
+          Alcotest.(check bool)
+            (Printf.sprintf "solution bit-identical at %d domains (n=%d)" d n)
+            true (rd.Solver.x = r1.Solver.x))
+        [ 2; 3 ];
+      let prepared = Solver.powerrchol_prepare p in
+      let rng = Rng.create 83 in
+      let bs = Array.init 2 (fun _ -> random_rhs ~rng n) in
+      with_domains 2 (fun () ->
+          let batch = Solver.solve_many prepared bs in
+          Array.iteri
+            (fun k b ->
+              let alone = Solver.solve_prepared ~b prepared in
+              Alcotest.(check bool)
+                (Printf.sprintf "rhs %d alone = in a batch (n=%d)" k n)
+                true
+                (alone.Solver.x = batch.(k).Solver.x))
+            bs))
+    [ (70, 4444); (140, 4445) ]
 
 let test_keyed_rng_deterministic_across_domains () =
   (* the ECO storm generator and any parallel sampling code key their
@@ -485,8 +477,6 @@ let () =
             test_parallel_for_exception;
           Alcotest.test_case "nested calls inline" `Quick
             test_nested_calls_inline;
-          Alcotest.test_case "reduce_blocked deterministic" `Quick
-            test_reduce_blocked_deterministic;
         ] );
       ( "kernels",
         [

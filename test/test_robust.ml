@@ -340,6 +340,74 @@ let test_fault_floating_island_rejected () =
       (List.exists (fun m -> contains m "ground") reasons)
   | _ -> Alcotest.fail "floating island must be rejected, not solved"
 
+(* ---- the weight-span family never raises ---- *)
+
+(* A scale-free graph whose unit weights are redrawn as 10^U(-s,s),
+   grounded at vertex 0 with excess 1, with a uniform random right-hand
+   side: the weight-span stress under which a rung's breakdown once
+   escaped the hardened entry points as an exception. *)
+let weight_span_problem ~n ~span ~seed =
+  let g = Powergrid.Gen_graphs.power_law ~n ~avg_degree:6.0 ~alpha:2.3 ~seed in
+  let rng = Rng.create (seed + 1) in
+  let edges = ref [] in
+  Sddm.Graph.iter_edges g (fun u v _ ->
+      let w = 10.0 ** (span *. ((2.0 *. Rng.float rng) -. 1.0)) in
+      edges := (u, v, w) :: !edges);
+  let graph = Sddm.Graph.create ~n ~edges:(Array.of_list (List.rev !edges)) in
+  let d = Array.make n 0.0 in
+  d.(0) <- 1.0;
+  let b = Sparse.Vec.init n (fun _ -> Rng.float rng) in
+  Sddm.Problem.of_graph ~name:"weight-span" ~graph ~d ~b
+
+let prop_weight_span_typed_outcome =
+  let case =
+    QCheck.make
+      ~print:(fun (n, span, seed) ->
+        Printf.sprintf "n=%d s=%g seed=%d" n span seed)
+      QCheck.Gen.(
+        triple (int_range 20 500)
+          (oneofl [ 0.0; 4.0; 6.0; 8.0 ])
+          (int_bound 10_000))
+  in
+  QCheck.Test.make ~name:"hardened entry points never raise on weight spans"
+    ~count:40 case (fun (n, span, seed) ->
+      let p = weight_span_problem ~n ~span ~seed in
+      let typed (r : Powerrchol.Solver.robust_result) =
+        match r.Powerrchol.Solver.outcome with
+        | Powerrchol.Solver.Robust_solved { residual; _ } -> residual <= 1e-6
+        | Powerrchol.Solver.Robust_rejected _
+        | Powerrchol.Solver.Robust_exhausted _ ->
+          true
+      in
+      typed (Powerrchol.Solver.solve_robust p)
+      && typed
+           (Powerrchol.Solver.solve_matrix_robust ~a:p.Sddm.Problem.a
+              ~b:p.Sddm.Problem.b ()))
+
+let test_weight_span_direct_breakdown () =
+  (* at 2,000 vertices and s = 8 the direct rung's exact Cholesky meets a
+     nonpositive pivot on this seed; both entry points must record it as
+     an attempt and return *)
+  let p = weight_span_problem ~n:2000 ~span:8.0 ~seed:5 in
+  let direct_broke (r : Powerrchol.Solver.robust_result) =
+    match r.Powerrchol.Solver.outcome with
+    | Powerrchol.Solver.Robust_exhausted { attempts } ->
+      List.exists
+        (fun (a : Robust.Fallback.attempt) ->
+          a.Robust.Fallback.rung = "direct"
+          && contains
+               (Robust.Fallback.failure_to_string a.Robust.Fallback.failure)
+               "exact-Cholesky nonpositive pivot")
+        attempts
+    | _ -> false
+  in
+  Alcotest.(check bool) "solve_robust records the direct breakdown" true
+    (direct_broke (Powerrchol.Solver.solve_robust p));
+  Alcotest.(check bool) "solve_matrix_robust records the direct breakdown" true
+    (direct_broke
+       (Powerrchol.Solver.solve_matrix_robust ~a:p.Sddm.Problem.a
+          ~b:p.Sddm.Problem.b ()))
+
 let () =
   Alcotest.run "robust"
     [
@@ -393,4 +461,8 @@ let () =
           Alcotest.test_case "floating island rejected" `Quick
             test_fault_floating_island_rejected;
         ] );
+      ( "weight-span",
+        Alcotest.test_case "direct breakdown on a 2k-vertex graph" `Quick
+          test_weight_span_direct_breakdown
+        :: Test_util.qcheck [ prop_weight_span_typed_outcome ] );
     ]
