@@ -11,8 +11,8 @@ check:
 
 test: check
 
-# Full suite again on a 2-domain pool, so the parallel regions (batch
-# chunks, factorization leaf blocks) run — every CI build-test leg.
+# Full suite again on a 2-domain pool, so the one parallel region
+# (solve_many's batch chunks) runs — every CI build-test leg.
 check-par:
 	POWERRCHOL_DOMAINS=2 dune runtest --force
 
@@ -28,16 +28,15 @@ test-robust:
 	dune build @runtest-robust
 
 # Scaled-down Table 1 + batched (factor-once/solve-many) + kernels (one
-# domain; gather vs scatter SpMV gated) + factor (leaf blocks on the
-# pool: 1-domain vs wide factorization, bitwise identity + speedup)
-# phases, then the regression gate against the committed baseline — the
-# same thing the CI bench-smoke job runs.
+# domain; gather vs scatter SpMV gated) + serve phases, then the
+# regression gate against the committed baseline — the same thing the
+# CI bench-smoke job runs.
 # The batched phase also writes bench_artifacts/trace.json; passing it
 # as the third compare argument gates its structural validity alongside
 # the timing rows.
 bench-smoke:
 	BENCH_SCALE=0.05 BENCH_SERVE_SECONDS=2 \
-	  dune exec bench/main.exe table1 batched kernels factor serve
+	  dune exec bench/main.exe table1 batched kernels serve
 	dune exec bench/compare.exe bench_artifacts/baseline.json \
 	  bench_artifacts/bench.json bench_artifacts/trace.json
 

@@ -65,19 +65,6 @@ let unbatched_solver = "PowerRChol(unbatched16)"
 let tol_kernel = getenv_float "BENCH_TOL_KERNEL" 1.15
 let tol_kernel_abs = getenv_float "BENCH_TOL_KERNEL_ABS" 2e-4
 
-(* Factor gates, checked within the CURRENT file's "factor" section (when
-   the factor experiment ran and its parallel leg was measured):
-
-   - determinism is unconditional: the factor produced on the parallel
-     pool must be bit-identical to the 1-domain run ("identical" true) —
-     a parallel factorization that drifts from the sequential one is
-     wrong, not slow, so no tolerance applies;
-   - when the section says "gated" (>= 4 domains on >= 4 hardware cores,
-     on a paper-scale >= 5e5-node case), the parallel factorization must
-     be at least BENCH_FACTOR_SPEEDUP faster than the sequential one
-     (default 1.5x). Narrow runs record the numbers but are not judged. *)
-let min_factor_speedup = getenv_float "BENCH_FACTOR_SPEEDUP" 1.5
-
 (* Serve gates, checked within the CURRENT file's "serve" section (when
    the serve load-generator experiment ran):
 
@@ -353,48 +340,6 @@ let () =
    | _ ->
      if kernel_rows <> [] then
        notes := "kernels section lacks spmv scatter/gather pair" :: !notes);
-  (* factor gates on the current run *)
-  (match Obs.Json.member "factor" current_doc with
-   | None -> ()
-   | Some fac ->
-     let num key =
-       match Obs.Json.member key fac with
-       | Some v -> Obs.Json.to_float v
-       | None -> None
-     in
-     let has_par = Obs.Json.member "t_par" fac <> None in
-     (match Obs.Json.member "identical" fac with
-      | Some (Obs.Json.Bool true) ->
-        Printf.printf
-          "factor gate: parallel factor bit-identical to the 1-domain run\n"
-      | Some (Obs.Json.Bool false) ->
-        failures :=
-          "factor: parallel factor differs bitwise from the 1-domain factor"
-          :: !failures
-      | _ ->
-        if has_par then
-          failures := "factor section lacks the identical flag" :: !failures
-        else
-          notes :=
-            "factor ran sequential-only (identity and speedup not judged)"
-            :: !notes);
-     (match Obs.Json.member "gated" fac with
-      | Some (Obs.Json.Bool true) -> (
-        match (num "t_seq", num "t_par") with
-        | Some seq, Some par ->
-          let speedup = seq /. par in
-          Printf.printf "factor gate: parallel factorization speedup %.2fx\n"
-            speedup;
-          if speedup < min_factor_speedup then
-            failures :=
-              Printf.sprintf
-                "parallel factorization speedup %.2fx below the %.2fx floor"
-                speedup min_factor_speedup
-              :: !failures
-        | _ ->
-          failures :=
-            "factor section gated but t_seq/t_par missing" :: !failures)
-      | _ -> ()));
   (* serve gates on the current run *)
   (match Obs.Json.member "serve" current_doc with
    | None -> ()

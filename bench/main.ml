@@ -22,7 +22,6 @@ let experiments =
     ("scale", Experiments.scale);
     ("micro", Micro.run);
     ("kernels", Kernels.run);
-    ("factor", Factor_bench.run);
     ("serve", Serve_bench.run);
     ("edits", Eco_bench.run);
   ]

@@ -180,13 +180,6 @@ let record_memory doc = memory_section := Some doc
 let edits_section : Obs.Json.t option ref = ref None
 let record_edits doc = edits_section := Some doc
 
-(* The factor experiment's parallel-numeric-phase summary (sequential vs
-   parallel factorization time, bitwise identity, speedup) — the
-   bench.json "factor" section; compare.exe holds identity always and the
-   speedup floor when the run was wide enough to gate. *)
-let factor_section : Obs.Json.t option ref = ref None
-let record_factor doc = factor_section := Some doc
-
 (* Peak resident set size of this process in kB, from the kernel's
    high-water mark (VmHWM). Returns 0 where /proc is unavailable; the
    scale gate then relies on the CI job's /usr/bin/time -v envelope. *)
@@ -259,12 +252,11 @@ let with_csv name f =
   Out_channel.with_open_text path f;
   printf "[csv written: %s]\n" path
 
-(* fig3's column layout, shared by the three writers that touch the file
-   (the fig3 sweep, the scale phase's appended row, and the factor
-   phase's paper-scale factorization row). *)
+(* fig3's column layout, shared by the two writers that touch the file
+   (the fig3 sweep and the scale phase's appended row). *)
 let fig3_csv_header =
   "case,nnz,feGRASS,feGRASS-IChol,AMG-PCG,RChol(AMD),PowerRChol,\
-   PowerRChol-factor,PowerRChol-factor-par"
+   PowerRChol-factor"
 
 (* Append rows to an artifact CSV, creating it with [header] first when
    absent (the scale experiment extends fig3's sweep without rerunning
@@ -365,12 +357,9 @@ let write_bench_json () =
       @ (match !memory_section with
         | Some doc -> [ ("memory", doc) ]
         | None -> [])
-      @ (match !edits_section with
-        | Some doc -> [ ("edits", doc) ]
-        | None -> [])
       @
-      match !factor_section with
-      | Some doc -> [ ("factor", doc) ]
+      match !edits_section with
+      | Some doc -> [ ("edits", doc) ]
       | None -> [])
   in
   Out_channel.with_open_text path (fun oc ->

@@ -8,7 +8,7 @@
 
    Examples:
      pgserve --listen unix:/tmp/pgserve.sock
-     pgserve --listen tcp:127.0.0.1:7070 --queue-capacity 8 --domains 4 *)
+     pgserve --listen tcp:127.0.0.1:7070 --queue-capacity 8 *)
 
 open Cmdliner
 
@@ -95,28 +95,9 @@ let access_log_max_bytes_arg =
     & opt int (10 * 1024 * 1024)
     & info [ "access-log-max-bytes" ] ~docv:"BYTES" ~doc)
 
-let domains_arg =
-  let doc =
-    "Worker domains for a factorization's leaf blocks, the only parallel \
-     region a request reaches; each solve runs on one domain. Results are \
-     bit-identical at every count. Defaults to $(b,POWERRCHOL_DOMAINS) or \
-     1."
-  in
-  Arg.(value & opt (some string) None & info [ "domains" ] ~docv:"N" ~doc)
-
-let apply_domains = function
-  | None -> ()
-  | Some s -> (
-    match Par.domains_of_string s with
-    | Error reason ->
-      Printf.eprintf "pgserve: --domains %s\n" reason;
-      exit 2
-    | Ok d -> Par.set_default_domains d)
-
 let run listen queue_capacity max_connections idle_timeout io_timeout
     max_frame artificial_delay allow_shutdown scale_cap max_iter metrics
-    access_log access_log_max_bytes domains =
-  apply_domains domains;
+    access_log access_log_max_bytes =
   let metrics_addr =
     match metrics with
     | None -> None
@@ -184,6 +165,6 @@ let cmd =
       $ idle_timeout_arg $ io_timeout_arg $ max_frame_arg
       $ artificial_delay_arg $ allow_shutdown_arg $ scale_cap_arg
       $ max_iter_arg $ metrics_arg $ access_log_arg
-      $ access_log_max_bytes_arg $ domains_arg)
+      $ access_log_max_bytes_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -26,17 +26,17 @@ let seed_arg =
 
 let domains_arg =
   let doc =
-    "Worker domains for the two parallel regions: a multi-column \
-     $(b,--rhs) batch runs whole solves per domain, and a factorization \
-     runs its ordering's leaf blocks ahead on the pool. Each solve runs on \
-     one domain. Results are bit-identical at every count. Defaults to \
-     $(b,POWERRCHOL_DOMAINS) or 1."
+    "Worker domains for a multi-column $(b,--rhs) batch, which runs whole \
+     solves per domain; everything else runs on one domain. Results are \
+     bit-identical at every count. Defaults to $(b,POWERRCHOL_DOMAINS) or \
+     1."
   in
   Arg.(value & opt (some string) None & info [ "domains" ] ~docv:"N" ~doc)
 
-(* Applied before any solve runs: replaces the default pool. Validation
-   lives in Par.domains_of_string so the flag and the environment variable
-   reject bad values with the same words. *)
+(* Applied before any solve runs: sets the default pool's width, which
+   spawns nothing until a batch fans out. Validation lives in
+   Par.domains_of_string so the flag and the environment variable reject
+   bad values with the same words. *)
 let apply_domains = function
   | None -> ()
   | Some s -> (
@@ -439,8 +439,7 @@ let solve_cmd =
 (* ---- compare ---- *)
 
 let compare_cmd =
-  let run netlist mtx case scale rtol seed domains =
-    apply_domains domains;
+  let run netlist mtx case scale rtol seed =
     let problem = load_problem netlist mtx case scale in
     Printf.printf "%s\n" (Sddm.Problem.describe problem);
     Printf.printf "%-15s %9s %9s %9s %9s %5s %10s %6s\n" "solver" "Tr" "Tf"
@@ -460,7 +459,7 @@ let compare_cmd =
   Cmd.v (Cmd.info "compare" ~doc)
     Term.(
       const run $ netlist_pos $ mtx_arg $ case_arg $ scale_arg $ rtol_arg
-      $ seed_arg $ domains_arg)
+      $ seed_arg)
 
 (* ---- transient ---- *)
 
@@ -491,8 +490,7 @@ let transient_cmd =
       value & opt float 0.5
       & info [ "duty" ] ~docv:"D" ~doc:"Load pulse duty cycle in [0,1].")
   in
-  let run nx ny seed rtol step steps period duty domains =
-    apply_domains domains;
+  let run nx ny seed rtol step steps period duty =
     (* the library rejects a bad --step, --steps, --period or --duty with
        Invalid_argument: a one-line report and exit 1 *)
     let checked f =
@@ -534,7 +532,7 @@ let transient_cmd =
   Cmd.v (Cmd.info "transient" ~doc)
     Term.(
       const run $ nx $ ny $ seed_arg $ rtol_arg $ step $ steps $ period
-      $ duty $ domains_arg)
+      $ duty)
 
 (* ---- edit-storm (ECO flow) ---- *)
 
@@ -550,8 +548,7 @@ let edit_storm_cmd =
       value & opt int 32
       & info [ "edits" ] ~docv:"N" ~doc:"Number of edit scenarios to apply.")
   in
-  let run nx ny seed rtol count domains =
-    apply_domains domains;
+  let run nx ny seed rtol count =
     let spec = Powergrid.Generate.default ~nx ~ny ~seed in
     let circuit = Powergrid.Generate.generate_circuit spec in
     let problem =
@@ -617,7 +614,7 @@ let edit_storm_cmd =
      re-solve did not converge."
   in
   Cmd.v (Cmd.info "edit-storm" ~doc)
-    Term.(const run $ nx $ ny $ seed_arg $ rtol_arg $ count $ domains_arg)
+    Term.(const run $ nx $ ny $ seed_arg $ rtol_arg $ count)
 
 let main_cmd =
   let doc = "power-grid analysis via fast randomized Cholesky (PowerRChol)" in

@@ -263,20 +263,19 @@ let rec cycle t bufs depth (b : Sparse.Vec.t) (x : Sparse.Vec.t) =
        for i = 0 to n - 1 do
          buf.bc.{agg.(i)} <- buf.bc.{agg.(i)} +. buf.r.{i}
        done
-     | Matrix p ->
-       let restricted = Sparse.Csc.spmv_t p buf.r in
-       Sparse.Vec.blit ~src:restricted ~dst:buf.bc);
+     | Matrix p -> Sparse.Csc.spmv_t_into p buf.r buf.bc);
     cycle t bufs (depth + 1) buf.bc buf.xc;
-    (* prolong and correct: x += P xc *)
+    (* prolong and correct: x += P xc, lifted through the residual
+       buffer, which is free until the post-smoother *)
     (match l.prolong with
      | Piecewise agg ->
        for i = 0 to n - 1 do
          x.{i} <- x.{i} +. buf.xc.{agg.(i)}
        done
      | Matrix p ->
-       let lift = Sparse.Csc.spmv p buf.xc in
+       Sparse.Csc.spmv_into p buf.xc buf.r;
        for i = 0 to n - 1 do
-         x.{i} <- x.{i} +. lift.{i}
+         x.{i} <- x.{i} +. buf.r.{i}
        done);
     for _ = 1 to t.post_sweeps do
       match t.smoother with

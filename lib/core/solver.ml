@@ -105,7 +105,6 @@ let solve_prepared ?rtol ?max_iter ?deadline ?x0 ?b (p : prepared) =
   solve_prepared_ws ?rtol ?max_iter ?deadline ?x0 ?b ~workspace:p.workspace p
 
 let solve_many ?rtol ?max_iter ?deadline (p : prepared) bs =
-  let pool = Par.default () in
   let nb = Array.length bs in
   let obs = Obs.enabled () in
   (* Each solve runs in its own "solve#k" span (k = global batch index)
@@ -125,8 +124,11 @@ let solve_many ?rtol ?max_iter ?deadline (p : prepared) bs =
     r
   in
   Obs.span "solve_many" (fun () ->
-      if nb <= 1 || not (Par.runs_parallel pool) then
-        Array.mapi (fun k b -> solve_one ~workspace:p.workspace k b) bs
+      if
+        nb <= 1
+        || Par.effective_domains () = 1
+        || not (Par.runs_parallel (Par.default ()))
+      then Array.mapi (fun k b -> solve_one ~workspace:p.workspace k b) bs
       else begin
         (* Fan the batch across the pool, one contiguous chunk of
            right-hand sides per domain. Each chunk gets its own PCG
@@ -136,7 +138,7 @@ let solve_many ?rtol ?max_iter ?deadline (p : prepared) bs =
            domain count. *)
         let n = Sddm.Problem.n p.problem in
         let results = Array.make nb None in
-        Par.parallel_for pool ~lo:0 ~hi:nb (fun lo hi ->
+        Par.parallel_for (Par.default ()) ~lo:0 ~hi:nb (fun lo hi ->
             let workspace = Krylov.Pcg.Workspace.create n in
             for k = lo to hi - 1 do
               results.(k) <- Some (solve_one ~workspace k bs.(k))
@@ -176,35 +178,32 @@ let ordering_name = function
   | Nested_dissection -> "nd"
   | Partitioned -> "part"
 
-(* The permutation and the factorization's parallel blocks; only
-   [Partitioned] has blocks to give. *)
 let apply_ordering ordering g =
   match ordering with
-  | Amd -> (Ordering.Amd.order g, [||])
-  | Natural -> (Ordering.Natural.order g, [||])
-  | Degree_sort -> (Ordering.Degree_sort.order g, [||])
-  | Rcm -> (Ordering.Rcm.order g, [||])
-  | Nested_dissection -> (Ordering.Nested_dissection.order g, [||])
-  | Partitioned -> Ordering.Partitioned.order_with_blocks g
+  | Amd -> Ordering.Amd.order g
+  | Natural -> Ordering.Natural.order g
+  | Degree_sort -> Ordering.Degree_sort.order g
+  | Rcm -> Ordering.Rcm.order g
+  | Nested_dissection -> Ordering.Nested_dissection.order g
+  | Partitioned -> Ordering.Partitioned.order g
 
 (* ---- randomized-Cholesky solvers ---- *)
 
 (* The one randomized-Cholesky preparation; every solver below and the
    engine's sessions go through it. *)
 let rand_chol_prepare ~name ~order
-    ~(factorize :
-       ?blocks:(int * int) array -> rng:Rng.t -> Sddm.Graph.t ->
-       d:float array -> 'f) ~lower ~seed problem =
+    ~(factorize : rng:Rng.t -> Sddm.Graph.t -> d:float array -> 'f) ~lower
+    ~seed problem =
   let g = problem.Sddm.Problem.graph in
   let t0 = now () in
-  let perm, blocks = Obs.span "reorder" (fun () -> order g) in
+  let perm = Obs.span "reorder" (fun () -> order g) in
   let t1 = now () in
   let f =
     Obs.span "factor" (fun () ->
         let gp = Sddm.Graph.permute g perm in
         let d = problem.Sddm.Problem.d in
         let dp = Array.init (Array.length perm) (fun k -> d.(perm.(k))) in
-        factorize ~blocks ~rng:(Rng.create seed) gp ~d:dp)
+        factorize ~rng:(Rng.create seed) gp ~d:dp)
   in
   let t2 = now () in
   let l = lower f in
@@ -243,10 +242,10 @@ let lt_rchol ?(ordering = Amd) ?seed () =
 let default_heavy_factor = 10.0
 
 (* Partitioned = recursive bisection with Alg. 4 degree sort inside each
-   block: same local fill behavior as plain Alg. 4, and leaf blocks the
-   multicore factorization can run ahead (DESIGN.md §15). *)
+   block: the local fill behavior of plain Alg. 4, and ECO locality
+   (DESIGN.md §14). *)
 let powerrchol_order ?(heavy_factor = default_heavy_factor) g =
-  Ordering.Partitioned.order_with_blocks ~heavy_factor g
+  Ordering.Partitioned.order ~heavy_factor g
 
 let powerrchol_with ~order ?seed () =
   rand_chol_solver ~name:"powerrchol" ~order
@@ -391,11 +390,11 @@ let robust_retries = 2
 
 (* One island's chain: powerrchol -> reseed-and-retry x robust_retries ->
    rchol(amd) -> jacobi -> direct. The powerrchol rungs share the
-   island's one lazy ordering (permutation and blocks): reordering is
-   deterministic and seed-independent, so a reseed re-runs only the
-   randomized factorization. A caller's handle serves only the system it
-   was prepared for, so on a disconnected grid, where the chains see
-   islands, the first rung prepares like the others. *)
+   island's one lazy ordering: reordering is deterministic and
+   seed-independent, so a reseed re-runs only the randomized
+   factorization. A caller's handle serves only the system it was
+   prepared for, so on a disconnected grid, where the chains see islands,
+   the first rung prepares like the others. *)
 let robust_rungs ?prepared ?deadline ~seed ~rtol ~max_iter island =
   let ordered = lazy (powerrchol_order island.Sddm.Problem.graph) in
   let powerrchol_rung ?prepared ~name seed =

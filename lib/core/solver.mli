@@ -75,10 +75,11 @@ val solve_many :
     right-hand sides. With one domain (or a busy pool) the batch runs
     sequentially on the handle's workspace; with more domains it is
     fanned across the default {!Par} pool in contiguous chunks, one
-    private workspace per chunk. This batch fan-out is the solve path's
-    only parallel region: each chunk runs whole sequential solves, so
-    result [k] is bit-identical to [solve_prepared ~b:bs.(k) p] at any
-    domain count.
+    private workspace per chunk; the pool's workers are spawned by the
+    first batch that fans out. This batch fan-out is the library's only
+    parallel region: each chunk runs whole sequential solves, so result
+    [k] is bit-identical to [solve_prepared ~b:bs.(k) p] at any domain
+    count.
 
     Telemetry stays live at any domain count: the batch is one
     ["solve_many"] span containing a ["solve#k"] span per right-hand
@@ -113,16 +114,12 @@ type ordering =
   | Nested_dissection
   | Partitioned
       (** Recursive bisection with Alg. 4 degree sort inside each block
-          ([Ordering.Partitioned]) — the ordering whose leaf blocks the
-          multicore factorization runs ahead. Named ["part"]. *)
+          ([Ordering.Partitioned]). Named ["part"]. *)
 
 val ordering_name : ordering -> string
 
-val apply_ordering :
-  ordering -> Sddm.Graph.t -> Sparse.Perm.t * (int * int) array
-(** The permutation (position -> vertex) and the blocks the randomized
-    factorization may run ahead ([Factor.Rand_chol.factorize ~blocks]):
-    [Partitioned]'s leaf blocks, none for the other orderings. *)
+val apply_ordering : ordering -> Sddm.Graph.t -> Sparse.Perm.t
+(** The permutation (position -> vertex) the ordering computes. *)
 
 val powerrchol : ?heavy_factor:float -> ?seed:int -> unit -> t
 (** The paper's solver: partitioned Alg. 4 reordering
@@ -132,15 +129,16 @@ val powerrchol_prepare : ?seed:int -> Sddm.Problem.t -> prepared
 (** [(powerrchol ?seed ()).prepare]: the paper's preparation with the
     default heavy factor. *)
 
-val powerrchol_order :
-  ?heavy_factor:float -> Sddm.Graph.t -> Sparse.Perm.t * (int * int) array
+val powerrchol_order : ?heavy_factor:float -> Sddm.Graph.t -> Sparse.Perm.t
 (** The ordering every powerrchol preparation uses: partitioned Alg. 4
-    ([Ordering.Partitioned.order_with_blocks], [heavy_factor] defaulting
-    to {!default_heavy_factor}), with its leaf blocks. Shared by
-    {!powerrchol}, the robust chain's powerrchol rungs and
-    {!Engine.Session}, so it is the one place the PowerRChol ordering is
-    chosen. The blocks only schedule the factorization: the factor's bits
-    are those of the plain ascending elimination. *)
+    ([Ordering.Partitioned.order], [heavy_factor] defaulting to
+    {!default_heavy_factor}). Shared by {!powerrchol}, the robust chain's
+    powerrchol rungs and {!Engine.Session}, so it is the one place the
+    PowerRChol ordering is chosen. The paper's method is plain Alg. 4
+    ([lt_rchol ~ordering:Degree_sort]); the partitioning stays for the
+    ECO sessions' locality (an edit's re-elimination closure stays in
+    its grid region), and because the benchmark ledger's traced solve
+    pins this ordering and the [golden] test rows record its bits. *)
 
 val rchol : ?ordering:ordering -> ?seed:int -> unit -> t
 (** Original RChol (Alg. 1) preconditioner; default AMD ordering, the
@@ -156,19 +154,17 @@ val rand_chol_custom :
 (** Fully custom randomized-Cholesky solver (ablation benches). *)
 
 val rand_chol_prepare :
-  name:string -> order:(Sddm.Graph.t -> Sparse.Perm.t * (int * int) array) ->
-  factorize:
-    (?blocks:(int * int) array -> rng:Rng.t -> Sddm.Graph.t ->
-     d:float array -> 'f) ->
+  name:string -> order:(Sddm.Graph.t -> Sparse.Perm.t) ->
+  factorize:(rng:Rng.t -> Sddm.Graph.t -> d:float array -> 'f) ->
   lower:('f -> Factor.Lower.t) -> seed:int -> Sddm.Problem.t ->
   Sparse.Perm.t * 'f * prepared
 (** The one randomized-Cholesky preparation, behind every solver above
     and {!Engine.Session}: [order] the graph under the Obs span
     ["reorder"] (timed as [t_reorder]), permute the graph and the excess
-    diagonal, [factorize] them with [order]'s blocks from a fresh
-    [Rng.create seed] under the span ["factor"] (timed as [t_precond]),
-    and wrap the factor [lower] reads from the factorization as the
-    handle's preconditioner, named [name]. Returns the permutation and
+    diagonal, [factorize] them from a fresh [Rng.create seed] under the
+    span ["factor"] (timed as [t_precond]), and wrap the factor [lower]
+    reads from the factorization as the handle's preconditioner, named
+    [name]. Returns the permutation and
     the factorization with the handle, for a caller that updates the
     factor in place. *)
 

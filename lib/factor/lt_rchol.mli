@@ -7,14 +7,12 @@ val default_buckets : int
     others through [Rand_chol.Counting_sort]. *)
 
 val factorize :
-  ?blocks:(int * int) array -> rng:Rng.t -> Sddm.Graph.t -> d:float array ->
-  Lower.t
+  rng:Rng.t -> Sddm.Graph.t -> d:float array -> Lower.t
 (** See {!Rand_chol.factorize}; this is
     [factorize ~sort:(Counting_sort { buckets = default_buckets })
     ~sampling:Shared_random] under the Obs span ["lt_rchol"]. *)
 
 val factorize_updatable :
-  ?blocks:(int * int) array -> rng:Rng.t -> Sddm.Graph.t -> d:float array ->
-  Rand_chol.updatable
+  rng:Rng.t -> Sddm.Graph.t -> d:float array -> Rand_chol.updatable
 (** {!Rand_chol.factorize_updatable} with the LT-RChol parameterization —
     the factorization behind the session layer's incremental updates. *)

@@ -11,10 +11,10 @@ let expected_clique_weight ~d_k ~w_i ~w_j = w_i *. w_j /. d_k
 
 (* ------------------------------------------------------------------ *)
 (* Growable runs, the one append buffer of the elimination: the per-column
-   edge lists (edge (a,b) with a<b lives in column a), the factor entries,
-   the record slots and the blocks' effect logs. Entry [q] holds [stride]
-   ints at [ids.(stride * q) ..] and one float at [vals.(q)]; a full run
-   doubles, to at least [min_cap] entries.                              *)
+   edge lists (edge (a,b) with a<b lives in column a), the factor entries
+   and the record slots. Entry [q] holds [stride] ints at
+   [ids.(stride * q) ..] and one float at [vals.(q)]; a full run doubles,
+   to at least [min_cap] entries.                                       *)
 
 type run = {
   stride : int;
@@ -63,15 +63,6 @@ let release r =
   r.vals <- [||];
   r.len <- 0
 
-(* move every entry of [src] to the end of [dst], same stride *)
-let append dst src =
-  let len = dst.len + src.len in
-  if len > Array.length dst.vals then grow dst len;
-  Array.blit src.ids 0 dst.ids (dst.stride * dst.len) (src.stride * src.len);
-  Array.blit src.vals 0 dst.vals dst.len src.len;
-  dst.len <- len;
-  release src
-
 (* ------------------------------------------------------------------ *)
 (* In-place insertion/quick sort of idx.(lo..hi) keyed by key.(idx.(.)),
    ascending; avoids per-column allocation in the Exact_sort path. The
@@ -119,13 +110,10 @@ let rec quicksort_by idx (key : float array) lo hi =
 
 (* ------------------------------------------------------------------ *)
 
-(* One workspace per pool slot: every array here is written only by the
-   domain that owns the slot, including the stamp counter and the keyed
-   per-column generator (reseeded from [(base_key, column)] before each
-   column's draws, so the sampled bits never depend on which slot runs the
-   column). The telemetry accumulators are summed across slots at the end —
-   the counts are per-column facts, so their sum is domain-count
-   independent. *)
+(* The elimination's scratch: the gathered column, the sort and sampling
+   buffers, the stamp counter, the keyed per-column generator (reseeded
+   from [(base_key, column)] before each column's draws) and the telemetry
+   accumulators. *)
 type workspace = {
   mutable nbrs : int array;        (* gathered unique neighbors *)
   mutable sorted : int array;      (* counting-sort output *)
@@ -274,62 +262,23 @@ let make_recorder n =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The elimination order and its parallel schedule (DESIGN.md §15).
+(* The elimination order (DESIGN.md §15).
 
    The factor is the ascending elimination of the graph: one pass over
    columns 0 .. n-1. Column k's output depends on four things: the order
    of the entries pushed into its list, its excess diagonal, its keyed
    stream (reseeded from [(base_key, k)]) and its own arithmetic. The
-   pass delivers every push and bump in ascending source order.
-
-   [blocks] let a pool run part of that pass ahead without moving a bit.
-   A block [lo, hi) is backward-closed when no edge joins it to a
-   position below lo. Such a block receives no effect from an earlier
-   column: randomized fill lies inside exact-Cholesky fill, and an exact
-   fill path into the block from below lo would have to enter it from a
-   position >= hi, above both endpoints. So each block eliminates its
-   columns in ascending order on its own, applies the effects on targets
-   below hi and logs the rest. The ascending sweep then eliminates every
-   other column and replays a block's log when it reaches that block, so
-   each column receives its inputs in exactly the order the plain pass
-   gives. Without a pool to run them on, the blocks are ignored and the
-   plain pass is what runs. *)
-
-(* Raise [Invalid_argument] unless [blocks] are sorted, disjoint, inside
-   [0, n] and backward-closed in [g]; one O(n + m) pass. *)
-let check_blocks g n blocks =
-  let block_lo = Array.make n (-1) in
-  let next = ref 0 in
-  Array.iter
-    (fun (lo, hi) ->
-      if lo < !next || hi < lo || hi > n then
-        invalid_arg
-          (Printf.sprintf
-             "Rand_chol.factorize: block [%d, %d) is unsorted, overlapping or \
-              outside [0, %d)"
-             lo hi n);
-      Array.fill block_lo lo (hi - lo) lo;
-      next := hi)
-    blocks;
-  Sddm.Graph.iter_edges g (fun u v _ ->
-      let a = min u v and b = max u v in
-      if block_lo.(b) > a then
-        invalid_arg
-          (Printf.sprintf
-             "Rand_chol.factorize: the block starting at %d is not \
-              backward-closed: edge (%d, %d)"
-             block_lo.(b) a b))
+   pass delivers every push and bump in ascending source order. *)
 
 (* [g] must already be coalesced (both external entry points guarantee
    it); the recorder's edge indices refer to the coalesced edge order. *)
-let factorize_gen ~blocks ~sort ~sampling ~rng ~record g ~d =
+let factorize_gen ~sort ~sampling ~rng ~record g ~d =
   let n = Sddm.Graph.n_vertices g in
   if Array.length d <> n then
     invalid_arg
       (Printf.sprintf
          "Rand_chol.factorize: d has %d entries for a graph of %d vertices"
          (Array.length d) n);
-  if Array.length blocks > 0 then check_blocks g n blocks;
   let obs = Obs.enabled () in
   (* One draw from the caller's generator keys every per-column stream;
      the caller-visible [~rng] contract is unchanged while draw order
@@ -346,36 +295,19 @@ let factorize_gen ~blocks ~sort ~sampling ~rng ~record g ~d =
       let a = min u v and b = max u v in
       push cols.(a) b w);
   let dvec = Array.copy d in
-  (* --- per-slot workspaces, output runs and the blocks' runs --- *)
-  let pool = Par.default () in
-  let blocks = if Par.runs_parallel pool then blocks else [||] in
-  let n_blocks = Array.length blocks in
-  let wss = Array.make (max (Par.domains pool) 1) None in
-  let ws_for slot =
-    match wss.(slot) with
-    | Some w -> w
-    | None ->
-      let w = make_workspace n in
-      wss.(slot) <- Some w;
-      w
+  let ws = make_workspace n in
+  (* factor entries (diagonal first) and record slots, in column order *)
+  let out = make_run ~stride:1 ~min_cap:4 ((4 * n) + 16) in
+  let slots =
+    match record with
+    | Some r -> r.r_fill
+    | None -> make_run ~stride:2 ~min_cap:16 0
   in
-  (* factor entries (diagonal first) and record slots, in column order;
-     a block fills its own pair, and logs its effects on later columns as
-     (a, b, w) fill edges and (i, -1, bump) excess-diagonal bumps *)
-  let entries ncols = make_run ~stride:1 ~min_cap:4 ((4 * ncols) + 16) in
-  let triples () = make_run ~stride:2 ~min_cap:16 0 in
-  let out = entries n in
-  let slots = match record with Some r -> r.r_fill | None -> triples () in
-  let block_out = Array.map (fun (lo, hi) -> entries (hi - lo)) blocks in
-  let block_slots = Array.init n_blocks (fun _ -> triples ()) in
-  let block_log = Array.init n_blocks (fun _ -> triples ()) in
   let recording = record <> None in
   let col_len = Array.make (max n 1) 0 in
-  (* --- the per-column elimination ---
-     [out] and [slots] receive column [k]'s factor entries and record
-     slots. Effects on targets below [hi] are applied; the rest go to
-     [log]. The sweep passes [hi = n] and logs nothing. *)
-  let eliminate ws k ~hi ~out ~slots ~log =
+  (* --- the per-column elimination: column [k]'s factor entries go to
+     [out], its record slots to [slots] --- *)
+  let eliminate k =
     let c = cols.(k) in
     (* ---- gather and coalesce the live neighbors of k ---- *)
     ws.stamp <- ws.stamp + 1;
@@ -445,7 +377,7 @@ let factorize_gen ~blocks ~sort ~sampling ~rng ~record g ~d =
       for q = 0 to m - 1 do
         let i = ws.nbrs.(q) in
         let bump = d_excess_k *. ws.wval.(i) /. d_k in
-        if i < hi then dvec.(i) <- dvec.(i) +. bump else push2 log i (-1) bump
+        dvec.(i) <- dvec.(i) +. bump
       done;
       if m > 1 then begin
         (* ---- prefix sums ---- *)
@@ -497,7 +429,7 @@ let factorize_gen ~blocks ~sort ~sampling ~rng ~record g ~d =
           let w_new = s_j *. ws.wval.(n_j) /. d_k in
           if w_new > 0.0 && n_j <> n_l then begin
             let a = min n_j n_l and b = max n_j n_l in
-            if a < hi then push cols.(a) b w_new else push2 log a b w_new;
+            push cols.(a) b w_new;
             ws.sampled <- ws.sampled + 1;
             if recording then push2 slots a b w_new
           end
@@ -506,52 +438,10 @@ let factorize_gen ~blocks ~sort ~sampling ~rng ~record g ~d =
       end
     end
   in
-  (* --- the blocks, ahead on the pool; a block's Breakdown is held for
-     the sweep, so the reported column is the plain pass's --- *)
-  let held = Array.make n_blocks None in
-  if n_blocks > 0 then
-    Obs.span "blocks" (fun () ->
-        Par.parallel_for_weighted pool
-          ~weight:(fun b -> float_of_int (snd blocks.(b) - fst blocks.(b)))
-          ~lo:0 ~hi:n_blocks
-          (fun slot blo bhi ->
-            let ws = ws_for slot in
-            for b = blo to bhi - 1 do
-              let lo, hi = blocks.(b) in
-              try
-                for k = lo to hi - 1 do
-                  eliminate ws k ~hi ~out:block_out.(b)
-                    ~slots:block_slots.(b) ~log:block_log.(b)
-                done
-              with Breakdown _ as e -> held.(b) <- Some e
-            done));
-  (* --- the ascending sweep --- *)
-  (Obs.span "sweep" @@ fun () ->
-   let ws = ws_for 0 and no_log = triples () in
-   let sweep lo hi =
-     for k = lo to hi - 1 do
-       eliminate ws k ~hi:n ~out ~slots ~log:no_log
-     done
-   in
-   let replay log =
-     for q = 0 to log.len - 1 do
-       let i = log.ids.(2 * q) and j = log.ids.((2 * q) + 1) in
-       if j < 0 then dvec.(i) <- dvec.(i) +. log.vals.(q)
-       else push cols.(i) j log.vals.(q)
-     done;
-     release log
-   in
-   let next = ref 0 in
-   Array.iteri
-     (fun b (lo, hi) ->
-       sweep !next lo;
-       Option.iter raise held.(b);
-       append out block_out.(b);
-       append slots block_slots.(b);
-       replay block_log.(b);
-       next := hi)
-     blocks;
-   sweep !next n);
+  Obs.span "sweep" (fun () ->
+      for k = 0 to n - 1 do
+        eliminate k
+      done);
   (* --- L's arrays, copied from the output run --- *)
   let total = out.len in
   let l =
@@ -580,38 +470,20 @@ let factorize_gen ~blocks ~sort ~sampling ~rng ~record g ~d =
      done
    | None -> ());
   if obs then begin
-    (* per-slot sub-phase accumulators flush as aggregate spans; the sums
-       are domain-count-independent because every column runs exactly once *)
-    let t_sort = ref 0.0 and n_sort = ref 0 in
-    let t_merge = ref 0.0 and n_merge = ref 0 in
-    let sampled = ref 0 in
-    Array.iter
-      (function
-        | None -> ()
-        | Some ws ->
-          t_sort := !t_sort +. ws.t_sort;
-          n_sort := !n_sort + ws.n_sort;
-          t_merge := !t_merge +. ws.t_merge;
-          n_merge := !n_merge + ws.n_merge;
-          sampled := !sampled + ws.sampled)
-      wss;
-    Obs.record_span "sort" ~seconds:!t_sort ~calls:!n_sort;
-    Obs.record_span "merge" ~seconds:!t_merge ~calls:!n_merge;
-    Obs.count "sampled_edges" !sampled;
+    (* the sub-phase accumulators flush as aggregate spans *)
+    Obs.record_span "sort" ~seconds:ws.t_sort ~calls:ws.n_sort;
+    Obs.record_span "merge" ~seconds:ws.t_merge ~calls:ws.n_merge;
+    Obs.count "sampled_edges" ws.sampled;
     (* absolute sizes of this factorization — gauges so re-factoring in
        the same capture overwrites instead of summing *)
     Obs.gauge "factor_nnz" (float_of_int total);
     Obs.gauge "fill_nnz"
-      (float_of_int (max 0 (total - n - Sddm.Graph.n_edges g)));
-    Obs.gauge "factor_blocks" (float_of_int n_blocks);
-    Obs.gauge "factor_sweep_cols"
-      (float_of_int
-         (Array.fold_left (fun acc (lo, hi) -> acc - (hi - lo)) n blocks))
+      (float_of_int (max 0 (total - n - Sddm.Graph.n_edges g)))
   end;
   l
 
-let factorize ?(blocks = [||]) ~sort ~sampling ~rng g ~d =
-  factorize_gen ~blocks ~sort ~sampling ~rng ~record:None
+let factorize ~sort ~sampling ~rng g ~d =
+  factorize_gen ~sort ~sampling ~rng ~record:None
     (Sddm.Graph.coalesce g) ~d
 
 (* ------------------------------------------------------------------ *)
@@ -675,11 +547,11 @@ type updatable = {
   mutable u_pfs : float array;  (* prefix sums over one column's pattern *)
 }
 
-let factorize_updatable ?(blocks = [||]) ~sort ~sampling ~rng g ~d =
+let factorize_updatable ~sort ~sampling ~rng g ~d =
   let g = Sddm.Graph.coalesce g in
   let n = Sddm.Graph.n_vertices g in
   let r = make_recorder n in
-  let l = factorize_gen ~blocks ~sort ~sampling ~rng ~record:(Some r) g ~d in
+  let l = factorize_gen ~sort ~sampling ~rng ~record:(Some r) g ~d in
   (* base incidence and the edge index, in coalesced edge order *)
   let m = Sddm.Graph.n_edges g in
   let ews = Array.make (max m 1) 0.0 in

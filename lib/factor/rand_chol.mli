@@ -24,23 +24,10 @@
 
     {b One elimination order} (DESIGN.md §15). The factor is the
     ascending elimination of the input graph: one pass over columns
-    [0 .. n-1]. Every column draws its randomness from a private stream
-    keyed by [(one draw from ~rng, column index)], so a column's output
-    depends only on the inputs the earlier columns hand it, in ascending
-    source order.
-
-    {b Parallel schedule.} [?blocks] lists backward-closed column ranges
-    [\[lo, hi)]: no edge joins a block to a position below [lo].
-    [Ordering.Partitioned.order_with_blocks] returns its leaf blocks in
-    that form. When the default {!Par} pool runs in parallel, each
-    block's columns run ahead on the pool and log their effects on later
-    columns; one ascending sweep eliminates every other column and
-    replays a block's log when it reaches the block. Each column then
-    receives its inputs in exactly the order of the plain pass, so the
-    factor is {e bit-identical with or without blocks, at every domain
-    count}. On a one-domain pool the blocks are ignored and the plain
-    pass runs. A {!Breakdown} inside a block is held until the sweep
-    reaches that block, so it reports the plain pass's column.
+    [0 .. n-1] on the calling domain. Every column draws its randomness
+    from a private stream keyed by [(one draw from ~rng, column index)],
+    so a column's output depends only on the inputs the earlier columns
+    hand it, in ascending source order, and never on the domain count.
 
     {b Migration notes.} The switch from one shared random cursor to
     per-column keyed streams changed the factor values once (same
@@ -68,15 +55,13 @@ exception Breakdown of { column : int; pivot : float }
     broke down. *)
 
 val factorize :
-  ?blocks:(int * int) array -> sort:sort -> sampling:sampling ->
-  rng:Rng.t -> Sddm.Graph.t -> d:float array -> Lower.t
+  sort:sort -> sampling:sampling -> rng:Rng.t -> Sddm.Graph.t ->
+  d:float array -> Lower.t
 (** [factorize ~sort ~sampling ~rng g ~d] factors [laplacian g + diag d]
     in natural vertex order (permute the graph first for reordering).
     Returns the lower-triangular factor with [L L^T ≈ A]. Deterministic
-    given [rng]'s state; [blocks] (default none) only schedule the work
-    and never change a bit. Raises [Invalid_argument] when [d] does not
-    have one entry per vertex of [g], or when [blocks] are unsorted,
-    overlapping, outside [\[0, n\]] or not backward-closed in [g]. *)
+    given [rng]'s state. Raises [Invalid_argument] when [d] does not have
+    one entry per vertex of [g]. *)
 
 val expected_clique_weight : d_k:float -> w_i:float -> w_j:float -> float
 (** The exact clique edge weight [w_i * w_j / d_k] that the sampled edge is
@@ -97,8 +82,8 @@ val expected_clique_weight : d_k:float -> w_i:float -> w_j:float -> float
 type updatable
 
 val factorize_updatable :
-  ?blocks:(int * int) array -> sort:sort -> sampling:sampling ->
-  rng:Rng.t -> Sddm.Graph.t -> d:float array -> updatable
+  sort:sort -> sampling:sampling -> rng:Rng.t -> Sddm.Graph.t ->
+  d:float array -> updatable
 (** Like {!factorize} but additionally records the elimination so the
     factor's values can be recomputed in place after edits. The factor
     produced is bit-identical to {!factorize} with the same inputs. The

@@ -3,7 +3,6 @@
     per-neighbor binary-search sampling, O(|L| log(|L|/N)) total. *)
 
 val factorize :
-  ?blocks:(int * int) array -> rng:Rng.t -> Sddm.Graph.t -> d:float array ->
-  Lower.t
+  rng:Rng.t -> Sddm.Graph.t -> d:float array -> Lower.t
 (** See {!Rand_chol.factorize}; this is
     [factorize ~sort:Exact_sort ~sampling:Per_neighbor]. *)

@@ -1,18 +1,17 @@
-(* Partition-aware fill-reducing ordering for parallel factorization.
+(* Partition-aware fill-reducing ordering.
 
-   Alg. 4 degree sort applied to a whole mesh scatters every neighbourhood
-   across the order, so beyond a prefix no range of positions is free of
-   edges to earlier positions, and nothing can run beside the first
-   columns. Recursively bisecting the graph first — BFS level structure
-   from a pseudo-peripheral vertex, cut at the level that splits the count
-   most evenly, separator emitted after both halves — and only then
-   degree-sorting each block keeps the local fill behavior of Alg. 4 while
-   giving the elimination genuinely independent pieces: every leaf block
-   is a range of positions that no edge joins to an earlier position
-   (sibling parts are not adjacent, and a separator comes after the parts
-   it separates), so the randomized factorization can run each leaf block
-   ahead on its own domain. This mirrors the partitioning step of RCHOL
-   (Chen, Liang & Biros, arXiv:2011.07769, §3.3).
+   Recursively bisecting the graph — BFS level structure from a
+   pseudo-peripheral vertex, cut at the level that splits the count most
+   evenly, separator emitted after both halves — and only then
+   degree-sorting each block keeps the local fill behavior of Alg. 4
+   inside every block and keeps a grid region's vertices together in the
+   order, so an ECO edit's re-elimination closure through the factor
+   stays local (DESIGN.md §14). The partitioning step is RCHOL's (Chen,
+   Liang & Biros, arXiv:2011.07769, §3.3), where it buys parallel
+   scaling; here the factorization is one sequential pass (DESIGN.md
+   §15), and the partitioning buys locality only. It also stays the
+   PowerRChol default because the benchmark ledger's traced preparation
+   calls [order] and the [golden] test rows record its bits.
 
    Everything runs over flat arrays (DESIGN.md §15). A dissection's
    members are the slice [members.(lo .. hi-1)]; it is partitioned in
@@ -32,11 +31,11 @@
 let leaf_fraction = 1.0 /. 64.0
 let leaf_min = 1024
 
-let order_with_blocks ?(heavy_factor = 10.0) g =
+let order ?(heavy_factor = 10.0) g =
   Obs.span "partitioned_order" @@ fun () ->
   let g = Sddm.Graph.coalesce g in
   let n = Sddm.Graph.n_vertices g in
-  if n = 0 then ([||], [||])
+  if n = 0 then [||]
   else begin
     let { Sddm.Graph.ptr; nbr; wgt } = Sddm.Graph.adjacency g in
     let target =
@@ -52,8 +51,6 @@ let order_with_blocks ?(heavy_factor = 10.0) g =
     let mark = Array.make n 0 in
     let stamp = ref 0 in
     let blocks = ref 0 in
-    (* the leaf blocks' [lo, hi), last first *)
-    let leaves = ref [] in
     let enter lo hi =
       incr stamp;
       for k = lo to hi - 1 do
@@ -115,13 +112,9 @@ let order_with_blocks ?(heavy_factor = 10.0) g =
         perm.(k) <- members.(lo + perm.(k))
       done
     in
-    let leaf lo hi =
-      if hi > lo then leaves := (lo, hi) :: !leaves;
-      order_block lo hi
-    in
     let rec dissect lo hi =
       let count = hi - lo in
-      if count <= target then leaf lo hi
+      if count <= target then order_block lo hi
       else begin
         enter lo hi;
         for k = lo to hi - 1 do
@@ -139,7 +132,7 @@ let order_with_blocks ?(heavy_factor = 10.0) g =
         done;
         let reached = bfs far in
         let max_level = level.(queue.(reached - 1)) in
-        if max_level = 0 then leaf lo hi
+        if max_level = 0 then order_block lo hi
         else begin
           (* Cut at the level splitting the vertex count most evenly — the
              mid-level of the eccentricity can be wildly lopsided on meshes
@@ -203,7 +196,5 @@ let order_with_blocks ?(heavy_factor = 10.0) g =
     in
     dissect 0 n;
     if Obs.enabled () then Obs.gauge "partition_blocks" (float_of_int !blocks);
-    (perm, Array.of_list (List.rev !leaves))
+    perm
   end
-
-let order ?heavy_factor g = fst (order_with_blocks ?heavy_factor g)

@@ -118,8 +118,7 @@ let recommended_domains () =
       Printf.eprintf "warning: POWERRCHOL_DOMAINS ignored: %s\n%!" reason;
       1)
 
-let create ?domains () =
-  let d = match domains with Some d -> d | None -> recommended_domains () in
+let create ~domains:d () =
   if d < 1 then invalid_arg "Par.create: domains must be >= 1";
   let workers =
     Array.init (d - 1) (fun _ ->
@@ -159,21 +158,34 @@ let shutdown p =
     Array.iter Domain.join p.handles
   end
 
+(* The default pool's width, fixed by [set_default_domains] or on first
+   use from [recommended_domains]; the pool itself is spawned only when a
+   region first asks for it, so a process that never fans out never runs
+   beside parked domains. *)
+let default_width : int option ref = ref None
 let default_pool : pool option ref = ref None
+
+let effective_domains () =
+  match !default_width with
+  | Some d -> d
+  | None ->
+    let d = recommended_domains () in
+    default_width := Some d;
+    d
 
 let default () =
   match !default_pool with
   | Some p -> p
   | None ->
-    let p = create () in
+    let p = create ~domains:(effective_domains ()) () in
     default_pool := Some p;
     p
 
 let set_default_domains d =
+  if d < 1 then invalid_arg "Par.set_default_domains: domains must be >= 1";
   (match !default_pool with Some p -> shutdown p | None -> ());
-  default_pool := Some (create ~domains:d ())
-
-let effective_domains () = domains (default ())
+  default_pool := None;
+  default_width := Some d
 
 (* Worker domains never outlive the process: alcotest runners and the CLI
    both exit through at_exit, which parks-then-joins the default pool. *)
@@ -183,40 +195,11 @@ let () =
 
 let runs_parallel p = domains p > 1 && not p.busy
 
-(* Fan [bounds.(i), bounds.(i+1)) chunks across the pool; [f]
-   additionally receives its chunk slot so callers can keep slot-private
-   scratch (the blocks phase keeps one factorization workspace per slot).
-   When telemetry is on, each chunk records into its own Obs worker store
-   (seeded with the caller's span prefix, so merged paths match the
-   sequential run) and its busy time is flushed to par/busy_s#<slot>
-   afterwards. When off, the closure below is the bare chunk call — a
-   single flag read per region. *)
-let run_bounds p ~bounds f =
-  let d = domains p in
-  let obs_on = Obs.enabled () in
-  let prefix = if obs_on then Obs.current_prefix () else "" in
-  if obs_on then Array.fill p.busy_s 0 d (-1.0);
-  p.busy <- true;
-  Fun.protect
-    ~finally:(fun () -> p.busy <- false)
-    (fun () ->
-      run p (fun i ->
-          let clo = bounds.(i) and chi = bounds.(i + 1) in
-          if clo < chi then
-            if obs_on then
-              Obs.worker_scope ~slot:i ~prefix (fun () ->
-                  let t0 = Obs.now () in
-                  Fun.protect
-                    ~finally:(fun () ->
-                      p.busy_s.(i) <- Float.max (Obs.now () -. t0) 0.0)
-                    (fun () -> f i clo chi))
-            else f i clo chi));
-  if obs_on then
-    for i = 0 to d - 1 do
-      if p.busy_s.(i) >= 0.0 then
-        Obs.add_absolute p.busy_names.(i) p.busy_s.(i)
-    done
-
+(* One chunk per domain. When telemetry is on, each chunk records into its
+   own Obs worker store (seeded with the caller's span prefix, so merged
+   paths match the sequential run) and its busy time is flushed to
+   par/busy_s#<slot> afterwards. When off, the closure below is the bare
+   chunk call — a single flag read per region. *)
 let parallel_for p ~lo ~hi f =
   let len = hi - lo in
   if len > 0 then begin
@@ -225,60 +208,28 @@ let parallel_for p ~lo ~hi f =
     else begin
       let chunk = (len + d - 1) / d in
       let bounds = Array.init (d + 1) (fun i -> min hi (lo + (i * chunk))) in
-      run_bounds p ~bounds (fun _ clo chi -> f clo chi)
-    end
-  end
-
-let parallel_for_weighted p ~weight ~lo ~hi f =
-  let len = hi - lo in
-  if len > 0 then begin
-    let d = domains p in
-    if d = 1 || p.busy then f 0 lo hi
-    else begin
-      (* Chunk boundaries balance the weight prefix sums, not the item
-         count: chunk c ends at the first item whose cumulative weight
-         reaches c+1 shares of the total. Boundaries depend only on the
-         weights, so a run at any domain count sees the same chunks up to
-         concatenation. *)
-      let total = ref 0.0 in
-      for i = lo to hi - 1 do
-        let w = weight i in
-        if not (w >= 0.0) then
-          invalid_arg "Par.parallel_for_weighted: negative weight";
-        total := !total +. w
-      done;
-      let bounds = Array.make (d + 1) hi in
-      bounds.(0) <- lo;
-      let share = !total /. float_of_int d in
-      let acc = ref 0.0 in
-      let c = ref 1 in
-      for i = lo to hi - 1 do
-        acc := !acc +. weight i;
-        (* leave at least one item per remaining chunk *)
-        if
-          !c < d
-          && !acc >= (share *. float_of_int !c)
-          && i + 1 < hi
-          && i + 1 - lo >= !c
-        then begin
-          bounds.(!c) <- i + 1;
-          incr c
-        end
-      done;
-      for c' = !c to d - 1 do
-        bounds.(c') <- hi
-      done;
-      if Obs.enabled () && !total > 0.0 then begin
-        let wmax = ref 0.0 in
+      let obs_on = Obs.enabled () in
+      let prefix = if obs_on then Obs.current_prefix () else "" in
+      if obs_on then Array.fill p.busy_s 0 d (-1.0);
+      p.busy <- true;
+      Fun.protect
+        ~finally:(fun () -> p.busy <- false)
+        (fun () ->
+          run p (fun i ->
+              let clo = bounds.(i) and chi = bounds.(i + 1) in
+              if clo < chi then
+                if obs_on then
+                  Obs.worker_scope ~slot:i ~prefix (fun () ->
+                      let t0 = Obs.now () in
+                      Fun.protect
+                        ~finally:(fun () ->
+                          p.busy_s.(i) <- Float.max (Obs.now () -. t0) 0.0)
+                        (fun () -> f clo chi))
+                else f clo chi));
+      if obs_on then
         for i = 0 to d - 1 do
-          let cw = ref 0.0 in
-          for q = bounds.(i) to bounds.(i + 1) - 1 do
-            cw := !cw +. weight q
-          done;
-          if !cw > !wmax then wmax := !cw
-        done;
-        Obs.gauge "par/weighted_imbalance" (!wmax /. share)
-      end;
-      run_bounds p ~bounds f
+          if p.busy_s.(i) >= 0.0 then
+            Obs.add_absolute p.busy_names.(i) p.busy_s.(i)
+        done
     end
   end

@@ -1,19 +1,17 @@
-(** Execution layer for the library's two coarse parallel regions: a
+(** Execution layer for the library's one coarse parallel region: a
     [Domain]-based fixed pool with static range partitioning.
 
-    {b What runs on the pool.} Only whole units of work fan out:
+    {b What runs on the pool.} Only whole solves fan out:
     [Solver.solve_many] runs one contiguous chunk of complete sequential
-    solves per domain, and the randomized factorization runs the
-    ordering's leaf blocks ahead of its sweep. Every kernel inside a
-    solve or a column elimination (SpMV, the triangular solves, the
+    solves per domain. Everything else (the ordering, the factorization,
+    and every kernel inside a solve: SpMV, the triangular solves, the
     vector passes and their reductions) is one sequential loop on the
     calling domain.
 
     {b Determinism policy} (see DESIGN.md §10). No library result depends
     on the domain count. A batch chunk runs the same sequential solve as
-    a lone call, and the factorization's blocks produce the plain
-    ascending elimination's bits, so a result at [p] domains is
-    bit-identical to the result at 1 domain, for every [p].
+    a lone call, so a result at [p] domains is bit-identical to the
+    result at 1 domain, for every [p].
 
     {b Ownership.} A pool is owned by one in-flight computation at a
     time. Entry points called while the pool is already running a region
@@ -36,33 +34,35 @@ val domains_of_string : string -> (int, string) result
     [POWERRCHOL_DOMAINS] fail with the same words. *)
 
 val recommended_domains : unit -> int
-(** Domain count for pools created without an explicit [~domains]: the
+(** The default pool's width unless {!set_default_domains} sets one: the
     [POWERRCHOL_DOMAINS] environment variable when it passes
     {!domains_of_string}, otherwise [1] — parallelism is opt-in so a
     default build stays bit-identical to the sequential code. A set but
     invalid variable is ignored {e with a warning on stderr}, never
     silently. *)
 
-val create : ?domains:int -> unit -> pool
-(** [create ()] builds a pool of [recommended_domains ()] (or [~domains])
-    domains including the caller; [domains - 1] workers are spawned and
-    parked. Raises [Invalid_argument] when [domains < 1]. *)
+val create : domains:int -> unit -> pool
+(** [create ~domains ()] builds a pool of [domains] domains including the
+    caller; [domains - 1] workers are spawned and parked. Raises
+    [Invalid_argument] when [domains < 1]. *)
 
 val domains : pool -> int
 val shutdown : pool -> unit
 (** Stop and join the workers. Idempotent. *)
 
 val default : unit -> pool
-(** The process-wide pool, created lazily with {!recommended_domains}.
-    [Solver.solve_many]'s batch fan-out and [Factor.Rand_chol]'s leaf
-    blocks route through it. *)
+(** The process-wide pool of {!effective_domains} domains, spawned on the
+    first call. [Solver.solve_many]'s batch fan-out routes through it. *)
 
 val set_default_domains : int -> unit
-(** Replace the default pool with one of the given size (shutting the old
-    one down). Must not be called while a solve is in flight. *)
+(** Set the default pool's width, shutting down a pool already spawned;
+    the next {!default} spawns one of the new width. Spawns nothing
+    itself. Raises [Invalid_argument] when the width is below 1. Must not
+    be called while a solve is in flight. *)
 
 val effective_domains : unit -> int
-(** [domains (default ())]. *)
+(** The default pool's width: the last {!set_default_domains}, else
+    {!recommended_domains}. Spawns no pool. *)
 
 val runs_parallel : pool -> bool
 (** True when a [parallel_for] on this pool would actually fan out:
@@ -83,22 +83,3 @@ val parallel_for :
     the capture; per-chunk busy seconds are flushed to the absolute
     counters [par/busy_s#<slot>], from which [Obs.capture] derives the
     [par/imbalance] ratio. When disabled the region costs one flag read. *)
-
-val parallel_for_weighted :
-  pool ->
-  weight:(int -> float) ->
-  lo:int ->
-  hi:int ->
-  (int -> int -> int -> unit) ->
-  unit
-(** [parallel_for_weighted pool ~weight ~lo ~hi f] is {!parallel_for} with
-    chunk boundaries placed on the prefix sums of [weight i] instead of the
-    item count — the task API of the parallel factorization, where items
-    are the ordering's leaf blocks, of very uneven size. [f slot clo chi]
-    additionally receives the chunk slot (0-based, stable for the region)
-    so callers can keep slot-private scratch without locking. Runs
-    [f 0 lo hi] inline when the pool has one domain or is busy.
-    Boundaries depend only on the weights — never on timing or domain
-    count. Weights must be nonnegative; when telemetry is on, the
-    max-chunk/ideal-share weight ratio is recorded as the
-    [par/weighted_imbalance] gauge. *)

@@ -7,10 +7,8 @@ type config = {
   max_frame : int;
   artificial_delay : float;
   allow_shutdown : bool;
-  rtol_cap : float;
   max_iter : int;
   scale_cap : float;
-  max_sessions : int;
   metrics_addr : Proto.addr option;
   access_log : string option;
   access_log_max_bytes : int;
@@ -26,10 +24,8 @@ let default_config addr =
     max_frame = Proto.default_max_frame;
     artificial_delay = 0.0;
     allow_shutdown = false;
-    rtol_cap = 1e-14;
     max_iter = 500;
     scale_cap = 1.0;
-    max_sessions = 4;
     metrics_addr = None;
     access_log = None;
     access_log_max_bytes = 10 * 1024 * 1024;
@@ -71,8 +67,7 @@ type t = {
   lock : Mutex.t;  (* guards stats, counters, histograms below *)
   solve_lock : Mutex.t;
       (* the single solve lane: the problem table and solver internals are
-         not thread-safe, so admitted jobs run one at a time (a
-         factorization's leaf blocks run on the Par pool) *)
+         not thread-safe, so admitted jobs run one at a time *)
   stats : stats;
   latency : Obs.Hist.t;  (* service seconds per admitted request *)
   queue_wait : Obs.Hist.t;  (* seconds spent waiting for the solve lane *)
@@ -370,6 +365,9 @@ let find_handle t key hkey =
    many across all entries. *)
 let max_handles = 8
 
+(* Open ECO sessions, across all entries; past it the oldest is closed. *)
+let max_sessions = 4
+
 (* Enter a fresh handle. Past max_handles handles in the whole table, the
    least recently used one is dropped. *)
 let add_handle t key problem hkey prepared =
@@ -408,7 +406,7 @@ let find_session t key problem seed =
             let e = Hashtbl.find t.table key in
             Hashtbl.remove e.sessions seed;
             drop_if_empty t key e)
-          (past_cap t.config.max_sessions t.session_order);
+          (past_cap max_sessions t.session_order);
         numbered)
 
 let solver_of_tag ~seed = function
@@ -758,7 +756,7 @@ let metrics t =
         Obj
           [
             ("open", Int open_sessions);
-            ("capacity", Int t.config.max_sessions);
+            ("capacity", Int max_sessions);
             ("updates", Int updated);
           ] );
       ("latency_s", Obs.Hist.to_json lat);
@@ -889,6 +887,10 @@ let count_outcome t resp =
     err ()
   | Proto.Health_report _ | Proto.Pong | Proto.Bye | Proto.Rejected _ -> ()
 
+(* The lowest request tolerance accepted: a hostile [rtol = 1e-300] cannot
+   pin the solve lane. *)
+let rtol_cap = 1e-14
+
 (* Returns (response, close_connection_after_reply). *)
 let dispatch t ~t_recv ~req_id req =
   locked t (fun () ->
@@ -920,11 +922,11 @@ let dispatch t ~t_recv ~req_id req =
   | Proto.Diagnose { spec } -> admitted (fun _ -> exec_diagnose t spec)
   | Proto.Solve { spec; solver = tag; rtol; seed; deadline_ms; robust; want_x }
     ->
-    let rtol = Float.max rtol t.config.rtol_cap in
+    let rtol = Float.max rtol rtol_cap in
     admitted ?deadline_ms (fun deadline ->
         exec_solve t ~t_recv ~spec ~tag ~rtol ~seed ~deadline ~robust ~want_x)
   | Proto.Update { spec; edits; rtol; seed; deadline_ms; want_x } ->
-    let rtol = Float.max rtol t.config.rtol_cap in
+    let rtol = Float.max rtol rtol_cap in
     admitted ?deadline_ms (fun deadline ->
         exec_update t ~t_recv ~spec ~edits ~rtol ~seed ~deadline ~want_x)
 

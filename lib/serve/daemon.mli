@@ -7,8 +7,9 @@
     (solver, seed) and its ECO sessions by seed, so a warm request is a
     table lookup and a PCG solve, with no rebuild and no re-factorization.
     Handles are capped at {!max_handles} across the table and evicted
-    least-recently-used; sessions are capped at [max_sessions] and
-    evicted FIFO; an entry holding neither is dropped.
+    least-recently-used; sessions are capped at four and evicted FIFO (a
+    later update on an evicted session's spec transparently re-opens it
+    with a fresh preparation); an entry holding neither is dropped.
     The design goal is that {e no client behavior can crash, hang, or
     wedge the daemon}:
 
@@ -29,9 +30,8 @@
       tick, and {!stop} returns once every connection has drained.
 
     Solves are serialized through one internal lock (the problem table and
-    solver internals are not thread-safe; a factorization's leaf blocks
-    run on the {!Par} pool), so [queue_capacity] is the whole backlog
-    bound.
+    solver internals are not thread-safe), so [queue_capacity] is the
+    whole backlog bound.
 
     Every admitted request ends in exactly one typed response; every
     outcome increments a counter visible in {!metrics}. *)
@@ -57,17 +57,10 @@ type config = {
   allow_shutdown : bool;
       (** whether a [Shutdown] request is honored (daemon CLI enables it
           for the smoke test; a production deployment would not) *)
-  rtol_cap : float;
-      (** lower bound on accepted request tolerances — a hostile
-          [rtol=1e-300] cannot pin the solve lane *)
   max_iter : int;  (** PCG iteration budget per solve *)
   scale_cap : float;
       (** upper bound on accepted suite-case scales, for every request
           naming a case — bounds per-request memory and time *)
-  max_sessions : int;
-      (** concurrently open ECO sessions ({!Proto.Update} state); beyond
-          this the oldest session is closed FIFO — a later update on its
-          spec transparently re-opens it with a fresh preparation *)
   metrics_addr : Proto.addr option;
       (** when set, a second listener serving Prometheus text format
           0.0.4 over plain HTTP ([GET /metrics]). [Tcp (host, 0)] binds
@@ -84,9 +77,10 @@ type config = {
 
 val default_config : Proto.addr -> config
 (** Capacity 32, 64 connections, 30 s idle, 10 s io, 16 MiB frames, no
-    artificial delay, shutdown disabled, rtol capped at 1e-14, 500
-    iterations, scale capped at 1.0, 4 sessions, no metrics listener,
-    no access log, 10 MiB rotation bound. *)
+    artificial delay, shutdown disabled, 500 iterations, scale capped at
+    1.0, no metrics listener, no access log, 10 MiB rotation bound.
+    Request tolerances are always raised to at least 1e-14, so a hostile
+    [rtol = 1e-300] cannot pin the solve lane. *)
 
 val max_handles : int
 (** Prepared handles the problem table holds across all entries (8);

@@ -211,17 +211,22 @@ let spmv_sym_into a x y =
     Vec.unsafe_set y i !acc
   done
 
-let spmv_t a x =
-  if Vec.length x <> a.n_rows then
-    invalid_arg "Csc.spmv_t: vector length must match the matrix";
-  let y = Vec.create a.n_cols in
+let spmv_t_into a x y =
+  if Vec.length x <> a.n_rows || Vec.length y <> a.n_cols then
+    invalid_arg "Csc.spmv_t_into: vector lengths must match the matrix";
   for j = 0 to a.n_cols - 1 do
     let acc = ref 0.0 in
     for k = a.col_ptr.%(j) to a.col_ptr.%(j + 1) - 1 do
       acc := !acc +. (Vec.get a.values k *. Vec.get x a.row_idx.%(k))
     done;
     Vec.set y j !acc
-  done;
+  done
+
+let spmv_t a x =
+  if Vec.length x <> a.n_rows then
+    invalid_arg "Csc.spmv_t: vector length must match the matrix";
+  let y = Vec.create a.n_cols in
+  spmv_t_into a x y;
   y
 
 let transpose a =

@@ -84,6 +84,11 @@ val spmv_t : t -> Vec.t -> Vec.t
 (** [spmv_t a x] is [a^T * x]. Raises [Invalid_argument] when [x] is not
     [n_rows] long. *)
 
+val spmv_t_into : t -> Vec.t -> Vec.t -> unit
+(** [spmv_t_into a x y] computes [y <- a^T * x] without allocating, with
+    {!spmv_t}'s arithmetic. Raises [Invalid_argument] when [x] is not
+    [n_rows] long or [y] not [n_cols] long. *)
+
 val transpose : t -> t
 
 val symmetrize_check : t -> bool

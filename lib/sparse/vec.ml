@@ -86,13 +86,23 @@ let scale (x : t) alpha =
     x.{i} <- x.{i} *. alpha
   done
 
+(* [add] and [sub] write through an index loop, not [init]: [init]'s
+   closure returns a boxed float per entry. *)
 let add (x : t) (y : t) : t =
   if length x <> length y then length_mismatch "add" x y;
-  init (length x) (fun i -> x.{i} +. y.{i})
+  let z = Array1.create float64 c_layout (length x) in
+  for i = 0 to length x - 1 do
+    z.{i} <- x.{i} +. y.{i}
+  done;
+  z
 
 let sub (x : t) (y : t) : t =
   if length x <> length y then length_mismatch "sub" x y;
-  init (length x) (fun i -> x.{i} -. y.{i})
+  let z = Array1.create float64 c_layout (length x) in
+  for i = 0 to length x - 1 do
+    z.{i} <- x.{i} -. y.{i}
+  done;
+  z
 
 let xpby ~(x : t) ~beta ~(y : t) =
   if length x <> length y then length_mismatch "xpby" x y;

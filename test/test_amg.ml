@@ -73,12 +73,12 @@ let test_amg_pcg () =
 let test_v_cycle_allocation_bound () =
   (* After a warm-up apply has built the pooled level buffers, a V-cycle
      allocates a constant handful of words (the pool hand-off), however
-     many nonzeros it sweeps: the smoothers and the coarse solve work in
-     place. *)
+     many nonzeros it sweeps: the smoothers, the level transfers (plain
+     and smoothed aggregation) and the coarse solve work in place. *)
   List.iter
-    (fun side ->
+    (fun (side, smooth_prolongation) ->
       let p = mesh_problem ~side ~seed:621 in
-      let h = Amg.build p.Sddm.Problem.a in
+      let h = Amg.build ?smooth_prolongation p.Sddm.Problem.a in
       let pc = Amg.preconditioner h in
       let n = Sddm.Problem.n p in
       let r = Sparse.Vec.init n (fun i -> float_of_int (i mod 17) -. 8.0) in
@@ -90,10 +90,11 @@ let test_v_cycle_allocation_bound () =
       done;
       let per_apply = (Gc.minor_words () -. w0) /. 10.0 in
       Alcotest.(check bool)
-        (Printf.sprintf "%.0f minor words per apply (n=%d, nnz=%d)" per_apply
-           n (Csc.nnz p.Sddm.Problem.a))
-        true (per_apply <= 256.0))
-    [ 30; 60 ]
+        (Printf.sprintf "%.0f minor words per apply (n=%d, nnz=%d%s)"
+           per_apply n (Csc.nnz p.Sddm.Problem.a)
+           (if smooth_prolongation = None then "" else ", smoothed"))
+        true (per_apply <= 64.0))
+    [ (30, None); (60, None); (30, Some 0.66); (60, Some 0.66) ]
 
 let test_small_matrix_direct () =
   (* below coarse_size: hierarchy has one level = direct solve *)
@@ -129,6 +130,36 @@ let test_smoothed_aggregation_fewer_iterations () =
   Alcotest.(check bool)
     (Printf.sprintf "SA %d <= plain %d" sa plain)
     true (sa <= plain)
+
+(* MD5 over a solution's little-endian float64 bits. *)
+let bits_md5 (x : Sparse.Vec.t) =
+  let n = Sparse.Vec.length x in
+  let buf = Bytes.create (8 * n) in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le buf (8 * i) (Int64.bits_of_float x.{i})
+  done;
+  Digest.to_hex (Digest.bytes buf)
+
+let test_pcg_bits_pinned () =
+  (* PCG under both transfer kinds, pinned to the iterations and solution
+     bits it reaches on the 40x40 grid: a change to the V-cycle's
+     arithmetic or its term order shows here *)
+  let p = mesh_problem ~side:40 ~seed:617 in
+  List.iter
+    (fun (label, smooth_prolongation, iterations, md5) ->
+      let h = Amg.build ?smooth_prolongation p.Sddm.Problem.a in
+      let r =
+        Krylov.Pcg.solve ~a:p.Sddm.Problem.a ~b:p.Sddm.Problem.b
+          ~precond:(Amg.preconditioner h) ()
+      in
+      Alcotest.(check int) (label ^ ": iterations") iterations
+        r.Krylov.Pcg.iterations;
+      Alcotest.(check string) (label ^ ": solution bits") md5
+        (bits_md5 r.Krylov.Pcg.x))
+    [
+      ("plain", None, 14, "a2a6e20b33085fd957073c89ee533a57");
+      ("smoothed", Some 0.66, 7, "cb62ec6d7d331cc295d9133a584060b6");
+    ]
 
 let test_jacobi_smoother_converges () =
   let p = mesh_problem ~side:30 ~seed:619 in
@@ -180,6 +211,7 @@ let () =
             test_v_cycle_allocation_bound;
           Alcotest.test_case "smoothed aggregation" `Quick
             test_smoothed_aggregation_fewer_iterations;
+          Alcotest.test_case "pcg bits pinned" `Quick test_pcg_bits_pinned;
           Alcotest.test_case "jacobi smoother" `Quick
             test_jacobi_smoother_converges;
         ] );

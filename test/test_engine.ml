@@ -184,6 +184,27 @@ let test_march_allocation_bound () =
        (Sparse.Vec.length res.Powerrchol.Transient.v_final))
     true (per_step < 1000.0)
 
+let test_prepared_solve_allocation_bound () =
+  (* A warm prepared solve allocates a constant budget (the result
+     record, the PCG loop's handful of words, the verification vectors'
+     headers), not words per unknown: the answer's true-residual check
+     must not box a float per entry. *)
+  let p =
+    (Powergrid.Suite.scale_case ~target_nodes:12_000 ()).Powergrid.Suite.build
+      ()
+  in
+  let n = Sddm.Problem.n p in
+  let prepared = Solver.powerrchol_prepare p in
+  ignore (Solver.solve_prepared prepared);
+  let before = Gc.minor_words () in
+  let r = Solver.solve_prepared prepared in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "converged" true r.Solver.converged;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for one solve (n = %d)" words n)
+    true
+    (n >= 10_000 && words < float_of_int n /. 8.0)
+
 (* ---- in-place PCG contract ---- *)
 
 let test_solve_operator_into_caller_buffer () =
@@ -559,6 +580,8 @@ let () =
             test_prepared_reuse_identical;
           Alcotest.test_case "every solver bit-identical at 2 domains" `Quick
             test_solve_many_domains_bit_identical;
+          Alcotest.test_case "prepared solve allocation bound" `Quick
+            test_prepared_solve_allocation_bound;
         ] );
       ( "transient",
         [

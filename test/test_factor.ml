@@ -391,6 +391,64 @@ let test_rand_chol_singular_detection () =
      | exception Factor.Rand_chol.Breakdown { column; pivot } ->
        column >= 0 && column < 10 && not (pivot > 0.0))
 
+(* Paths and grounded meshes laid end to end, each its own component:
+   [`Path len] is ungrounded, so its elimination ends in a zero pivot at
+   its last column; [`Mesh (w, h)] is grounded at its first vertex. *)
+let components parts =
+  let edges = ref [] and grounds = ref [] in
+  let n =
+    List.fold_left
+      (fun lo part ->
+        match part with
+        | `Path len ->
+          for i = lo to lo + len - 2 do
+            edges := (i, i + 1, 1.0 +. float_of_int (i mod 3)) :: !edges
+          done;
+          lo + len
+        | `Mesh (w, h) ->
+          Sddm.Graph.iter_edges (Test_util.mesh_graph w h) (fun u v wt ->
+              edges := (lo + u, lo + v, wt) :: !edges);
+          grounds := lo :: !grounds;
+          lo + (w * h))
+      0 parts
+  in
+  let d = Array.make n 0.0 in
+  List.iter (fun i -> d.(i) <- 1.0) !grounds;
+  (Sddm.Graph.create ~n ~edges:(Array.of_list !edges), d)
+
+let test_breakdown_first_failing_column () =
+  (* One ascending pass: the column a Breakdown reports is the first
+     zero pivot in elimination order, whatever components follow it, for
+     every randomized entry point *)
+  let entries =
+    [
+      ( "lt-rchol",
+        fun g ~d -> ignore (Factor.Lt_rchol.factorize ~rng:(Rng.create 5) g ~d)
+      );
+      ( "rchol",
+        fun g ~d -> ignore (Factor.Rchol.factorize ~rng:(Rng.create 5) g ~d) );
+      ( "updatable lt-rchol",
+        fun g ~d ->
+          ignore
+            (Factor.Lt_rchol.factorize_updatable ~rng:(Rng.create 5) g ~d) );
+    ]
+  in
+  let check label parts column =
+    let g, d = components parts in
+    List.iter
+      (fun (entry, factorize) ->
+        match factorize g ~d with
+        | () -> Alcotest.failf "%s, %s: expected Breakdown" label entry
+        | exception Factor.Rand_chol.Breakdown { pivot; column = c } ->
+          Alcotest.(check int) (Printf.sprintf "%s, %s: column" label entry)
+            column c;
+          Alcotest.(check bool) "nonpositive pivot" true (not (pivot > 0.0)))
+      entries
+  in
+  check "path between meshes" [ `Mesh (20, 20); `Path 40; `Mesh (10, 10) ] 439;
+  check "two paths" [ `Mesh (20, 20); `Path 30; `Path 40; `Mesh (20, 20) ] 429;
+  check "path first" [ `Path 30; `Mesh (20, 20); `Path 40 ] 29
+
 let test_rand_chol_diag_positive () =
   let g, d = Test_util.random_sddm ~seed:431 ~n:150 ~m:500 in
   let rng = Rng.create 433 in
@@ -633,246 +691,27 @@ let test_updatable_breakdown_on_unground () =
     | _ -> false
     | exception Factor.Rand_chol.Breakdown { pivot; _ } -> not (pivot > 0.0))
 
-(* ---- parallel elimination scheduling (DESIGN.md §15) ---- *)
+(* ---- the elimination order (DESIGN.md §15) ---- *)
 
-(* Every test that widens the default pool restores it, so suites stay
-   independent of execution order. *)
-let with_domains d f =
-  Fun.protect
-    ~finally:(fun () -> Par.set_default_domains (Par.recommended_domains ()))
-    (fun () ->
-      Par.set_default_domains d;
-      f ())
-
-(* A mesh under the partitioned ordering, with its leaf blocks: at 2 and
-   4 domains the blocks run ahead on the pool, so multi-domain runs
-   exercise the schedule rather than the plain pass. *)
+(* A mesh under the partitioned ordering, grounded at two corners *)
 let partitioned_mesh ~w ~h =
   let g = Test_util.mesh_graph w h in
   let n = w * h in
   let d = Array.make n 0.0 in
   d.(0) <- 1.0;
   d.(n - 1) <- 0.5;
-  let perm, blocks = Ordering.Partitioned.order_with_blocks g in
+  let perm = Ordering.Partitioned.order g in
   let gp = Sddm.Graph.permute g perm in
   let dp = Array.init n (fun k -> d.(perm.(k))) in
-  (gp, dp, blocks)
-
-let factor_fingerprint l =
-  let buf = Buffer.create 4096 in
-  let n = Factor.Lower.dim l in
-  for k = 0 to n do
-    Buffer.add_string buf
-      (string_of_int (Sparse.Idx.get l.Factor.Lower.col_ptr k));
-    Buffer.add_char buf ';'
-  done;
-  for q = 0 to Factor.Lower.nnz l - 1 do
-    Buffer.add_string buf (string_of_int (Sparse.Idx.get l.Factor.Lower.rows q));
-    Buffer.add_char buf ':';
-    Buffer.add_string buf
-      (Printf.sprintf "%h" (Sparse.Vec.get l.Factor.Lower.vals q));
-    Buffer.add_char buf ';'
-  done;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(* The factorizations whose bits the schedule must not move: lt-rchol,
-   rchol, and the updatable lt-rchol after one refactor. Each returns
-   its factor's fingerprint, or the column a Breakdown reports. *)
-let schedule_variants ~refactor_at =
-  let run f =
-    match f () with
-    | l -> factor_fingerprint l
-    | exception Factor.Rand_chol.Breakdown { column; _ } ->
-      Printf.sprintf "breakdown at %d" column
-  in
-  [
-    ( "lt-rchol",
-      fun ~blocks g ~d ->
-        run (fun () ->
-            Factor.Lt_rchol.factorize ~blocks ~rng:(Rng.create 99) g ~d) );
-    ( "rchol",
-      fun ~blocks g ~d ->
-        run (fun () ->
-            Factor.Rchol.factorize ~blocks ~rng:(Rng.create 99) g ~d) );
-    ( "updatable lt-rchol + refactor",
-      fun ~blocks g ~d ->
-        run (fun () ->
-            let u =
-              Factor.Lt_rchol.factorize_updatable ~blocks
-                ~rng:(Rng.create 99) g ~d
-            in
-            let k = refactor_at mod Array.length d in
-            Factor.Rand_chol.set_excess u k
-              (Factor.Rand_chol.excess u k +. 0.25);
-            ignore (Factor.Rand_chol.refactor u);
-            Factor.Rand_chol.factor u) );
-  ]
-
-(* Every variant, factored with [blocks] at 1, 2 and 4 domains, against
-   the plain pass (no blocks, 1 domain); the failures, by name *)
-let schedule_mismatches ~refactor_at (g, d, blocks) =
-  let variants = schedule_variants ~refactor_at in
-  let plain =
-    with_domains 1 (fun () ->
-        List.map (fun (_, f) -> f ~blocks:[||] g ~d) variants)
-  in
-  List.concat_map
-    (fun dom ->
-      with_domains dom (fun () ->
-          List.concat
-            (List.map2
-               (fun (name, f) want ->
-                 let got = f ~blocks g ~d in
-                 if got = want then []
-                 else
-                   [ Printf.sprintf "%s at %d domains: %s, plain %s" name dom
-                       got want ])
-               variants plain)))
-    [ 1; 2; 4 ]
-
-let test_factor_bit_identical_across_domains () =
-  let case = partitioned_mesh ~w:64 ~h:64 in
-  let _, _, blocks = case in
-  Alcotest.(check bool) "the mesh has several blocks" true
-    (Array.length blocks > 1);
-  Alcotest.(check (list string)) "blocks and domains change no bit" []
-    (schedule_mismatches ~refactor_at:2049 case)
-
-(* Paths and grounded meshes laid end to end, each its own component:
-   [`Path len] is ungrounded, so its factorization breaks down at its
-   last column with a zero pivot; [`Mesh (w, h)] is grounded at its first
-   vertex. A [true] flag makes the component a block. *)
-let components parts =
-  let edges = ref [] and grounds = ref [] and blocks = ref [] in
-  let lo =
-    List.fold_left
-      (fun lo (part, block) ->
-        let size =
-          match part with
-          | `Path len ->
-            for i = lo to lo + len - 2 do
-              edges := (i, i + 1, 1.0 +. float_of_int (i mod 3)) :: !edges
-            done;
-            len
-          | `Mesh (w, h) ->
-            Sddm.Graph.iter_edges (Test_util.mesh_graph w h) (fun u v wt ->
-                edges := (lo + u, lo + v, wt) :: !edges);
-            grounds := lo :: !grounds;
-            w * h
-        in
-        if block then blocks := (lo, lo + size) :: !blocks;
-        lo + size)
-      0 parts
-  in
-  let d = Array.make lo 0.0 in
-  List.iter (fun i -> d.(i) <- 1.0) !grounds;
-  ( Sddm.Graph.create ~n:lo ~edges:(Array.of_list !edges),
-    d,
-    Array.of_list (List.rev !blocks) )
-
-let test_factor_breakdown_from_worker_domain () =
-  (* An ungrounded path inside a block breaks down on a worker domain at
-     2 and 4 domains; one outside the blocks breaks down in the sweep.
-     Whichever comes first in the plain pass is the column reported, at
-     every domain count: a block's Breakdown waits for the sweep. *)
-  let check label parts column =
-    let g, d, blocks = components parts in
-    List.iter
-      (fun dom ->
-        with_domains dom (fun () ->
-            List.iter
-              (fun blocks ->
-                match
-                  Factor.Lt_rchol.factorize ~blocks ~rng:(Rng.create 5) g ~d
-                with
-                | _ ->
-                  Alcotest.failf "%s: expected Breakdown at %d domains" label
-                    dom
-                | exception Factor.Rand_chol.Breakdown { pivot; column = c } ->
-                  Alcotest.(check int)
-                    (Printf.sprintf "%s: column at %d domains, %d blocks" label
-                       dom (Array.length blocks))
-                    column c;
-                  Alcotest.(check bool) "nonpositive pivot" true
-                    (not (pivot > 0.0)))
-              [ [||]; blocks ]))
-      [ 1; 2; 4 ]
-  in
-  let mesh = (`Mesh (20, 20), true) in
-  check "inside a block"
-    [ mesh; (`Path 40, true); (`Mesh (10, 10), false) ]
-    439;
-  check "outside the blocks"
-    [ mesh; (`Path 40, false); (`Mesh (10, 10), true) ]
-    439;
-  check "sweep before block"
-    [ mesh; (`Path 30, false); (`Path 40, true); mesh ]
-    429;
-  check "block before sweep"
-    [ mesh; (`Path 30, true); (`Path 40, false); mesh ]
-    429;
-  check "two blocks" [ (`Path 30, true); mesh; (`Path 40, true) ] 29
-
-let test_bad_blocks_rejected () =
-  (* a 10-vertex path: the only backward-closed blocks start at 0 *)
-  let g = Test_util.path_graph 10 in
-  let d = Array.make 10 0.0 in
-  d.(0) <- 1.0;
-  List.iter
-    (fun dom ->
-      with_domains dom (fun () ->
-          List.iter
-            (fun (label, blocks) ->
-              List.iter
-                (fun (entry, factorize) ->
-                  match factorize ~blocks with
-                  | () ->
-                    Alcotest.failf "%s: %s accepted at %d domains" label entry
-                      dom
-                  | exception Invalid_argument _ -> ())
-                [
-                  ( "factorize",
-                    fun ~blocks ->
-                      ignore
-                        (Factor.Lt_rchol.factorize ~blocks ~rng:(Rng.create 1)
-                           g ~d) );
-                  ( "factorize_updatable",
-                    fun ~blocks ->
-                      ignore
-                        (Factor.Lt_rchol.factorize_updatable ~blocks
-                           ~rng:(Rng.create 1) g ~d) );
-                ])
-            [
-              ("unsorted", [| (5, 10); (0, 5) |]);
-              ("overlapping", [| (0, 5); (4, 10) |]);
-              ("negative", [| (-1, 5) |]);
-              ("past the end", [| (0, 11) |]);
-              ("reversed", [| (5, 3) |]);
-              ("not backward-closed", [| (3, 6) |]);
-            ]))
-    [ 1; 2 ];
-  (* empty and whole-range blocks are valid and change nothing *)
-  let plain =
-    factor_fingerprint (Factor.Lt_rchol.factorize ~rng:(Rng.create 1) g ~d)
-  in
-  List.iter
-    (fun blocks ->
-      Alcotest.(check string) "valid blocks accepted" plain
-        (with_domains 2 (fun () ->
-             factor_fingerprint
-               (Factor.Lt_rchol.factorize ~blocks ~rng:(Rng.create 1) g ~d))))
-    [ [| (0, 10) |]; [| (0, 0); (0, 4) |] ]
+  (gp, dp)
 
 (* A random SDDM graph with islands and isolated vertices, laid out
    island by island in a random order inside each: every island is a
    mesh of 1 to 144 vertices (1 is an isolated vertex), weights 10^U(-2,2),
-   a few chords. With [~ungrounded], one island in six has no ground, so
-   its factorization breaks down. Returns the blocks the layout allows:
-   a random prefix of some islands, each backward-closed because no edge
-   leaves an island. *)
-let islands ~ungrounded seed =
+   a few chords, and one to four grounded vertices. *)
+let islands seed =
   let rng = Rng.create seed in
-  let edges = ref [] and grounds = ref [] and blocks = ref [] in
+  let edges = ref [] and grounds = ref [] in
   let lo = ref 0 in
   for _ = 1 to 1 + Rng.int rng 6 do
     let w = 1 + Rng.int rng 12 and h = 1 + Rng.int rng 12 in
@@ -887,58 +726,25 @@ let islands ~ungrounded seed =
       let u = Rng.int rng size and v = Rng.int rng size in
       if u <> v then add u v
     done;
-    if not (ungrounded && Rng.int rng 6 = 0) then
-      for _ = 0 to Rng.int rng 3 do
-        let i = !lo + Rng.int rng size in
-        grounds := (i, Rng.float_range rng 0.1 1.0) :: !grounds
-      done;
-    if Rng.bool rng then blocks := (!lo, !lo + 1 + Rng.int rng size) :: !blocks;
+    for _ = 0 to Rng.int rng 3 do
+      let i = !lo + Rng.int rng size in
+      grounds := (i, Rng.float_range rng 0.1 1.0) :: !grounds
+    done;
     lo := !lo + size
   done;
   let d = Array.make !lo 0.0 in
   List.iter (fun (i, x) -> d.(i) <- d.(i) +. x) !grounds;
-  ( Sddm.Graph.create ~n:!lo ~edges:(Array.of_list !edges),
-    d,
-    Array.of_list (List.rev !blocks) )
+  (Sddm.Graph.create ~n:!lo ~edges:(Array.of_list !edges), d)
 
-(* A 33..56 x 32..48 mesh (so [Partitioned] dissects it), weights
-   10^U(-2,2), one edge in ten dropped (islands, some ungrounded), a few
-   grounded vertices; under the partitioned ordering, with its blocks. *)
-let rough_partitioned_mesh seed =
-  let rng = Rng.create seed in
-  let w = 33 + Rng.int rng 24 and h = 32 + Rng.int rng 17 in
-  let n = w * h in
-  let edges = ref [] in
-  Sddm.Graph.iter_edges (Test_util.mesh_graph w h) (fun u v _ ->
-      if Rng.int rng 10 > 0 then
-        edges := (u, v, 10.0 ** Rng.float_range rng (-2.0) 2.0) :: !edges);
-  let g = Sddm.Graph.create ~n ~edges:(Array.of_list !edges) in
-  let d = Array.make n 0.0 in
-  for _ = 0 to Rng.int rng 8 do
-    d.(Rng.int rng n) <- Rng.float_range rng 0.1 1.0
-  done;
-  let perm, blocks = Ordering.Partitioned.order_with_blocks g in
-  (Sddm.Graph.permute g perm, Array.init n (fun k -> d.(perm.(k))), blocks)
-
-let prop_schedule_changes_no_bit =
-  QCheck.Test.make ~name:"blocks and domains change no bit" ~count:30
-    QCheck.(pair bool (int_bound 1_000_000))
-    (fun (mesh, seed) ->
-      let case =
-        if mesh then rough_partitioned_mesh seed
-        else islands ~ungrounded:true seed
-      in
-      match schedule_mismatches ~refactor_at:seed case with
-      | [] -> true
-      | errors -> QCheck.Test.fail_report (String.concat "\n" errors))
-
-(* The fill lemma block validity rests on: randomized fill lies inside
-   exact-Cholesky fill, so the randomized factor's pattern is a subset
-   of the exact factor's pattern of the same permuted matrix. *)
+(* Randomized fill lies inside exact-Cholesky fill: by induction over the
+   columns, column k's randomized neighbours are among its exact ones, and
+   a sampled edge joins two of them, which exact elimination joins too. So
+   the randomized factor's pattern is a subset of the exact factor's
+   pattern of the same permuted matrix, whatever the ordering. *)
 let prop_fill_inside_exact_fill =
   QCheck.Test.make ~name:"randomized pattern inside exact Cholesky pattern"
     ~count:40 (QCheck.int_bound 1_000_000) (fun seed ->
-      let g, d, _ = islands ~ungrounded:false seed in
+      let g, d = islands seed in
       let n = Array.length d in
       let col_ptr l = l.Factor.Lower.col_ptr and rows l = l.Factor.Lower.rows in
       List.for_all
@@ -970,49 +776,13 @@ let prop_fill_inside_exact_fill =
           (fun g -> Ordering.Partitioned.order g);
         ])
 
-let test_refactor_bit_identical_across_domains () =
-  (* A large closure, refactored at 1, 2 and 4 domains: the refactored
-     factor must have the same bits at every domain count. *)
-  let gp, dp, blocks = partitioned_mesh ~w:48 ~h:48 in
-  let run d =
-    with_domains d (fun () ->
-        let u =
-          Factor.Lt_rchol.factorize_updatable ~blocks ~rng:(Rng.create 7) gp
-            ~d:dp
-        in
-        (* touch several spread-out columns so the ancestor closure spans
-           several blocks and the sweep *)
-        let n = Array.length dp in
-        List.iter
-          (fun k ->
-            let k = k mod n in
-            Factor.Rand_chol.set_excess u k
-              (Factor.Rand_chol.excess u k +. 0.25))
-          [ 3; n / 4; n / 2; (3 * n) / 4 ];
-        let columns = Factor.Rand_chol.refactor u in
-        Alcotest.(check bool)
-          (Printf.sprintf "closure spans blocks and sweep (%d columns)"
-             columns)
-          true (columns > 512);
-        factor_fingerprint (Factor.Rand_chol.factor u))
-  in
-  let seq = run 1 in
-  List.iter
-    (fun d ->
-      Alcotest.(check string)
-        (Printf.sprintf "refactor at %d domains = 1 domain" d)
-        seq (run d))
-    [ 2; 4 ]
-
 let test_refactor_scratch_cached () =
   (* The second refactor over the same closure must not rebuild the
      diagonal or the row index (O(nnz) allocation) nor allocate a fresh
      column buffer — everything is cached on the factor and the
      updatable. *)
-  let gp, dp, blocks = partitioned_mesh ~w:40 ~h:40 in
-  let u =
-    Factor.Lt_rchol.factorize_updatable ~blocks ~rng:(Rng.create 13) gp ~d:dp
-  in
+  let gp, dp = partitioned_mesh ~w:40 ~h:40 in
+  let u = Factor.Lt_rchol.factorize_updatable ~rng:(Rng.create 13) gp ~d:dp in
   let l = Factor.Rand_chol.factor u in
   let bump () =
     Factor.Rand_chol.set_excess u 2 (Factor.Rand_chol.excess u 2 +. 0.125);
@@ -1096,6 +866,8 @@ let () =
               test_rand_chol_deterministic;
             Alcotest.test_case "singular detection" `Quick
               test_rand_chol_singular_detection;
+            Alcotest.test_case "breakdown at the first zero pivot" `Quick
+              test_breakdown_first_failing_column;
             Alcotest.test_case "positive diagonal" `Quick
               test_rand_chol_diag_positive;
             Alcotest.test_case "unbiasedness (E[LL^T] = A)" `Slow
@@ -1116,21 +888,9 @@ let () =
             test_updatable_preconditions_after_edits;
           Alcotest.test_case "breakdown on ungrounding" `Quick
             test_updatable_breakdown_on_unground;
-        ] );
-      ( "parallel scheduling",
-        [
-          Alcotest.test_case "bit-identical across domains" `Quick
-            test_factor_bit_identical_across_domains;
-          Alcotest.test_case "breakdown crosses worker domains" `Quick
-            test_factor_breakdown_from_worker_domain;
-          Alcotest.test_case "refactor bits across domains" `Quick
-            test_refactor_bit_identical_across_domains;
           Alcotest.test_case "refactor scratch cached" `Quick
             test_refactor_scratch_cached;
-          Alcotest.test_case "bad blocks rejected" `Quick
-            test_bad_blocks_rejected;
-        ]
-        @ Test_util.qcheck [ prop_schedule_changes_no_bit ] );
+        ] );
       ( "property",
         Test_util.qcheck
           [

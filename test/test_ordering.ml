@@ -176,28 +176,6 @@ let same_as_reference ?heavy_factor g =
   Ordering.Partitioned.order ?heavy_factor g
   = Partitioned_ref.order ?heavy_factor g
 
-(* [order_with_blocks] returns [order]'s permutation, and its leaf blocks
-   are ascending, disjoint, nonempty position ranges that no edge of the
-   permuted graph joins to an earlier position (backward-closed): the
-   premise of the factorization's parallel schedule. *)
-let blocks_backward_closed ?heavy_factor g =
-  let perm, blocks = Ordering.Partitioned.order_with_blocks ?heavy_factor g in
-  let n = Sddm.Graph.n_vertices g in
-  let pos = Perm.inverse perm in
-  let block_lo = Array.make n (-1) in
-  let ok = ref (perm = Ordering.Partitioned.order ?heavy_factor g) in
-  let next = ref 0 in
-  Array.iter
-    (fun (lo, hi) ->
-      if lo < !next || hi <= lo || hi > n then ok := false
-      else Array.fill block_lo lo (hi - lo) lo;
-      next := hi)
-    blocks;
-  Sddm.Graph.iter_edges g (fun u v _ ->
-      let a = min pos.(u) pos.(v) and b = max pos.(u) pos.(v) in
-      if block_lo.(b) > a then ok := false);
-  !ok
-
 (* A mesh of 33..80 vertices a side with weights log-uniform over
    1e-8 .. 1e8. Dropped edges leave islands and isolated vertices (vertex
    0 among them one time in four); chords make lopsided level cuts. *)
@@ -245,20 +223,10 @@ let prop_partitioned_matches_reference =
       same_as_reference ~heavy_factor:heavy_factors.(hf)
         (partitioned_input random seed))
 
-let prop_partitioned_blocks_backward_closed =
-  QCheck.Test.make ~name:"partitioned leaf blocks are backward-closed"
-    ~count:40
-    QCheck.(triple bool (int_bound 1_000_000) (int_bound 2))
-    (fun (random, seed, hf) ->
-      blocks_backward_closed ~heavy_factor:heavy_factors.(hf)
-        (partitioned_input random seed))
-
 let test_partitioned_edgeless () =
   (* the first BFS reaches nothing, so the whole set is one block *)
   let g = Sddm.Graph.create ~n:2000 ~edges:[||] in
-  Alcotest.(check bool) "same as reference" true (same_as_reference g);
-  Alcotest.(check (array (pair int int))) "one leaf block" [| (0, 2000) |]
-    (snd (Ordering.Partitioned.order_with_blocks g))
+  Alcotest.(check bool) "same as reference" true (same_as_reference g)
 
 let test_partitioned_star () =
   let g = Test_util.star_graph 1501 in
@@ -295,18 +263,35 @@ let test_partitioned_threshold_ties () =
       [ mean ws; mean backwards ]
   done
 
-(* A suite case's graph, built once for both of its tests and dropped
+(* A suite case's problem, built once for both of its tests and dropped
    when the next case's is built *)
-let suite_graph =
+let suite_problem =
   let last = ref None in
   fun (c : Powergrid.Suite.case) ->
     match !last with
-    | Some (id, g) when id = c.id -> g
+    | Some (id, p) when id = c.id -> p
     | _ ->
       last := None;
-      let g = (c.build ()).Sddm.Problem.graph in
-      last := Some (c.id, g);
-      g
+      let p = c.build () in
+      last := Some (c.id, p);
+      p
+
+(* The factorization the ordering feeds: LT-RChol (Alg. 3) of the case
+   permuted by [order], as PCG's preconditioner, reaches the default
+   tolerance and a verified true residual. *)
+let preconditions_lt_rchol p =
+  let r =
+    Powerrchol.Solver.run
+      (Powerrchol.Solver.lt_rchol ~ordering:Powerrchol.Solver.Partitioned ())
+      p
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "converged in %d iterations" r.Powerrchol.Solver.iterations)
+    true r.Powerrchol.Solver.converged;
+  Alcotest.(check bool)
+    (Printf.sprintf "true residual %.2e" r.Powerrchol.Solver.residual)
+    true
+    (r.Powerrchol.Solver.residual <= 1e-5)
 
 let test_partitioned_suite =
   List.concat_map
@@ -314,11 +299,9 @@ let test_partitioned_suite =
       [
         Alcotest.test_case ("same as reference on " ^ c.id) `Quick (fun () ->
             Alcotest.(check bool) "same permutation" true
-              (same_as_reference (suite_graph c)));
-        Alcotest.test_case ("leaf blocks backward-closed on " ^ c.id) `Quick
-          (fun () ->
-            Alcotest.(check bool) "backward-closed" true
-              (blocks_backward_closed (suite_graph c)));
+              (same_as_reference (suite_problem c).Sddm.Problem.graph));
+        Alcotest.test_case ("preconditions lt-rchol on " ^ c.id) `Quick
+          (fun () -> preconditions_lt_rchol (suite_problem c));
       ])
     (Array.to_list (Powergrid.Suite.all_cases ~scale:0.3 ()))
 
@@ -397,6 +380,5 @@ let () =
             prop_all_orderings_valid;
             prop_amd_not_worse_than_natural;
             prop_partitioned_matches_reference;
-            prop_partitioned_blocks_backward_closed;
           ] );
     ]

@@ -49,54 +49,19 @@ let test_parallel_for_partition () =
             (Array.for_all (fun c -> c = 1) hits)))
     [ 1; 2; 3; 5 ]
 
-let test_parallel_for_weighted_partition () =
-  (* Skewed weights: the last item carries half the total mass. The
-     weighted runner must still cover every index exactly once, hand each
-     chunk a distinct slot, and place boundaries independently of the
-     domain count (checked implicitly: coverage + ordering). *)
-  let n = 500 in
-  let weight i = if i = n - 1 then float_of_int n else 1.0 in
-  List.iter
-    (fun d ->
-      let pool = Par.create ~domains:d () in
-      Fun.protect
-        ~finally:(fun () -> Par.shutdown pool)
-        (fun () ->
-          let hits = Array.make n 0 in
-          let slot_of = Array.make n (-1) in
-          Par.parallel_for_weighted pool ~weight ~lo:0 ~hi:n
-            (fun slot lo hi ->
-              for i = lo to hi - 1 do
-                hits.(i) <- hits.(i) + 1;
-                slot_of.(i) <- slot
-              done);
-          Alcotest.(check bool)
-            (Printf.sprintf "every index covered once at %d domains" d)
-            true
-            (Array.for_all (fun c -> c = 1) hits);
-          (* chunks are contiguous: slots never interleave *)
-          let monotone = ref true in
-          for i = 1 to n - 1 do
-            if slot_of.(i) < slot_of.(i - 1) then monotone := false
-          done;
-          Alcotest.(check bool)
-            (Printf.sprintf "slots contiguous at %d domains" d)
-            true !monotone))
-    [ 1; 2; 4; 7 ];
-  (* negative weights are a caller bug, not a silent misschedule *)
-  let pool = Par.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Par.shutdown pool)
-    (fun () ->
-      Alcotest.(check bool) "negative weight rejected" true
-        (match
-           Par.parallel_for_weighted pool
-             ~weight:(fun _ -> -1.0)
-             ~lo:0 ~hi:10
-             (fun _ _ _ -> ())
-         with
-        | () -> false
-        | exception Invalid_argument _ -> true))
+let test_set_default_domains () =
+  (* the width is recorded first and the pool follows it: effective_domains
+     reads the set width before any pool exists, the next default () has
+     it, and a later width replaces a spawned pool *)
+  with_domains 3 (fun () ->
+      Alcotest.(check int) "effective width" 3 (Par.effective_domains ());
+      Alcotest.(check int) "default pool" 3 (Par.domains (Par.default ()));
+      Par.set_default_domains 2;
+      Alcotest.(check int) "reset width" 2 (Par.effective_domains ());
+      Alcotest.(check int) "replaced pool" 2 (Par.domains (Par.default ())));
+  Alcotest.check_raises "zero domains"
+    (Invalid_argument "Par.set_default_domains: domains must be >= 1")
+    (fun () -> Par.set_default_domains 0)
 
 let test_parallel_for_exception () =
   let pool = Par.create ~domains:3 () in
@@ -469,10 +434,10 @@ let () =
     [
       ( "pool",
         [
-          Alcotest.test_case "parallel_for_weighted partition" `Quick
-            test_parallel_for_weighted_partition;
           Alcotest.test_case "parallel_for partition" `Quick
             test_parallel_for_partition;
+          Alcotest.test_case "set_default_domains sets the width" `Quick
+            test_set_default_domains;
           Alcotest.test_case "exception propagation" `Quick
             test_parallel_for_exception;
           Alcotest.test_case "nested calls inline" `Quick

@@ -1008,6 +1008,68 @@ let test_daemon_numbers_its_own_sessions () =
       Alcotest.(check int) "first session" 1 s1;
       Alcotest.(check int) "second session" 2 s2)
 
+let test_daemon_sessions_capped_at_four () =
+  (* sessions are keyed by seed on a spec's entry: a fifth seed closes
+     the oldest session, and that seed's next update opens a new one *)
+  with_daemon (fun _t addr ->
+      let spec = Proto.Case { id = "pg01"; scale = 0.05 } in
+      let update seed =
+        match
+          call_ok addr
+            (Proto.update ~seed
+               ~edits:[ Sddm.Edit.Set_load { node = 3; amps = 0.02 } ]
+               spec)
+        with
+        | Proto.Updated { session; version; converged = true; _ } ->
+          (session, version)
+        | r -> Alcotest.failf "update answered %s" (Proto.response_to_string r)
+      in
+      List.iter
+        (fun seed ->
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "seed %d opens session %d" seed seed)
+            (seed, 1) (update seed))
+        [ 1; 2; 3; 4; 5 ];
+      Alcotest.(check (pair int int)) "seed 5 keeps its session" (5, 2)
+        (update 5);
+      Alcotest.(check (pair int int)) "seed 1 was evicted, reopens" (6, 1)
+        (update 1);
+      match call_ok addr Proto.Health with
+      | Proto.Health_report doc -> (
+        let field name =
+          match Obs.Json.member "sessions" doc with
+          | Some sessions -> (
+            match Obs.Json.member name sessions with
+            | Some (Obs.Json.Int n) -> n
+            | _ -> Alcotest.failf "sessions.%s missing" name)
+          | None -> Alcotest.fail "metrics lack a sessions object"
+        in
+        Alcotest.(check int) "open" 4 (field "open");
+        Alcotest.(check int) "capacity" 4 (field "capacity"))
+      | r -> Alcotest.failf "health answered %s" (Proto.response_to_string r))
+
+let test_daemon_rtol_floor () =
+  (* a tolerance below 1e-14 is solved at 1e-14: same iterations and
+     bits, and converged, where 1e-300 itself could never converge *)
+  with_daemon (fun _t addr ->
+      let solve rtol =
+        match
+          call_ok addr
+            (Proto.solve ~rtol ~want_x:true
+               (Proto.Case { id = "pg01"; scale = 0.05 }))
+        with
+        | Proto.Solved { iterations; converged; x = Some x; _ } ->
+          (iterations, converged, x)
+        | r -> Alcotest.failf "solve answered %s" (Proto.response_to_string r)
+      in
+      let at_floor = solve 1e-14 in
+      let i, converged, x = solve 1e-300 in
+      let i', converged', x' = at_floor in
+      Alcotest.(check bool) "converged at 1e-14" true converged';
+      Alcotest.(check bool) "converged at 1e-300" true converged;
+      Alcotest.(check int) "same iterations" i' i;
+      Alcotest.(check (array (float 0.0))) "same solution" x' x)
+
 (* ---- monitoring surface: v2 health, access log, metrics listener ---- *)
 
 let read_lines path =
@@ -1442,6 +1504,10 @@ let () =
             test_daemon_sessions_keyed_by_exact_scale;
           Alcotest.test_case "daemon numbers its own sessions" `Quick
             test_daemon_numbers_its_own_sessions;
+          Alcotest.test_case "sessions capped at four" `Quick
+            test_daemon_sessions_capped_at_four;
+          Alcotest.test_case "request rtol floored at 1e-14" `Quick
+            test_daemon_rtol_floor;
         ] );
       ( "monitoring",
         [

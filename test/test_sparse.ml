@@ -74,6 +74,34 @@ let test_vec_xpby_lengths () =
   Alcotest.check_raises "xpby" (length_mismatch "xpby") (fun () ->
       Vec.xpby ~x:(x2 ()) ~beta:1.0 ~y:(y3 ()))
 
+let test_vec_add_sub_in_place () =
+  (* entry by entry, exactly [x.{i} +. y.{i}] and [x.{i} -. y.{i}], and
+     without a boxed float per entry: two 10k-entry results cost their
+     Bigarray headers, not words per entry *)
+  let n = 10_000 in
+  let x = Vec.init n (fun i -> sin (float_of_int i)) in
+  let y = Vec.init n (fun i -> 1e-3 *. cos (float_of_int (3 * i))) in
+  ignore (Vec.add x y);
+  ignore (Vec.sub x y);
+  let before = Gc.minor_words () in
+  let s = Vec.add x y in
+  let d = Vec.sub x y in
+  let words = Gc.minor_words () -. before in
+  let bits = Int64.bits_of_float in
+  let exact op z =
+    let ok = ref true in
+    for i = 0 to n - 1 do
+      if bits (Vec.get z i) <> bits (op (Vec.get x i) (Vec.get y i)) then
+        ok := false
+    done;
+    !ok
+  in
+  Alcotest.(check bool) "add bits" true (exact ( +. ) s);
+  Alcotest.(check bool) "sub bits" true (exact ( -. ) d);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for add and sub of %d entries" words n)
+    true (words < 64.0)
+
 let test_vec_max_abs_diff_lengths () =
   Alcotest.check_raises "max_abs_diff" (length_mismatch "max_abs_diff")
     (fun () -> ignore (Vec.max_abs_diff (x2 ()) (y3 ())))
@@ -179,6 +207,23 @@ let test_spmv_t () =
   let x = Array.init 12 (fun _ -> Rng.float rng) in
   let expected = Test_util.dense_matvec (Test_util.dense_transpose dense) x in
   Test_util.check_vec ~eps:1e-12 "spmv_t" expected (Csc.spmv_t a (v x))
+
+let test_spmv_t_into () =
+  (* the caller's buffer gets spmv_t's bits, whatever it held before *)
+  let _, a = random_pair ~seed:47 ~n_rows:12 ~n_cols:8 ~density:0.4 in
+  let rng = Rng.create 51 in
+  let x = Vec.init 12 (fun _ -> Rng.float rng -. 0.5) in
+  let y = Vec.make 8 Float.nan in
+  Csc.spmv_t_into a x y;
+  Alcotest.(check (array (float 0.0))) "same bits as spmv_t"
+    (arr (Csc.spmv_t a x)) (arr y);
+  let bad =
+    Invalid_argument "Csc.spmv_t_into: vector lengths must match the matrix"
+  in
+  Alcotest.check_raises "short y" bad (fun () ->
+      Csc.spmv_t_into a x (Vec.create 7));
+  Alcotest.check_raises "long x" bad (fun () ->
+      Csc.spmv_t_into a (Vec.create 13) (Vec.create 8))
 
 let test_transpose () =
   let dense, a = random_pair ~seed:53 ~n_rows:11 ~n_cols:14 ~density:0.3 in
@@ -565,6 +610,8 @@ let () =
           Alcotest.test_case "axpy" `Quick test_vec_axpy;
           Alcotest.test_case "xpby" `Quick test_vec_xpby;
           Alcotest.test_case "misc" `Quick test_vec_misc;
+          Alcotest.test_case "add and sub exact, unboxed" `Quick
+            test_vec_add_sub_in_place;
           Alcotest.test_case "dot rejects a length mismatch" `Quick
             test_vec_dot_lengths;
           Alcotest.test_case "axpy rejects a length mismatch" `Quick
@@ -601,6 +648,8 @@ let () =
           Alcotest.test_case "spmv_into length check" `Quick
             test_spmv_into_lengths;
           Alcotest.test_case "spmv_t" `Quick test_spmv_t;
+          Alcotest.test_case "spmv_t_into = spmv_t, length check" `Quick
+            test_spmv_t_into;
           Alcotest.test_case "transpose" `Quick test_transpose;
           Alcotest.test_case "transpose involution" `Quick test_transpose_involution;
           Alcotest.test_case "add/scale" `Quick test_add_scale;
