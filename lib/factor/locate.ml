@@ -1,4 +1,8 @@
-let locate_into ~a ~a_len ~targets ~t_len ~out =
+(* The annotations make every comparison an unboxed float compare: without
+   them the function is compiled polymorphic, whatever the .mli says, and
+   each [<] boxes two floats and calls polymorphic compare. *)
+let locate_into ~(a : float array) ~a_len ~(targets : float array) ~t_len
+    ~(out : int array) =
   if a_len > Array.length a then
     invalid_arg "Locate.locate_into: a_len exceeds the length of a";
   if t_len > Array.length targets || t_len > Array.length out then
@@ -13,15 +17,15 @@ let locate_into ~a ~a_len ~targets ~t_len ~out =
     out.(j) <- !c
   done
 
-let locate ~a ~targets =
+let locate ~(a : float array) ~(targets : float array) =
   let out = Array.make (Array.length targets) 0 in
   locate_into ~a ~a_len:(Array.length a) ~targets
     ~t_len:(Array.length targets) ~out;
   out
 
-let locate_reference ~a ~targets =
+let locate_reference ~(a : float array) ~(targets : float array) =
   let n = Array.length a in
-  let find t =
+  let find (t : float) =
     let rec bisect lo hi =
       if lo >= hi then lo
       else

@@ -17,20 +17,30 @@ type t = {
 (* the refactor buffer of a factor that has not been refactored yet *)
 let no_refactor_buf = Vec.create 0
 
+(* The per-nonzero index read of the validation and the two solves below,
+   built from the index backend's two primitives: unlike [Idx.get] and
+   [.%()] it stays inline when the library is compiled with -opaque. [k]
+   must be in bounds. *)
+let[@inline] at a k = Idx.to_int (Idx.unsafe_get_elt a k)
+
 let of_raw ~n ~col_ptr ~rows ~vals =
   if Idx.length col_ptr <> n + 1 then invalid_arg "Lower: bad col_ptr";
   if col_ptr.%(0) <> 0 then invalid_arg "Lower: col_ptr.(0) <> 0";
   let len = col_ptr.%(n) in
   if Idx.length rows < len || Vec.length vals < len then
     invalid_arg "Lower: rows/vals too short";
+  (* col_ptr.(0) = 0 and [lo < hi <= len] in every column keep each read
+     below inside rows and vals *)
   for j = 0 to n - 1 do
-    let lo = col_ptr.%(j) and hi = col_ptr.%(j + 1) in
+    let lo = at col_ptr j and hi = at col_ptr (j + 1) in
     if lo >= hi then invalid_arg "Lower: empty column (missing diagonal)";
-    if rows.%(lo) <> j then invalid_arg "Lower: first entry must be diagonal";
-    if not (Vec.get vals lo > 0.0) then
+    if hi > len then invalid_arg "Lower: col_ptr passes its last entry";
+    if at rows lo <> j then invalid_arg "Lower: first entry must be diagonal";
+    if not (Vec.unsafe_get vals lo > 0.0) then
       invalid_arg "Lower: nonpositive diagonal";
     for k = lo + 1 to hi - 1 do
-      if rows.%(k) <= j || rows.%(k) >= n then
+      let i = at rows k in
+      if i <= j || i >= n then
         invalid_arg "Lower: subdiagonal row out of range"
     done
   done;
@@ -75,12 +85,6 @@ let of_csc a =
   let lower = Sparse.Csc.lower a in
   of_raw ~n:n_cols ~col_ptr:lower.Sparse.Csc.col_ptr
     ~rows:lower.Sparse.Csc.row_idx ~vals:lower.Sparse.Csc.values
-
-(* The per-nonzero index read of the two solves below, built from the
-   index backend's two primitives: unlike [Idx.get] and [.%()] it stays
-   inline when the library is compiled with -opaque. [k] must be in
-   bounds. *)
-let[@inline] at a k = Idx.to_int (Idx.unsafe_get_elt a k)
 
 let solve_in_place l (x : Vec.t) =
   if Vec.length x <> l.n then

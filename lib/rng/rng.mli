@@ -4,7 +4,14 @@
     to produce the same factor, the same fill pattern, and therefore the same
     PCG iteration counts. This module wraps a xoshiro256++ generator seeded
     through splitmix64, with the sampling primitives the factorizations and
-    workload generators need. *)
+    workload generators need.
+
+    The state is one 40-byte buffer read and written in place, so a draw
+    allocates nothing beyond a boxed result: {!reseed_keyed}, {!derive_key},
+    {!int}, {!bool} and {!discrete_prefix} allocate nothing, {!float} and
+    {!float_open} only the float they return, {!int64} only its [int64].
+    The randomized factorization reseeds and draws once per column, so
+    this is what keeps its elimination free of per-column allocation. *)
 
 type t
 (** Mutable generator state. *)

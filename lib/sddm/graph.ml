@@ -137,6 +137,17 @@ let adjacency g =
     g.adj <- Some a;
     a
 
+let upper g =
+  let g = coalesce g in
+  let ptr = Array.make (g.n + 1) 0 in
+  for e = 0 to n_edges g - 1 do
+    ptr.(g.us.(e) + 1) <- ptr.(g.us.(e) + 1) + 1
+  done;
+  for i = 1 to g.n do
+    ptr.(i) <- ptr.(i) + ptr.(i - 1)
+  done;
+  { ptr; nbr = g.vs; wgt = g.ws }
+
 let degree g u =
   let a = adjacency g in
   a.ptr.(u + 1) - a.ptr.(u)

@@ -45,6 +45,16 @@ val adjacency : t -> adjacency
     on [g]: read them, never write them. For hot loops that a closure per
     neighbour would slow down. *)
 
+val upper : t -> adjacency
+(** The coalesced graph's edges grouped by their lower endpoint, in
+    compressed rows: for [k] from [ptr.(u)] to [ptr.(u+1) - 1], edge [k]
+    of {!coalesce}[ g]'s order joins [u] to [nbr.(k) > u] with weight
+    [wgt.(k)]. A row lists its neighbours in ascending order, so it can
+    be searched by bisection. [nbr] and [wgt] are the coalesced graph's
+    own edge arrays, shared, not copied: read them, never write them.
+    [ptr] is built on each call, in O(n + m); on a graph that {!coalesce}
+    returned, edge [k] is [g]'s own edge [k]. *)
+
 val degree : t -> int -> int
 (** Number of (coalesced) incident edges. *)
 

@@ -22,12 +22,16 @@ end
     - [make n] is a zero-filled array of length [n].
 
     [unsafe_get_elt a k] reads element [k] without a bounds check, and
-    [to_int] widens it; both are [external]s. The hot sparse kernels
+    [to_int] widens it; [unsafe_set_elt a k (of_int i)] writes [i] there,
+    likewise unchecked. All four are [external]s. The hot sparse kernels
     ({!Csc.spmv_into}, {!Csc.spmv_sym_into} and the triangular solves of
     [Factor.Lower]) read every pointer and row index as
-    [to_int (unsafe_get_elt a k)], which stays inline even when the
-    library is compiled with [-opaque], whereas [get] and [.%()] are
-    function calls across the module boundary. Cold code keeps [get] and
+    [to_int (unsafe_get_elt a k)], and the randomized factorization
+    writes its factor's indices through [unsafe_set_elt]; both stay
+    inline even when the library is compiled with [-opaque], whereas
+    [get], [set] and [.%()] are function calls across the module
+    boundary. [of_int] does not check {!max_index}: a caller runs
+    {!check_index_capacity} first. Cold code keeps [get], [set] and
     [.%()]: they check bounds, and their cost is not per nonzero of a
     solve. *)
 

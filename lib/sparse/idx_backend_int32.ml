@@ -3,12 +3,13 @@
    represent has fewer than 2^31 rows, columns, and nonzeros, which the
    constructors in Csc/Lower enforce with an actionable error.
 
-   [unsafe_get_elt] and [to_int] are primitives, not functions: an
-   application of either compiles to an inline load or conversion at the
-   call site in any build profile, including one that compiles modules
-   with -opaque (dune's default dev profile), where a [let]-bound accessor
-   such as [get] stays an out-of-line call. Composed at the call site, they
-   read an int32 element into an [int] without boxing. *)
+   [unsafe_get_elt], [unsafe_set_elt], [to_int] and [of_int] are
+   primitives, not functions: an application of any of them compiles to an
+   inline load, store or conversion at the call site in any build profile,
+   including one that compiles modules with -opaque (dune's default dev
+   profile), where a [let]-bound accessor such as [get] or [set] stays an
+   out-of-line call. Composed at the call site, they read an int32 element
+   into an [int], or write an [int] as one, without boxing. *)
 
 open Bigarray
 
@@ -16,7 +17,9 @@ type t = (int32, int32_elt, c_layout) Array1.t
 type elt = int32
 
 external unsafe_get_elt : t -> int -> elt = "%caml_ba_unsafe_ref_1"
+external unsafe_set_elt : t -> int -> elt -> unit = "%caml_ba_unsafe_set_1"
 external to_int : elt -> int = "%int32_to_int"
+external of_int : int -> elt = "%int32_of_int"
 
 let bits = 32
 let bytes_per_index = 4

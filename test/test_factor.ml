@@ -22,7 +22,14 @@ let test_lower_validation () =
     (Invalid_argument "Lower: nonpositive diagonal") (fun () ->
       ignore
         (Factor.Lower.of_arrays ~n:1 ~col_ptr:[| 0; 1 |] ~rows:[| 0 |]
-           ~vals:[| 0.0 |]))
+           ~vals:[| 0.0 |]));
+  (* the validation reads without bounds checks, so a column that runs
+     past col_ptr's last entry must be caught before it is read *)
+  Alcotest.check_raises "col_ptr bounded by its last entry"
+    (Invalid_argument "Lower: col_ptr passes its last entry") (fun () ->
+      ignore
+        (Factor.Lower.of_arrays ~n:2 ~col_ptr:[| 0; 3; 2 |] ~rows:[| 0; 1 |]
+           ~vals:[| 1.0; 1.0 |]))
 
 let test_lower_solves () =
   let l = sample_lower () in
@@ -811,6 +818,258 @@ let test_refactor_scratch_cached () =
     true
     (a3 <= (1.25 *. a2) +. 1024.0)
 
+(* ---- the elimination against its reference (test/rand_chol_ref.ml) ----
+
+   The flat-array elimination must reproduce the reference's factor bit
+   for bit, and the reference's recorder with it. The recorder is
+   internal; its one reader is [refactor], which gathers every recorded
+   fill slot of a re-eliminated column by target and row and re-uses the
+   stored weights of the others, so the refactored factors after the same
+   edits compare the slots. *)
+
+let bits_equal (a : Factor.Lower.t) (b : Factor.Lower.t) =
+  let open Sparse.Idx.Ops in
+  let n = Factor.Lower.dim a and nnz = Factor.Lower.nnz a in
+  let same_idx x y len =
+    let ok = ref true in
+    for q = 0 to len - 1 do
+      if x.%(q) <> y.%(q) then ok := false
+    done;
+    !ok
+  in
+  let same_vals x y =
+    let ok = ref true in
+    for q = 0 to nnz - 1 do
+      if Int64.bits_of_float x.{q} <> Int64.bits_of_float y.{q} then
+        ok := false
+    done;
+    !ok
+  in
+  Factor.Lower.dim b = n
+  && Factor.Lower.nnz b = nnz
+  && same_idx a.Factor.Lower.col_ptr b.Factor.Lower.col_ptr (n + 1)
+  && same_idx a.Factor.Lower.rows b.Factor.Lower.rows nnz
+  && same_vals a.Factor.Lower.vals b.Factor.Lower.vals
+
+(* A w x h mesh (4..40 a side) with weights 10^U(-6,6) and two grounded
+   vertices, behind one to three hubs, each joined to 17..60 random mesh
+   vertices. The hubs come first, so in the natural order their columns
+   are wide enough for the counting sort from the start; one time in two
+   a hub edge carries a subnormal weight, which takes the sort's
+   [Float.frexp] path. *)
+let rough_grid seed =
+  let rng = Rng.create seed in
+  let w = 4 + Rng.int rng 37 and h = 4 + Rng.int rng 37 in
+  let hubs = 1 + Rng.int rng 3 in
+  let n = (w * h) + hubs in
+  let weight () = 10.0 ** Rng.float_range rng (-6.0) 6.0 in
+  let edges = ref [] in
+  Sddm.Graph.iter_edges (Test_util.mesh_graph w h) (fun u v _ ->
+      edges := (hubs + u, hubs + v, weight ()) :: !edges);
+  for hub = 0 to hubs - 1 do
+    for _ = 1 to 17 + Rng.int rng 44 do
+      edges := (hub, hubs + Rng.int rng (w * h), weight ()) :: !edges
+    done
+  done;
+  if Rng.bool rng then
+    edges := (0, hubs + Rng.int rng (w * h), 3e-310) :: !edges;
+  let d = Array.make n 0.0 in
+  d.(hubs) <- 1.0;
+  d.(Rng.int rng n) <- 0.5;
+  (Sddm.Graph.create ~n ~edges:(Array.of_list !edges), d)
+
+let orders =
+  [
+    ("natural", Ordering.Natural.order);
+    ("amd", Ordering.Amd.order);
+    ("alg4", fun g -> Ordering.Degree_sort.order g);
+    ("partitioned", fun g -> Ordering.Partitioned.order g);
+  ]
+
+(* the library's sort and sampling, each with the reference's twin *)
+let variants =
+  let module R = Factor.Rand_chol in
+  let module F = Rand_chol_ref in
+  [
+    (R.Counting_sort { buckets = 256 }, R.Shared_random,
+     F.Counting_sort { buckets = 256 }, F.Shared_random);
+    (R.Exact_sort, R.Per_neighbor, F.Exact_sort, F.Per_neighbor);
+    (R.Counting_sort { buckets = 3 }, R.Per_neighbor,
+     F.Counting_sort { buckets = 3 }, F.Per_neighbor);
+    (R.No_sort, R.Shared_random, F.No_sort, F.Shared_random);
+  ]
+
+(* The same edits on both updatables: a fifth of the edges reweighted by
+   a factor in [1/4, 4], looked up through [find_edge] in either
+   orientation, and three vertices regrounded. *)
+let edit_both ~seed g u r =
+  let cg = Sddm.Graph.coalesce g in
+  let rng = Rng.create (seed + 5) in
+  let agree = ref true in
+  for e = 0 to Sddm.Graph.n_edges cg - 1 do
+    if Rng.int rng 5 = 0 then begin
+      let a, b, _ = Sddm.Graph.edge cg e in
+      let a, b = if Rng.bool rng then (a, b) else (b, a) in
+      let f = 2.0 ** Rng.float_range rng (-2.0) 2.0 in
+      match
+        (Factor.Rand_chol.find_edge u a b, Rand_chol_ref.find_edge r a b)
+      with
+      | Some e1, Some e2 when e1 = e && e2 = e ->
+        Factor.Rand_chol.set_edge_weight u e
+          (f *. Factor.Rand_chol.edge_weight u e);
+        Rand_chol_ref.set_edge_weight r e (f *. Rand_chol_ref.edge_weight r e)
+      | _ -> agree := false
+    end
+  done;
+  let n = Sddm.Graph.n_vertices g in
+  for _ = 1 to 3 do
+    let i = Rng.int rng n and x = Rng.float_range rng 0.1 2.0 in
+    Factor.Rand_chol.set_excess u i x;
+    Rand_chol_ref.set_excess r i x
+  done;
+  !agree
+
+let prop_elimination_matches_reference =
+  QCheck.Test.make ~name:"factor and recorder bits equal the reference"
+    ~count:30
+    QCheck.(pair bool (int_bound 1_000_000))
+    (fun (mesh, seed) ->
+      let g, d = if mesh then rough_grid seed else islands seed in
+      let n = Array.length d in
+      List.for_all
+        (fun (_, order) ->
+          let perm = order g in
+          let gp = Sddm.Graph.permute g perm in
+          let dp = Array.init n (fun k -> d.(perm.(k))) in
+          let rng () = Rng.create seed in
+          List.for_all
+            (fun (sort, sampling, rsort, rsampling) ->
+              bits_equal
+                (Factor.Rand_chol.factorize ~sort ~sampling ~rng:(rng ()) gp
+                   ~d:dp)
+                (Rand_chol_ref.factorize ~sort:rsort ~sampling:rsampling
+                   ~rng:(rng ()) gp ~d:dp)
+              &&
+              let u =
+                Factor.Rand_chol.factorize_updatable ~sort ~sampling
+                  ~rng:(rng ()) gp ~d:dp
+              and r =
+                Rand_chol_ref.factorize_updatable ~sort:rsort
+                  ~sampling:rsampling ~rng:(rng ()) gp ~d:dp
+              in
+              bits_equal (Factor.Rand_chol.factor u) (Rand_chol_ref.factor r)
+              && edit_both ~seed gp u r
+              && Factor.Rand_chol.refactor u = Rand_chol_ref.refactor r
+              && bits_equal (Factor.Rand_chol.factor u)
+                   (Rand_chol_ref.factor r))
+            variants)
+        orders)
+
+(* ---- find_edge against a scan of the coalesced edges ---- *)
+
+(* Every coalesced edge is found at its own index in both orientations;
+   a pair the scan does not list, a vertex paired with itself and a
+   vertex out of range are not. *)
+let find_edge_agrees_with_scan g d =
+  let u =
+    Factor.Lt_rchol.factorize_updatable ~rng:(Rng.create 3) g ~d
+  in
+  let cg = Sddm.Graph.coalesce g in
+  let n = Sddm.Graph.n_vertices g in
+  let scan = Hashtbl.create 64 in
+  let ok = ref true in
+  for e = 0 to Sddm.Graph.n_edges cg - 1 do
+    let a, b, _ = Sddm.Graph.edge cg e in
+    Hashtbl.replace scan (a, b) e;
+    if Factor.Rand_chol.find_edge u a b <> Some e
+       || Factor.Rand_chol.find_edge u b a <> Some e
+    then ok := false
+  done;
+  let rng = Rng.create n in
+  for _ = 1 to 4 * n do
+    let i = Rng.int rng n and j = Rng.int rng n in
+    let expected = Hashtbl.find_opt scan (min i j, max i j) in
+    if Factor.Rand_chol.find_edge u i j <> expected then ok := false
+  done;
+  for i = 0 to n - 1 do
+    if Factor.Rand_chol.find_edge u i i <> None then ok := false
+  done;
+  if Factor.Rand_chol.find_edge u (-1) 0 <> None
+     || Factor.Rand_chol.find_edge u 0 n <> None
+  then ok := false;
+  !ok
+
+let test_find_edge_on_mesh () =
+  (* a mesh with every horizontal edge doubled: the coalesced order has
+     one entry per pair *)
+  let w = 9 and h = 7 in
+  let mesh = Test_util.mesh_graph w h in
+  let edges = ref [] in
+  Sddm.Graph.iter_edges mesh (fun u v x ->
+      edges := (v, u, x) :: (u, v, x) :: !edges;
+      if v = u + 1 then edges := (u, v, 0.5) :: !edges);
+  let n = w * h in
+  let d = Array.make n 0.0 in
+  d.(0) <- 1.0;
+  Alcotest.(check bool) "find_edge = scan" true
+    (find_edge_agrees_with_scan
+       (Sddm.Graph.create ~n ~edges:(Array.of_list !edges))
+       d)
+
+let prop_find_edge_agrees_with_scan =
+  QCheck.Test.make ~name:"find_edge agrees with a scan of the edges"
+    ~count:40
+    QCheck.(pair bool (int_bound 1_000_000))
+    (fun (mesh, seed) ->
+      let g, d = if mesh then rough_grid seed else islands seed in
+      find_edge_agrees_with_scan g d)
+
+(* ---- allocation ---- *)
+
+let test_factor_allocation_bound () =
+  (* A factorization allocates its arrays, not per column: the edge lists
+     are read in place from the graph, fills share one pool, and the
+     per-column generator and locate work in place. On the 3,005-node
+     grid a column costs a few minor words (float_open's boxed draw
+     among them), where per-column runs, boxed generator state and a
+     polymorphic locate cost 160 to 250. *)
+  let p =
+    (Powergrid.Suite.scale_case ~target_nodes:3_000 ()).Powergrid.Suite.build
+      ()
+  in
+  let g = p.Sddm.Problem.graph and d = p.Sddm.Problem.d in
+  List.iter
+    (fun (oname, order) ->
+      let perm = order g in
+      let gp = Sddm.Graph.coalesce (Sddm.Graph.permute g perm) in
+      let dp = Array.init (Array.length perm) (fun k -> d.(perm.(k))) in
+      let n = float_of_int (Array.length dp) in
+      List.iter
+        (fun (name, factorize) ->
+          ignore (factorize gp dp);
+          let w0 = Gc.minor_words () in
+          ignore (Sys.opaque_identity (factorize gp dp));
+          let per_col = (Gc.minor_words () -. w0) /. n in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s under %s: %.1f minor words per column" name
+               oname per_col)
+            true (per_col <= 16.0))
+        [
+          ( "Lt_rchol.factorize",
+            fun g d -> ignore (Factor.Lt_rchol.factorize ~rng:(Rng.create 1) g ~d) );
+          ( "Rchol.factorize",
+            fun g d -> ignore (Factor.Rchol.factorize ~rng:(Rng.create 1) g ~d) );
+          ( "Lt_rchol.factorize_updatable",
+            fun g d ->
+              ignore
+                (Factor.Lt_rchol.factorize_updatable ~rng:(Rng.create 1) g ~d)
+          );
+        ])
+    [
+      ("Partitioned", fun g -> Ordering.Partitioned.order g);
+      ("Alg. 4", fun g -> Ordering.Degree_sort.order g);
+    ]
+
 let () =
   Alcotest.run "factor"
     [
@@ -890,6 +1149,13 @@ let () =
             test_updatable_breakdown_on_unground;
           Alcotest.test_case "refactor scratch cached" `Quick
             test_refactor_scratch_cached;
+          Alcotest.test_case "find_edge on a mesh" `Quick
+            test_find_edge_on_mesh;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "factorization allocation bound" `Quick
+            test_factor_allocation_bound;
         ] );
       ( "property",
         Test_util.qcheck
@@ -897,5 +1163,7 @@ let () =
             prop_rand_chol_factors_random_sddm;
             prop_rand_chol_any_permutation;
             prop_fill_inside_exact_fill;
+            prop_elimination_matches_reference;
+            prop_find_edge_agrees_with_scan;
           ] );
     ]

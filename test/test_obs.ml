@@ -725,6 +725,14 @@ let test_profiled_solve_matches_result () =
     (List.exists
        (fun (k, _) -> k = "factor/lt_rchol/sampled_edges")
        record.Obs.counters);
+  (* the factorization's allocation sits beside its time: a positive
+     count of minor words, a few per column with the timers included *)
+  let words = counter record "factor/lt_rchol/factor_minor_words" in
+  Alcotest.(check bool)
+    (Printf.sprintf "factor_minor_words recorded (%.0f words, 144 columns)"
+       words)
+    true
+    (words > 0.0 && words < 64.0 *. 144.0);
   (* profiling must leave the global layer off afterwards *)
   Alcotest.(check bool) "obs disabled after profiled run" false (Obs.enabled ())
 

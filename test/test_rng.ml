@@ -161,6 +161,93 @@ let prop_discrete_positive_weight =
       let i = Rng.discrete rng weights in
       weights.(i) > 0.0)
 
+(* ---- known answers ----
+
+   The streams as the generator drew them when its state was four
+   [mutable int64] fields; a change of representation must keep every
+   draw. [draws] draws in list order. *)
+
+let draws n f = List.init n (fun _ -> f ())
+
+let test_known_answers () =
+  let i64s = Alcotest.(list int64) and ints = Alcotest.(list int) in
+  let floats = Alcotest.(list (float 0.0)) in
+  let from seed = Rng.create seed in
+  Alcotest.check i64s "create 42"
+    [ -3425465463722317665L; 5881210131331364753L; -297100157724070516L;
+      -5513075133950446152L ]
+    (let t = from 42 in draws 4 (fun () -> Rng.int64 t));
+  Alcotest.check i64s "create 0"
+    [ 5987356902031041503L; 7051070477665621255L ]
+    (let t = from 0 in draws 2 (fun () -> Rng.int64 t));
+  Alcotest.check i64s "create -7"
+    [ 1096282230538149847L; -7893452483165635254L ]
+    (let t = from (-7) in draws 2 (fun () -> Rng.int64 t));
+  Alcotest.check i64s "create max_int"
+    [ 5042704402088116674L; -4346585348570061276L ]
+    (let t = from max_int in draws 2 (fun () -> Rng.int64 t));
+  Alcotest.check i64s "keyed 42 7"
+    [ 3409545882473857721L; -6673359065421028338L; -2806490686861063000L ]
+    (let t = Rng.keyed ~seed:42 7 in draws 3 (fun () -> Rng.int64 t));
+  Alcotest.check i64s "keyed 0 0"
+    [ -8867416198183057606L; -4021719580451871461L ]
+    (let t = Rng.keyed ~seed:0 0 in draws 2 (fun () -> Rng.int64 t));
+  Alcotest.check i64s "keyed 123456789 -3"
+    [ -846323275519228740L; -3845422182082197163L ]
+    (let t = Rng.keyed ~seed:123456789 (-3) in draws 2 (fun () -> Rng.int64 t));
+  Alcotest.check i64s "reseed_keyed to 42 7"
+    [ 3409545882473857721L; -6673359065421028338L; -2806490686861063000L ]
+    (let t = Rng.keyed ~seed:5 11 in
+     Rng.reseed_keyed t ~seed:42 7;
+     draws 3 (fun () -> Rng.int64 t));
+  let t = from 42 in
+  let child = Rng.split t in
+  Alcotest.check i64s "split of create 42"
+    [ 5745406364259058299L; -3749950290529424113L; -1760308716576054147L ]
+    (draws 3 (fun () -> Rng.int64 child));
+  Alcotest.check i64s "create 42 after split"
+    [ 5881210131331364753L; -297100157724070516L ]
+    (draws 2 (fun () -> Rng.int64 t));
+  Alcotest.check ints "derive_key create 42"
+    [ 3755319652496808487; 1470302532832841188; 4537410978996370275 ]
+    (let t = from 42 in draws 3 (fun () -> Rng.derive_key t));
+  let create_42_floats =
+    [ 0x1.a0ec9a9e88ecdp-1; 0x1.467905d15dbccp-2; 0x1.f7c0f9f61849dp-1;
+      0x1.66fb3ec019b06p-1 ]
+  in
+  Alcotest.check floats "float create 42" create_42_floats
+    (let t = from 42 in draws 4 (fun () -> Rng.float t));
+  Alcotest.check floats "float_open create 42" create_42_floats
+    (let t = from 42 in draws 4 (fun () -> Rng.float_open t));
+  Alcotest.check floats "float_open keyed 3 1"
+    [ 0x1.281d740f4dd2bp-1; 0x1.f0c42403e4e2bp-1; 0x1.6f3403cb29b8cp-1 ]
+    (let t = Rng.keyed ~seed:3 1 in draws 3 (fun () -> Rng.float_open t));
+  Alcotest.check ints "int create 42"
+    [ 5; 1; 539726; 1156172208872954539; 0 ]
+    (let t = from 42 in
+     List.map (Rng.int t) [ 10; 16; 1_000_003; max_int; 1 ]);
+  Alcotest.check ints "discrete_prefix create 9" [ 3; 3; 3; 4; 4; 1 ]
+    (let t = from 9 and pfs = [| 1.0; 3.0; 6.0; 10.0; 15.0 |] in
+     List.map
+       (fun (lo, hi) -> Rng.discrete_prefix t pfs ~lo ~hi)
+       [ (0, 4); (1, 4); (2, 3); (0, 4); (3, 4); (0, 1) ])
+
+let test_keyed_draw_allocation () =
+  (* The factorization reseeds one generator per column and draws its
+     shared random number: the pair allocates only [float_open]'s boxed
+     result (2 words), where a state of [mutable int64] fields
+     allocated 61. *)
+  let t = Rng.create 42 in
+  let w0 = Gc.minor_words () in
+  for k = 0 to 9_999 do
+    Rng.reseed_keyed t ~seed:42 k;
+    ignore (Rng.float_open t)
+  done;
+  let per = (Gc.minor_words () -. w0) /. 10_000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per reseed_keyed + float_open" per)
+    true (per <= 8.0)
+
 (* Caller errors are Invalid_argument, never an assert that -noassert
    would delete: one case per guard. *)
 let typed_errors =
@@ -222,6 +309,13 @@ let () =
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
           Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
           Alcotest.test_case "pareto bounds" `Quick test_pareto_bounds;
+        ] );
+      ( "known answers",
+        [
+          Alcotest.test_case "streams of the int64-field state" `Quick
+            test_known_answers;
+          Alcotest.test_case "keyed draw allocation bound" `Quick
+            test_keyed_draw_allocation;
         ] );
       ("errors", typed_errors);
       ("property", Test_util.qcheck [ prop_int_in_bounds; prop_discrete_positive_weight ]);
