@@ -11,8 +11,8 @@ check:
 
 test: check
 
-# Full suite again on a 2-domain pool, so the one parallel region
-# (solve_many's batch chunks) runs — every CI build-test leg.
+# Full suite again at 2 domains, so the one parallel region
+# (solve_many's batch chunks) fans out — every CI build-test leg.
 check-par:
 	POWERRCHOL_DOMAINS=2 dune runtest --force
 

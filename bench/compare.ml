@@ -16,7 +16,9 @@
    Runner.write_bench_json. The gate fails (exit 1) when any (case,
    solver) row present in both files shows a per-phase time regression
    beyond the tolerance, or a case that converged in the baseline no
-   longer converges.
+   longer converges. In CURRENT alone it also fails a batched row whose
+   [bit_identical] field is false: the batch's solutions differ from the
+   unbatched solves of the same right-hand sides.
 
    A TRACE.json argument (or the --trace form alone) additionally runs
    the trace-validity gate: the file must parse as Chrome trace-event
@@ -278,13 +280,24 @@ let () =
             Printf.sprintf "%s/%s no longer converges" case solver
             :: !failures)
     current;
-  (* amortization invariant on the current run *)
+  (* amortization invariant and bit-identity on the current run *)
   let cur_tbl = index current in
   let batched_checked = ref 0 in
   List.iter
     (fun row ->
       let case, solver = key_of row in
-      if solver = batched_solver then
+      if solver = batched_solver then begin
+        (match Obs.Json.member "bit_identical" row with
+         | Some (Obs.Json.Bool true) -> ()
+         | Some (Obs.Json.Bool false) ->
+           failures :=
+             Printf.sprintf
+               "%s batched solutions not bit-identical to unbatched solves"
+               case
+             :: !failures
+         | _ ->
+           notes := Printf.sprintf "%s: batched row without bit_identical" case
+                    :: !notes);
         match Hashtbl.find_opt cur_tbl (case, unbatched_solver) with
         | None ->
           notes :=
@@ -307,7 +320,8 @@ let () =
                 :: !failures
           | _ ->
             notes := Printf.sprintf "%s: batched rows missing t_total" case
-                     :: !notes))
+                     :: !notes)
+      end)
     current;
   if !batched_checked > 0 then
     Printf.printf "batched amortization checked on %d case(s)\n"

@@ -70,6 +70,8 @@ type bench_row = {
   row_n : int;
   row_nnz : int;
   row_result : Powerrchol.Solver.result;
+  row_bit_identical : bool option;
+      (* whether a synthesized row's solutions equal its reference's *)
 }
 
 let bench_rows : bench_row list ref = ref []
@@ -89,6 +91,7 @@ let run case solver_id =
         row_n = Sddm.Problem.n p;
         row_nnz = Sddm.Problem.nnz p;
         row_result = r;
+        row_bit_identical = None;
       }
       :: !bench_rows;
     r
@@ -96,7 +99,7 @@ let run case solver_id =
 (* Synthesized rows (aggregates like the batched-vs-unbatched pair) enter
    bench.json through here; [solver] must be unique per case so the
    regression gate keys stay stable. *)
-let record_custom ~case_id ~solver ~n ~nnz result =
+let record_custom ?bit_identical ~case_id ~solver ~n ~nnz result =
   bench_rows :=
     {
       row_case = case_id;
@@ -104,6 +107,7 @@ let record_custom ~case_id ~solver ~n ~nnz result =
       row_n = n;
       row_nnz = nnz;
       row_result = result;
+      row_bit_identical = bit_identical;
     }
     :: !bench_rows
 
@@ -115,7 +119,7 @@ let drop_cached_problem case =
 type kernel_row = {
   k_kernel : string;  (* "spmv" | "trisolve" | "pcg_iterate" *)
   k_variant : string;  (* "scatter" | "gather" | "sched" | "par" ... *)
-  k_domains : int;  (* pool size the variant ran on *)
+  k_domains : int;  (* domain count the variant ran on *)
   k_n : int;
   k_time : float;  (* OLS seconds per run *)
 }
@@ -283,7 +287,7 @@ let append_csv name ~header:header_line rows =
 let bench_row_json row =
   let r = row.row_result in
   Obs.Json.Obj
-    [
+    ([
       ("case", Obs.Json.Str row.row_case);
       ("solver", Obs.Json.Str row.row_solver);
       ("n", Obs.Json.Int row.row_n);
@@ -297,6 +301,10 @@ let bench_row_json row =
       ("converged", Obs.Json.Bool r.Powerrchol.Solver.converged);
       ("factor_nnz", Obs.Json.Int r.Powerrchol.Solver.factor_nnz);
     ]
+    @
+    match row.row_bit_identical with
+    | Some b -> [ ("bit_identical", Obs.Json.Bool b) ]
+    | None -> [])
 
 let kernel_row_json row =
   Obs.Json.Obj

@@ -33,8 +33,8 @@ let domains_arg =
   in
   Arg.(value & opt (some string) None & info [ "domains" ] ~docv:"N" ~doc)
 
-(* Applied before any solve runs: sets the default pool's width, which
-   spawns nothing until a batch fans out. Validation lives in
+(* Applied before any solve runs: sets the width of a batch's parallel
+   region, which spawns its domains only while it runs. Validation lives in
    Par.domains_of_string so the flag and the environment variable reject
    bad values with the same words. *)
 let apply_domains = function

@@ -124,27 +124,21 @@ let solve_many ?rtol ?max_iter ?deadline (p : prepared) bs =
     r
   in
   Obs.span "solve_many" (fun () ->
-      if
-        nb <= 1
-        || Par.effective_domains () = 1
-        || not (Par.runs_parallel (Par.default ()))
-      then Array.mapi (fun k b -> solve_one ~workspace:p.workspace k b) bs
-      else begin
-        (* Fan the batch across the pool, one contiguous chunk of
-           right-hand sides per domain. Each chunk gets its own PCG
-           workspace (the handle's single workspace serves one solve at
-           a time) and runs the same sequential solves as the loop
-           above, so the batch results are bit-identical to it at any
-           domain count. *)
-        let n = Sddm.Problem.n p.problem in
-        let results = Array.make nb None in
-        Par.parallel_for (Par.default ()) ~lo:0 ~hi:nb (fun lo hi ->
-            let workspace = Krylov.Pcg.Workspace.create n in
-            for k = lo to hi - 1 do
-              results.(k) <- Some (solve_one ~workspace k bs.(k))
-            done);
-        Array.map (function Some r -> r | None -> assert false) results
-      end)
+      (* One contiguous chunk of right-hand sides per domain, each chunk
+         the same sequential solves, so the results are bit-identical at
+         any domain count. A chunk that holds the whole batch runs on the
+         caller and uses the handle's workspace; any other chunk gets its
+         own, since a workspace serves one solve at a time. *)
+      let n = Sddm.Problem.n p.problem in
+      let results = Array.make nb None in
+      Par.parallel_for ~lo:0 ~hi:nb (fun lo hi ->
+          let workspace =
+            if hi - lo = nb then p.workspace else Krylov.Pcg.Workspace.create n
+          in
+          for k = lo to hi - 1 do
+            results.(k) <- Some (solve_one ~workspace k bs.(k))
+          done);
+      Array.map (function Some r -> r | None -> assert false) results)
 
 (* The one-shot path: a fresh preparation, one prepared solve, and the
    handle's preparation times folded back so t_total is the full cost.

@@ -72,14 +72,14 @@ val solve_many :
   ?rtol:float -> ?max_iter:int -> ?deadline:float -> prepared ->
   Sparse.Vec.t array -> result array
 (** [solve_many p bs] amortizes one factorization over a batch of
-    right-hand sides. With one domain (or a busy pool) the batch runs
-    sequentially on the handle's workspace; with more domains it is
-    fanned across the default {!Par} pool in contiguous chunks, one
-    private workspace per chunk; the pool's workers are spawned by the
-    first batch that fans out. This batch fan-out is the library's only
-    parallel region: each chunk runs whole sequential solves, so result
-    [k] is bit-identical to [solve_prepared ~b:bs.(k) p] at any domain
-    count.
+    right-hand sides. With one domain, or while another {!Par} region
+    fans out, the batch runs sequentially on the handle's workspace;
+    with more domains it is split by [Par.parallel_for] into contiguous
+    chunks, one private workspace per chunk, each chunk after the first
+    on a domain spawned for this batch and joined before it returns.
+    This batch fan-out is the library's only parallel region: each chunk
+    runs whole sequential solves, so result [k] is bit-identical to
+    [solve_prepared ~b:bs.(k) p] at any domain count.
 
     Telemetry stays live at any domain count: the batch is one
     ["solve_many"] span containing a ["solve#k"] span per right-hand

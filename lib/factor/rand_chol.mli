@@ -130,4 +130,4 @@ val refactor : updatable -> int
     The closure re-eliminates sequentially, one column at a time through
     {!Lower.refactor_columns}, at every domain count. Its values are a
     pure function of the committed state, so the result does not depend
-    on the default {!Par} pool. *)
+    on the domain count. *)

@@ -226,7 +226,7 @@ val gauge : string -> float -> unit
 
 val add_absolute : string -> float -> unit
 (** Add to a counter addressed by its full path, ignoring the span
-    stack. For infrastructure totals (e.g. the [Par] pool's per-slot
+    stack. For infrastructure totals (e.g. the [Par] region's per-chunk
     busy times) that must land on one well-known path no matter where
     the flushing code happens to run. No-op when disabled. *)
 

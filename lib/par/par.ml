@@ -1,89 +1,13 @@
-(* A fixed pool of [size - 1] worker domains plus the calling domain.
-   Workers park on a per-worker condition variable; [run] hands each
-   worker one closure, executes chunk 0 itself, then waits for every
-   worker's job slot to drain. Dispatch costs two mutex round-trips per
-   worker per parallel region, so regions must be coarse (one chunk per
-   domain) — which is exactly how [parallel_for] carves work.
+(* The library's one parallel region. [parallel_for] spawns one domain per
+   chunk after the first, runs chunk 0 on the calling domain and joins
+   every domain it spawned before it returns or raises, so no domain
+   outlives the region that needed it.
 
-   Worker exceptions are captured and re-raised on the caller after the
-   join, so a failing chunk cannot leave the pool wedged. *)
-
-type worker = {
-  mutex : Mutex.t;
-  cond : Condition.t;
-  mutable job : (unit -> unit) option;
-  mutable stop : bool;
-  mutable failure : exn option;
-}
-
-type pool = {
-  size : int;
-  workers : worker array;
-  handles : unit Domain.t array;
-  mutable live : bool;
-  mutable busy : bool;
-  (* per-chunk busy seconds for the most recent profiled region; -1.0
-     marks a slot whose chunk was empty. Single writer per slot. *)
-  busy_s : float array;
-  busy_names : string array;
-}
+   A chunk's exception is caught and re-raised on the caller after the
+   join, so a failing chunk cannot leave a domain running. *)
 
 let backend = "domains"
 let hardware_domains () = Domain.recommended_domain_count ()
-
-let worker_loop w =
-  let running = ref true in
-  while !running do
-    Mutex.lock w.mutex;
-    while w.job = None && not w.stop do
-      Condition.wait w.cond w.mutex
-    done;
-    if w.stop then begin
-      Mutex.unlock w.mutex;
-      running := false
-    end
-    else begin
-      let job = match w.job with Some j -> j | None -> assert false in
-      Mutex.unlock w.mutex;
-      (try job () with exn -> w.failure <- Some exn);
-      Mutex.lock w.mutex;
-      w.job <- None;
-      Condition.broadcast w.cond;
-      Mutex.unlock w.mutex
-    end
-  done
-
-(* [f i] for every chunk slot [i], slot 0 on the caller *)
-let run p f =
-  if p.size = 1 then f 0
-  else begin
-    for i = 1 to p.size - 1 do
-      let w = p.workers.(i - 1) in
-      Mutex.lock w.mutex;
-      w.failure <- None;
-      w.job <- Some (fun () -> f i);
-      Condition.broadcast w.cond;
-      Mutex.unlock w.mutex
-    done;
-    let caller_failure = (try f 0; None with exn -> Some exn) in
-    for i = 1 to p.size - 1 do
-      let w = p.workers.(i - 1) in
-      Mutex.lock w.mutex;
-      while w.job <> None do
-        Condition.wait w.cond w.mutex
-      done;
-      Mutex.unlock w.mutex
-    done;
-    let failure =
-      match caller_failure with
-      | Some _ -> caller_failure
-      | None ->
-        Array.fold_left
-          (fun acc w -> match acc with Some _ -> acc | None -> w.failure)
-          None p.workers
-    in
-    match failure with Some exn -> raise exn | None -> ()
-  end
 
 let max_domains = 128
 
@@ -118,52 +42,9 @@ let recommended_domains () =
       Printf.eprintf "warning: POWERRCHOL_DOMAINS ignored: %s\n%!" reason;
       1)
 
-let create ~domains:d () =
-  if d < 1 then invalid_arg "Par.create: domains must be >= 1";
-  let workers =
-    Array.init (d - 1) (fun _ ->
-        {
-          mutex = Mutex.create ();
-          cond = Condition.create ();
-          job = None;
-          stop = false;
-          failure = None;
-        })
-  in
-  let handles =
-    Array.map (fun w -> Domain.spawn (fun () -> worker_loop w)) workers
-  in
-  {
-    size = d;
-    workers;
-    handles;
-    live = true;
-    busy = false;
-    busy_s = Array.make d (-1.0);
-    busy_names = Array.init d (Printf.sprintf "par/busy_s#%d");
-  }
-
-let domains p = p.size
-
-let shutdown p =
-  if p.live then begin
-    p.live <- false;
-    Array.iter
-      (fun w ->
-        Mutex.lock w.mutex;
-        w.stop <- true;
-        Condition.broadcast w.cond;
-        Mutex.unlock w.mutex)
-      p.workers;
-    Array.iter Domain.join p.handles
-  end
-
-(* The default pool's width, fixed by [set_default_domains] or on first
-   use from [recommended_domains]; the pool itself is spawned only when a
-   region first asks for it, so a process that never fans out never runs
-   beside parked domains. *)
+(* The region width, fixed by [set_default_domains] or on first use from
+   [recommended_domains]. *)
 let default_width : int option ref = ref None
-let default_pool : pool option ref = ref None
 
 let effective_domains () =
   match !default_width with
@@ -173,63 +54,73 @@ let effective_domains () =
     default_width := Some d;
     d
 
-let default () =
-  match !default_pool with
-  | Some p -> p
-  | None ->
-    let p = create ~domains:(effective_domains ()) () in
-    default_pool := Some p;
-    p
-
 let set_default_domains d =
   if d < 1 then invalid_arg "Par.set_default_domains: domains must be >= 1";
-  (match !default_pool with Some p -> shutdown p | None -> ());
-  default_pool := None;
   default_width := Some d
 
-(* Worker domains never outlive the process: alcotest runners and the CLI
-   both exit through at_exit, which parks-then-joins the default pool. *)
-let () =
-  at_exit (fun () ->
-      match !default_pool with Some p -> shutdown p | None -> ())
+(* Set while a region fans out. A region opened meanwhile, from inside a
+   chunk or from another thread, runs inline, so two regions never record
+   into the same Obs worker slots. *)
+let fanning_out = Atomic.make false
 
-let runs_parallel p = domains p > 1 && not p.busy
+(* [run i] for every chunk [i] in [0 .. chunks-1]: chunks 1 and up each on
+   a domain of their own, chunk 0 on the caller. Every spawned domain is
+   joined before the first failure in chunk order is re-raised; a spawn
+   that fails counts as its chunk's failure and spawns no later chunk. *)
+let fan_out chunks run =
+  let failures = Array.make chunks None in
+  let rec spawn i =
+    if i = chunks then []
+    else
+      match Domain.spawn (fun () -> run i) with
+      | d -> (i, d) :: spawn (i + 1)
+      | exception exn ->
+        failures.(i) <- Some exn;
+        []
+  in
+  let spawned = spawn 1 in
+  (try run 0 with exn -> failures.(0) <- Some exn);
+  List.iter
+    (fun (i, d) -> try Domain.join d with exn -> failures.(i) <- Some exn)
+    spawned;
+  match Array.find_map Fun.id failures with
+  | Some exn -> raise exn
+  | None -> ()
 
-(* One chunk per domain. When telemetry is on, each chunk records into its
-   own Obs worker store (seeded with the caller's span prefix, so merged
-   paths match the sequential run) and its busy time is flushed to
-   par/busy_s#<slot> afterwards. When off, the closure below is the bare
-   chunk call — a single flag read per region. *)
-let parallel_for p ~lo ~hi f =
+(* Chunks of [ceil (len / width)] indices, the last one shorter; only the
+   non-empty ones run, so no spawned domain sits idle. When telemetry is
+   on, each chunk records into its own Obs worker store (seeded with the
+   caller's span prefix, so merged paths match the sequential run) and its
+   busy time is flushed to par/busy_s#<slot> after the join. When off, a
+   chunk is the bare call. *)
+let parallel_for ~lo ~hi f =
   let len = hi - lo in
   if len > 0 then begin
-    let d = domains p in
-    if d = 1 || p.busy then f lo hi
-    else begin
-      let chunk = (len + d - 1) / d in
-      let bounds = Array.init (d + 1) (fun i -> min hi (lo + (i * chunk))) in
-      let obs_on = Obs.enabled () in
-      let prefix = if obs_on then Obs.current_prefix () else "" in
-      if obs_on then Array.fill p.busy_s 0 d (-1.0);
-      p.busy <- true;
+    let width = effective_domains () in
+    let chunk = (len + width - 1) / width in
+    let chunks = (len + chunk - 1) / chunk in
+    if chunks = 1 || not (Atomic.compare_and_set fanning_out false true)
+    then f lo hi
+    else
       Fun.protect
-        ~finally:(fun () -> p.busy <- false)
+        ~finally:(fun () -> Atomic.set fanning_out false)
         (fun () ->
-          run p (fun i ->
-              let clo = bounds.(i) and chi = bounds.(i + 1) in
-              if clo < chi then
-                if obs_on then
-                  Obs.worker_scope ~slot:i ~prefix (fun () ->
-                      let t0 = Obs.now () in
-                      Fun.protect
-                        ~finally:(fun () ->
-                          p.busy_s.(i) <- Float.max (Obs.now () -. t0) 0.0)
-                        (fun () -> f clo chi))
-                else f clo chi));
-      if obs_on then
-        for i = 0 to d - 1 do
-          if p.busy_s.(i) >= 0.0 then
-            Obs.add_absolute p.busy_names.(i) p.busy_s.(i)
-        done
-    end
+          let obs_on = Obs.enabled () in
+          let prefix = if obs_on then Obs.current_prefix () else "" in
+          let busy_s = Array.make chunks 0.0 in
+          fan_out chunks (fun i ->
+              let clo = lo + (i * chunk) in
+              let chi = min hi (clo + chunk) in
+              if obs_on then
+                Obs.worker_scope ~slot:i ~prefix (fun () ->
+                    let t0 = Obs.now () in
+                    Fun.protect
+                      ~finally:(fun () ->
+                        busy_s.(i) <- Float.max (Obs.now () -. t0) 0.0)
+                      (fun () -> f clo chi))
+              else f clo chi);
+          if obs_on then
+            Array.iteri
+              (fun i s -> Obs.add_absolute (Printf.sprintf "par/busy_s#%d" i) s)
+              busy_s)
   end

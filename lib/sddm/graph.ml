@@ -69,40 +69,34 @@ let counting_sort ~n key src =
     src;
   dst
 
-(* Coalesce parallel edges: order the edge ids by (u,v), then sum runs.
-   Sorting by v and then, stably, by u is a radix sort on the pair, so
-   the copies of a pair stay in input order and are summed in it. *)
-let coalesce g =
-  if g.coalesced then g
-  else begin
-    let m = n_edges g in
-    let by_v = counting_sort ~n:g.n g.vs (Array.init m (fun e -> e)) in
-    let order = counting_sort ~n:g.n g.us by_v in
-    let us = Array.make m 0 and vs = Array.make m 0 and ws = Array.make m 0.0 in
-    let out = ref 0 in
-    let k = ref 0 in
-    while !k < m do
-      let e0 = order.(!k) in
-      let u = g.us.(e0) and v = g.vs.(e0) in
-      let acc = ref 0.0 in
-      while !k < m && g.us.(order.(!k)) = u && g.vs.(order.(!k)) = v do
-        acc := !acc +. g.ws.(order.(!k));
-        incr k
-      done;
-      us.(!out) <- u;
-      vs.(!out) <- v;
-      ws.(!out) <- !acc;
-      incr out
+(* Coalesce the parallel edges of valid edge arrays ([gus.(e) < gvs.(e)]):
+   order the edge ids by (u,v), then sum runs. Sorting by v and then,
+   stably, by u is a radix sort on the pair, so the copies of a pair stay
+   in input order and are summed in it. *)
+let coalesce_edges ~n gus gvs gws =
+  let m = Array.length gus in
+  let by_v = counting_sort ~n gvs (Array.init m (fun e -> e)) in
+  let order = counting_sort ~n gus by_v in
+  let us = Array.make m 0 and vs = Array.make m 0 and ws = Array.make m 0.0 in
+  let out = ref 0 in
+  let k = ref 0 in
+  while !k < m do
+    let e0 = order.(!k) in
+    let u = gus.(e0) and v = gvs.(e0) in
+    let acc = ref 0.0 in
+    while !k < m && gus.(order.(!k)) = u && gvs.(order.(!k)) = v do
+      acc := !acc +. gws.(order.(!k));
+      incr k
     done;
-    {
-      n = g.n;
-      us = Array.sub us 0 !out;
-      vs = Array.sub vs 0 !out;
-      ws = Array.sub ws 0 !out;
-      adj = None;
-      coalesced = true;
-    }
-  end
+    us.(!out) <- u;
+    vs.(!out) <- v;
+    ws.(!out) <- !acc;
+    incr out
+  done;
+  let keep a = if !out = m then a else Array.sub a 0 !out in
+  { n; us = keep us; vs = keep vs; ws = keep ws; adj = None; coalesced = true }
+
+let coalesce g = if g.coalesced then g else coalesce_edges ~n:g.n g.us g.vs g.ws
 
 let build_adjacency g =
   let g = coalesce g in
@@ -339,16 +333,27 @@ let is_sddm a =
   | _ -> true
   | exception Invalid_argument _ -> false
 
+(* The relabelled edges of a valid graph under a valid permutation are
+   valid, so they go straight to the coalescing sort. *)
 let permute g p =
   if Array.length p <> g.n then
     invalid_arg
       (Printf.sprintf "Graph.permute: permutation of %d for %d vertices"
          (Array.length p) g.n);
+  if not (Sparse.Perm.is_valid p) then
+    invalid_arg "Graph.permute: not a permutation";
   let pinv = Sparse.Perm.inverse p in
   let m = n_edges g in
   let us = Array.make m 0 and vs = Array.make m 0 in
   for e = 0 to m - 1 do
-    us.(e) <- pinv.(g.us.(e));
-    vs.(e) <- pinv.(g.vs.(e))
+    let a = pinv.(g.us.(e)) and b = pinv.(g.vs.(e)) in
+    if a < b then begin
+      us.(e) <- a;
+      vs.(e) <- b
+    end
+    else begin
+      us.(e) <- b;
+      vs.(e) <- a
+    end
   done;
-  of_arrays ~n:g.n ~us ~vs ~ws:g.ws
+  coalesce_edges ~n:g.n us vs g.ws

@@ -98,5 +98,7 @@ val is_sddm : Sparse.Csc.t -> bool
 (** True when {!of_sddm} would succeed. *)
 
 val permute : t -> Sparse.Perm.t -> t
-(** Relabel vertices: vertex [p.(k)] of the input becomes vertex [k].
-    Raises [Invalid_argument] when [p] does not have length [n]. *)
+(** Relabel vertices: vertex [p.(k)] of the input becomes vertex [k]. The
+    result is coalesced: it is {!coalesce} of the relabelled edges, and
+    {!coalesce} returns it unchanged. Raises [Invalid_argument] when [p]
+    is not a permutation of [0 .. n-1]. *)

@@ -1070,6 +1070,49 @@ let test_factor_allocation_bound () =
       ("Alg. 4", fun g -> Ordering.Degree_sort.order g);
     ]
 
+let test_refactor_allocation_bound () =
+  (* A refactor re-eliminates its closure without allocating per column:
+     the weight gather writes the updatable's scratch arrays in place. A
+     closure built per column and called with a float per entry cost
+     about 40 minor words per column. *)
+  let p =
+    (Powergrid.Suite.scale_case ~target_nodes:3_000 ()).Powergrid.Suite.build
+      ()
+  in
+  let g = p.Sddm.Problem.graph and d = p.Sddm.Problem.d in
+  List.iter
+    (fun (oname, order) ->
+      let perm = order g in
+      let gp = Sddm.Graph.permute g perm in
+      let dp = Array.init (Array.length perm) (fun k -> d.(perm.(k))) in
+      let u =
+        Factor.Lt_rchol.factorize_updatable ~rng:(Rng.create 1) gp ~d:dp
+      in
+      let m = Sddm.Graph.n_edges gp in
+      let edit k =
+        let e = k * (m - 1) / 10 in
+        Factor.Rand_chol.set_edge_weight u e
+          (1.5 *. Factor.Rand_chol.edge_weight u e);
+        Factor.Rand_chol.refactor u
+      in
+      (* the first refactor sizes the column buffers *)
+      ignore (edit 0);
+      let w0 = Gc.minor_words () in
+      let cols = ref 0 in
+      for k = 1 to 10 do
+        cols := !cols + edit k
+      done;
+      let per_col = (Gc.minor_words () -. w0) /. float_of_int !cols in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "refactor under %s: %.1f minor words per column over %d columns"
+           oname per_col !cols)
+        true (per_col <= 4.0))
+    [
+      ("Partitioned", fun g -> Ordering.Partitioned.order g);
+      ("Alg. 4", fun g -> Ordering.Degree_sort.order g);
+    ]
+
 let () =
   Alcotest.run "factor"
     [
@@ -1156,6 +1199,8 @@ let () =
         [
           Alcotest.test_case "factorization allocation bound" `Quick
             test_factor_allocation_bound;
+          Alcotest.test_case "refactor allocation bound" `Quick
+            test_refactor_allocation_bound;
         ] );
       ( "property",
         Test_util.qcheck

@@ -193,12 +193,13 @@ let test_schwarz_concurrent_applies () =
     z
   in
   let seq = Array.map apply rs in
-  let pool = Par.create ~domains:2 () in
   let par = Array.make 8 (Vec.create 0) in
+  let width = Par.effective_domains () in
   Fun.protect
-    ~finally:(fun () -> Par.shutdown pool)
+    ~finally:(fun () -> Par.set_default_domains width)
     (fun () ->
-      Par.parallel_for pool ~lo:0 ~hi:8 (fun lo hi ->
+      Par.set_default_domains 2;
+      Par.parallel_for ~lo:0 ~hi:8 (fun lo hi ->
           for _ = 1 to 10 do
             for k = lo to hi - 1 do
               par.(k) <- apply rs.(k)

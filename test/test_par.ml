@@ -1,11 +1,11 @@
-(* Parallel-backend tests: pool semantics, kernel bit-identity between the
+(* Parallel-backend tests: region semantics, kernel bit-identity between the
    sequential and gather forms and across domain counts, determinism of
    the solves across domain counts, and a fault-injected stress run of the
    batched solve path. *)
 
 module Solver = Powerrchol.Solver
 
-(* Every test that widens the default pool restores it, so suites stay
+(* Every test that widens the region restores its width, so suites stay
    independent of execution order. *)
 let with_domains d f =
   Fun.protect
@@ -29,17 +29,14 @@ let factor_of problem =
   let dp = Array.init (Array.length perm) (fun k -> d.(perm.(k))) in
   (perm, Factor.Lt_rchol.factorize ~rng:(Rng.create 31) gp ~d:dp)
 
-(* ---- pool semantics ---- *)
+(* ---- the parallel region ---- *)
 
 let test_parallel_for_partition () =
   List.iter
     (fun d ->
-      let pool = Par.create ~domains:d () in
-      Fun.protect
-        ~finally:(fun () -> Par.shutdown pool)
-        (fun () ->
+      with_domains d (fun () ->
           let hits = Array.make 1000 0 in
-          Par.parallel_for pool ~lo:0 ~hi:1000 (fun lo hi ->
+          Par.parallel_for ~lo:0 ~hi:1000 (fun lo hi ->
               for i = lo to hi - 1 do
                 hits.(i) <- hits.(i) + 1
               done);
@@ -50,48 +47,115 @@ let test_parallel_for_partition () =
     [ 1; 2; 3; 5 ]
 
 let test_set_default_domains () =
-  (* the width is recorded first and the pool follows it: effective_domains
-     reads the set width before any pool exists, the next default () has
-     it, and a later width replaces a spawned pool *)
   with_domains 3 (fun () ->
       Alcotest.(check int) "effective width" 3 (Par.effective_domains ());
-      Alcotest.(check int) "default pool" 3 (Par.domains (Par.default ()));
       Par.set_default_domains 2;
-      Alcotest.(check int) "reset width" 2 (Par.effective_domains ());
-      Alcotest.(check int) "replaced pool" 2 (Par.domains (Par.default ())));
+      Alcotest.(check int) "reset width" 2 (Par.effective_domains ()));
   Alcotest.check_raises "zero domains"
     (Invalid_argument "Par.set_default_domains: domains must be >= 1")
     (fun () -> Par.set_default_domains 0)
 
-let test_parallel_for_exception () =
-  let pool = Par.create ~domains:3 () in
-  Fun.protect
-    ~finally:(fun () -> Par.shutdown pool)
-    (fun () ->
-      Alcotest.check_raises "worker exception reaches the caller"
-        (Failure "chunk") (fun () ->
-          Par.parallel_for pool ~lo:0 ~hi:300 (fun lo _hi ->
-              if lo > 0 then failwith "chunk"));
-      (* the pool must survive the failed region *)
-      let acc = ref 0 in
-      Par.parallel_for pool ~lo:0 ~hi:3 (fun lo hi ->
-          for _ = lo to hi - 1 do
-            incr acc
-          done);
-      Alcotest.(check int) "pool usable after exception" 3 !acc)
+(* The runtime gives each spawned domain the next unique id, so the ids of
+   two probe domains spawned around a region differ by one more than the
+   number of domains the region spawned. *)
+let probe_domain_id () =
+  (Domain.join (Domain.spawn (fun () -> Domain.self ())) :> int)
 
-let test_nested_calls_inline () =
-  let pool = Par.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Par.shutdown pool)
-    (fun () ->
-      let inner_parallel = ref false in
-      Par.parallel_for pool ~lo:0 ~hi:2 (fun _ _ ->
-          (* a nested region on a busy pool must degrade to inline
-             sequential execution instead of deadlocking *)
-          if Par.runs_parallel pool then inner_parallel := true;
-          Par.parallel_for pool ~lo:0 ~hi:10 (fun _ _ -> ()));
-      Alcotest.(check bool) "nested region is inline" false !inner_parallel)
+let test_region_spawns_one_domain_per_chunk () =
+  (* [chunks] is min width length, except where chunks of ceil (length /
+     width) run out first: 5 over width 4 is 2 + 2 + 1 *)
+  List.iter
+    (fun (width, len, chunks) ->
+      with_domains width (fun () ->
+          let owner = Array.make len (-1) in
+          let before = probe_domain_id () in
+          Par.parallel_for ~lo:0 ~hi:len (fun lo hi ->
+              let me = (Domain.self () :> int) in
+              for i = lo to hi - 1 do
+                owner.(i) <- me
+              done);
+          let spawned = probe_domain_id () - before - 1 in
+          let seen = List.sort_uniq compare (Array.to_list owner) in
+          let shape = Printf.sprintf "%d over width %d" len width in
+          Alcotest.(check int)
+            (shape ^ ": one domain per chunk")
+            chunks (List.length seen);
+          Alcotest.(check bool)
+            (shape ^ ": chunk 0 on the caller")
+            true
+            (owner.(0) = (Domain.self () :> int));
+          Alcotest.(check int)
+            (shape ^ ": no idle domain spawned")
+            (chunks - 1) spawned))
+    [
+      (1, 5, 1); (2, 1, 1); (2, 2, 2); (3, 2, 2); (5, 3, 3); (4, 4, 4);
+      (3, 9, 3); (4, 5, 3); (5, 12, 4);
+    ]
+
+let test_parallel_for_exception () =
+  with_domains 3 (fun () ->
+      (* the chunks in [slow] spin for 50 ms and those in [fails] then
+         raise: the caller gets the first failure in chunk order, once
+         every chunk has finished *)
+      let region ~slow ~fails =
+        let finished = Atomic.make 0 in
+        match
+          Par.parallel_for ~lo:0 ~hi:3 (fun lo _ ->
+              if List.mem lo slow then begin
+                let t0 = Obs.now () in
+                while Obs.now () -. t0 < 0.05 do
+                  Domain.cpu_relax ()
+                done
+              end;
+              Atomic.incr finished;
+              if List.mem lo fails then failwith (Printf.sprintf "chunk %d" lo))
+        with
+        | () -> Alcotest.fail "the failing region returned"
+        | exception Failure msg -> (msg, Atomic.get finished)
+      in
+      Alcotest.(check (pair string int))
+        "a failing caller chunk waits for the join" ("chunk 0", 3)
+        (region ~slow:[ 1; 2 ] ~fails:[ 0; 2 ]);
+      Alcotest.(check (pair string int))
+        "first failure in chunk order" ("chunk 1", 3)
+        (region ~slow:[ 0; 1 ] ~fails:[ 1; 2 ]);
+      let acc = Atomic.make 0 in
+      Par.parallel_for ~lo:0 ~hi:3 (fun lo hi ->
+          for _ = lo to hi - 1 do
+            Atomic.incr acc
+          done);
+      Alcotest.(check int) "the next region runs" 3 (Atomic.get acc))
+
+let test_nested_region_inline () =
+  with_domains 2 (fun () ->
+      let inline = Array.make 2 false in
+      Par.parallel_for ~lo:0 ~hi:2 (fun lo _ ->
+          (* a region opened inside a chunk is one call on that chunk's
+             domain *)
+          let me = Domain.self () in
+          let calls = ref [] in
+          Par.parallel_for ~lo:0 ~hi:10 (fun clo chi ->
+              calls := (clo, chi, Domain.self () = me) :: !calls);
+          inline.(lo) <- !calls = [ (0, 10, true) ]);
+      Alcotest.(check (array bool))
+        "nested region runs inline on its chunk's domain" [| true; true |]
+        inline)
+
+let test_concurrent_region_inline () =
+  with_domains 2 (fun () ->
+      let calls = ref [] in
+      Par.parallel_for ~lo:0 ~hi:2 (fun lo _ ->
+          if lo = 0 then
+            (* another thread opens a region while this one fans out *)
+            Thread.join
+              (Thread.create
+                 (fun () ->
+                   Par.parallel_for ~lo:0 ~hi:4 (fun clo chi ->
+                       calls := (clo, chi, Domain.self ()) :: !calls))
+                 ()));
+      Alcotest.(check bool)
+        "a region opened from another thread meanwhile runs inline" true
+        (!calls = [ (0, 4, Domain.self ()) ]))
 
 (* ---- vector kernels ---- *)
 
@@ -206,7 +270,7 @@ let test_solve_deterministic_across_domains () =
      enough that a chunked kernel or a blocked dot product would move its
      bits. A one-shot solve must give the same bits at every domain
      count, and a prepared solve the same bits alone as inside a batch,
-     whose chunks run on the pool. *)
+     whose chunks run on domains of their own. *)
   List.iter
     (fun (nx, seed) ->
       let p = grid_problem ~nx ~ny:nx ~seed () in
@@ -251,7 +315,7 @@ let test_keyed_rng_deterministic_across_domains () =
   let draw_at d =
     with_domains d (fun () ->
         let out = Array.make 10_000 0.0 in
-        Par.parallel_for (Par.default ()) ~lo:0 ~hi:10_000 (fun clo chi ->
+        Par.parallel_for ~lo:0 ~hi:10_000 (fun clo chi ->
             for i = clo to chi - 1 do
               let rng = Rng.keyed ~seed:97 i in
               out.(i) <- Rng.float rng +. float_of_int (Rng.int rng 1000)
@@ -334,6 +398,47 @@ let test_solve_many_stress_mixed_outcomes () =
     seq.(0).Solver.converged;
   Alcotest.(check bool) "poisoned rhs did not converge" false
     seq.(4).Solver.converged
+
+let same_bits x y =
+  Sparse.Vec.length x = Sparse.Vec.length y
+  && List.for_all
+       (fun i ->
+         Int64.bits_of_float (Sparse.Vec.get x i)
+         = Int64.bits_of_float (Sparse.Vec.get y i))
+       (List.init (Sparse.Vec.length x) Fun.id)
+
+(* Any width, any batch length (empty and shorter than the width
+   included): result k of a batch is the lone solve of rhs k, bit for
+   bit. *)
+let prop_solve_many_matches_alone =
+  QCheck.Test.make ~name:"solve_many = solve_prepared per rhs" ~count:40
+    QCheck.(quad (int_bound 10000) (int_bound 10) (int_bound 3) (int_bound 9))
+    (fun (seed, side, width, nb) ->
+      (* QCheck shrinks towards 0, so the ranges start at 0 *)
+      let side = side + 2 and width = width + 1 in
+      let n = side * side in
+      let rng = Rng.create seed in
+      let d =
+        Array.init n (fun _ -> if Rng.bool rng then Rng.float rng else 0.0)
+      in
+      d.(0) <- 1.0;
+      let p =
+        Sddm.Problem.of_graph ~name:"mesh"
+          ~graph:(Test_util.mesh_graph side side)
+          ~d ~b:(Sparse.Vec.create n)
+      in
+      let prepared = Solver.powerrchol_prepare p in
+      let bs = Array.init nb (fun _ -> random_rhs ~rng n) in
+      let batch =
+        with_domains width (fun () -> Solver.solve_many prepared bs)
+      in
+      Array.length batch = nb
+      && Array.for_all2
+           (fun b (r : Solver.result) ->
+             let alone = Solver.solve_prepared ~b prepared in
+             alone.Solver.iterations = r.Solver.iterations
+             && same_bits alone.Solver.x r.Solver.x)
+           bs batch)
 
 (* ---- batched-solve telemetry across domain counts ---- *)
 
@@ -432,16 +537,20 @@ let test_trace_tracks_per_domain () =
 let () =
   Alcotest.run "par"
     [
-      ( "pool",
+      ( "region",
         [
           Alcotest.test_case "parallel_for partition" `Quick
             test_parallel_for_partition;
           Alcotest.test_case "set_default_domains sets the width" `Quick
             test_set_default_domains;
+          Alcotest.test_case "one domain per chunk" `Quick
+            test_region_spawns_one_domain_per_chunk;
           Alcotest.test_case "exception propagation" `Quick
             test_parallel_for_exception;
           Alcotest.test_case "nested calls inline" `Quick
-            test_nested_calls_inline;
+            test_nested_region_inline;
+          Alcotest.test_case "concurrent region inline" `Quick
+            test_concurrent_region_inline;
         ] );
       ( "kernels",
         [
@@ -464,7 +573,8 @@ let () =
             test_solve_many_parallel_matches_seq;
           Alcotest.test_case "solve_many mixed-outcome stress" `Quick
             test_solve_many_stress_mixed_outcomes;
-        ] );
+        ]
+        @ Test_util.qcheck [ prop_solve_many_matches_alone ] );
       ( "telemetry",
         [
           Alcotest.test_case "profiled batch deterministic across domains"

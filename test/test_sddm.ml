@@ -93,10 +93,13 @@ let test_to_sddm_d_sign () =
       G.to_sddm g [| 1.0; -1e-300; 0.0 |]);
   raises_invalid_arg "NaN d" (fun () -> G.to_sddm g [| 1.0; 0.0; Float.nan |])
 
-let test_permute_length () =
+let test_permute_checks () =
   let g = Test_util.path_graph 3 in
   raises_invalid_arg "short permutation" (fun () -> G.permute g [| 1; 0 |]);
-  raises_invalid_arg "long permutation" (fun () -> G.permute g [| 1; 0; 2; 3 |])
+  raises_invalid_arg "long permutation" (fun () ->
+      G.permute g [| 1; 0; 2; 3 |]);
+  raises_invalid_arg "repeated index" (fun () -> G.permute g [| 1; 1; 2 |]);
+  raises_invalid_arg "index out of range" (fun () -> G.permute g [| 0; 1; 3 |])
 
 let test_laplacian_rowsums () =
   let g, _ = Test_util.random_sddm ~seed:3 ~n:12 ~m:30 in
@@ -202,6 +205,29 @@ let reference_coalesce g =
 (* Multigraphs with one to four copies of each pair, in shuffled order and
    either orientation, and weights spread over six decades so that the
    order in which copies are summed shows in the bits. *)
+let random_multigraph ~rng ~n ~pairs =
+  let edges = ref [] in
+  for _ = 0 to pairs do
+    let u = Rng.int rng n in
+    let v = (u + 1 + Rng.int rng (n - 1)) mod n in
+    for _ = 0 to Rng.int rng 4 do
+      let w = 10.0 ** ((6.0 *. Rng.float rng) -. 3.0) in
+      edges := (if Rng.bool rng then (u, v, w) else (v, u, w)) :: !edges
+    done
+  done;
+  let edges = Array.of_list !edges in
+  Rng.shuffle rng edges;
+  G.create ~n ~edges
+
+let same_edges got want =
+  Array.length got = Array.length want
+  && Array.for_all2
+       (fun (u, v, w) (u', v', w') ->
+         u = u' && v = v' && Int64.bits_of_float w = Int64.bits_of_float w')
+       got want
+
+let edges_of g = Array.init (G.n_edges g) (G.edge g)
+
 let prop_coalesce_matches_reference =
   QCheck.Test.make ~name:"coalesce matches stable sort + in-order sums"
     ~count:200
@@ -209,33 +235,36 @@ let prop_coalesce_matches_reference =
     (fun (seed, n_extra, pairs) ->
       (* QCheck shrinks an [int_range] towards 0, below its range *)
       let n = n_extra + 2 in
-      let rng = Rng.create seed in
-      let edges = ref [] in
-      for _ = 0 to pairs do
-        let u = Rng.int rng n in
-        let v = (u + 1 + Rng.int rng (n - 1)) mod n in
-        for _ = 0 to Rng.int rng 4 do
-          let w = 10.0 ** ((6.0 *. Rng.float rng) -. 3.0) in
-          edges := (if Rng.bool rng then (u, v, w) else (v, u, w)) :: !edges
-        done
-      done;
-      let edges = Array.of_list !edges in
-      Rng.shuffle rng edges;
-      let g = G.create ~n ~edges in
-      let c = G.coalesce g in
-      let got = Array.init (G.n_edges c) (G.edge c) in
-      let want = reference_coalesce g in
+      let g = random_multigraph ~rng:(Rng.create seed) ~n ~pairs in
+      let got = edges_of (G.coalesce g) in
       let key (u, v, _) = (u, v) in
       let ordered i e =
         let u, v = key e in
         u < v && (i = 0 || compare (key got.(i - 1)) (u, v) < 0)
       in
       Array.for_all Fun.id (Array.mapi ordered got)
-      && Array.length got = Array.length want
-      && Array.for_all2
-           (fun (u, v, w) (u', v', w') ->
-             u = u' && v = v' && Int64.bits_of_float w = Int64.bits_of_float w')
-           got want)
+      && same_edges got (reference_coalesce g))
+
+(* [permute] returns the coalesced graph of the relabelled edges, edge for
+   edge and bit for bit, already flagged so that [coalesce] keeps it. *)
+let prop_permute_is_coalesced =
+  QCheck.Test.make ~name:"permute = coalesce of the relabelled edges"
+    ~count:200
+    QCheck.(triple (int_bound 10000) (int_bound 28) (int_bound 60))
+    (fun (seed, n_extra, pairs) ->
+      let n = n_extra + 2 in
+      let rng = Rng.create seed in
+      let g = random_multigraph ~rng ~n ~pairs in
+      let p = Sparse.Perm.random rng n in
+      let pinv = Sparse.Perm.inverse p in
+      let relabelled =
+        G.create ~n
+          ~edges:
+            (Array.map (fun (u, v, w) -> (pinv.(u), pinv.(v), w)) (edges_of g))
+      in
+      let gp = G.permute g p in
+      same_edges (edges_of gp) (edges_of (G.coalesce relabelled))
+      && G.coalesce gp == gp)
 
 let prop_permute_involution =
   QCheck.Test.make ~name:"permute by p then inverse p is identity" ~count:100
@@ -282,7 +311,8 @@ let () =
           Alcotest.test_case "to_sddm d length check" `Quick
             test_to_sddm_d_length;
           Alcotest.test_case "to_sddm d sign check" `Quick test_to_sddm_d_sign;
-          Alcotest.test_case "permute length check" `Quick test_permute_length;
+          Alcotest.test_case "permute argument checks" `Quick
+            test_permute_checks;
         ] );
       ( "problem",
         [
@@ -297,6 +327,7 @@ let () =
             prop_laplacian_psd_proxy;
             prop_coalesce_idempotent;
             prop_coalesce_matches_reference;
+            prop_permute_is_coalesced;
             prop_permute_involution;
             prop_degrees_sum_twice_edges;
           ] );
