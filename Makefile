@@ -53,12 +53,18 @@ eco-smoke:
 	  bench_artifacts/bench.json
 
 # End-to-end trace smoke: solve one small case under `pgsolve --trace`,
-# then run the standalone trace-validity gate over the emitted file
-# (balanced B/E spans, monotonic timestamps per track).
+# and a three-column `--rhs` batch at 2 domains, whose two chunks trace
+# on tracks of their own; then run the standalone trace-validity gate
+# over each emitted file (balanced B/E spans, monotonic timestamps per
+# track).
 trace-smoke:
 	dune exec bin/pgsolve.exe -- solve --case pg01 --scale 0.05 \
 	  --trace /tmp/pgsolve-trace.json
 	dune exec bench/compare.exe -- --trace /tmp/pgsolve-trace.json
+	dune exec bin/pgsolve.exe -- solve --mtx test/fixtures/chain4.mtx \
+	  --rhs test/fixtures/chain4_rhs3.mtx --domains 2 \
+	  --trace /tmp/pgsolve-batch-trace.json
+	dune exec bench/compare.exe -- --trace /tmp/pgsolve-batch-trace.json
 
 # Just the hot-path kernel micro-benchmarks, all on one domain
 # (DESIGN.md §10).

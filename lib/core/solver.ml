@@ -109,10 +109,10 @@ let solve_many ?rtol ?max_iter ?deadline (p : prepared) bs =
   let obs = Obs.enabled () in
   (* Each solve runs in its own "solve#k" span (k = global batch index)
      and logs its wall time into the "solve_seconds" latency histogram.
-     On the parallel path the spans land in per-chunk Obs worker stores
-     (see Par.parallel_for), which Obs.capture merges deterministically —
-     since every solve#k path is unique, merged counter totals are
-     bit-identical to the sequential run at any domain count. *)
+     On the parallel path the spans land in per-chunk Obs stores that
+     Par.parallel_for folds into the caller's in chunk order — since
+     every solve#k path is unique, counter totals are bit-identical to
+     the sequential run at any domain count. *)
   let solve_one ~workspace k b =
     let t0 = if obs then Obs.now () else 0.0 in
     let r =
@@ -507,8 +507,8 @@ let solve_matrix_robust ?rtol ?seed ?(name = "matrix") ~a ~b () =
 
 (* ---- telemetry ---- *)
 
-(* A profiled run owns the global Obs store for its duration: reset,
-   enable, run, snapshot. The previous enabled state is restored so
+(* A profiled run owns the calling domain's Obs store for its duration:
+   reset, enable, run, snapshot. The previous enabled state is restored so
    nesting a profiled solve inside other instrumented code stays sane. *)
 let with_obs ~meta_of f =
   let was = Obs.enabled () in

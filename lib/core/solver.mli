@@ -85,10 +85,11 @@ val solve_many :
     ["solve_many"] span containing a ["solve#k"] span per right-hand
     side (k = batch index), with per-solve wall times in the
     ["solve_many/solve_seconds"] histogram. On the parallel path each
-    chunk records into its own per-domain Obs store and [Obs.capture]
-    merges them deterministically, so a profiled batch reports the same
-    span paths and bit-identical counter totals as the sequential run
-    (plus [par/busy_s#i] / [par/imbalance] load counters). *)
+    chunk records into a store of its own, folded into the caller's in
+    chunk order before [solve_many] returns, so a profiled batch, and
+    whatever the caller records after it, reports the same paths in the
+    same order and bit-identical counter totals as the sequential run
+    (plus the [par/busy_s#i] / [par/imbalance] load counters). *)
 
 val run :
   ?rtol:float -> ?max_iter:int -> ?deadline:float -> t -> Sddm.Problem.t ->
@@ -283,9 +284,9 @@ val pp_robust : Format.formatter -> robust_result -> unit
 val with_obs :
   meta_of:('a -> (string * Obs.Json.t) list) -> (unit -> 'a) ->
   'a * Obs.record
-(** Reset and enable the {!Obs} store, run the thunk, capture the record
-    with [meta_of]'s header, and restore the previous enabled state (also
-    on exception). *)
+(** Reset the calling domain's {!Obs} store and enable recording, run
+    the thunk, capture the record with [meta_of]'s header, and restore
+    the previous enabled state (also on exception). *)
 
 val result_meta : Sddm.Problem.t -> result -> (string * Obs.Json.t) list
 (** Meta header for a {!result}: solver, case, dimensions, iterations,

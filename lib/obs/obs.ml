@@ -1,10 +1,10 @@
 (* Observability layer: span timers, counters, histograms, event traces,
    telemetry records.
 
-   v2 is domain-safe. State lives in per-domain [store]s: slot 0 is the
-   root store owned by the main domain; Par workers enter a worker store
-   (one per parallel chunk) via [worker_scope], and [capture] merges all
-   stores deterministically (root first, then worker slots ascending).
+   v2 is domain-safe. State lives in per-domain [store]s: every domain
+   records into its own. A Par region gives each chunk a fresh store
+   ([fork], [in_chunk]) and folds them into the caller's in chunk order
+   at its [join], so [capture] snapshots one store.
 
    The contract that matters for performance is unchanged: when
    [enabled_flag] is false, every entry point is a single load-and-branch
@@ -395,13 +395,18 @@ module Hist = struct
     { total = h.total; min_v = h.min_v; max_v = h.max_v;
       counts = Array.copy h.counts }
 
+  (* Add [src]'s samples into [dst] in place, so a handle to [dst] that
+     {!histogram} gave out stays live. *)
+  let absorb dst src =
+    dst.total <- dst.total + src.total;
+    dst.min_v <- Float.min dst.min_v src.min_v;
+    dst.max_v <- Float.max dst.max_v src.max_v;
+    Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts
+
   let merge a b =
-    {
-      total = a.total + b.total;
-      min_v = Float.min a.min_v b.min_v;
-      max_v = Float.max a.max_v b.max_v;
-      counts = Array.init n_buckets (fun i -> a.counts.(i) + b.counts.(i));
-    }
+    let h = copy a in
+    absorb h b;
+    h
 
   (* Nearest-rank percentile; the returned value is the geometric
      midpoint of the selected bucket, clamped to the observed [min,max]
@@ -479,38 +484,39 @@ end
 (* Rolling windows *)
 
 module Window = struct
-  (* A ring of fixed wall-clock buckets: bucket [e mod n] holds the
-     total recorded during epoch e = floor(now / bucket_s). Slots are
-     lazily zeroed when revisited after a wrap, so neither recording nor
-     querying ever scans more than the ring. Like [Hist], only plain
-     sums are kept, so window queries are deterministic given the
-     samples and their timestamps ([?now] is injectable for tests). *)
+  (* A ring of [slots] wall-clock buckets of [bucket_s] seconds: bucket
+     [e mod slots] holds the total recorded during epoch
+     e = floor(now / bucket_s). Slots are lazily zeroed when revisited
+     after a wrap, so neither recording nor querying ever scans more than
+     the ring. Like [Hist], only plain sums are kept, so window queries
+     are deterministic given the samples and their timestamps ([?now] is
+     injectable for tests). *)
 
   let wall = Unix.gettimeofday
+  let bucket_s = 5.0
+  let slots = 181
 
   type t = {
-    bucket_s : float;
-    n : int;
     epochs : int array; (* epoch stamped into each slot; -1 = never *)
     vals : float array;
   }
 
-  let create ?(bucket_s = 5.0) ?(slots = 181) () =
-    let n = max 2 slots in
-    {
-      bucket_s = (if bucket_s > 0.0 then bucket_s else 5.0);
-      n;
-      epochs = Array.make n (-1);
-      vals = Array.make n 0.0;
-    }
+  let create () =
+    { epochs = Array.make slots (-1); vals = Array.make slots 0.0 }
 
-  let epoch_of t now = int_of_float (Float.floor (now /. t.bucket_s))
+  let epoch_of now = int_of_float (Float.floor (now /. bucket_s))
+
+  (* The number of buckets, current (partial) one included, that cover
+     [span_s]; clamped to the ring depth. *)
+  let buckets_of span_s =
+    let k = int_of_float (Float.ceil (span_s /. bucket_s)) in
+    if k < 1 then 1 else if k > slots then slots else k
 
   let add ?now t v =
     let now = match now with Some x -> x | None -> wall () in
-    let e = epoch_of t now in
+    let e = epoch_of now in
     if e >= 0 then begin
-      let i = e mod t.n in
+      let i = e mod slots in
       if t.epochs.(i) <> e then begin
         t.epochs.(i) <- e;
         t.vals.(i) <- 0.0
@@ -518,20 +524,14 @@ module Window = struct
       t.vals.(i) <- t.vals.(i) +. v
     end
 
-  (* Sum over the last ceil(span_s / bucket_s) buckets, current
-     (partial) bucket included; clamped to the ring depth. *)
   let sum ?now t ~span_s =
     let now = match now with Some x -> x | None -> wall () in
-    let e = epoch_of t now in
-    let k =
-      let k = int_of_float (Float.ceil (span_s /. t.bucket_s)) in
-      if k < 1 then 1 else if k > t.n then t.n else k
-    in
+    let e = epoch_of now in
     let acc = ref 0.0 in
-    for j = 0 to k - 1 do
+    for j = 0 to buckets_of span_s - 1 do
       let ej = e - j in
       if ej >= 0 then begin
-        let i = ej mod t.n in
+        let i = ej mod slots in
         if t.epochs.(i) = ej then acc := !acc +. t.vals.(i)
       end
     done;
@@ -543,29 +543,19 @@ module Window = struct
   (* Same ring, one histogram per slot: [merged] folds the live slots
      with [Hist.merge], which is exactly associative, so a windowed
      percentile is as deterministic as a lifetime one. *)
-  type hist = {
-    h_bucket_s : float;
-    h_n : int;
-    h_epochs : int array;
-    hists : Hist.t array;
-  }
+  type hist = { h_epochs : int array; hists : Hist.t array }
 
-  let create_hist ?(bucket_s = 5.0) ?(slots = 181) () =
-    let n = max 2 slots in
+  let create_hist () =
     {
-      h_bucket_s = (if bucket_s > 0.0 then bucket_s else 5.0);
-      h_n = n;
-      h_epochs = Array.make n (-1);
-      hists = Array.init n (fun _ -> Hist.create ());
+      h_epochs = Array.make slots (-1);
+      hists = Array.init slots (fun _ -> Hist.create ());
     }
-
-  let hist_epoch_of w now = int_of_float (Float.floor (now /. w.h_bucket_s))
 
   let observe ?now w v =
     let now = match now with Some x -> x | None -> wall () in
-    let e = hist_epoch_of w now in
+    let e = epoch_of now in
     if e >= 0 then begin
-      let i = e mod w.h_n in
+      let i = e mod slots in
       if w.h_epochs.(i) <> e then begin
         w.h_epochs.(i) <- e;
         w.hists.(i) <- Hist.create ()
@@ -575,16 +565,12 @@ module Window = struct
 
   let merged ?now w ~span_s =
     let now = match now with Some x -> x | None -> wall () in
-    let e = hist_epoch_of w now in
-    let k =
-      let k = int_of_float (Float.ceil (span_s /. w.h_bucket_s)) in
-      if k < 1 then 1 else if k > w.h_n then w.h_n else k
-    in
+    let e = epoch_of now in
     let acc = ref (Hist.create ()) in
-    for j = k - 1 downto 0 do
+    for j = buckets_of span_s - 1 downto 0 do
       let ej = e - j in
       if ej >= 0 then begin
-        let i = ej mod w.h_n in
+        let i = ej mod slots in
         if w.h_epochs.(i) = ej then acc := Hist.merge !acc w.hists.(i)
       end
     done;
@@ -977,14 +963,14 @@ let tracing () = Atomic.get tracing_flag
 (* ------------------------------------------------------------------ *)
 (* Trace ring buffers *)
 
-(* One buffer per store = one track per domain. Events are flat arrays
-   (no per-event allocation beyond string interning on first use of a
-   name). Begin events reserve room for their matching end — a B is
-   only recorded if both it and its eventual E fit — so the buffer can
-   fill up without ever breaking B/E balance; skipped pairs are counted
-   in [dropped]. End events pop [open_ids]; a skipped begin pushes a
-   -1 sentinel so its end is skipped too (ends are LIFO, so sentinels
-   pair up correctly). *)
+(* One buffer per track: a domain's own, and one per chunk index of the
+   regions it opens. Events are flat arrays (no per-event allocation
+   beyond string interning on first use of a name). Begin events reserve
+   room for their matching end — a B is only recorded if both it and its
+   eventual E fit — so the buffer can fill up without ever breaking B/E
+   balance; skipped pairs are counted in [dropped]. End events pop
+   [open_ids]; a skipped begin pushes a -1 sentinel so its end is skipped
+   too (ends are LIFO, so sentinels pair up correctly). *)
 
 let trace_capacity = ref 65536
 let set_trace_capacity n = trace_capacity := max 256 n
@@ -1079,21 +1065,25 @@ let tbuf_value b name v =
 
 type stat = { mutable seconds : float; mutable calls : int }
 
+(* [assigned]: a gauge wrote the counter since its store was made, so a
+   chunk store's value replaces the caller's at the fold instead of
+   adding to it, as the gauge would have overwritten it on the caller. *)
+type counter = { mutable value : float; mutable assigned : bool }
+
 type store = {
-  track : int; (* 0 = main, i+1 = parallel chunk i *)
   spans : (string, stat) Hashtbl.t;
   mutable span_order : string list; (* newest first *)
-  counters : (string, float ref) Hashtbl.t;
+  counters : (string, counter) Hashtbl.t;
   mutable counter_order : string list;
   hists : (string, Hist.t) Hashtbl.t;
   mutable hist_order : string list;
   mutable stack : string list; (* full paths, innermost first *)
   mutable buf : tbuf option;
+  mutable chunk_bufs : tbuf option array; (* chunk i's ring: track i + 1 *)
 }
 
-let new_store track =
+let new_store () =
   {
-    track;
     spans = Hashtbl.create 64;
     span_order = [];
     counters = Hashtbl.create 64;
@@ -1102,22 +1092,18 @@ let new_store track =
     hist_order = [];
     stack = [];
     buf = None;
+    chunk_bufs = [||];
   }
 
-let root = new_store 0
-let max_slots = 128
-let workers : store option array = Array.make max_slots None
-
-(* The active store for the calling domain, in domain-local storage so a
-   Par worker can point its own slot at a worker store without the main
-   domain noticing. Workers only ever record inside [worker_scope], which
-   sets this; anything else (including a fresh domain outside a scope)
-   falls back to the root store. *)
-let current : store Domain.DLS.key = Domain.DLS.new_key (fun () -> root)
+(* The calling domain's store, in domain-local storage: every domain gets
+   a store of its own on its first record, and a Par chunk swaps in its
+   chunk's store for the chunk's duration. *)
+let current : store Domain.DLS.key = Domain.DLS.new_key new_store
 
 let cur () = Domain.DLS.get current
 
-let reset_store st =
+let reset () =
+  let st = cur () in
   Hashtbl.reset st.spans;
   Hashtbl.reset st.counters;
   Hashtbl.reset st.hists;
@@ -1125,15 +1111,8 @@ let reset_store st =
   st.counter_order <- [];
   st.hist_order <- [];
   st.stack <- [];
-  st.buf <- None
-
-let reset () =
-  reset_store root;
-  for i = 0 to max_slots - 1 do
-    match workers.(i) with
-    | Some st -> reset_store st
-    | None -> ()
-  done
+  st.buf <- None;
+  st.chunk_bufs <- [||]
 
 let resolve st name =
   match st.stack with [] -> name | prefix :: _ -> prefix ^ "/" ^ name
@@ -1151,10 +1130,10 @@ let counter_for st path =
   match Hashtbl.find_opt st.counters path with
   | Some r -> r
   | None ->
-    let r = ref 0.0 in
-    Hashtbl.add st.counters path r;
+    let c = { value = 0.0; assigned = false } in
+    Hashtbl.add st.counters path c;
     st.counter_order <- path :: st.counter_order;
-    r
+    c
 
 let hist_for st path =
   match Hashtbl.find_opt st.hists path with
@@ -1213,25 +1192,29 @@ let record_span name ~seconds ~calls =
     s.calls <- s.calls + calls
   end
 
+let add_to c v = c.value <- c.value +. v
+
+let assign c v =
+  c.value <- v;
+  c.assigned <- true
+
 let count name v =
   if Atomic.get enabled_flag then begin
     let st = cur () in
-    let r = counter_for st (resolve st name) in
-    r := !r +. float_of_int v
+    add_to (counter_for st (resolve st name)) (float_of_int v)
   end
 
 let gauge name v =
   if Atomic.get enabled_flag then begin
     let st = cur () in
-    counter_for st (resolve st name) := v
+    assign (counter_for st (resolve st name)) v
   end
 
 let add_absolute name v =
-  if Atomic.get enabled_flag then begin
-    let st = cur () in
-    let r = counter_for st name in
-    r := !r +. v
-  end
+  if Atomic.get enabled_flag then add_to (counter_for (cur ()) name) v
+
+let gauge_absolute name v =
+  if Atomic.get enabled_flag then assign (counter_for (cur ()) name) v
 
 let observe name v =
   if Atomic.get enabled_flag then begin
@@ -1250,33 +1233,55 @@ let trace_counter name v =
   if Atomic.get enabled_flag && Atomic.get tracing_flag then
     tbuf_value (buf_of (cur ())) name v
 
-let current_prefix () =
-  match (cur ()).stack with [] -> "" | prefix :: _ -> prefix
-
 (* ------------------------------------------------------------------ *)
-(* Worker scopes *)
+(* Parallel regions *)
 
-let worker_scope ~slot ~prefix f =
-  if slot < 0 || slot >= max_slots then f ()
-  else begin
-    let st =
-      match workers.(slot) with
-      | Some st -> st
-      | None ->
-        let st = new_store (slot + 1) in
-        workers.(slot) <- Some st;
-        st
-    in
-    let saved_stack = st.stack in
-    st.stack <- (if prefix = "" then [] else [ prefix ]);
-    let prev = Domain.DLS.get current in
-    Domain.DLS.set current st;
-    Fun.protect
-      ~finally:(fun () ->
-        Domain.DLS.set current prev;
-        st.stack <- saved_stack)
-      f
-  end
+type region = { parent : store; chunks : store array }
+
+let fork n =
+  let parent = cur () in
+  let have = Array.length parent.chunk_bufs in
+  if have < n then
+    parent.chunk_bufs <-
+      Array.append parent.chunk_bufs (Array.make (n - have) None);
+  let stack = match parent.stack with [] -> [] | prefix :: _ -> [ prefix ] in
+  {
+    parent;
+    chunks =
+      Array.init n (fun i ->
+          { (new_store ()) with stack; buf = parent.chunk_bufs.(i) });
+  }
+
+let in_chunk r i f =
+  let prev = Domain.DLS.get current in
+  Domain.DLS.set current r.chunks.(i);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set current prev) f
+
+(* Each chunk's paths in its own first-seen order, chunk after chunk: the
+   caller ends up with the order and the values one domain running every
+   chunk in turn would have given it, a gauge's last write included. *)
+let fold_into dst src =
+  List.iter
+    (fun path ->
+      let s = Hashtbl.find src.spans path and d = stat_for dst path in
+      d.seconds <- d.seconds +. s.seconds;
+      d.calls <- d.calls + s.calls)
+    (List.rev src.span_order);
+  List.iter
+    (fun path ->
+      let s = Hashtbl.find src.counters path and d = counter_for dst path in
+      if s.assigned then assign d s.value else add_to d s.value)
+    (List.rev src.counter_order);
+  List.iter
+    (fun path -> Hist.absorb (hist_for dst path) (Hashtbl.find src.hists path))
+    (List.rev src.hist_order)
+
+let join r =
+  Array.iteri
+    (fun i st ->
+      fold_into r.parent st;
+      r.parent.chunk_bufs.(i) <- st.buf)
+    r.chunks
 
 (* ------------------------------------------------------------------ *)
 (* Records *)
@@ -1290,94 +1295,24 @@ type record = {
   hists : (string * Hist.t) list;
 }
 
-(* Root first, then worker slots ascending: the merge order (and hence
-   first-seen ordering of every path in the record) is a pure function
-   of which slots recorded what, not of domain scheduling. *)
-let all_stores () =
-  let rec collect i acc =
-    if i < 0 then acc
-    else
-      collect (i - 1)
-        (match workers.(i) with Some st -> st :: acc | None -> acc)
-  in
-  root :: collect (max_slots - 1) []
-
-let busy_prefix = "par/busy_s#"
-
 let capture ?(meta = []) () =
-  let stores = all_stores () in
-  let span_tbl : (string, stat) Hashtbl.t = Hashtbl.create 64 in
-  let span_rev = ref [] in
-  let counter_tbl : (string, float ref) Hashtbl.t = Hashtbl.create 64 in
-  let counter_rev = ref [] in
-  let hist_tbl : (string, Hist.t) Hashtbl.t = Hashtbl.create 16 in
-  let hist_rev = ref [] in
-  List.iter
-    (fun (st : store) ->
-      List.iter
-        (fun path ->
-          let s = Hashtbl.find st.spans path in
-          match Hashtbl.find_opt span_tbl path with
-          | Some m ->
-            m.seconds <- m.seconds +. s.seconds;
-            m.calls <- m.calls + s.calls
-          | None ->
-            Hashtbl.add span_tbl path { seconds = s.seconds; calls = s.calls };
-            span_rev := path :: !span_rev)
-        (List.rev st.span_order);
-      List.iter
-        (fun path ->
-          let v = !(Hashtbl.find st.counters path) in
-          match Hashtbl.find_opt counter_tbl path with
-          | Some r -> r := !r +. v
-          | None ->
-            Hashtbl.add counter_tbl path (ref v);
-            counter_rev := path :: !counter_rev)
-        (List.rev st.counter_order);
-      List.iter
-        (fun path ->
-          let h = Hashtbl.find st.hists path in
-          match Hashtbl.find_opt hist_tbl path with
-          | Some m -> Hashtbl.replace hist_tbl path (Hist.merge m h)
-          | None ->
-            Hashtbl.add hist_tbl path (Hist.copy h);
-            hist_rev := path :: !hist_rev)
-        (List.rev st.hist_order))
-    stores;
-  let counters =
-    List.rev_map (fun path -> (path, !(Hashtbl.find counter_tbl path)))
-      !counter_rev
-  in
-  (* Derive the load-imbalance ratio from the per-slot busy-time
-     counters flushed by Par.parallel_for: max busy / mean busy over the
-     slots that ran (1.0 = perfectly balanced). *)
-  let counters =
-    let busy =
-      List.filter
-        (fun (k, _) -> String.length k > String.length busy_prefix
-                       && String.sub k 0 (String.length busy_prefix) = busy_prefix)
-        counters
-    in
-    match busy with
-    | [] -> counters
-    | _ ->
-      let n = float_of_int (List.length busy) in
-      let total = List.fold_left (fun a (_, v) -> a +. v) 0.0 busy in
-      let mx = List.fold_left (fun a (_, v) -> Float.max a v) 0.0 busy in
-      if total > 0.0 then counters @ [ ("par/imbalance", mx /. (total /. n)) ]
-      else counters
-  in
+  let st = cur () in
   {
     meta;
     spans =
       List.rev_map
         (fun path ->
-          let s = Hashtbl.find span_tbl path in
+          let s = Hashtbl.find st.spans path in
           { path; seconds = s.seconds; calls = s.calls })
-        !span_rev;
-    counters;
+        st.span_order;
+    counters =
+      List.rev_map
+        (fun path -> (path, (Hashtbl.find st.counters path).value))
+        st.counter_order;
     hists =
-      List.rev_map (fun path -> (path, Hashtbl.find hist_tbl path)) !hist_rev;
+      List.rev_map
+        (fun path -> (path, Hist.copy (Hashtbl.find st.hists path)))
+        st.hist_order;
   }
 
 let record_to_json r =
@@ -1400,71 +1335,6 @@ let record_to_json r =
         Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) r.counters) );
       ("hists", Json.Obj (List.map (fun (k, h) -> (k, Hist.to_json h)) r.hists));
     ]
-
-let record_of_json j =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let obj_fields what = function
-    | Json.Obj fields -> Ok fields
-    | _ -> Error (what ^ ": expected an object")
-  in
-  let* _ = obj_fields "record" j in
-  let* meta =
-    match Json.member "meta" j with
-    | Some m -> obj_fields "meta" m
-    | None -> Error "record: missing \"meta\""
-  in
-  let* spans =
-    match Json.member "spans" j with
-    | Some (Json.List items) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest -> (
-          match
-            ( Json.member "path" item,
-              Option.bind (Json.member "seconds" item) Json.to_float,
-              Json.member "calls" item )
-          with
-          | Some (Json.Str path), Some seconds, Some (Json.Int calls) ->
-            go ({ path; seconds; calls } :: acc) rest
-          | _ -> Error "record: malformed span entry")
-      in
-      go [] items
-    | _ -> Error "record: missing \"spans\" list"
-  in
-  let* counters =
-    match Json.member "counters" j with
-    | Some (Json.Obj fields) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | (k, v) :: rest -> (
-          match Json.to_float v with
-          | Some f -> go ((k, f) :: acc) rest
-          | None -> (
-            (* non-finite counters serialize as null (JSON has no
-               NaN/Inf); accept them back so every record round-trips *)
-            match v with
-            | Json.Null -> go ((k, Float.nan) :: acc) rest
-            | _ -> Error (Printf.sprintf "record: counter %S not numeric" k)))
-      in
-      go [] fields
-    | _ -> Error "record: missing \"counters\" object"
-  in
-  let* hists =
-    (* absent in v1 records: accept and default to empty *)
-    match Json.member "hists" j with
-    | None -> Ok []
-    | Some (Json.Obj fields) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | (k, v) :: rest -> (
-          match Hist.of_json v with
-          | Ok h -> go ((k, h) :: acc) rest
-          | Error e -> Error (Printf.sprintf "record: hist %S: %s" k e))
-      in
-      go [] fields
-    | Some _ -> Error "record: \"hists\" must be an object"
-  in
-  Ok { meta; spans; counters; hists }
 
 let meta_value_to_string = function
   | Json.Str s -> s
@@ -1535,39 +1405,44 @@ module Trace = struct
 
   let set_capacity = set_trace_capacity
 
-  let events_of st =
-    match st.buf with
-    | None -> []
-    | Some b ->
-      let acc = ref [] in
-      for i = b.len - 1 downto 0 do
-        acc :=
-          {
-            track = st.track;
-            name = b.names.(b.eid.(i));
-            phase = Bytes.get b.kind i;
-            ts = b.ts.(i);
-            value = b.evalue.(i);
-          }
-          :: !acc
-      done;
-      !acc
+  (* The calling domain's ring as track 0, then its chunks' rings, chunk
+     i as track i + 1. *)
+  let rings () =
+    let st = cur () in
+    let chunks =
+      List.filter_map Fun.id
+        (List.mapi
+           (fun i b -> Option.map (fun b -> (i + 1, b)) b)
+           (Array.to_list st.chunk_bufs))
+    in
+    match st.buf with Some b -> (0, b) :: chunks | None -> chunks
 
-  let events () = List.concat_map events_of (all_stores ())
+  let events_of (track, b) =
+    let acc = ref [] in
+    for i = b.len - 1 downto 0 do
+      acc :=
+        {
+          track;
+          name = b.names.(b.eid.(i));
+          phase = Bytes.get b.kind i;
+          ts = b.ts.(i);
+          value = b.evalue.(i);
+        }
+        :: !acc
+    done;
+    !acc
+
+  let events () = List.concat_map events_of (rings ())
 
   let dropped () =
-    List.fold_left
-      (fun acc st -> match st.buf with Some b -> acc + b.dropped | None -> acc)
-      0 (all_stores ())
+    List.fold_left (fun acc (_, b) -> acc + b.dropped) 0 (rings ())
 
   let track_label t = if t = 0 then "main" else Printf.sprintf "domain%d" (t - 1)
 
   let to_json () =
     let epoch = !trace_epoch in
     let us t = (t -. epoch) *. 1e6 in
-    let stores =
-      List.filter (fun (st : store) -> st.buf <> None) (all_stores ())
-    in
+    let rings = rings () in
     let meta_events =
       Json.Obj
         [
@@ -1578,16 +1453,16 @@ module Trace = struct
           ("args", Json.Obj [ ("name", Json.Str "powerrchol") ]);
         ]
       :: List.map
-           (fun (st : store) ->
+           (fun (track, _) ->
              Json.Obj
                [
                  ("name", Json.Str "thread_name");
                  ("ph", Json.Str "M");
                  ("pid", Json.Int 1);
-                 ("tid", Json.Int st.track);
-                 ("args", Json.Obj [ ("name", Json.Str (track_label st.track)) ]);
+                 ("tid", Json.Int track);
+                 ("args", Json.Obj [ ("name", Json.Str (track_label track)) ]);
                ])
-           stores
+           rings
     in
     let event_json ev =
       let base =
@@ -1604,7 +1479,7 @@ module Trace = struct
            base @ [ ("args", Json.Obj [ ("value", Json.Float ev.value) ]) ]
          else base)
     in
-    let evs = List.concat_map (fun st -> List.map event_json (events_of st)) stores in
+    let evs = List.concat_map (fun r -> List.map event_json (events_of r)) rings in
     Json.Obj
       [
         ("schema", Json.Str "powerrchol-trace/v1");

@@ -8,13 +8,14 @@
     even a closure per call read [enabled ()] once, accumulate
     privately, and flush a single {!record_span} / {!count} at the end.
 
-    v2 is domain-safe. State lives in per-domain stores: the root store
-    belongs to the main domain, and [Par] workers record into worker
-    stores (one per parallel chunk) entered via {!worker_scope}.
-    {!capture} merges all stores deterministically — root first, then
-    worker slots in ascending order — summing span times and counters
-    and merging histograms, so a profiled parallel run reports the same
-    counter totals as the sequential run, in the same first-seen order.
+    v2 is domain-safe. State lives in per-domain stores: every domain
+    records into a store of its own, and {!capture} and {!reset} act on
+    the calling domain's. A parallel region ({!fork}) gives each chunk a
+    fresh store and folds them into the caller's at its {!join}, chunk
+    after chunk, summing span times and counters and merging histograms
+    (a gauge a chunk wrote takes the chunk's value), so a profiled
+    parallel run reports the same paths in the same first-seen order,
+    with the same counter values, as the sequential run. A domain that no region spawned keeps what it records to itself.
 
     Timers use [Unix.gettimeofday]; elapsed times are clamped at zero so
     a clock step backwards can never produce negative spans. *)
@@ -105,10 +106,10 @@ end
 (** {1 Rolling windows} *)
 
 module Window : sig
-  (** Rolling-window aggregation: a ring of fixed wall-clock buckets
-      (epoch [floor(now / bucket_s)] lands in slot [epoch mod slots]),
+  (** Rolling-window aggregation: a ring of 181 wall-clock buckets of
+      5 seconds (epoch [floor(now / 5)] lands in slot [epoch mod 181]),
       lazily zeroed on wrap. Queries sum the most recent
-      [ceil(span_s / bucket_s)] buckets including the current partial
+      [ceil(span_s / 5)] buckets including the current partial
       one, so a window is deterministic given the samples and their
       timestamps — [?now] is injectable everywhere for tests and
       defaults to the wall clock. *)
@@ -116,9 +117,9 @@ module Window : sig
   type t
   (** A windowed counter. *)
 
-  val create : ?bucket_s:float -> ?slots:int -> unit -> t
-  (** Default 5-second buckets, 181 slots (covers a 15-minute window
-      plus the current partial bucket). [slots] is clamped to >= 2. *)
+  val create : unit -> t
+  (** 5-second buckets, 181 slots: a 15-minute window plus the current
+      partial bucket. *)
 
   val add : ?now:float -> t -> float -> unit
   val sum : ?now:float -> t -> span_s:float -> float
@@ -129,7 +130,9 @@ module Window : sig
   type hist
   (** A windowed histogram: one {!Hist.t} per slot. *)
 
-  val create_hist : ?bucket_s:float -> ?slots:int -> unit -> hist
+  val create_hist : unit -> hist
+  (** The same 5-second buckets and 181 slots as {!create}. *)
+
   val observe : ?now:float -> hist -> float -> unit
 
   val merged : ?now:float -> hist -> span_s:float -> Hist.t
@@ -187,9 +190,10 @@ val tracing : unit -> bool
 val set_tracing : bool -> unit
 
 val reset : unit -> unit
-(** Drop all recorded spans, counters, histograms, and trace buffers in
-    every store (root and workers) and clear the span stacks. The
-    enabled/tracing switches are left as they are. *)
+(** Drop the calling domain's recorded spans, counters, histograms and
+    trace buffers, its regions' chunk buffers included, and clear its
+    span stack. Other domains' stores and the enabled/tracing switches
+    are left as they are. *)
 
 val now : unit -> float
 (** The wall clock used by the span timers (seconds). *)
@@ -230,6 +234,11 @@ val add_absolute : string -> float -> unit
     busy times) that must land on one well-known path no matter where
     the flushing code happens to run. No-op when disabled. *)
 
+val gauge_absolute : string -> float -> unit
+(** {!gauge} at a full path, ignoring the span stack, as {!add_absolute}
+    is to {!count} (e.g. the [Par] region's imbalance). No-op when
+    disabled. *)
+
 val observe : string -> float -> unit
 (** Record one sample into a (stack-prefixed) latency histogram. No-op
     when disabled. *)
@@ -244,20 +253,35 @@ val trace_counter : string -> float -> unit
     domain's trace track — e.g. a per-iteration residual norm. No-op
     unless both enabled and tracing. *)
 
-(** {1 Worker scopes} *)
+(** {1 Parallel regions}
 
-val worker_scope : slot:int -> prefix:string -> (unit -> 'a) -> 'a
-(** [worker_scope ~slot ~prefix f] runs [f] with the calling domain's
-    recording redirected into the worker store for [slot] (created on
-    first use), its span stack seeded with [prefix] (the caller's
-    current path, so worker-recorded paths line up with the sequential
-    run). The previous store binding is restored on exit, exceptions
-    included. Used by [Par.parallel_for]; slot [i] surfaces as trace
-    track ["domain<i>"]. *)
+    How [Par.parallel_for] keeps a region's telemetry: {!fork} before its
+    chunks run, {!in_chunk} around each, {!join} after the last has
+    returned. *)
 
-val current_prefix : unit -> string
-(** The innermost open span path of the calling domain's store, [""] at
-    top level. This is what [Par] passes to {!worker_scope}. *)
+type region
+(** The chunk stores of one region and the store that opened it. *)
+
+val fork : int -> region
+(** [fork n] makes [n] fresh chunk stores, each starting at the calling
+    domain's innermost open span path, so chunk paths line up with the
+    sequential run. Chunk [i] traces into the calling store's ring for
+    track [i + 1], made on first use and reused by every later region
+    the store opens, so trace memory stays bounded per chunk index. *)
+
+val in_chunk : region -> int -> (unit -> 'a) -> 'a
+(** [in_chunk r i f] runs [f] with the calling domain recording into
+    chunk [i]'s store, and restores the domain's store on exit,
+    exceptions included. *)
+
+val join : region -> unit
+(** Fold every chunk store into the store that called {!fork}, chunk 0
+    first: span times, calls and counters add, histograms merge, and a
+    path the caller has not seen yet joins its first-seen order. A
+    counter that a {!gauge} or {!gauge_absolute} wrote in the chunk takes
+    the chunk's value instead, so the last chunk's write wins, as it
+    would in the sequential run. Call it
+    on the domain that called {!fork}, once every chunk has returned. *)
 
 (** {1 Telemetry records} *)
 
@@ -272,19 +296,12 @@ type record = {
 }
 
 val capture : ?meta:(string * Json.t) list -> unit -> record
-(** Snapshot the merge of all stores (does not reset). Merge order is
-    root store first, then worker slots ascending, so the result is
-    deterministic at any domain count. When per-slot busy-time counters
-    ([par/busy_s#i]) are present, a derived [par/imbalance] counter
-    (max busy / mean busy, 1.0 = perfectly balanced) is appended. *)
+(** Snapshot the calling domain's store (does not reset). A region the
+    domain ran is in it once the region has joined. *)
 
 val record_to_json : record -> Json.t
-(** Schema [powerrchol-telemetry/v2] (v1 plus the ["hists"] object). *)
-
-val record_of_json : Json.t -> (record, string) result
-(** Inverse of {!record_to_json}: [record_of_json (record_to_json r) = Ok r]
-    for records with finite span times and counter values. Accepts v1
-    records (missing ["hists"] defaults to empty). *)
+(** Schema [powerrchol-telemetry/v2] (v1 plus the ["hists"] object).
+    A non-finite counter is written as [null]. *)
 
 val record_to_text : record -> string
 (** Human-readable report: meta lines, then the span tree indented by
@@ -293,15 +310,17 @@ val record_to_text : record -> string
 (** {1 Event traces}
 
     When {!tracing} is armed, spans additionally log timestamped
-    begin/end events into a fixed-capacity per-domain ring buffer (one
-    Chrome trace track per domain). Begin events reserve room for their
-    matching end, so a full buffer drops whole pairs (counted in
-    {!Trace.dropped}) and never breaks B/E balance. Timestamps are
+    begin/end events into a fixed-capacity ring buffer per Chrome trace
+    track: the recording domain's store owns track 0, and track [i + 1]
+    for chunk [i] of the regions it opens (see {!fork}). The functions
+    below read the calling domain's tracks. Begin events reserve room
+    for their matching end, so a full buffer drops whole pairs (counted
+    in {!Trace.dropped}) and never breaks B/E balance. Timestamps are
     clamped monotonic per track. *)
 
 module Trace : sig
   type event = {
-    track : int;  (** 0 = main, [i+1] = parallel chunk [i] *)
+    track : int;  (** 0 = the recording domain, [i+1] = region chunk [i] *)
     name : string;
     phase : char;  (** 'B' | 'E' | 'C' *)
     ts : float;  (** absolute seconds *)
@@ -313,11 +332,12 @@ module Trace : sig
       clamped to at least 256. Default 65536. *)
 
   val events : unit -> event list
-  (** All recorded events, grouped by track, chronological within each
-      track. *)
+  (** The calling domain's recorded events, grouped by track,
+      chronological within each track. *)
 
   val dropped : unit -> int
-  (** Total events dropped across all tracks due to full buffers. *)
+  (** Events dropped across the calling domain's tracks due to full
+      buffers. *)
 
   val to_json : unit -> Json.t
   (** Chrome trace-event JSON (object form): a ["traceEvents"] list

@@ -59,8 +59,10 @@ let set_default_domains d =
   default_width := Some d
 
 (* Set while a region fans out. A region opened meanwhile, from inside a
-   chunk or from another thread, runs inline, so two regions never record
-   into the same Obs worker slots. *)
+   chunk or from another thread, runs inline, so at most one region's
+   domains run at a time. It also keeps one region at a time forking
+   from and joining into a domain's Obs store, which every thread of
+   that domain shares. *)
 let fanning_out = Atomic.make false
 
 (* [run i] for every chunk [i] in [0 .. chunks-1]: chunks 1 and up each on
@@ -87,12 +89,24 @@ let fan_out chunks run =
   | Some exn -> raise exn
   | None -> ()
 
+(* After the join, on the caller: fold the chunk stores in, then record
+   each chunk's busy seconds and the region's imbalance, max over mean
+   (1.0 is a perfectly balanced region). *)
+let join_obs region busy_s =
+  Obs.join region;
+  Array.iteri
+    (fun i s -> Obs.add_absolute (Printf.sprintf "par/busy_s#%d" i) s)
+    busy_s;
+  let total = Array.fold_left ( +. ) 0.0 busy_s in
+  if total > 0.0 then
+    Obs.gauge_absolute "par/imbalance"
+      (Array.fold_left Float.max 0.0 busy_s
+      /. (total /. float_of_int (Array.length busy_s)))
+
 (* Chunks of [ceil (len / width)] indices, the last one shorter; only the
    non-empty ones run, so no spawned domain sits idle. When telemetry is
-   on, each chunk records into its own Obs worker store (seeded with the
-   caller's span prefix, so merged paths match the sequential run) and its
-   busy time is flushed to par/busy_s#<slot> after the join. When off, a
-   chunk is the bare call. *)
+   on, each chunk records into a store of its own (Obs.fork), which the
+   caller folds in after the join. When off, a chunk is the bare call. *)
 let parallel_for ~lo ~hi f =
   let len = hi - lo in
   if len > 0 then begin
@@ -105,22 +119,25 @@ let parallel_for ~lo ~hi f =
       Fun.protect
         ~finally:(fun () -> Atomic.set fanning_out false)
         (fun () ->
-          let obs_on = Obs.enabled () in
-          let prefix = if obs_on then Obs.current_prefix () else "" in
+          let region =
+            if Obs.enabled () then Some (Obs.fork chunks) else None
+          in
           let busy_s = Array.make chunks 0.0 in
-          fan_out chunks (fun i ->
-              let clo = lo + (i * chunk) in
-              let chi = min hi (clo + chunk) in
-              if obs_on then
-                Obs.worker_scope ~slot:i ~prefix (fun () ->
-                    let t0 = Obs.now () in
-                    Fun.protect
-                      ~finally:(fun () ->
-                        busy_s.(i) <- Float.max (Obs.now () -. t0) 0.0)
-                      (fun () -> f clo chi))
-              else f clo chi);
-          if obs_on then
-            Array.iteri
-              (fun i s -> Obs.add_absolute (Printf.sprintf "par/busy_s#%d" i) s)
-              busy_s)
+          let run i =
+            let clo = lo + (i * chunk) in
+            let chi = min hi (clo + chunk) in
+            match region with
+            | None -> f clo chi
+            | Some r ->
+              Obs.in_chunk r i (fun () ->
+                  let t0 = Obs.now () in
+                  Fun.protect
+                    ~finally:(fun () ->
+                      busy_s.(i) <- Float.max (Obs.now () -. t0) 0.0)
+                    (fun () -> f clo chi))
+          in
+          Fun.protect
+            ~finally:(fun () ->
+              Option.iter (fun r -> join_obs r busy_s) region)
+            (fun () -> fan_out chunks run))
   end

@@ -59,9 +59,13 @@ val parallel_for : lo:int -> hi:int -> (int -> int -> unit) -> unit
     is re-raised after the join; so is a failed [Domain.spawn], which
     counts as its chunk's exception.
 
-    When [Obs.enabled ()], each chunk runs inside [Obs.worker_scope]
-    (slot = chunk index, prefix = the caller's current span path), so
-    spans/counters recorded by chunk code merge deterministically into
-    the capture; per-chunk busy seconds are flushed to the absolute
-    counters [par/busy_s#<slot>], from which [Obs.capture] derives the
-    [par/imbalance] ratio. *)
+    When [Obs.enabled ()], the region owns its chunks' telemetry: chunk
+    [i] records into a fresh store that starts at the caller's open span
+    path ([Obs.fork], [Obs.in_chunk]) and traces on track [i + 1], and
+    after the join the caller folds the chunk stores into its own in
+    chunk order ([Obs.join]), so a record lists the same paths in the
+    same order as the sequential run. The caller then adds chunk [i]'s
+    busy seconds to the counter [par/busy_s#<i>] and sets
+    [par/imbalance] to the region's max over mean busy seconds (1.0 is
+    perfectly balanced). Over several regions the busy counters add up
+    and [par/imbalance] is the last region's. *)

@@ -432,7 +432,8 @@ let exec_solve t ~t_recv ~spec ~tag ~rtol ~seed ~deadline ~robust ~want_x =
          chain, so a factorization breakdown still escalates *)
       let prepared = find_handle t key (Proto.Powerrchol, seed) in
       let r =
-        Powerrchol.Solver.solve_robust ~rtol ~seed ?deadline ?prepared problem
+        Powerrchol.Solver.solve_robust ~rtol ~max_iter:t.config.max_iter ~seed
+          ?deadline ?prepared problem
       in
       match r.Powerrchol.Solver.outcome with
       | Powerrchol.Solver.Robust_solved
@@ -583,6 +584,14 @@ let exec_diagnose t spec =
 
 (* ---- admission control ---- *)
 
+(* Service time, from the frame's arrival to the job's end; only an
+   admitted job has one. *)
+let record_latency t t_recv =
+  locked t (fun () ->
+      let dt = Obs.now () -. t_recv in
+      Obs.Hist.add t.latency dt;
+      Obs.Window.observe t.w_latency dt)
+
 (* Admit a job into the bounded backlog, wait for the solve lane, re-check
    the deadline (time spent queued counts against the budget), and run.
    Any exception the job leaks becomes a typed [Failed] response — the
@@ -611,7 +620,9 @@ let run_admitted t ~t_recv ~req_id ~deadline f =
       }
   | `Admitted ->
     Fun.protect
-      ~finally:(fun () -> locked t (fun () -> t.inflight <- t.inflight - 1))
+      ~finally:(fun () ->
+        locked t (fun () -> t.inflight <- t.inflight - 1);
+        record_latency t t_recv)
       (fun () ->
         Mutex.lock t.solve_lock;
         Fun.protect
@@ -626,7 +637,7 @@ let run_admitted t ~t_recv ~req_id ~deadline f =
               if t.config.artificial_delay > 0.0 then
                 Thread.delay t.config.artificial_delay;
               (* the span opens while holding the solve lane, so the
-                 root store's span stack is never touched concurrently;
+                 domain's span stack is never touched concurrently;
                  the whole solver span tree of this request nests under
                  "req/<id>" — the same id the access-log line carries *)
               try Obs.span ("req/" ^ req_id) f with
@@ -859,12 +870,6 @@ let metrics_loop t fd =
 
 (* ---- per-connection protocol loop ---- *)
 
-let record_latency t t_recv =
-  locked t (fun () ->
-      let dt = Obs.now () -. t_recv in
-      Obs.Hist.add t.latency dt;
-      Obs.Window.observe t.w_latency dt)
-
 let count_outcome t resp =
   let err () = locked t (fun () -> Obs.Window.add t.w_errors 1.0) in
   match resp with
@@ -904,7 +909,6 @@ let dispatch t ~t_recv ~req_id req =
       run_admitted t ~t_recv ~req_id ~deadline (fun () -> f deadline)
     in
     count_outcome t resp;
-    record_latency t t_recv;
     (resp, false)
   in
   match req with

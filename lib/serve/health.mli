@@ -16,7 +16,7 @@ val schema_v2 : string
 type window = {
   label : string;  (** "1m" | "5m" | "15m" *)
   span_s : float;
-  requests : float;  (** requests completed inside the window *)
+  requests : float;  (** requests received inside the window *)
   req_s : float;
   fallbacks : float;  (** fallback escalations inside the window *)
   fallback_rate : float;  (** fallbacks per request, 0 when idle *)

@@ -1,6 +1,7 @@
 (* Observability layer: span nesting/ordering, counter semantics, JSON
-   round-trips, and the contract that a profiled pipeline solve reports
-   exactly what the PCG result reports — including on breakdown paths. *)
+   round-trips, the record's JSON fields, and the contract that a
+   profiled pipeline solve reports exactly what the PCG result reports —
+   including on breakdown paths. *)
 
 let with_obs_enabled f =
   Obs.reset ();
@@ -114,6 +115,19 @@ let test_counter_monotonic () =
   Test_util.check_float "gauge overwrites" 0.5
     (counter (Obs.capture ()) "ratio")
 
+let test_foreign_domain_records_apart () =
+  (* a domain Par did not spawn records into a store of its own, so the
+     caller's record does not see it *)
+  with_obs_enabled @@ fun () ->
+  Obs.span "mine" (fun () -> Obs.count "calls" 1);
+  let before = Obs.capture () in
+  Domain.join
+    (Domain.spawn (fun () ->
+         Obs.span "theirs" (fun () -> Obs.count "calls" 1);
+         Obs.observe "theirs_seconds" 0.5));
+  Alcotest.(check bool) "caller's record unchanged" true
+    (Obs.capture () = before)
+
 (* ---- JSON ---- *)
 
 let test_json_unicode_escapes () =
@@ -181,7 +195,7 @@ let test_json_value_round_trip () =
   | Ok _ -> Alcotest.fail "expected a parse error"
   | Error _ -> ()
 
-let test_record_round_trip () =
+let test_record_json_fields () =
   let r =
     with_obs_enabled @@ fun () ->
     Obs.span "reorder" (fun () -> ());
@@ -199,9 +213,64 @@ let test_record_round_trip () =
         ]
       ()
   in
-  match Obs.record_of_json (Obs.record_to_json r) with
-  | Ok r' -> Alcotest.(check bool) "record round trip" true (r = r')
-  | Error msg -> Alcotest.failf "record_of_json failed: %s" msg
+  let j = Obs.record_to_json r in
+  let field key =
+    match Obs.Json.member key j with
+    | Some v -> v
+    | None -> Alcotest.failf "record JSON lacks %S" key
+  in
+  let json =
+    Alcotest.testable
+      (fun ppf j -> Format.pp_print_string ppf (Obs.Json.to_string j))
+      ( = )
+  in
+  Alcotest.check json "schema tag" (Obs.Json.Str "powerrchol-telemetry/v2")
+    (field "schema");
+  Alcotest.check json "meta, in order"
+    (Obs.Json.Obj
+       [
+         ("case", Obs.Json.Str "pg01");
+         ("n", Obs.Json.Int 3825);
+         ("relres", Obs.Json.Float 5.25e-7);
+         ("converged", Obs.Json.Bool true);
+       ])
+    (field "meta");
+  let spans =
+    match field "spans" with
+    | Obs.Json.List items -> items
+    | _ -> Alcotest.fail "spans is not a list"
+  in
+  Alcotest.(check (list string)) "span paths, first-entered order"
+    [ "reorder"; "factor"; "factor/sort" ]
+    (List.map
+       (fun s ->
+         match Obs.Json.member "path" s with
+         | Some (Obs.Json.Str p) -> p
+         | _ -> Alcotest.fail "span without a path")
+       spans);
+  Alcotest.check json "span seconds and calls"
+    (Obs.Json.Obj
+       [
+         ("path", Obs.Json.Str "factor/sort");
+         ("seconds", Obs.Json.Float 0.125);
+         ("calls", Obs.Json.Int 9);
+       ])
+    (List.nth spans 2);
+  Alcotest.check json "counters, in order"
+    (Obs.Json.Obj
+       [
+         ("factor/sampled_edges", Obs.Json.Float 12345.0);
+         ("precond_nnz_ratio", Obs.Json.Float 1.0625);
+       ])
+    (field "counters");
+  match Obs.Json.member "solve_seconds" (field "hists") with
+  | Some h -> (
+    match Obs.Hist.of_json h with
+    | Ok h ->
+      Alcotest.(check int) "histogram count" 4 (Obs.Hist.count h);
+      Test_util.check_float "histogram max" 0.016 (Obs.Hist.max_value h)
+    | Error msg -> Alcotest.failf "histogram JSON unreadable: %s" msg)
+  | None -> Alcotest.fail "hists lacks solve_seconds"
 
 let test_record_text_render () =
   let r =
@@ -369,7 +438,7 @@ let qcheck_hist_merge_laws =
 (* ---- rolling windows ---- *)
 
 let test_window_sums_and_rollover () =
-  let w = Obs.Window.create ~bucket_s:5.0 ~slots:181 () in
+  let w = Obs.Window.create () in
   let t0 = 1_000_000.0 in
   Obs.Window.add ~now:t0 w 3.0;
   Obs.Window.add ~now:t0 w 2.0;
@@ -385,34 +454,38 @@ let test_window_sums_and_rollover () =
     (Obs.Window.sum ~now:(t0 +. 65.0) w ~span_s:60.0);
   Test_util.check_float "still inside 5m" 10.0
     (Obs.Window.sum ~now:(t0 +. 65.0) w ~span_s:300.0);
-  (* ring rollover: with 4 slots of 1 s, writing 10 s later lands in the
-     same slot — the stale epoch must be zeroed, not accumulated *)
-  let r = Obs.Window.create ~bucket_s:1.0 ~slots:4 () in
-  Obs.Window.add ~now:100.0 r 7.0;
-  Obs.Window.add ~now:110.0 r 1.0;
+  (* ring rollover: 181 slots of 5 s span 905 s, so a write 905 s later
+     lands in the same slot — the stale epoch must be zeroed, not
+     accumulated *)
+  let r = Obs.Window.create () in
+  Obs.Window.add ~now:1000.0 r 7.0;
+  Obs.Window.add ~now:1905.0 r 1.0;
   Test_util.check_float "stale slot zeroed on rollover" 1.0
-    (Obs.Window.sum ~now:110.0 r ~span_s:4.0);
+    (Obs.Window.sum ~now:1905.0 r ~span_s:905.0);
   (* queries never read slots older than their epoch: a stale ring with
      no fresh writes sums to zero *)
   Test_util.check_float "stale ring reads zero" 0.0
-    (Obs.Window.sum ~now:500.0 r ~span_s:4.0)
+    (Obs.Window.sum ~now:5000.0 r ~span_s:905.0)
 
 let test_window_hist_merged () =
-  let wh = Obs.Window.create_hist ~bucket_s:1.0 ~slots:10 () in
+  let wh = Obs.Window.create_hist () in
   let t0 = 2_000.0 in
   Obs.Window.observe ~now:t0 wh 0.001;
   Obs.Window.observe ~now:t0 wh 0.002;
-  Obs.Window.observe ~now:(t0 +. 3.0) wh 0.004;
-  let h = Obs.Window.merged ~now:(t0 +. 3.0) wh ~span_s:5.0 in
+  Obs.Window.observe ~now:(t0 +. 15.0) wh 0.004;
+  let h = Obs.Window.merged ~now:(t0 +. 15.0) wh ~span_s:25.0 in
   Alcotest.(check int) "merged window sees all three" 3 (Obs.Hist.count h);
   Test_util.check_float "merged max" 0.004 (Obs.Hist.max_value h);
   (* a narrower span drops the older slot *)
-  let recent = Obs.Window.merged ~now:(t0 +. 3.0) wh ~span_s:2.0 in
+  let recent = Obs.Window.merged ~now:(t0 +. 15.0) wh ~span_s:10.0 in
   Alcotest.(check int) "narrow window sees one" 1 (Obs.Hist.count recent);
-  (* after the ring wraps (10 slots of 1 s), the old samples are gone *)
-  Obs.Window.observe ~now:(t0 +. 20.0) wh 0.008;
-  let later = Obs.Window.merged ~now:(t0 +. 20.0) wh ~span_s:9.0 in
-  Alcotest.(check int) "wrapped ring forgets" 1 (Obs.Hist.count later)
+  (* 905 s later the ring (181 slots of 5 s) has wrapped onto t0's slot:
+     its samples are gone, the one 15 s after it is still inside *)
+  Obs.Window.observe ~now:(t0 +. 905.0) wh 0.008;
+  let later = Obs.Window.merged ~now:(t0 +. 905.0) wh ~span_s:905.0 in
+  Alcotest.(check int) "wrapped ring forgets" 2 (Obs.Hist.count later);
+  Test_util.check_float "oldest samples gone" 0.004
+    (Obs.Hist.min_value later)
 
 (* ---- Prometheus exposition ---- *)
 
@@ -499,35 +572,24 @@ let test_prom_validator_rejects_malformed () =
      t_sum 1\n\
      t_count 5\n"
 
-let test_record_null_counter_round_trip () =
-  (* non-finite counters/gauges serialize as JSON null; the parser must
-     accept them back (as NaN) instead of rejecting the record *)
+let test_record_nan_counter_as_null () =
+  (* JSON has no NaN: a non-finite gauge is written as null, and the
+     serialized text carries a real null token *)
   let r =
     with_obs_enabled @@ fun () ->
     Obs.gauge "residual" Float.nan;
     Obs.count "requests" 3;
     Obs.capture ()
   in
-  let j = Obs.record_to_json r in
-  (match Obs.Json.member "residual" (Option.get (Obs.Json.member "counters" j))
-   with
-   | Some v ->
-     Alcotest.(check string)
-       "NaN gauge serializes as null" "null" (Obs.Json.to_string v)
-   | None -> Alcotest.fail "gauge missing from counters");
-  (* and parse it back from the serialized text, where it really is a
-     JSON null token *)
-  let j =
-    match Obs.Json.parse (Obs.Json.to_string j) with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "re-parse of serialized record failed: %s" e
-  in
-  match Obs.record_of_json j with
-  | Error e -> Alcotest.failf "record with null counter rejected: %s" e
-  | Ok r' -> (
-    match List.assoc_opt "residual" r'.Obs.counters with
-    | Some v -> Alcotest.(check bool) "null parses as NaN" true (Float.is_nan v)
-    | None -> Alcotest.fail "residual counter lost in round trip")
+  let text = Obs.Json.to_string (Obs.record_to_json r) in
+  match Obs.Json.parse text with
+  | Error e -> Alcotest.failf "serialized record does not parse: %s" e
+  | Ok j ->
+    let counters = Option.get (Obs.Json.member "counters" j) in
+    Alcotest.(check bool) "NaN gauge written as null" true
+      (Obs.Json.member "residual" counters = Some Obs.Json.Null);
+    Alcotest.(check bool) "finite counter written as a number" true
+      (Obs.Json.member "requests" counters = Some (Obs.Json.Float 3.0))
 
 (* ---- tracing ---- *)
 
@@ -822,6 +884,8 @@ let () =
             test_disabled_is_transparent;
           Alcotest.test_case "record_span prefixes under the stack" `Quick
             test_record_span_prefixes;
+          Alcotest.test_case "a foreign domain records apart" `Quick
+            test_foreign_domain_records_apart;
         ] );
       ( "counters",
         [
@@ -836,8 +900,8 @@ let () =
             test_json_value_round_trip;
           Alcotest.test_case "unicode escapes decode to UTF-8" `Quick
             test_json_unicode_escapes;
-          Alcotest.test_case "telemetry record round trip" `Quick
-            test_record_round_trip;
+          Alcotest.test_case "telemetry record JSON fields" `Quick
+            test_record_json_fields;
           Alcotest.test_case "text rendering" `Quick test_record_text_render;
         ] );
       ( "histograms",
@@ -865,8 +929,8 @@ let () =
             test_prom_render_and_validate;
           Alcotest.test_case "validator rejects malformed expositions" `Quick
             test_prom_validator_rejects_malformed;
-          Alcotest.test_case "null counters round trip as NaN" `Quick
-            test_record_null_counter_round_trip;
+          Alcotest.test_case "NaN counters written as null" `Quick
+            test_record_nan_counter_as_null;
         ] );
       ( "tracing",
         [

@@ -534,6 +534,132 @@ let test_trace_tracks_per_domain () =
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "multi-domain trace invalid: %s" msg
 
+let test_batch_then_lone_solve_same_record () =
+  (* A batch, then a lone solve, in one profiled run: the chunks fold
+     into the caller's store at the region's join, so the lone solve's
+     paths come after the batch's at every width, as at one domain. *)
+  let p = grid_problem ~nx:20 ~ny:20 ~seed:2929 () in
+  let n = Sddm.Problem.n p in
+  let rng = Rng.create 31 in
+  let bs = Array.init 5 (fun _ -> random_rhs ~rng n) in
+  let prepared = Solver.powerrchol_prepare p in
+  let record domains =
+    with_domains domains (fun () ->
+        snd
+          (Solver.with_obs ~meta_of:(fun _ -> []) (fun () ->
+               ignore (Solver.solve_many prepared bs);
+               Solver.solve_prepared prepared)))
+  in
+  let spans (r : Obs.record) = List.map (fun s -> s.Obs.path) r.Obs.spans in
+  let hists (r : Obs.record) = List.map fst r.Obs.hists in
+  let solver_counters (r : Obs.record) =
+    List.filter
+      (fun (k, _) -> not (String.starts_with ~prefix:"par/" k))
+      r.Obs.counters
+  in
+  let r1 = record 1 in
+  List.iter
+    (fun d ->
+      let rd = record d in
+      Alcotest.(check (list string))
+        (Printf.sprintf "span paths in order at %d domains" d)
+        (spans r1) (spans rd);
+      Alcotest.(check (list string))
+        (Printf.sprintf "histogram paths in order at %d domains" d)
+        (hists r1) (hists rd);
+      Alcotest.(check (list (pair string (float 0.0))))
+        (Printf.sprintf "counters in order, same totals, at %d domains" d)
+        (solver_counters r1) (solver_counters rd))
+    [ 2; 3 ]
+
+let test_two_batches_same_counters () =
+  (* Two batches in one profiled run: a gauge a chunk writes (PCG's
+     relres under solve_many/solve#k) holds the second batch's value at
+     every width, as at one domain, while counts add over both. *)
+  let p = grid_problem ~nx:14 ~ny:14 ~seed:3030 () in
+  let n = Sddm.Problem.n p in
+  let rng = Rng.create 41 in
+  let bs1 = Array.init 4 (fun _ -> random_rhs ~rng n) in
+  let bs2 = Array.init 4 (fun _ -> random_rhs ~rng n) in
+  let prepared = Solver.powerrchol_prepare p in
+  let counters domains =
+    with_domains domains (fun () ->
+        let (), r =
+          Solver.with_obs ~meta_of:(fun _ -> []) (fun () ->
+              ignore (Solver.solve_many prepared bs1);
+              ignore (Solver.solve_many prepared bs2))
+        in
+        List.sort compare
+          (List.filter
+             (fun (k, _) -> not (String.starts_with ~prefix:"par/" k))
+             r.Obs.counters))
+  in
+  let c1 = counters 1 in
+  Alcotest.(check bool) "the batch sets relres gauges" true
+    (List.exists (fun (k, _) -> String.ends_with ~suffix:"/relres" k) c1);
+  List.iter
+    (fun d ->
+      Alcotest.(check (list (pair string (float 0.0))))
+        (Printf.sprintf "counters after two batches at %d domains" d)
+        c1 (counters d))
+    [ 2; 3 ]
+
+let test_trace_rings_reused_across_regions () =
+  (* Two traced batches at 2 domains: chunk i keeps one ring, track i + 1,
+     which the second region writes on after the first. *)
+  let p = grid_problem ~nx:12 ~ny:12 ~seed:4141 () in
+  let n = Sddm.Problem.n p in
+  let rng = Rng.create 37 in
+  let bs = Array.init 4 (fun _ -> random_rhs ~rng n) in
+  let prepared = Solver.powerrchol_prepare p in
+  with_domains 2 (fun () ->
+      Obs.set_tracing true;
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.set_tracing false;
+          Obs.reset ())
+        (fun () ->
+          ignore
+            (Solver.with_obs ~meta_of:(fun _ -> []) (fun () ->
+                 ignore (Solver.solve_many prepared bs);
+                 ignore (Solver.solve_many prepared bs)));
+          let begins track name =
+            List.length
+              (List.filter
+                 (fun (e : Obs.Trace.event) ->
+                   e.Obs.Trace.track = track && e.Obs.Trace.phase = 'B'
+                   && e.Obs.Trace.name = name)
+                 (Obs.Trace.events ()))
+          in
+          (* chunk 0 solves rhs 0 and 1, chunk 1 rhs 2 and 3 *)
+          Alcotest.(check int) "track 1 holds both regions' solve#0" 2
+            (begins 1 "solve#0");
+          Alcotest.(check int) "track 2 holds both regions' solve#3" 2
+            (begins 2 "solve#3");
+          Alcotest.(check int) "no chunk solve on the caller's track" 0
+            (begins 0 "solve#0");
+          let doc = Obs.Trace.to_json () in
+          let thread_names =
+            match Obs.Json.member "traceEvents" doc with
+            | Some (Obs.Json.List evs) ->
+              List.filter_map
+                (fun ev ->
+                  match
+                    (Obs.Json.member "name" ev, Obs.Json.member "tid" ev)
+                  with
+                  | Some (Obs.Json.Str "thread_name"), Some (Obs.Json.Int t)
+                    ->
+                    Some t
+                  | _ -> None)
+                evs
+            | _ -> Alcotest.fail "trace has no traceEvents list"
+          in
+          Alcotest.(check (list int)) "each track named once" [ 0; 1; 2 ]
+            thread_names;
+          match Obs.Trace.validate doc with
+          | Ok _ -> ()
+          | Error msg -> Alcotest.failf "two-region trace invalid: %s" msg))
+
 let () =
   Alcotest.run "par"
     [
@@ -581,5 +707,11 @@ let () =
             `Quick test_profiled_batch_counters_deterministic;
           Alcotest.test_case "trace tracks per domain" `Quick
             test_trace_tracks_per_domain;
+          Alcotest.test_case "batch then lone solve, same record" `Quick
+            test_batch_then_lone_solve_same_record;
+          Alcotest.test_case "two batches, same counters" `Quick
+            test_two_batches_same_counters;
+          Alcotest.test_case "trace rings reused across regions" `Quick
+            test_trace_rings_reused_across_regions;
         ] );
     ]

@@ -733,7 +733,18 @@ let test_daemon_load_shedding () =
           | None -> -1
         in
         Alcotest.(check int) "metrics count the shed requests" !shed
-          shed_metric
+          shed_metric;
+        (* a shed request never ran, so it has no service time *)
+        let latency_count =
+          match Obs.Json.member "latency_s" doc with
+          | Some h -> (
+            match Obs.Json.member "count" h with
+            | Some (Obs.Json.Int k) -> k
+            | _ -> -1)
+          | None -> -1
+        in
+        Alcotest.(check int) "latency counts only the solved requests"
+          !solved latency_count
       | r -> Alcotest.failf "health answered %s" (Proto.response_to_string r))
 
 let test_daemon_retry_rides_out_overload () =
@@ -949,6 +960,23 @@ let test_daemon_robust_reuses_handle () =
   Alcotest.(check bool) "x present" true (reused <> None);
   Alcotest.(check bool) "x bit-identical to the fresh robust solve" true
     (reused = fresh)
+
+let test_daemon_robust_obeys_max_iter () =
+  (* the daemon's iteration cap bounds every rung of a robust solve, as
+     it bounds a plain one *)
+  with_daemon
+    ~tweak:(fun c -> { c with Serve.Daemon.max_iter = 1 })
+    (fun _t addr ->
+      match
+        call_ok addr
+          (Proto.solve ~robust:true (Proto.Case { id = "pg01"; scale = 0.05 }))
+      with
+      | Proto.Solved { iterations; solver; _ } ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s answered after %d iterations, cap 1" solver
+             iterations)
+          true (iterations <= 1)
+      | r -> Alcotest.failf "robust solve answered %s" (Proto.response_to_string r))
 
 let test_daemon_diagnose_scale_cap () =
   with_daemon
@@ -1498,6 +1526,8 @@ let () =
             test_daemon_mtx_rewrite_misses;
           Alcotest.test_case "robust solve reuses the handle" `Quick
             test_daemon_robust_reuses_handle;
+          Alcotest.test_case "robust solve obeys max_iter" `Quick
+            test_daemon_robust_obeys_max_iter;
           Alcotest.test_case "diagnose obeys the scale cap" `Quick
             test_daemon_diagnose_scale_cap;
           Alcotest.test_case "sessions keyed by exact scale" `Quick
