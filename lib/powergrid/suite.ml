@@ -38,11 +38,10 @@ let power_grid_cases ?(scale = 1.0) () =
         analog_of;
         build =
           (fun () ->
-            let spec = Generate.default ~nx:side ~ny:side ~seed in
-            let p = Generate.generate spec in
-            (* rename to the suite id for table printing *)
-            Sddm.Problem.of_graph ~name:id ~graph:p.Sddm.Problem.graph
-              ~d:p.Sddm.Problem.d ~b:p.Sddm.Problem.b);
+            (* the suite id names the problem for table printing *)
+            Sddm.Problem.rename
+              (Generate.generate (Generate.default ~nx:side ~ny:side ~seed))
+              id);
       })
     pg_dims
 

@@ -244,7 +244,7 @@ let apply st e =
       st.d.(node) <- siemens;
       st.problem.Problem.d.(node) <- siemens;
       let found = csc_add st.problem.Problem.a node node (siemens -. from_s) in
-      (* to_sddm stamps every diagonal, even zeros, so the slot exists *)
+      (* to_sddm stores every diagonal, even zeros, so the slot exists *)
       assert found;
       Excess_changed { node; from_s; to_s = siemens }
     end

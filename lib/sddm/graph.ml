@@ -194,15 +194,14 @@ let connected_components g =
   done;
   (label, !count)
 
-let laplacian g =
-  let t =
-    Sparse.Triplet.create
-      ~capacity:(max (4 * n_edges g) 1)
-      ~n_rows:g.n ~n_cols:g.n ()
-  in
-  iter_edges g (fun u v w -> Sparse.Triplet.stamp_conductance t u v w);
-  Sparse.Csc.of_triplet t
-
+(* Column j holds its lower neighbours, its diagonal, then its upper
+   neighbours. The coalesced edges are sorted by (u, v), so every edge
+   (x, j) with x < j precedes every edge (j, y): when the pass over the
+   edges reaches the run of edges (j, _), column j's lower neighbours are
+   written, ascending in x, and its cursor sits on the diagonal's slot;
+   the run then writes the upper neighbours, ascending in y. No column is
+   sorted. The diagonal is stored even when it is 0, so every vertex is
+   in the pattern, as in a circuit simulator's stamped matrix. *)
 let to_sddm g d =
   if Array.length d <> g.n then
     invalid_arg
@@ -214,18 +213,51 @@ let to_sddm g d =
         invalid_arg
           (Printf.sprintf "Graph.to_sddm: d.(%d) = %g is not >= 0" i x))
     d;
-  let t =
-    Sparse.Triplet.create
-      ~capacity:(max ((4 * n_edges g) + g.n) 1)
-      ~n_rows:g.n ~n_cols:g.n ()
-  in
-  iter_edges g (fun u v w -> Sparse.Triplet.stamp_conductance t u v w);
-  for i = 0 to g.n - 1 do
-    (* Stamp the diagonal even when d.(i) = 0 so every vertex appears in the
-       matrix pattern, matching circuit-simulator conventions. *)
-    Sparse.Triplet.add t i i d.(i)
+  let g = coalesce g in
+  let n = g.n and m = n_edges g in
+  let us = g.us and vs = g.vs and ws = g.ws in
+  Sparse.Idx.check_index_capacity ~what:"Graph.to_sddm" (n + (2 * m));
+  let[@inline] set_idx a k i = Sparse.Idx.(unsafe_set_elt a k (of_int i)) in
+  (* [next.(j)]: j's degree, then column j's write cursor; [diag.(j)]:
+     the weights of j's incident edges, summed in edge order *)
+  let next = Array.make n 0 and diag = Array.make n 0.0 in
+  for e = 0 to m - 1 do
+    let u = us.(e) and v = vs.(e) and w = ws.(e) in
+    next.(u) <- next.(u) + 1;
+    next.(v) <- next.(v) + 1;
+    diag.(u) <- diag.(u) +. w;
+    diag.(v) <- diag.(v) +. w
   done;
-  Sparse.Csc.of_triplet t
+  let col_ptr = Sparse.Idx.make (n + 1) in
+  let start = ref 0 in
+  for j = 0 to n - 1 do
+    let degree = next.(j) in
+    set_idx col_ptr j !start;
+    next.(j) <- !start;
+    start := !start + degree + 1
+  done;
+  set_idx col_ptr n !start;
+  let nnz = !start in
+  let row_idx = Sparse.Idx.make (max nnz 1) in
+  let values = Sparse.Vec.create (max nnz 1) in
+  let e = ref 0 in
+  for j = 0 to n - 1 do
+    let k = ref next.(j) in
+    set_idx row_idx !k j;
+    Sparse.Vec.unsafe_set values !k (diag.(j) +. d.(j));
+    while !e < m && us.(!e) = j do
+      let y = vs.(!e) and w = -.ws.(!e) in
+      incr k;
+      set_idx row_idx !k y;
+      Sparse.Vec.unsafe_set values !k w;
+      let ky = next.(y) in
+      set_idx row_idx ky j;
+      Sparse.Vec.unsafe_set values ky w;
+      next.(y) <- ky + 1;
+      incr e
+    done
+  done;
+  Sparse.Csc.of_raw ~n_rows:n ~n_cols:n ~col_ptr ~row_idx ~values
 
 let split_sddm a =
   let n_rows, n_cols = Sparse.Csc.dims a in

@@ -79,13 +79,21 @@ val connected_components : t -> int array * int
 
 (** {1 Laplacian / SDDM conversions} *)
 
-val laplacian : t -> Sparse.Csc.t
-(** The graph Laplacian [L_G] (Eq. 1 of the paper). *)
-
 val to_sddm : t -> float array -> Sparse.Csc.t
-(** [to_sddm g d] is [L_G + diag d]. The result is SDDM whenever some
-    [d.(i) > 0] in every component. Raises [Invalid_argument] unless [d]
-    has length [n] and every entry is [>= 0.] (a NaN is rejected). *)
+(** [to_sddm g d] is [L_G + diag d] (Eq. 1 of the paper); [to_sddm g]
+    of an all-zero [d] is the Laplacian [L_G]. The result is SDDM
+    whenever some [d.(i) > 0] in every component. Raises
+    [Invalid_argument] unless [d] has length [n] and every entry is
+    [>= 0.] (a NaN is rejected).
+
+    It is built from {!coalesce}[ g]: one stored entry per edge in each
+    of its two columns, [-w], and every diagonal, stored even when it
+    is [0.], so the pattern has [n + 2m] entries for [m] coalesced
+    edges. [A(j,j)] is the weights of [j]'s incident edges summed in
+    {!coalesce}'s edge order, that is its lower neighbours ascending
+    and then its upper neighbours ascending, plus [d.(j)] last. One
+    pass over the edges writes each column already sorted: O(n + m),
+    after the O(n + m) {!coalesce} when [g] is not coalesced. *)
 
 val of_sddm : Sparse.Csc.t -> t * float array
 (** Split a symmetric matrix with nonpositive off-diagonals into

@@ -40,6 +40,8 @@ let of_graph ~name ~graph ~d ~b =
          (Sparse.Vec.length b) n);
   { name; a = Graph.to_sddm graph d; b; graph; d }
 
+let rename p name = { p with name }
+
 let n p = Graph.n_vertices p.graph
 let nnz p = Sparse.Csc.nnz p.a
 

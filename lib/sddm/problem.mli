@@ -20,6 +20,10 @@ val of_graph : name:string -> graph:Graph.t -> d:float array -> b:Sparse.Vec.t -
 (** Builds the matrix from the split; cheaper when the graph is the native
     representation (generators). *)
 
+val rename : t -> string -> t
+(** [rename p name] is [p] under another name: it shares [p]'s matrix,
+    graph, excess diagonal and right-hand side, and builds nothing. *)
+
 val n : t -> int
 val nnz : t -> int
 

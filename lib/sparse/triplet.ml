@@ -51,18 +51,6 @@ let add_symmetric t i j v =
     add t j i v
   end
 
-let stamp_conductance t i j g =
-  match (i, j) with
-  | -1, -1 -> ()
-  | -1, j -> add t j j g
-  | i, -1 -> add t i i g
-  | i, j when i = j -> ()
-  | i, j ->
-    add t i i g;
-    add t j j g;
-    add t i j (-.g);
-    add t j i (-.g)
-
 let iter t f =
   for k = 0 to t.len - 1 do
     f t.rows.(k) t.cols.(k) t.values.(k)

@@ -1,9 +1,10 @@
 (** Coordinate-format (COO) builder for sparse matrices.
 
     A [Triplet.t] is an append-only list of [(row, col, value)] entries;
-    duplicates are allowed and are summed when compressing to CSC. This is the
-    entry point for matrix assembly: power-grid stamping, test fixtures and
-    MatrixMarket reading all go through it. *)
+    duplicates are allowed and are summed when compressing to CSC. Test
+    fixtures, the in-memory MatrixMarket reader, {!Csc.add} and the AMG
+    coarse operators assemble through it; SDDM matrices of a graph are
+    written straight to CSC by [Sddm.Graph.to_sddm]. *)
 
 type t
 
@@ -20,11 +21,5 @@ val add : t -> int -> int -> float -> unit
 val add_symmetric : t -> int -> int -> float -> unit
 (** [add_symmetric t i j v] appends both [(i,j,v)] and [(j,i,v)] when
     [i <> j], just [(i,i,v)] otherwise. *)
-
-val stamp_conductance : t -> int -> int -> float -> unit
-(** Circuit stamp of a conductance [g] between nodes [i] and [j]
-    (both in [0..n-1]): adds [g] to both diagonals and [-g] to both
-    off-diagonals. If either index is [-1] (ground), only the other node's
-    diagonal is stamped. *)
 
 val iter : t -> (int -> int -> float -> unit) -> unit

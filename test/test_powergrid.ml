@@ -357,6 +357,25 @@ let test_suite_case_lookup () =
      | _ -> false
      | exception Not_found -> true)
 
+(* A power-grid case is [Generate.generate]'s problem under the suite id,
+   with its matrix bit for bit. *)
+let test_suite_case_is_generated () =
+  let p = (Powergrid.Suite.find "pg01").Powergrid.Suite.build () in
+  let q =
+    Powergrid.Generate.generate
+      (Powergrid.Generate.default ~nx:110 ~ny:110 ~seed:3001)
+  in
+  Alcotest.(check string) "named by the suite id" "pg01" p.Sddm.Problem.name;
+  let a = p.Sddm.Problem.a and a' = q.Sddm.Problem.a in
+  let idx x = Sparse.Idx.to_array x in
+  let bits x = Array.map Int64.bits_of_float (Sparse.Vec.to_array x) in
+  Alcotest.(check (array int))
+    "column pointers" (idx a'.Sparse.Csc.col_ptr) (idx a.Sparse.Csc.col_ptr);
+  Alcotest.(check (array int))
+    "row indices" (idx a'.Sparse.Csc.row_idx) (idx a.Sparse.Csc.row_idx);
+  Alcotest.(check (array int64))
+    "value bits" (bits a'.Sparse.Csc.values) (bits a.Sparse.Csc.values)
+
 let test_suite_all_28 () =
   let all = Powergrid.Suite.all_cases () in
   Alcotest.(check int) "28 cases" 28 (Array.length all)
@@ -485,6 +504,8 @@ let () =
       ( "suite",
         [
           Alcotest.test_case "lookup" `Quick test_suite_case_lookup;
+          Alcotest.test_case "case is the generated problem" `Quick
+            test_suite_case_is_generated;
           Alcotest.test_case "28 cases" `Quick test_suite_all_28;
           Alcotest.test_case "scale_case minimal" `Quick
             test_suite_scale_case_minimal;

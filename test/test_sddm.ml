@@ -1,6 +1,9 @@
 module G = Sddm.Graph
 module Csc = Sparse.Csc
 
+(* The Laplacian L_G: the SDDM matrix of an all-zero excess. *)
+let laplacian g = G.to_sddm g (Array.make (G.n_vertices g) 0.0)
+
 let test_create_validation () =
   Alcotest.check_raises "self loop rejected" (Invalid_argument "Graph: self loop")
     (fun () -> ignore (G.create ~n:3 ~edges:[| (1, 1, 1.0) |]));
@@ -103,7 +106,7 @@ let test_permute_checks () =
 
 let test_laplacian_rowsums () =
   let g, _ = Test_util.random_sddm ~seed:3 ~n:12 ~m:30 in
-  let l = G.laplacian g in
+  let l = laplacian g in
   let ones = Sparse.Vec.make 12 1.0 in
   let y = Csc.spmv l ones in
   Alcotest.(check bool) "L 1 = 0" true (Sparse.Vec.norm_inf y < 1e-12)
@@ -114,7 +117,7 @@ let test_to_of_sddm_roundtrip () =
   let g', d' = G.of_sddm a in
   Alcotest.(check (array (float 1e-12))) "d roundtrip" d d';
   Test_util.check_float "graph roundtrip" 0.0
-    (Csc.frobenius_diff (G.laplacian (G.coalesce g)) (G.laplacian g'))
+    (Csc.frobenius_diff (laplacian (G.coalesce g)) (laplacian g'))
 
 let test_is_sddm () =
   let g, d = Test_util.random_sddm ~seed:7 ~n:10 ~m:20 in
@@ -131,7 +134,7 @@ let test_permute_preserves_laplacian () =
   let rng = Rng.create 13 in
   let p = Sparse.Perm.random rng 14 in
   let gp = G.permute g p in
-  let l = G.laplacian g and lp = G.laplacian gp in
+  let l = laplacian g and lp = laplacian gp in
   Test_util.check_float "permuted laplacian" 0.0
     (Csc.frobenius_diff (Csc.permute_sym l p) lp)
 
@@ -170,7 +173,7 @@ let prop_laplacian_psd_proxy =
     QCheck.(triple (int_bound 10000) (int_range 2 20) (int_bound 50))
     (fun (seed, n, m) ->
       let g, _ = Test_util.random_sddm ~seed ~n ~m:(m + 1) in
-      let l = G.laplacian g in
+      let l = laplacian g in
       let rng = Rng.create (seed + 99) in
       let x = Sparse.Vec.init n (fun _ -> Rng.float rng -. 0.5) in
       Sparse.Vec.dot x (Csc.spmv l x) >= -1e-10)
@@ -183,7 +186,7 @@ let prop_coalesce_idempotent =
       let c1 = G.coalesce g in
       let c2 = G.coalesce c1 in
       G.n_edges c1 = G.n_edges c2
-      && Csc.frobenius_diff (G.laplacian c1) (G.laplacian c2) = 0.0)
+      && Csc.frobenius_diff (laplacian c1) (laplacian c2) = 0.0)
 
 (* Reference coalesce: a stable sort of the edge ids by (u, v), then each
    run summed in input order. *)
@@ -266,6 +269,62 @@ let prop_permute_is_coalesced =
       same_edges (edges_of gp) (edges_of (G.coalesce relabelled))
       && G.coalesce gp == gp)
 
+(* Dense reference assembly: stamp the coalesced edges in edge order,
+   then add the excess, each entry its own running sum. *)
+let dense_sddm g d =
+  let n = G.n_vertices g in
+  let a = Array.make_matrix n n 0.0 in
+  G.iter_edges (G.coalesce g) (fun u v w ->
+      a.(u).(u) <- a.(u).(u) +. w;
+      a.(v).(v) <- a.(v).(v) +. w;
+      a.(u).(v) <- a.(u).(v) -. w;
+      a.(v).(u) <- a.(v).(u) -. w);
+  Array.iteri (fun i x -> a.(i).(i) <- a.(i).(i) +. x) d;
+  a
+
+(* Multigraphs whose vertices are spread over [n + isolated] labels, so
+   that edgeless vertices sit anywhere, with an excess that is 0 at about
+   half of the vertices. *)
+let prop_to_sddm_matches_dense =
+  QCheck.Test.make ~name:"to_sddm = dense stamping, bit for bit" ~count:200
+    QCheck.(
+      quad (int_bound 10000) (int_bound 28) (int_bound 60) (int_bound 6))
+    (fun (seed, n_extra, pairs, isolated) ->
+      let rng = Rng.create seed in
+      let n = n_extra + 2 in
+      let total = n + isolated in
+      let label = Sparse.Perm.random rng total in
+      let g =
+        G.create ~n:total
+          ~edges:
+            (Array.map
+               (fun (u, v, w) -> (label.(u), label.(v), w))
+               (edges_of (random_multigraph ~rng ~n ~pairs)))
+      in
+      let d =
+        Array.init total (fun _ ->
+            if Rng.bool rng then 0.0 else 10.0 ** ((6.0 *. Rng.float rng) -. 3.0))
+      in
+      let a = G.to_sddm g d in
+      let { Csc.n_rows; n_cols; col_ptr; row_idx; values } = a in
+      ignore (Csc.of_raw ~n_rows ~n_cols ~col_ptr ~row_idx ~values);
+      let want = dense_sddm g d in
+      let bits = Int64.bits_of_float in
+      let column j =
+        let stored = ref [] in
+        Csc.iter_col a j (fun i x -> stored := (i, bits x) :: !stored);
+        List.rev !stored
+      in
+      let expected j =
+        List.filter_map
+          (fun i ->
+            if i = j || want.(i).(j) <> 0.0 then Some (i, bits want.(i).(j))
+            else None)
+          (List.init total Fun.id)
+      in
+      n_rows = total && n_cols = total
+      && List.for_all (fun j -> column j = expected j) (List.init total Fun.id))
+
 let prop_permute_involution =
   QCheck.Test.make ~name:"permute by p then inverse p is identity" ~count:100
     QCheck.(pair (int_bound 10000) (int_range 2 40))
@@ -275,8 +334,8 @@ let prop_permute_involution =
       let p = Sparse.Perm.random rng n in
       let back = G.permute (G.permute g p) (Sparse.Perm.inverse p) in
       Csc.frobenius_diff
-        (G.laplacian (G.coalesce g))
-        (G.laplacian (G.coalesce back))
+        (laplacian (G.coalesce g))
+        (laplacian (G.coalesce back))
       < 1e-12)
 
 let prop_degrees_sum_twice_edges =
@@ -328,6 +387,7 @@ let () =
             prop_coalesce_idempotent;
             prop_coalesce_matches_reference;
             prop_permute_is_coalesced;
+            prop_to_sddm_matches_dense;
             prop_permute_involution;
             prop_degrees_sum_twice_edges;
           ] );

@@ -149,16 +149,6 @@ let test_triplet_duplicates_sum () =
   Test_util.check_float "other" 5.0 (Csc.get a 2 1);
   Alcotest.(check int) "nnz" 2 (Csc.nnz a)
 
-let test_stamp_conductance () =
-  let t = Triplet.create ~n_rows:3 ~n_cols:3 () in
-  Triplet.stamp_conductance t 0 2 4.0;
-  Triplet.stamp_conductance t 1 (-1) 3.0;
-  let a = Csc.of_triplet t in
-  Test_util.check_float "diag 0" 4.0 (Csc.get a 0 0);
-  Test_util.check_float "diag 2" 4.0 (Csc.get a 2 2);
-  Test_util.check_float "off" (-4.0) (Csc.get a 0 2);
-  Test_util.check_float "grounded diag" 3.0 (Csc.get a 1 1)
-
 let test_dense_roundtrip () =
   let dense, a = random_pair ~seed:37 ~n_rows:13 ~n_cols:9 ~density:0.3 in
   let back = Csc.to_dense a in
@@ -637,7 +627,6 @@ let () =
       ( "construction",
         [
           Alcotest.test_case "duplicates sum" `Quick test_triplet_duplicates_sum;
-          Alcotest.test_case "conductance stamps" `Quick test_stamp_conductance;
           Alcotest.test_case "dense roundtrip" `Quick test_dense_roundtrip;
           Alcotest.test_case "of_raw validation" `Quick test_of_raw_validation;
           Alcotest.test_case "identity" `Quick test_identity;
