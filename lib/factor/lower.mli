@@ -6,35 +6,41 @@
     structural invariant is that each column's {e first} stored entry is its
     diagonal. Triangular solves do not need sorted columns.
 
-    Storage is Bigarray-backed like {!Sparse.Csc}: index arrays are
-    {!Sparse.Idx.t} (int32 by default, native word under
-    [POWERRCHOL_IDX64]) and values are {!Sparse.Vec.t}. *)
+    Storage is native OCaml arrays on the heap, 16 bytes per stored entry
+    (an [int] row index and a [float] value) plus 8 per column pointer,
+    where {!Sparse.Csc} keeps {!Sparse.Idx.t} indices (4 bytes on the
+    default build) and {!Sparse.Vec.t} values off the heap. Every PCG
+    iteration reads all of L twice, and a native index is one load in the
+    address chain of each [x] access, where a Bigarray index adds a data
+    pointer load, a sign extension and a retag. The sweeps give the same
+    bits over either layout and run faster over this one (DESIGN §13 has
+    the measurements). *)
 
 type t = private {
   n : int;
-  col_ptr : Sparse.Idx.t;  (** length [n + 1] *)
-  rows : Sparse.Idx.t;
-  vals : Sparse.Vec.t;
-  mutable diag_cache : Sparse.Vec.t option;
-  mutable refactor_buf : Sparse.Vec.t;
+  col_ptr : int array;  (** length [n + 1] *)
+  rows : int array;
+  vals : float array;
+  mutable diag_cache : float array option;
+  mutable refactor_buf : float array;
       (** column scratch for {!refactor_columns}, cached on the factor so
           steady-state ECO refactors allocate nothing *)
 }
 
-val of_raw :
-  n:int -> col_ptr:Sparse.Idx.t -> rows:Sparse.Idx.t -> vals:Sparse.Vec.t -> t
-(** Validates: diagonal-first columns, in-bounds subdiagonal rows, strictly
-    positive diagonal values. *)
-
 val of_arrays :
   n:int -> col_ptr:int array -> rows:int array -> vals:float array -> t
-(** {!of_raw} from plain OCaml arrays (copies into Bigarray storage).
-    Convenience for tests and small fixtures. *)
+(** Validates: [col_ptr] of length [n + 1] starting at 0, every column
+    non-empty and ending at or before [col_ptr.(n)], diagonal-first
+    columns, in-bounds subdiagonal rows, strictly positive diagonal
+    values. [rows] and [vals] may be longer than [col_ptr.(n)]. The factor
+    takes ownership of the three arrays, without a copy: the triangular
+    solves read them unchecked, so the caller must not write them
+    afterwards. *)
 
 val nnz : t -> int
 val dim : t -> int
 
-val diag : t -> Sparse.Vec.t
+val diag : t -> float array
 (** The diagonal of the factor. Computed on first call and cached on the
     factor — callers must not mutate the returned array. *)
 
@@ -66,7 +72,7 @@ val apply_preconditioner :
     [Invalid_argument] on length mismatches. *)
 
 val refactor_columns :
-  t -> cols:int array -> emit:(int -> Sparse.Vec.t -> unit) -> unit
+  t -> cols:int array -> emit:(int -> float array -> unit) -> unit
 (** [refactor_columns l ~cols ~emit] overwrites the stored {e values} of
     each listed column in place, keeping the pattern: for each column [j]
     of [cols] in order, [emit j buf] must fill [buf.(0 .. k - 1)], [k]

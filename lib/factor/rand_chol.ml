@@ -541,26 +541,16 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
       for k = 0 to n - 1 do
         eliminate k
       done);
-  (* --- L's arrays, copied from the output run --- *)
+  (* --- L: the column pointers, and the output run trimmed to length --- *)
   let total = out.len in
   let l =
     Obs.span "assemble" @@ fun () ->
-    Sparse.Idx.check_index_capacity ~what:"Rand_chol.factorize" total;
-    let[@inline] set_idx a q i = Sparse.Idx.(unsafe_set_elt a q (of_int i)) in
-    let col_ptr = Sparse.Idx.make (n + 1) in
-    let acc = ref 0 in
+    let col_ptr = Array.make (n + 1) 0 in
     for k = 0 to n - 1 do
-      set_idx col_ptr k !acc;
-      acc := !acc + col_len.(k)
+      col_ptr.(k + 1) <- col_ptr.(k) + col_len.(k)
     done;
-    set_idx col_ptr n total;
-    let l_rows = Sparse.Idx.make (max total 1) in
-    let l_vals = Sparse.Vec.create (max total 1) in
-    for q = 0 to total - 1 do
-      set_idx l_rows q out.ids.(q);
-      Sparse.Vec.unsafe_set l_vals q out.vals.(q)
-    done;
-    Lower.of_raw ~n ~col_ptr ~rows:l_rows ~vals:l_vals
+    Lower.of_arrays ~n ~col_ptr ~rows:(Array.sub out.ids 0 total)
+      ~vals:(Array.sub out.vals 0 total)
   in
   (* recorder: column k owns max (m_k - 1) 0 slots *)
   (match record with
@@ -683,10 +673,9 @@ let factorize_updatable ~sort ~sampling ~rng g ~d =
   (* the row counts of L's strictly lower part *)
   let row_ptr = Array.make (n + 1) 0 in
   let col_ptr = l.Lower.col_ptr and rows = l.Lower.rows in
-  let open Sparse.Idx.Ops in
   for j = 0 to n - 1 do
-    for q = col_ptr.%(j) + 1 to col_ptr.%(j + 1) - 1 do
-      let i = rows.%(q) in
+    for q = col_ptr.(j) + 1 to col_ptr.(j + 1) - 1 do
+      let i = rows.(q) in
       row_ptr.(i + 1) <- row_ptr.(i + 1) + 1
     done
   done;
@@ -699,8 +688,8 @@ let factorize_updatable ~sort ~sampling ~rng g ~d =
   let row_pos = Array.make (max row_ptr.(n) 1) 0 in
   let rcursor = Array.copy row_ptr in
   for j = 0 to n - 1 do
-    for q = col_ptr.%(j) + 1 to col_ptr.%(j + 1) - 1 do
-      let i = rows.%(q) in
+    for q = col_ptr.(j) + 1 to col_ptr.(j + 1) - 1 do
+      let i = rows.(q) in
       row_cols.(rcursor.(i)) <- j;
       row_pos.(rcursor.(i)) <- q;
       rcursor.(i) <- rcursor.(i) + 1
@@ -791,8 +780,8 @@ let refactor u =
     u.u_stamp <- u.u_stamp + 1;
     let stamp = u.u_stamp in
     List.iter (fun s -> u.u_mark.(s) <- stamp) seeds;
-    let col_ptr = l.Lower.col_ptr and rows = l.Lower.rows in
-    let open Sparse.Idx.Ops in
+    let col_ptr = l.Lower.col_ptr and rows = l.Lower.rows
+    and vals = l.Lower.vals in
     let count = ref 0 in
     let scols = ref (Array.make 64 0) in
     for k = List.fold_left min n seeds to n - 1 do
@@ -804,14 +793,14 @@ let refactor u =
         end;
         !scols.(!count) <- k;
         incr count;
-        for q = col_ptr.%(k) + 1 to col_ptr.%(k + 1) - 1 do
-          u.u_mark.(rows.%(q)) <- stamp
+        for q = col_ptr.(k) + 1 to col_ptr.(k + 1) - 1 do
+          u.u_mark.(rows.(q)) <- stamp
         done
       end
     done;
     let cols = Array.sub !scols 0 !count in
     let emit kc buf =
-      let lo = col_ptr.%(kc) and hi = col_ptr.%(kc + 1) in
+      let lo = col_ptr.(kc) and hi = col_ptr.(kc + 1) in
       let m = hi - lo - 1 in
       let wval = u.u_wval and wmark = u.u_wmark in
       let fill = u.u_rec.r_fill in
@@ -832,14 +821,14 @@ let refactor u =
       let acc = ref u.u_ed.(kc) in
       for p = u.u_row_ptr.(kc) to u.u_row_ptr.(kc + 1) - 1 do
         let s = u.u_row_cols.(p) in
-        let lks = Sparse.Vec.get l.Lower.vals u.u_row_pos.(p) in
-        acc := !acc +. (-.lks *. u.u_rec.r_d_exc.(s) /. Sparse.Vec.get ldiag s)
+        let lks = vals.(u.u_row_pos.(p)) in
+        acc := !acc +. (-.lks *. u.u_rec.r_d_exc.(s) /. ldiag.(s))
       done;
       let dvec = !acc in
       (* pivot over the stored pattern order *)
       let d_k = ref dvec in
       for q = lo + 1 to hi - 1 do
-        let i = rows.%(q) in
+        let i = rows.(q) in
         if wmark.(i) <> wtag then begin
           (* a frozen-pattern neighbor whose every contributing edge
              now has zero weight still occupies its slot *)
@@ -852,9 +841,9 @@ let refactor u =
       if not (d_k > 0.0 && d_k < infinity) then
         raise (Breakdown { column = kc; pivot = d_k });
       let sqrt_dk = sqrt d_k in
-      Sparse.Vec.set buf 0 sqrt_dk;
+      buf.(0) <- sqrt_dk;
       for q = lo + 1 to hi - 1 do
-        Sparse.Vec.set buf (q - lo) (-.wval.(rows.%(q)) /. sqrt_dk)
+        buf.(q - lo) <- -.wval.(rows.(q)) /. sqrt_dk
       done;
       u.u_rec.r_d_elim.(kc) <- d_k;
       u.u_rec.r_d_exc.(kc) <- dvec;
@@ -866,7 +855,7 @@ let refactor u =
         let pfs = u.u_pfs in
         let acc = ref 0.0 in
         for q = 0 to m - 1 do
-          acc := !acc +. wval.(rows.%(lo + 1 + q));
+          acc := !acc +. wval.(rows.(lo + 1 + q));
           pfs.(q) <- !acc
         done;
         let total = pfs.(m - 1) in
@@ -875,7 +864,7 @@ let refactor u =
           let s = slot0 + j in
           if fill.ids.(2 * s) >= 0 then begin
             let w_new =
-              (total -. pfs.(j)) *. wval.(rows.%(lo + 1 + j)) /. d_k
+              (total -. pfs.(j)) *. wval.(rows.(lo + 1 + j)) /. d_k
             in
             fill.vals.(s) <- Float.max w_new 0.0
           end

@@ -248,10 +248,20 @@ let solve_ws ?(rtol = 1e-6) ?(max_iter = 500) ?(stall_window = 200) ?deadline
        else begin
          let alpha = !rho /. pq in
          if track then alphas := alpha :: !alphas;
-         Sparse.Vec.axpy ~alpha ~x:p ~y:x;
-         Sparse.Vec.axpy ~alpha:(-.alpha) ~x:q ~y:r;
+         (* x += alpha p, r -= alpha q and ||r|| in one pass, with the
+            arithmetic of two [Vec.axpy]s and a [Vec.norm2]: the squares
+            are summed in ascending i, as [Vec.dot] sums them. Every
+            vector has length n, checked above. *)
+         let neg_alpha = -.alpha and rr = ref 0.0 in
+         for i = 0 to n - 1 do
+           let open Sparse.Vec in
+           unsafe_set x i (unsafe_get x i +. (alpha *. unsafe_get p i));
+           let ri = unsafe_get r i +. (neg_alpha *. unsafe_get q i) in
+           unsafe_set r i ri;
+           rr := !rr +. (ri *. ri)
+         done;
          incr iter;
-         rel := Sparse.Vec.norm2 r /. b_norm;
+         rel := sqrt !rr /. b_norm;
          if track then history := !rel :: !history;
          if not (Float.is_finite !rel) then
            status := Some (Breakdown (Nonfinite { iteration = !iter }))

@@ -180,10 +180,3 @@ let scale_case ?(seed = 3100) ~target_nodes () =
     analog_of = "fig3-scale";
     build = (fun () -> Generate.generate (Generate.default ~nx:side ~ny:side ~seed));
   }
-
-let random_rhs p ~seed =
-  let rng = Rng.create seed in
-  let n = Sddm.Problem.n p in
-  let b = Sparse.Vec.init n (fun _ -> Rng.float rng -. 0.5) in
-  Sddm.Problem.of_graph ~name:p.Sddm.Problem.name ~graph:p.Sddm.Problem.graph
-    ~d:p.Sddm.Problem.d ~b

@@ -30,7 +30,3 @@ val scale_case : ?seed:int -> target_nodes:int -> unit -> case
 (** The Fig. 3 scale case: the smallest square power grid with at least
     [target_nodes] unknowns, built by the chunked generator (safe to
     request 1e6+ nodes). [id] is ["scale-<target>"]. *)
-
-val random_rhs : Sddm.Problem.t -> seed:int -> Sddm.Problem.t
-(** Replace the right-hand side with a uniform random vector (used for the
-    non-power-grid cases where the paper solves against generic loads). *)

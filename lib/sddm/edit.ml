@@ -68,27 +68,44 @@ let validate ~n e =
 (* ------------------------------------------------------------------ *)
 (* Mutable edited-matrix state.
 
-   The state owns deep copies of everything (edge arrays, excess
+   The state owns copies of everything it writes (edge arrays, excess
    diagonal, rhs, and the assembled CSC matrix), so applying edits never
-   mutates the problem the caller handed in. Value-only edits patch the
-   CSC values in place through its (private but readable) Bigarray
-   fields — the pattern never changes, so SpMV-based consumers holding
-   the matrix see every edit immediately. Pattern-growing edits rebuild
-   the matrix from the edge arrays. *)
+   mutates the problem the caller handed in; the graph, which nothing
+   writes, may be shared. Value-only edits patch the CSC values in place
+   through its (private but readable) Bigarray fields — the pattern never
+   changes, so SpMV-based consumers holding the matrix see every edit
+   immediately. Pattern-growing edits rebuild the matrix from the edge
+   arrays. *)
 
 type state = {
   n : int;
   name : string;
+  (* the edges in ascending (u, v) order, one slot per pair, so [slot]
+     finds a pair by bisection; a grown edge is inserted in order *)
   mutable us : int array;
   mutable vs : int array;  (* us.(e) < vs.(e) *)
   mutable ws : float array;  (* current weights; edits may zero them *)
   mutable n_edges : int;
   d : float array;  (* current excess diagonal *)
   b : Vec.t;  (* current rhs, patched in place *)
-  edge_of : (int * int, int) Hashtbl.t;
   mutable problem : Problem.t;
   mutable generation : int;  (* bumped on every pattern rebuild *)
 }
+
+(* The first slot whose pair is not below (u, v): the slot of (u, v) when
+   the state holds it, and otherwise where it would be inserted. *)
+let position st u v =
+  let lo = ref 0 and hi = ref st.n_edges in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let mu = st.us.(mid) in
+    if mu < u || (mu = u && st.vs.(mid) < v) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let slot st u v =
+  let e = position st u v in
+  if e < st.n_edges && st.us.(e) = u && st.vs.(e) = v then Some e else None
 
 (* Add [dv] to the stored entry A(i,j); false when (i,j) is not in the
    pattern (the caller then rebuilds). Rows are sorted within a column
@@ -142,13 +159,12 @@ let of_problem (p : Problem.t) =
   let us = Array.make (max m 1) 0
   and vs = Array.make (max m 1) 0
   and ws = Array.make (max m 1) 0.0 in
-  let edge_of = Hashtbl.create (max m 16) in
-  let k = ref 0 in
+  let k = ref 0 and positive = ref true in
   Graph.iter_edges g (fun u v w ->
       us.(!k) <- u;
       vs.(!k) <- v;
       ws.(!k) <- w;
-      Hashtbl.replace edge_of (u, v) !k;
+      if not (w > 0.0) then positive := false;
       incr k);
   let st =
     {
@@ -160,14 +176,21 @@ let of_problem (p : Problem.t) =
       n_edges = m;
       d = Array.copy p.Problem.d;
       b = Vec.copy p.Problem.b;
-      edge_of;
       problem = p;
       generation = 0;
     }
   in
   (* own a private copy of the assembled matrix so in-place value patches
-     cannot leak into the caller's problem *)
-  st.problem <- rebuild_problem st;
+     cannot leak into the caller's problem. When every weight is positive
+     (a graph admits a NaN weight, which the filter would drop), the
+     coalesced graph is the one [rebuild_problem] would rebuild. The
+     caller's matrix is not copied instead: a [Problem.of_matrix] input's
+     diagonal can differ from [to_sddm]'s in its low bits. *)
+  st.problem <-
+    (if !positive then
+       Problem.of_graph ~name:st.name ~graph:g ~d:(Array.copy st.d)
+         ~b:(Vec.copy st.b)
+     else rebuild_problem st);
   st
 
 let problem st = st.problem
@@ -186,6 +209,7 @@ type change =
   | Excess_changed of { node : int; from_s : float; to_s : float }
   | Pattern_grew of { u : int; v : int; siemens : float }
 
+(* insert the new pair (u, v) at its place in the order *)
 let grow_edges st u v w =
   if st.n_edges = Array.length st.us then begin
     let cap = max (2 * st.n_edges) 16 in
@@ -198,10 +222,14 @@ let grow_edges st u v w =
     st.vs <- grow st.vs 0;
     st.ws <- grow st.ws 0.0
   end;
-  st.us.(st.n_edges) <- u;
-  st.vs.(st.n_edges) <- v;
-  st.ws.(st.n_edges) <- w;
-  Hashtbl.replace st.edge_of (u, v) st.n_edges;
+  let e = position st u v in
+  let tail = st.n_edges - e in
+  Array.blit st.us e st.us (e + 1) tail;
+  Array.blit st.vs e st.vs (e + 1) tail;
+  Array.blit st.ws e st.ws (e + 1) tail;
+  st.us.(e) <- u;
+  st.vs.(e) <- v;
+  st.ws.(e) <- w;
   st.n_edges <- st.n_edges + 1
 
 (* Apply one edge-weight delta both to the edge array and, in place, to
@@ -250,7 +278,7 @@ let apply st e =
     end
   | Set_conductance { u; v; siemens } -> (
     let u, v = canon u v in
-    match Hashtbl.find_opt st.edge_of (u, v) with
+    match slot st u v with
     | Some slot ->
       let dw = siemens -. st.ws.(slot) in
       if dw = 0.0 then No_change else edge_delta st u v slot dw
@@ -264,7 +292,7 @@ let apply st e =
       end)
   | Scale_conductance { u; v; factor } -> (
     let u, v = canon u v in
-    match Hashtbl.find_opt st.edge_of (u, v) with
+    match slot st u v with
     | Some slot ->
       let dw = (factor -. 1.0) *. st.ws.(slot) in
       if dw = 0.0 then No_change else edge_delta st u v slot dw
@@ -273,7 +301,7 @@ let apply st e =
         (Printf.sprintf "Edit %s: edge not present" (to_string e)))
   | Add_resistor { u; v; siemens } -> (
     let u, v = canon u v in
-    match Hashtbl.find_opt st.edge_of (u, v) with
+    match slot st u v with
     | Some slot -> edge_delta st u v slot siemens
     | None ->
       grow_edges st u v siemens;

@@ -15,8 +15,10 @@
     - {!Pattern_grew} — the sparsity pattern changed; the matrix was
       rebuilt and downstream factorizations must be re-prepared.
 
-    The state deep-copies everything at construction: applying edits
-    never mutates the problem the caller handed in. *)
+    The state copies everything it writes at construction (edge weights,
+    excess diagonal, right-hand side, matrix) and shares only the
+    caller's graph, which nothing writes: applying edits never mutates
+    the problem the caller handed in. *)
 
 type t =
   | Set_conductance of { u : int; v : int; siemens : float }
@@ -49,7 +51,9 @@ val validate : n:int -> t -> unit
 type state
 
 val of_problem : Problem.t -> state
-(** Deep-copy [problem] into an editable state. *)
+(** Copy [problem] into an editable state. Its first {!problem} is
+    bit-identical to {!fresh_problem}: the matrix is assembled from the
+    coalesced graph, not copied from [problem]. *)
 
 val problem : state -> Problem.t
 (** The current edited problem. Its matrix values are patched in place by

@@ -24,10 +24,9 @@ end
     [unsafe_get_elt a k] reads element [k] without a bounds check, and
     [to_int] widens it; [unsafe_set_elt a k (of_int i)] writes [i] there,
     likewise unchecked. All four are [external]s. The hot sparse kernels
-    ({!Csc.spmv_into}, {!Csc.spmv_sym_into} and the triangular solves of
-    [Factor.Lower]) read every pointer and row index as
-    [to_int (unsafe_get_elt a k)], and the randomized factorization
-    writes its factor's indices through [unsafe_set_elt]; both stay
+    ({!Csc.spmv_into}, {!Csc.spmv_sym_into}) read every pointer and row
+    index as [to_int (unsafe_get_elt a k)], and [Sddm.Graph.to_sddm]
+    writes the matrix's indices through [unsafe_set_elt]; both stay
     inline even when the library is compiled with [-opaque], whereas
     [get], [set] and [.%()] are function calls across the module
     boundary. [of_int] does not check {!max_index}: a caller runs

@@ -1,7 +1,7 @@
 (* 32-bit index storage: 4 bytes per index in a GC-opaque Bigarray.
    Selected by default (see lib/sparse/dune); every matrix this build can
    represent has fewer than 2^31 rows, columns, and nonzeros, which the
-   constructors in Csc/Lower enforce with an actionable error.
+   Csc constructors enforce with an actionable error.
 
    [unsafe_get_elt], [unsafe_set_elt], [to_int] and [of_int] are
    primitives, not functions: an application of any of them compiles to an

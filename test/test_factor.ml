@@ -59,15 +59,20 @@ let test_kernels_dense_reference () =
   let dense_of col_ptr rows vals =
     let m = Array.make_matrix n n 0.0 in
     for j = 0 to n - 1 do
-      for k = Sparse.Idx.get col_ptr j to Sparse.Idx.get col_ptr (j + 1) - 1 do
-        let i = Sparse.Idx.get rows k in
-        m.(i).(j) <- m.(i).(j) +. Vec.get vals k
+      for k = col_ptr.(j) to col_ptr.(j + 1) - 1 do
+        let i = rows.(k) in
+        m.(i).(j) <- m.(i).(j) +. vals.(k)
       done
     done;
     m
   in
   let a = p.Sddm.Problem.a in
-  let dense_a = dense_of a.Csc.col_ptr a.Csc.row_idx a.Csc.values in
+  let dense_a =
+    dense_of
+      (Sparse.Idx.to_array a.Csc.col_ptr)
+      (Sparse.Idx.to_array a.Csc.row_idx)
+      (Vec.to_array a.Csc.values)
+  in
   let l =
     Factor.Lt_rchol.factorize ~rng:(Rng.create 7) p.Sddm.Problem.graph
       ~d:p.Sddm.Problem.d
@@ -203,8 +208,8 @@ let test_chol_not_pd () =
 let test_chol_diag_matrix () =
   let a = Csc.of_dense [| [| 4.0; 0.0 |]; [| 0.0; 9.0 |] |] in
   let l = Factor.Chol.factorize a in
-  Test_util.check_vec ~eps:1e-12 "sqrt diag" [| 2.0; 3.0 |]
-    (Factor.Lower.diag l)
+  Alcotest.(check (array (float 1e-12)))
+    "sqrt diag" [| 2.0; 3.0 |] (Factor.Lower.diag l)
 
 let non_square () =
   Csc.of_triplet (Sparse.Triplet.create ~n_rows:3 ~n_cols:2 ())
@@ -460,8 +465,8 @@ let test_rand_chol_diag_positive () =
   let g, d = Test_util.random_sddm ~seed:431 ~n:150 ~m:500 in
   let rng = Rng.create 433 in
   let l = Factor.Lt_rchol.factorize ~rng g ~d in
-  Sparse.Vec.iteri
-    (fun _ v -> Alcotest.(check bool) "positive diag" true (v > 0.0))
+  Array.iter
+    (fun v -> Alcotest.(check bool) "positive diag" true (v > 0.0))
     (Factor.Lower.diag l)
 
 let test_unbiasedness () =
@@ -533,11 +538,7 @@ let prop_rand_chol_factors_random_sddm =
       let l = Factor.Lt_rchol.factorize ~rng g ~d in
       Factor.Lower.dim l = n
       &&
-      let ok = ref true in
-      Sparse.Vec.iteri
-        (fun _ v -> if not (v > 0.0) then ok := false)
-        (Factor.Lower.diag l);
-      !ok)
+      Array.for_all (fun v -> v > 0.0) (Factor.Lower.diag l))
 
 let prop_rand_chol_any_permutation =
   QCheck.Test.make
@@ -760,16 +761,15 @@ let prop_fill_inside_exact_fill =
           let gp = Sddm.Graph.permute g perm in
           let dp = Array.init n (fun k -> d.(perm.(k))) in
           let exact = Factor.Chol.factorize (Sddm.Graph.to_sddm gp dp) in
-          let open Sparse.Idx.Ops in
           (* mark.(i) = j while column j of the exact factor is marked *)
           let inside l =
             let ok = ref true and mark = Array.make n (-1) in
             for j = 0 to n - 1 do
-              for q = (col_ptr exact).%(j) to (col_ptr exact).%(j + 1) - 1 do
-                mark.((rows exact).%(q)) <- j
+              for q = (col_ptr exact).(j) to (col_ptr exact).(j + 1) - 1 do
+                mark.((rows exact).(q)) <- j
               done;
-              for q = (col_ptr l).%(j) to (col_ptr l).%(j + 1) - 1 do
-                if mark.((rows l).%(q)) <> j then ok := false
+              for q = (col_ptr l).(j) to (col_ptr l).(j + 1) - 1 do
+                if mark.((rows l).(q)) <> j then ok := false
               done
             done;
             !ok
@@ -809,7 +809,7 @@ let test_refactor_scratch_cached () =
     (diag_before == Factor.Lower.diag l);
   Alcotest.(check bool) "column scratch reused" true
     (buf_before == l.Factor.Lower.refactor_buf
-    && Sparse.Vec.length buf_before > 0);
+    && Array.length buf_before > 0);
   (* steady state: a warm refactor's allocation is flat, not growing —
      a reintroduced per-call cache rebuild would show as a3 >> a2 *)
   Alcotest.(check bool)
@@ -828,19 +828,18 @@ let test_refactor_scratch_cached () =
    edits compare the slots. *)
 
 let bits_equal (a : Factor.Lower.t) (b : Factor.Lower.t) =
-  let open Sparse.Idx.Ops in
   let n = Factor.Lower.dim a and nnz = Factor.Lower.nnz a in
   let same_idx x y len =
     let ok = ref true in
     for q = 0 to len - 1 do
-      if x.%(q) <> y.%(q) then ok := false
+      if x.(q) <> y.(q) then ok := false
     done;
     !ok
   in
   let same_vals x y =
     let ok = ref true in
     for q = 0 to nnz - 1 do
-      if Int64.bits_of_float x.{q} <> Int64.bits_of_float y.{q} then
+      if Int64.bits_of_float x.(q) <> Int64.bits_of_float y.(q) then
         ok := false
     done;
     !ok
@@ -964,6 +963,88 @@ let prop_elimination_matches_reference =
                    (Rand_chol_ref.factor r))
             variants)
         orders)
+
+(* ---- the sweeps against their Bigarray reference (test/lower_ref.ml) ----
+
+   The native-array solves must give the Bigarray solves' bits on every
+   factorization's output. Each factor is swept with a right-hand side
+   whose entries are a third exact 0.0 or -0.0, and with one that is zero
+   but for one entry and a few -0.0s: a column whose entry is still zero
+   when the forward sweep reaches it takes the sweep's [xj <> 0.0] skip,
+   and a -0.0 keeps its sign there. *)
+
+let same_bits (x : Vec.t) (y : Vec.t) =
+  let ok = ref (Vec.length x = Vec.length y) in
+  for i = 0 to Vec.length x - 1 do
+    if Int64.bits_of_float x.{i} <> Int64.bits_of_float y.{i} then
+      ok := false
+  done;
+  !ok
+
+let sweeps_match rng l =
+  let r = Lower_ref.of_lower l in
+  let n = Factor.Lower.dim l in
+  let perm = Sparse.Perm.random rng n in
+  let zero () = if Rng.bool rng then 0.0 else -0.0 in
+  let mixed =
+    Vec.init n (fun _ ->
+        if Rng.int rng 3 = 0 then zero () else Rng.float rng -. 0.5)
+  in
+  let one_hot = Vec.init n (fun _ -> if Rng.int rng 8 = 0 then -0.0 else 0.0) in
+  Vec.set one_hot (Rng.int rng n) 1.0;
+  List.for_all
+    (fun b ->
+      let swept solve =
+        let x = Vec.copy b in
+        solve x;
+        x
+      in
+      let applied apply =
+        let z = Vec.create n in
+        apply ~perm ~scratch:(Vec.create n) b z;
+        z
+      in
+      same_bits
+        (swept (Factor.Lower.solve_in_place l))
+        (swept (Lower_ref.solve_in_place r))
+      && same_bits
+           (swept (Factor.Lower.solve_transpose_in_place l))
+           (swept (Lower_ref.solve_transpose_in_place r))
+      && same_bits
+           (applied (Factor.Lower.apply_preconditioner l))
+           (applied (Lower_ref.apply_preconditioner r)))
+    [ mixed; one_hot ]
+
+(* LT-RChol and RChol factors of a rough grid under Alg. 4, whose hub
+   columns take the counting sort; and those two, exact Cholesky and
+   incomplete Cholesky of a random SDDM graph in a random order. *)
+let prop_sweeps_match_reference =
+  QCheck.Test.make ~name:"sweeps equal the Bigarray reference, bit for bit"
+    ~count:40
+    QCheck.(triple (int_bound 1_000_000) (int_range 2 200) (int_bound 800))
+    (fun (seed, n, m) ->
+      let rng = Rng.create seed in
+      let permuted (g, d) perm =
+        ( Sddm.Graph.permute g perm,
+          Array.init (Array.length d) (fun k -> d.(perm.(k))) )
+      in
+      let gr, dr =
+        let g, d = rough_grid seed in
+        permuted (g, d) (Ordering.Degree_sort.order g)
+      in
+      let gs, ds =
+        permuted (Test_util.random_sddm ~seed ~n ~m) (Sparse.Perm.random rng n)
+      in
+      let a = Sddm.Graph.to_sddm gs ds in
+      List.for_all (sweeps_match rng)
+        [
+          Factor.Lt_rchol.factorize ~rng:(Rng.create seed) gr ~d:dr;
+          Factor.Rchol.factorize ~rng:(Rng.create seed) gr ~d:dr;
+          Factor.Lt_rchol.factorize ~rng:(Rng.create seed) gs ~d:ds;
+          Factor.Rchol.factorize ~rng:(Rng.create seed) gs ~d:ds;
+          Factor.Chol.factorize a;
+          Factor.Ichol.factorize a;
+        ])
 
 (* ---- find_edge against a scan of the coalesced edges ---- *)
 
@@ -1209,6 +1290,7 @@ let () =
             prop_rand_chol_any_permutation;
             prop_fill_inside_exact_fill;
             prop_elimination_matches_reference;
+            prop_sweeps_match_reference;
             prop_find_edge_agrees_with_scan;
           ] );
     ]

@@ -172,18 +172,6 @@ let test_solve_matrix_rejects_non_sddm () =
      | _ -> false
      | exception Invalid_argument _ -> true)
 
-let test_suite_random_rhs () =
-  let p0 = Lazy.force grid_problem in
-  let p1 = Powergrid.Suite.random_rhs p0 ~seed:1 in
-  let p2 = Powergrid.Suite.random_rhs p0 ~seed:1 in
-  let p3 = Powergrid.Suite.random_rhs p0 ~seed:2 in
-  Alcotest.(check bool) "same seed, same rhs" true
-    (p1.Sddm.Problem.b = p2.Sddm.Problem.b);
-  Alcotest.(check bool) "different seed differs" true
-    (p1.Sddm.Problem.b <> p3.Sddm.Problem.b);
-  Test_util.check_float "matrix unchanged" 0.0
-    (Sparse.Csc.frobenius_diff p0.Sddm.Problem.a p1.Sddm.Problem.a)
-
 let () =
   Alcotest.run "integration"
     [
@@ -206,7 +194,6 @@ let () =
           Alcotest.test_case "merged pipeline" `Quick test_merged_pipeline;
           Alcotest.test_case "solve_matrix rejects non-SDDM" `Quick
             test_solve_matrix_rejects_non_sddm;
-          Alcotest.test_case "suite random rhs" `Quick test_suite_random_rhs;
         ] );
       ( "families",
         [ Alcotest.test_case "table-4 analogs" `Slow test_other_case_families ] );

@@ -265,6 +265,58 @@ let prop_pcg_solves_random_sddm =
       res.Krylov.Pcg.converged
       && Sddm.Problem.residual_norm p res.Krylov.Pcg.x < 1e-5)
 
+(* PCG with its update as three vector passes: two [Vec.axpy]s, then
+   [Vec.norm2] of the residual. [Pcg.solve] fuses them into one loop that
+   must keep every bit of the solution and of the residual history. *)
+let three_pass_pcg ~rtol ~max_iter a b (precond : Krylov.Precond.t) =
+  let n = Vec.length b in
+  let x = Vec.create n and r = Vec.copy b and z = Vec.create n in
+  let p = Vec.create n and q = Vec.create n and scratch = Vec.create n in
+  let b_norm = Vec.norm2 b in
+  precond.apply ~scratch r z;
+  Vec.blit ~src:z ~dst:p;
+  let rho = ref (Vec.dot r z) and rel = ref (Vec.norm2 r /. b_norm) in
+  let history = ref [] in
+  while !rel > rtol && List.length !history < max_iter do
+    Csc.spmv_sym_into a p q;
+    let alpha = !rho /. Vec.dot p q in
+    Vec.axpy ~alpha ~x:p ~y:x;
+    Vec.axpy ~alpha:(-.alpha) ~x:q ~y:r;
+    rel := Vec.norm2 r /. b_norm;
+    history := !rel :: !history;
+    if !rel > rtol then begin
+      precond.apply ~scratch r z;
+      let rho' = Vec.dot r z in
+      Vec.xpby ~x:z ~beta:(rho' /. !rho) ~y:p;
+      rho := rho'
+    end
+  done;
+  (x, Array.of_list (List.rev !history))
+
+let prop_fused_update_keeps_bits =
+  QCheck.Test.make ~name:"fused PCG update = three-pass reference, bit for bit"
+    ~count:40
+    QCheck.(triple (int_bound 10000) (int_range 3 200) (int_bound 600))
+    (fun (seed, n, m) ->
+      let p = Test_util.random_problem ~seed ~n ~m:(m + 1) in
+      let a = p.Sddm.Problem.a and b = p.Sddm.Problem.b in
+      let l =
+        Factor.Lt_rchol.factorize ~rng:(Rng.create seed) p.Sddm.Problem.graph
+          ~d:p.Sddm.Problem.d
+      in
+      let bits v = Array.map Int64.bits_of_float v in
+      List.for_all
+        (fun precond ->
+          let rtol = 1e-10 and max_iter = 150 in
+          let res = Krylov.Pcg.solve ~rtol ~max_iter ~a ~b ~precond () in
+          let x, history = three_pass_pcg ~rtol ~max_iter a b precond in
+          bits (Test_util.arr res.Krylov.Pcg.x) = bits (Test_util.arr x)
+          && bits res.Krylov.Pcg.history = bits history)
+        [
+          Krylov.Precond.jacobi a;
+          Krylov.Precond.of_factor ~perm:(Sparse.Perm.identity n) l;
+        ])
+
 let () =
   Alcotest.run "krylov"
     [
@@ -305,5 +357,7 @@ let () =
           Alcotest.test_case "preconditioner ranking" `Quick
             test_condition_better_preconditioner_smaller_kappa;
         ] );
-      ("property", Test_util.qcheck [ prop_pcg_solves_random_sddm ]);
+      ( "property",
+        Test_util.qcheck
+          [ prop_pcg_solves_random_sddm; prop_fused_update_keeps_bits ] );
     ]

@@ -241,7 +241,7 @@ let test_diag_cached () =
   let d1 = Factor.Lower.diag l in
   Alcotest.(check bool) "diag is cached" true (d1 == Factor.Lower.diag l);
   Alcotest.(check int) "diag has factor dimension" (Factor.Lower.dim l)
-    (Sparse.Vec.length d1)
+    (Array.length d1)
 
 let test_length_checks () =
   let p = grid_problem ~nx:10 ~ny:10 () in

@@ -346,6 +346,141 @@ let prop_degrees_sum_twice_edges =
       let g = G.coalesce g in
       Array.fold_left ( + ) 0 (G.degrees g) = 2 * G.n_edges g)
 
+(* ---- the edit state ---- *)
+
+module E = Sddm.Edit
+
+(* name, graph, d, b and every stored entry of A, bit for bit *)
+let same_problem (p : Sddm.Problem.t) (q : Sddm.Problem.t) =
+  let bits = Array.map Int64.bits_of_float in
+  let edges g = List.init (G.n_edges g) (G.edge g) in
+  let entries (a : Csc.t) =
+    ( Sparse.Idx.to_array a.Csc.col_ptr,
+      Sparse.Idx.to_array a.Csc.row_idx,
+      bits (Sparse.Vec.to_array a.Csc.values) )
+  in
+  p.name = q.name
+  && G.n_vertices p.graph = G.n_vertices q.graph
+  && List.for_all2
+       (fun (u, v, w) (u', v', w') ->
+         u = u' && v = v' && Int64.bits_of_float w = Int64.bits_of_float w')
+       (edges p.graph) (edges q.graph)
+  && bits p.d = bits q.d
+  && bits (Sparse.Vec.to_array p.b) = bits (Sparse.Vec.to_array q.b)
+  && entries p.a = entries q.a
+
+(* An edit state starts from the coalesced graph's assembly, not from a
+   copy of the caller's matrix: on a suite grid, and on a Matrix Market
+   style problem whose diagonal was summed in another order than
+   [to_sddm] sums it. The caller's problem is never written. *)
+let test_edit_first_problem_is_fresh () =
+  let suite =
+    (Powergrid.Suite.find ~scale:0.05 "pg01").Powergrid.Suite.build ()
+  in
+  let g = Test_util.random_graph ~seed:71 ~n:40 ~m:90 in
+  let n = G.n_vertices g in
+  let dense = Array.make_matrix n n 0.0 in
+  for e = G.n_edges g - 1 downto 0 do
+    let u, v, w = G.edge g e in
+    dense.(u).(v) <- -.w;
+    dense.(v).(u) <- -.w;
+    dense.(u).(u) <- dense.(u).(u) +. w;
+    dense.(v).(v) <- dense.(v).(v) +. w
+  done;
+  dense.(0).(0) <- dense.(0).(0) +. 0.7;
+  let matrix =
+    Sddm.Problem.of_matrix ~name:"reverse-stamped" ~a:(Csc.of_dense dense)
+      ~b:(Sparse.Vec.init n (fun i -> float_of_int (i mod 5) -. 2.0))
+  in
+  List.iter
+    (fun (p : Sddm.Problem.t) ->
+      let before = Sparse.Vec.copy p.a.Csc.values in
+      let st = E.of_problem p in
+      Alcotest.(check bool)
+        (p.name ^ ": problem = fresh_problem, bit for bit")
+        true
+        (same_problem (E.problem st) (E.fresh_problem st));
+      let u, v, _ = G.edge (G.coalesce p.graph) 0 in
+      ignore
+        (E.apply_all st
+           [
+             E.Scale_conductance { u; v; factor = 2.0 };
+             E.Set_excess { node = v; siemens = 0.25 };
+           ]);
+      Alcotest.(check bool) (p.name ^ ": caller's matrix untouched") true
+        (Sparse.Vec.max_abs_diff before p.a.Csc.values = 0.0))
+    [ suite; matrix ]
+
+(* On a 4x4 mesh grounded at vertex 0, (u, v) is the first coalesced edge
+   and (0, 15) a pair the mesh does not join. *)
+let edit_mesh () =
+  let g = Test_util.mesh_graph 4 4 in
+  let d = Array.init 16 (fun i -> if i = 0 then 1.0 else 0.0) in
+  let p =
+    Sddm.Problem.of_graph ~name:"mesh" ~graph:g ~d
+      ~b:(Sparse.Vec.init 16 (fun i -> float_of_int i))
+  in
+  let u, v, w = G.edge (G.coalesce g) 0 in
+  (E.of_problem p, u, v, w)
+
+(* A zeroed edge keeps its slot; once a rebuild has dropped it from the
+   pattern, setting it again grows the pattern back. *)
+let test_edit_zeroed_then_reset () =
+  let st, u, v, w = edit_mesh () in
+  let changes =
+    E.apply_all st
+      [
+        E.Set_conductance { u; v; siemens = 0.0 };
+        E.Add_resistor { u = 15; v = 0; siemens = 0.5 };
+        E.Set_conductance { u = v; v = u; siemens = 2.0 };
+      ]
+  in
+  Alcotest.(check bool) "zeroed, grown, then grown back" true
+    (changes
+    = [
+        E.Edge_changed { u; v; from_w = w; to_w = 0.0 };
+        E.Pattern_grew { u = 0; v = 15; siemens = 0.5 };
+        E.Pattern_grew { u; v; siemens = 2.0 };
+      ]);
+  Alcotest.(check int) "two rebuilds" 2 (E.generation st);
+  let p = E.problem st in
+  Alcotest.(check bool) "problem = fresh_problem after the rebuild" true
+    (same_problem p (E.fresh_problem st));
+  Test_util.check_float "A(u,v)" (-2.0) (Csc.get p.a u v);
+  Test_util.check_float "A(0,15)" (-0.5) (Csc.get p.a 0 15)
+
+(* A grown edge is found again, in either orientation, and so are the
+   edges that sort on either side of it. *)
+let test_edit_grown_then_scaled () =
+  let st, u, v, w = edit_mesh () in
+  let last_u, last_v, last_w =
+    let g = (E.problem st).graph in
+    G.edge g (G.n_edges g - 1)
+  in
+  let changes =
+    E.apply_all st
+      [
+        E.Add_resistor { u = 0; v = 15; siemens = 0.5 };
+        E.Scale_conductance { u = 15; v = 0; factor = 3.0 };
+        E.Scale_conductance { u; v; factor = 2.0 };
+        E.Scale_conductance { u = last_u; v = last_v; factor = 0.5 };
+      ]
+  in
+  Alcotest.(check bool) "grown, then scaled in place" true
+    (changes
+    = [
+        E.Pattern_grew { u = 0; v = 15; siemens = 0.5 };
+        E.Edge_changed { u = 0; v = 15; from_w = 0.5; to_w = 1.5 };
+        E.Edge_changed { u; v; from_w = w; to_w = 2.0 *. w };
+        E.Edge_changed
+          { u = last_u; v = last_v; from_w = last_w; to_w = 0.5 *. last_w };
+      ]);
+  Test_util.check_float "A(0,15)" (-1.5) (Csc.get (E.problem st).a 15 0);
+  Alcotest.check_raises "an absent edge cannot be scaled"
+    (Invalid_argument "Edit scale-conductance 1-14 2: edge not present")
+    (fun () ->
+      ignore (E.apply st (E.Scale_conductance { u = 1; v = 14; factor = 2.0 })))
+
 let () =
   Alcotest.run "sddm"
     [
@@ -378,6 +513,15 @@ let () =
           Alcotest.test_case "residual norm" `Quick test_problem_residual;
           Alcotest.test_case "non-SDDM rejected" `Quick
             test_problem_of_matrix_rejects_non_sddm;
+        ] );
+      ( "edit",
+        [
+          Alcotest.test_case "first problem is fresh_problem" `Quick
+            test_edit_first_problem_is_fresh;
+          Alcotest.test_case "zeroed then reset" `Quick
+            test_edit_zeroed_then_reset;
+          Alcotest.test_case "grown then scaled" `Quick
+            test_edit_grown_then_scaled;
         ] );
       ( "property",
         Test_util.qcheck
